@@ -289,21 +289,29 @@ def _run_fpe(scenario: Scenario, out: Path) -> list[Check]:
     return checks
 
 
+def _particle_setup(params, p, coupling_delta: float = 1e-6):
+    """SimConfig of a particle scenario and its Barenblatt density at t0.
+
+    The L-infinity clamp is twice the source-type solution's peak at t0.
+    """
+    t0 = float(params["t0"])
+    config = particle_sim.SimConfig(
+        n_particles=int(params["n_particles"]), dt=float(params["dt"]),
+        t0=t0, T=float(params["T"]), seed=int(params.get("seed", 0)),
+        coupling_delta=coupling_delta,
+        linf_clamp=2.0 * p.C_norm * t0 ** (-p.alpha))
+    return config, lambda x: closed_form.barenblatt_eval(p, t0, x)
+
+
 def _run_particles(scenario: Scenario, out: Path) -> list[Check]:
     params = scenario.params
     spec = _power_spec(params)
     drift = _drift_from(params)
     p = closed_form.make_barenblatt(1, spec.m)
-    t0 = float(params["t0"])
     dump_stride = int(params.get("dump_stride", 0))
-    config = particle_sim.SimConfig(
-        n_particles=int(params["n_particles"]), dt=float(params["dt"]),
-        t0=t0, T=float(params["T"]), seed=int(params.get("seed", 0)),
-        linf_clamp=2.0 * p.C_norm * t0 ** (-p.alpha))
-    result = particle_sim.run(
-        config, spec, drift,
-        initial_density=lambda x: closed_form.barenblatt_eval(p, t0, x),
-        keep_positions=dump_stride > 0)
+    config, initial = _particle_setup(params, p)
+    result = particle_sim.run(config, spec, drift, initial_density=initial,
+                              keep_positions=dump_stride > 0)
 
     # advisory coefficient-condition rows; they never gate the exit code
     checks = [Check(f"advisory_hypothesis_{name}", 1.0,
@@ -340,18 +348,13 @@ def _run_compare(scenario: Scenario, out: Path) -> list[Check]:
     params = scenario.params
     spec = _power_spec(params)
     p = closed_form.make_barenblatt(1, spec.m)
-    t0, T_final = float(params["t0"]), float(params["T"])
-    config = particle_sim.SimConfig(
-        n_particles=int(params["n_particles"]), dt=float(params["dt"]),
-        t0=t0, T=T_final, seed=int(params.get("seed", 0)),
-        linf_clamp=2.0 * p.C_norm * t0 ** (-p.alpha))
-    result = particle_sim.run(
-        config, spec, _drift_from(params),
-        initial_density=lambda x: closed_form.barenblatt_eval(p, t0, x))
+    config, initial = _particle_setup(params, p)
+    result = particle_sim.run(config, spec, _drift_from(params),
+                              initial_density=initial)
     ref = GridField.from_function(
         float(params.get("lo", -6.0)), float(params.get("hi", 6.0)),
         int(params["n_cells"]),
-        lambda x: closed_form.barenblatt_eval(p, T_final, x)).normalized()
+        lambda x: closed_form.barenblatt_eval(p, config.T, x)).normalized()
     checks.append(_bound_check(
         "w1_particle_vs_closed_form",
         analysis.w1_distance(result.final.positions, ref), 0.05, 0.0))
@@ -392,16 +395,12 @@ def _run_coupling(scenario: Scenario, out: Path) -> list[Check]:
     params = scenario.params
     spec = _power_spec(params)
     p = closed_form.make_barenblatt(1, spec.m)
-    t0 = float(params["t0"])
-    config = particle_sim.SimConfig(
-        n_particles=int(params["n_particles"]), dt=float(params["dt"]),
-        t0=t0, T=float(params["T"]), seed=int(params.get("seed", 0)),
-        coupling_delta=float(params.get("delta", 1e-6)),
-        linf_clamp=2.0 * p.C_norm * t0 ** (-p.alpha))
+    config, initial = _particle_setup(
+        params, p, coupling_delta=float(params.get("delta", 1e-6)))
     perturbation = float(params["perturbation"])
     records = particle_sim.coupling_experiment(
         config, spec, _drift_from(params), perturbation,
-        initial_density=lambda x: closed_form.barenblatt_eval(p, t0, x))
+        initial_density=initial)
     checks = []
     terminal = records[-1].sup_distance
     if perturbation == 0.0:

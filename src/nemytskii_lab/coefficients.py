@@ -27,7 +27,6 @@ __all__ = [
     "beta_eval",
     "sigma_squared",
     "yosida_resolvent",
-    "yosida_resolvent_array",
     "beta_epsilon",
     "beta_tilde_epsilon",
     "beta_tilde_epsilon_prime",
@@ -41,6 +40,12 @@ __all__ = [
 ]
 
 _RESOLVENT_TOL = 1e-12
+
+
+def _scalar_or_array(out):
+    """A 0-d result as a float; arrays pass through unchanged."""
+    out = np.asarray(out)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -109,36 +114,33 @@ class NonlinearitySpec:
         """beta(r); accepts scalars or arrays."""
         if self.kind == "power_law":
             r = np.asarray(r, dtype=float)
-            out = np.abs(r) ** (self.m - 1.0) * r
-            return out if out.ndim else float(out)
-        out = self._spline(np.clip(r, self._table_r[0], self._table_r[-1]))
-        return out if np.ndim(out) else float(out)
+            return _scalar_or_array(np.abs(r) ** (self.m - 1.0) * r)
+        return _scalar_or_array(
+            self._spline(np.clip(r, self._table_r[0], self._table_r[-1])))
 
     def beta_prime(self, r):
         if self.kind == "power_law":
             r = np.asarray(r, dtype=float)
-            out = self.m * np.abs(r) ** (self.m - 1.0)
-            return out if out.ndim else float(out)
-        out = self._spline(np.clip(r, self._table_r[0], self._table_r[-1]), 1)
-        return out if np.ndim(out) else float(out)
+            return _scalar_or_array(self.m * np.abs(r) ** (self.m - 1.0))
+        return _scalar_or_array(
+            self._spline(np.clip(r, self._table_r[0], self._table_r[-1]), 1))
 
     def beta_inverse(self, y):
         if self.kind == "power_law":
             y = np.asarray(y, dtype=float)
-            out = np.abs(y) ** (1.0 / self.m) * np.sign(y)
-            return out if out.ndim else float(out)
+            return _scalar_or_array(np.abs(y) ** (1.0 / self.m) * np.sign(y))
         return self._table_invert(y)
 
     def _table_invert(self, y):
-        scalar = np.ndim(y) == 0
-        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+        y = np.asarray(y, dtype=float)
+        flat = np.atleast_1d(y)
         lo, hi = self._table_r[0], self._table_r[-1]
-        out = np.empty_like(y_arr)
-        for i, yi in enumerate(y_arr):
+        out = np.empty_like(flat)
+        for i, yi in enumerate(flat):
             yc = min(max(yi, float(self._spline(lo))), float(self._spline(hi)))
             out[i] = optimize.brentq(lambda s: float(self._spline(s)) - yc, lo, hi,
                                      xtol=1e-14)
-        return float(out[0]) if scalar else out
+        return _scalar_or_array(out.reshape(y.shape))
 
 
 @dataclass(frozen=True)
@@ -246,105 +248,86 @@ def sigma_squared(spec: NonlinearitySpec, r) -> float:
     out = np.empty_like(arr)
     out[pos] = 2.0 * np.asarray(spec.beta(arr[pos])) / arr[pos]
     out[~pos] = 2.0 * spec.beta_prime(0.0)
-    return out if out.ndim else float(out)
+    return _scalar_or_array(out)
 
 
-def yosida_resolvent(spec: NonlinearitySpec, epsilon: float, r: float) -> float:
-    """Solve g + epsilon*beta(g) = r for the unique g.
+def yosida_resolvent(spec: NonlinearitySpec, epsilon: float, r):
+    """Solve g + epsilon*beta(g) = r for the unique g; scalars or arrays.
 
-    Bisection bracketed by [min(0, r), max(0, r)], then a Newton polish;
-    absolute residual tolerance 1e-12.  Monotonicity of beta guarantees the
-    bracket, so a failure here indicates a broken spec and raises.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    r = float(r)
-    if r == 0.0:
-        return 0.0
-
-    def h(g):
-        return g + epsilon * float(spec.beta(g)) - r
-
-    lo, hi = min(0.0, r), max(0.0, r)
-    flo, fhi = h(lo), h(hi)
-    if flo * fhi > 0:
-        raise AssertionError("resolvent bracket failed; beta is not monotone")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = h(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if flo * fm <= 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-13 * max(1.0, abs(r)):
-            break
-    g = 0.5 * (lo + hi)
-    for _ in range(8):
-        res = h(g)
-        if abs(res) <= _RESOLVENT_TOL:
-            break
-        slope = 1.0 + epsilon * spec.beta_prime(g)
-        g -= res / slope
-    return g
-
-
-def yosida_resolvent_array(spec: NonlinearitySpec, epsilon: float, r) -> np.ndarray:
-    """Vectorized resolvent solve; same contract as the scalar version.
-
-    Damped Newton from g = r, with a bisection sweep as fallback for any
-    entry that has not converged (does not trigger for smooth monotone beta).
+    Damped Newton from g = r, every iterate clipped to the monotone bracket
+    [min(0, r), max(0, r)], until every entry meets the absolute residual
+    tolerance 1e-12.  Entries still above it after 60 steps (a large |r|
+    whose residual cannot round below 1e-12) fall back to a bisection on the
+    same bracket with a Newton polish.  Monotonicity of beta guarantees the
+    bracket, so a failing bracket indicates a broken spec and raises.  A
+    scalar r gives a float.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     r = np.asarray(r, dtype=float)
-    g = r.copy()
+    flat = np.atleast_1d(r)
+    lo, hi = np.minimum(0.0, flat), np.maximum(0.0, flat)
+    g = flat.copy()
     for _ in range(60):
-        res = g + epsilon * np.asarray(spec.beta(g)) - r
+        res = g + epsilon * np.asarray(spec.beta(g)) - flat
+        if not np.any(np.abs(res) > _RESOLVENT_TOL):
+            break
+        slope = 1.0 + epsilon * np.asarray(spec.beta_prime(g))
+        g = np.clip(g - res / slope, lo, hi)
+    else:
+        bad = np.abs(g + epsilon * np.asarray(spec.beta(g)) - flat) > _RESOLVENT_TOL
+        if bad.any():
+            g[bad] = _bisect_resolvent(spec, epsilon, flat[bad], lo[bad], hi[bad])
+    return _scalar_or_array(g.reshape(r.shape))
+
+
+def _bisect_resolvent(spec: NonlinearitySpec, epsilon: float, r: np.ndarray,
+                      lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Entrywise bisection of g + epsilon*beta(g) = r on [lo, hi], then a Newton polish."""
+    def h(g):
+        return g + epsilon * np.asarray(spec.beta(g)) - r
+
+    flo = h(lo)
+    if np.any(flo * h(hi) > 0):
+        raise AssertionError("resolvent bracket failed; beta is not monotone")
+    width_tol = 1e-13 * np.maximum(1.0, np.abs(r))
+    live = hi - lo >= width_tol
+    for _ in range(80):
+        if not live.any():
+            break
+        mid = 0.5 * (lo + hi)
+        fm = h(mid)
+        above = flo * fm > 0   # the root lies above mid
+        lo = np.where(live & (above | (fm == 0.0)), mid, lo)
+        hi = np.where(live & ~above, mid, hi)
+        flo = np.where(live & above, fm, flo)
+        live &= hi - lo >= width_tol
+    g = 0.5 * (lo + hi)
+    for _ in range(8):
+        res = h(g)
         bad = np.abs(res) > _RESOLVENT_TOL
         if not bad.any():
-            return g
+            break
         slope = 1.0 + epsilon * np.asarray(spec.beta_prime(g))
-        step = res / slope
-        # keep iterates inside the monotone bracket [min(0,r), max(0,r)]
-        g = np.clip(g - step, np.minimum(0.0, r), np.maximum(0.0, r))
-    res = g + epsilon * np.asarray(spec.beta(g)) - r
-    bad = np.abs(res) > _RESOLVENT_TOL
-    if bad.any():
-        flat = np.flatnonzero(bad)
-        g_flat = g.reshape(-1)
-        r_flat = r.reshape(-1)
-        for i in flat:
-            g_flat[i] = yosida_resolvent(spec, epsilon, r_flat[i])
-        g = g_flat.reshape(g.shape)
+        g = np.where(bad, g - res / slope, g)
     return g
 
 
 def beta_epsilon(spec: NonlinearitySpec, epsilon: float, r):
     """beta_eps(r) = beta(g_eps(r)) = (r - g_eps(r))/epsilon."""
-    if np.ndim(r) == 0:
-        return float(spec.beta(yosida_resolvent(spec, epsilon, r)))
-    return np.asarray(spec.beta(yosida_resolvent_array(spec, epsilon, r)))
+    return _scalar_or_array(spec.beta(yosida_resolvent(spec, epsilon, r)))
 
 
 def beta_tilde_epsilon(spec: NonlinearitySpec, epsilon: float, r):
     """beta_tilde_eps(r) = beta_eps(r) + epsilon*r; strictly increasing, slope >= epsilon."""
-    if np.ndim(r) == 0:
-        return beta_epsilon(spec, epsilon, r) + epsilon * float(r)
-    return beta_epsilon(spec, epsilon, r) + epsilon * np.asarray(r, dtype=float)
+    return _scalar_or_array(beta_epsilon(spec, epsilon, r)
+                            + epsilon * np.asarray(r, dtype=float))
 
 
 def beta_tilde_epsilon_prime(spec: NonlinearitySpec, epsilon: float, r):
     """Derivative of beta_tilde_eps: beta'(g)/(1 + eps*beta'(g)) + eps."""
-    if np.ndim(r) == 0:
-        g = yosida_resolvent(spec, epsilon, r)
-        bp = spec.beta_prime(g)
-        return bp / (1.0 + epsilon * bp) + epsilon
-    g = yosida_resolvent_array(spec, epsilon, r)
-    bp = np.asarray(spec.beta_prime(g))
-    return bp / (1.0 + epsilon * bp) + epsilon
+    bp = np.asarray(spec.beta_prime(yosida_resolvent(spec, epsilon, r)))
+    return _scalar_or_array(bp / (1.0 + epsilon * bp) + epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -373,22 +356,22 @@ def mollified_b(drift: DriftSpec, epsilon: float, r):
         raise ValueError("epsilon must be positive")
     arr = np.asarray(r, dtype=float)
     if drift.b_is_constant:
-        out = np.asarray(drift.b(arr), dtype=float)
-        return out if out.ndim else float(out)
+        return _scalar_or_array(np.asarray(drift.b(arr), dtype=float))
     y, w = _bump_quadrature(epsilon)
     vals = np.asarray(drift.b(arr[..., None] - y), dtype=float)
     conv = vals @ w
-    out = conv / (1.0 + epsilon * np.abs(arr))
-    return out if out.ndim else float(out)
+    return _scalar_or_array(conv / (1.0 + epsilon * np.abs(arr)))
 
 
 def mollified_b_prime(drift: DriftSpec, epsilon: float, r):
     """d/dr of the damped mollification (central difference; Jacobian use only)."""
+    arr = np.asarray(r, dtype=float)
     if drift.b_is_constant:
-        return np.zeros_like(np.asarray(r, dtype=float))
+        return _scalar_or_array(np.zeros_like(arr))
     step = 1e-6 * max(1.0, epsilon)
-    return (np.asarray(mollified_b(drift, epsilon, np.asarray(r) + step))
-            - np.asarray(mollified_b(drift, epsilon, np.asarray(r) - step))) / (2 * step)
+    return _scalar_or_array(
+        (np.asarray(mollified_b(drift, epsilon, arr + step))
+         - np.asarray(mollified_b(drift, epsilon, arr - step))) / (2 * step))
 
 
 def cutoff_E(drift: DriftSpec, epsilon: float, x):
@@ -402,11 +385,10 @@ def cutoff_E(drift: DriftSpec, epsilon: float, x):
     arr = np.asarray(x, dtype=float)
     ev = np.asarray(drift.E(arr), dtype=float)
     if drift.e_square_integrable:
-        return ev if ev.ndim else float(ev)
+        return _scalar_or_array(ev)
     radius = 1.0 / epsilon
     ramp = np.clip(radius + 1.0 - np.abs(arr), 0.0, 1.0)
-    out = ramp * ev
-    return out if out.ndim else float(out)
+    return _scalar_or_array(ramp * ev)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +455,7 @@ def entropy_Psi(spec: NonlinearitySpec, r) -> float:
         out = np.zeros_like(arr)
         pos = arr > 0
         out[pos] = spec.m * arr[pos] * (np.log(arr[pos]) - 1.0)
-        return out if out.ndim else float(out)
-    scalar = arr.ndim == 0
+        return _scalar_or_array(out)
     flat = np.atleast_1d(arr)
     out = np.empty_like(flat)
     for i, ri in enumerate(flat):
@@ -484,7 +465,7 @@ def entropy_Psi(spec: NonlinearitySpec, r) -> float:
             out[i], _ = integrate.quad(
                 lambda s: math.log(float(spec.beta(s))) if s > 0 else 0.0,
                 0.0, ri, points=[0.0], limit=200)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return _scalar_or_array(out.reshape(arr.shape))
 
 
 def lambda_zero(drift: DriftSpec) -> float:

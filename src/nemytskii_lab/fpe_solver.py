@@ -370,6 +370,7 @@ def step_chain(nu: GridField, T: float, config: SolverConfig,
     traj = Trajectory(initial=nu)
     current = nu
     t = 0.0
+    clipped = 0.0   # running traj.total_clipped_mass()
     for i in range(n_steps):
         lam = h if i < n_steps - 1 else T - (n_steps - 1) * h
         if lam <= 0:
@@ -387,9 +388,10 @@ def step_chain(nu: GridField, T: float, config: SolverConfig,
         traj.times.append(t)
         traj.fields.append(current)
         traj.infos.append(sol)
-        if traj.total_clipped_mass() > config.max_clipped_mass:
+        clipped += sol.clipped_mass
+        if clipped > config.max_clipped_mass:
             raise SolverError(
-                f"clipped mass {traj.total_clipped_mass():.3e} exceeded budget "
+                f"clipped mass {clipped:.3e} exceeded budget "
                 f"{config.max_clipped_mass:.1e} at step {i}",
                 residual=sol.residual_l1, step=i)
     return traj

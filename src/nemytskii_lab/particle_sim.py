@@ -125,12 +125,6 @@ def _silverman_bandwidth(positions: np.ndarray) -> float:
     return max(h, floor, 1e-12)
 
 
-def _bandwidth_for(config: SimConfig, positions: np.ndarray) -> float:
-    if config.bandwidth_rule == "fixed":
-        return float(config.bandwidth_value)
-    return _silverman_bandwidth(positions)
-
-
 def seed_from_density(density, n: int, seed: int, lo: float, hi: float,
                       t0: float = 0.0, n_grid: int = 200001,
                       bandwidth: float | None = None) -> ParticleEnsemble:
@@ -224,16 +218,6 @@ def frozen_density(ensemble: ParticleEnsemble, kernel: str,
 # stepping
 # ---------------------------------------------------------------------------
 
-def _sigma_squared_clamped(spec: NonlinearitySpec, dens: np.ndarray,
-                           clamp: float | None):
-    clamped = 0
-    if clamp is not None:
-        over = dens > clamp
-        clamped = int(np.count_nonzero(over))
-        dens = np.minimum(dens, clamp)
-    return np.asarray(sigma_squared(spec, dens)), clamped
-
-
 def em_step(ensemble: ParticleEnsemble, dt: float, spec: NonlinearitySpec,
             drift: DriftSpec, kernel: str = "epanechnikov",
             clamp: float | None = None, density=None,
@@ -250,7 +234,8 @@ def em_step(ensemble: ParticleEnsemble, dt: float, spec: NonlinearitySpec,
         density = frozen_density(ensemble, kernel, eval_grid_cells)
     pos = ensemble.positions
     dens = np.maximum(np.asarray(density(pos), dtype=float), 0.0)
-    sig2, _ = _sigma_squared_clamped(spec, dens, clamp)
+    sig2 = np.asarray(sigma_squared(
+        spec, dens if clamp is None else np.minimum(dens, clamp)))
     xi = _noise_block(ensemble.seed, ensemble.step_index + 1, pos.size)
     drift_term = 0.0
     if drift.sup_norm_E > 0 and drift.sup_norm_b > 0:
@@ -273,8 +258,6 @@ class RunResult:
     times: list[float] = field(default_factory=list)
     means: list[float] = field(default_factory=list)
     variances: list[float] = field(default_factory=list)
-    clamped_fractions: list[float] = field(default_factory=list)
-    histograms: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     reference_w1: list[float] = field(default_factory=list)
     position_snapshots: list[np.ndarray] = field(default_factory=list)
     final: ParticleEnsemble | None = None
@@ -286,23 +269,30 @@ class RunResult:
         return float(np.polyfit(t, v, 1)[0])
 
 
-def run(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
-        initial_density, snapshot_times=None, reference_density=None,
-        refresh_bandwidth: bool = True, keep_positions: bool = False) -> RunResult:
-    """Advance the ensemble from t0 to T, recording snapshot statistics.
-
-    initial_density is sampled by inverse CDF on [-domain_bound, domain_bound].
-    Snapshots record empirical mean, variance, a histogram, the clamped
-    fraction, and the Wasserstein-1 distance to reference_density(t) when
-    provided; with keep_positions the particle positions at each snapshot are
-    retained for dumps.  A watchdog aborts if any particle leaves 10x the
-    domain bound.
-    """
+def _seeded(config: SimConfig, initial_density) -> ParticleEnsemble:
+    """The configured ensemble at t0, sampled from initial_density."""
     ens = seed_from_density(initial_density, config.n_particles, config.seed,
                             -config.domain_bound, config.domain_bound,
                             t0=config.t0)
     if config.bandwidth_rule == "fixed":
         ens = replace(ens, bandwidth=float(config.bandwidth_value))
+    return ens
+
+
+def run(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
+        initial_density, snapshot_times=None, reference_density=None,
+        keep_positions: bool = False) -> RunResult:
+    """Advance the ensemble from t0 to T, recording snapshot statistics.
+
+    initial_density is sampled by inverse CDF on [-domain_bound, domain_bound].
+    Each step refreshes the Silverman bandwidth (unless the rule is fixed)
+    and leaves the frozen density and its one lookup at the particles to
+    em_step.  Snapshots record empirical mean, variance and the
+    Wasserstein-1 distance to reference_density(t) when provided; with
+    keep_positions the particle positions at each snapshot are retained for
+    dumps.  A watchdog aborts if any particle leaves 10x the domain bound.
+    """
+    ens = _seeded(config, initial_density)
     if snapshot_times is None:
         snapshot_times = np.linspace(config.t0, config.T, 11)[1:]
     snapshot_times = sorted(float(t) for t in snapshot_times)
@@ -311,29 +301,21 @@ def run(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
     n_steps = int(round((config.T - config.t0) / config.dt))
     next_snap = 0
 
-    def record(e: ParticleEnsemble, clamped_fraction: float):
+    def record(e: ParticleEnsemble):
         result.times.append(e.t)
         result.means.append(float(np.mean(e.positions)))
         result.variances.append(float(np.var(e.positions)))
-        result.clamped_fractions.append(clamped_fraction)
-        hist, edges = np.histogram(
-            e.positions, bins=200,
-            range=(-config.domain_bound, config.domain_bound))
-        result.histograms.append((hist, edges))
         if reference_density is not None:
             result.reference_w1.append(
                 w1_distance(e.positions, reference_density(e.t)))
         if keep_positions:
             result.position_snapshots.append(e.positions.copy())
 
-    for k in range(n_steps):
-        if refresh_bandwidth and config.bandwidth_rule == "silverman":
+    for _ in range(n_steps):
+        if config.bandwidth_rule == "silverman":
             ens = replace(ens, bandwidth=_silverman_bandwidth(ens.positions))
-        density = frozen_density(ens, config.kde, config.eval_grid_cells)
-        dens_at = np.maximum(np.asarray(density(ens.positions)), 0.0)
-        _, n_clamped = _sigma_squared_clamped(spec, dens_at, config.linf_clamp)
         ens = em_step(ens, config.dt, spec, drift, kernel=config.kde,
-                      clamp=config.linf_clamp, density=density,
+                      clamp=config.linf_clamp,
                       eval_grid_cells=config.eval_grid_cells)
         if float(np.max(np.abs(ens.positions))) > 10.0 * config.domain_bound:
             raise SimulationError(
@@ -341,7 +323,7 @@ def run(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
                 particle_index=int(np.argmax(np.abs(ens.positions))))
         while next_snap < len(snapshot_times) \
                 and ens.t >= snapshot_times[next_snap] - 0.5 * config.dt:
-            record(ens, n_clamped / ens.n)
+            record(ens)
             next_snap += 1
     result.final = ens
     return result
@@ -369,11 +351,7 @@ def coupling_experiment(config: SimConfig, spec: NonlinearitySpec,
     if perturbation < 0:
         raise ValueError("perturbation must be nonnegative")
     delta = config.coupling_delta
-    x_ens = seed_from_density(initial_density, config.n_particles, config.seed,
-                              -config.domain_bound, config.domain_bound,
-                              t0=config.t0)
-    if config.bandwidth_rule == "fixed":
-        x_ens = replace(x_ens, bandwidth=float(config.bandwidth_value))
+    x_ens = _seeded(config, initial_density)
     y_ens = replace(x_ens, positions=x_ens.positions + perturbation)
 
     records = []

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from nemytskii_lab.coefficients import (
     entropy_Psi,
     lambda_zero,
     mollified_b,
+    mollified_b_prime,
     sigma_squared,
     yosida_resolvent,
-    yosida_resolvent_array,
 )
 
 M2 = NonlinearitySpec.power_law(2.0)
@@ -111,11 +112,30 @@ def test_yosida_residual_and_bound(r):
     assert abs(g) <= abs(r) + 1e-12
 
 
-def test_yosida_array_matches_scalar():
-    r = np.linspace(-4, 4, 37)
-    arr = yosida_resolvent_array(M3, 0.2, r)
-    scalars = np.array([yosida_resolvent(M3, 0.2, v) for v in r])
-    assert np.allclose(arr, scalars, atol=1e-11)
+def test_yosida_m2_closed_form_array_and_scalar():
+    # g + eps*|g|*g = r has the root g = sign(r)*(sqrt(1 + 4 eps |r|) - 1)/(2 eps);
+    # r = 1e6 cannot meet the 1e-12 residual and goes through the bisection
+    eps = 0.5
+    r = np.concatenate([np.linspace(-4, 4, 37), [-1e6, 1e6]])
+    oracle = np.sign(r) * (np.sqrt(1.0 + 4.0 * eps * np.abs(r)) - 1.0) / (2.0 * eps)
+    arr = yosida_resolvent(M2, eps, r)
+    assert isinstance(arr, np.ndarray) and arr.shape == r.shape
+    assert np.allclose(arr, oracle, rtol=1e-13, atol=1e-12)
+    for v, expected, batched in zip(r, oracle, arr):
+        g = yosida_resolvent(M2, eps, float(v))
+        assert type(g) is float
+        assert g == pytest.approx(expected, rel=1e-13, abs=1e-12)
+        # converged entries of a batch keep stepping, so agreement is not bitwise
+        assert g == pytest.approx(batched, rel=1e-13, abs=1e-12)
+
+
+def test_yosida_bisection_rejects_broken_bracket():
+    # a decreasing "beta" breaks the monotone bracket of the fallback
+    broken = SimpleNamespace(
+        beta=lambda g: -3.0 * np.asarray(g),
+        beta_prime=lambda g: np.full_like(np.asarray(g, dtype=float), -3.0))
+    with pytest.raises(AssertionError, match="bracket"):
+        yosida_resolvent(broken, 1.0, np.array([2.0, 0.5]))
 
 
 def test_beta_epsilon_cases():
@@ -149,6 +169,19 @@ def test_mollified_b_constant_passthrough():
                                  sup_norm_E=0.0, div_E_minus_sup=0.0)
     r = np.linspace(-5, 5, 11)
     assert np.all(mollified_b(drift, 0.2, r) == 0.7)
+
+
+def test_mollified_b_prime_scalar_contract():
+    constant = DriftSpec.constant_b(E=lambda x: np.zeros_like(x), b0=0.7,
+                                    sup_norm_E=0.0, div_E_minus_sup=0.0)
+    assert type(mollified_b_prime(constant, 0.2, 0.5)) is float
+    assert type(mollified_b_prime(_clipped_identity_drift(), 0.01, 0.5)) is float
+    # b is the identity near 0.5, so the damped mollification has slope
+    # 1/(1 + eps*r)^2 there
+    assert mollified_b_prime(_clipped_identity_drift(), 0.01, 0.5) == pytest.approx(
+        1.0 / 1.005 ** 2, abs=1e-6)
+    r = np.linspace(-1, 1, 5)
+    assert mollified_b_prime(constant, 0.2, r).shape == r.shape
 
 
 def _clipped_identity_drift():

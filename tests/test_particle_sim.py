@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nemytskii_lab import particle_sim
 from nemytskii_lab.analysis import w1_distance
 from nemytskii_lab.closed_form import barenblatt_eval, barenblatt_moment2, make_barenblatt
 from nemytskii_lab.coefficients import DriftSpec, NonlinearitySpec
@@ -125,6 +126,25 @@ def test_run_determinism_bit_identical():
     r2 = run(cfg, SPEC2, ZERO_DRIFT, BB_INIT)
     assert np.array_equal(r1.final.positions, r2.final.positions)
     assert r1.variances == r2.variances
+
+
+def test_run_looks_up_the_density_once_per_step(monkeypatch):
+    lookups = []
+    build = particle_sim.frozen_density
+
+    def counted(*args, **kwargs):
+        evaluate = build(*args, **kwargs)
+
+        def lookup(x):
+            lookups.append(np.size(x))
+            return evaluate(x)
+
+        return lookup
+
+    monkeypatch.setattr(particle_sim, "frozen_density", counted)
+    cfg = small_config(n_particles=500, T=0.11)
+    run(cfg, SPEC2, ZERO_DRIFT, BB_INIT)
+    assert lookups == [cfg.n_particles] * 10
 
 
 def test_run_gaussian_kernel_variant():
