@@ -258,6 +258,12 @@ def _run_fpe(scenario: Scenario, out: Path) -> list[Check]:
     masses = [f.mass() for f in traj.fields]
     checks.append(_bound_check("mass_drift", max(abs(m - 1.0) for m in masses), 1e-8, 0.0))
     checks.append(_bound_check("min_value", max(-min(f.values.min() for f in traj.fields), 0.0), 0.0, 0.0))
+    # min_value is read after the clip; this row reads the iterate before it.
+    # Measured 0.0 on every CLI fpe config; the margin is the solve's
+    # residual tolerance, below which the values are not resolved.
+    undershoot = max(0.0, -min(info.preclip_min for info in traj.infos))
+    checks.append(_bound_check("preclip_undershoot", undershoot,
+                               config.newton_tol, 0.0))
     checks.append(_bound_check("clipped_mass", traj.total_clipped_mass(), 1e-6, 0.0))
     c = drift.combined_sup()
     linf_cap = max(f.linf() / (math.exp(math.sqrt(c) * t) * nu.linf())

@@ -255,12 +255,12 @@ def yosida_resolvent(spec: NonlinearitySpec, epsilon: float, r):
     """Solve g + epsilon*beta(g) = r for the unique g; scalars or arrays.
 
     Damped Newton from g = r, every iterate clipped to the monotone bracket
-    [min(0, r), max(0, r)], until every entry meets the absolute residual
-    tolerance 1e-12.  Entries still above it after 60 steps (a large |r|
-    whose residual cannot round below 1e-12) fall back to a bisection on the
-    same bracket with a Newton polish.  Monotonicity of beta guarantees the
-    bracket, so a failing bracket indicates a broken spec and raises.  A
-    scalar r gives a float.
+    [min(0, r), max(0, r)], until every entry meets its residual tolerance
+    max(1e-12, 4 ulp(r)); rounding the residual of a large |r| cannot go
+    below a few ulp of r.  Entries still above it after 60 steps fall back
+    to a bisection on the same bracket with a Newton polish.  Monotonicity
+    of beta guarantees the bracket, so a failing bracket indicates a broken
+    spec and raises.  A scalar r gives a float.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -268,17 +268,30 @@ def yosida_resolvent(spec: NonlinearitySpec, epsilon: float, r):
     flat = np.atleast_1d(r)
     lo, hi = np.minimum(0.0, flat), np.maximum(0.0, flat)
     g = flat.copy()
+    tol = _resolvent_tol(flat)
     for _ in range(60):
         res = g + epsilon * np.asarray(spec.beta(g)) - flat
-        if not np.any(np.abs(res) > _RESOLVENT_TOL):
+        if not np.any(np.abs(res) > tol):
             break
         slope = 1.0 + epsilon * np.asarray(spec.beta_prime(g))
         g = np.clip(g - res / slope, lo, hi)
     else:
-        bad = np.abs(g + epsilon * np.asarray(spec.beta(g)) - flat) > _RESOLVENT_TOL
+        bad = np.abs(g + epsilon * np.asarray(spec.beta(g)) - flat) > tol
         if bad.any():
             g[bad] = _bisect_resolvent(spec, epsilon, flat[bad], lo[bad], hi[bad])
     return _scalar_or_array(g.reshape(r.shape))
+
+
+def _resolvent_tol(r: np.ndarray):
+    """Per-entry residual tolerance of the resolvent: max(1e-12, 4 ulp(r)).
+
+    ulp grows with |r|, so when the largest entry's 4 ulp is within 1e-12
+    (|r| < 2048) the tolerance is the scalar 1e-12 and the costly
+    per-entry np.spacing is skipped.
+    """
+    if 4.0 * np.spacing(np.abs(r).max(initial=0.0)) <= _RESOLVENT_TOL:
+        return _RESOLVENT_TOL
+    return np.maximum(_RESOLVENT_TOL, 4.0 * np.spacing(np.abs(r)))
 
 
 def _bisect_resolvent(spec: NonlinearitySpec, epsilon: float, r: np.ndarray,
@@ -303,9 +316,10 @@ def _bisect_resolvent(spec: NonlinearitySpec, epsilon: float, r: np.ndarray,
         flo = np.where(live & above, fm, flo)
         live &= hi - lo >= width_tol
     g = 0.5 * (lo + hi)
+    tol = _resolvent_tol(r)
     for _ in range(8):
         res = h(g)
-        bad = np.abs(res) > _RESOLVENT_TOL
+        bad = np.abs(res) > tol
         if not bad.any():
             break
         slope = 1.0 + epsilon * np.asarray(spec.beta_prime(g))

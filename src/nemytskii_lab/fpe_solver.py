@@ -167,12 +167,17 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ResolventSolution:
-    """Resolvent output plus solve diagnostics (residual, clipping)."""
+    """Resolvent output plus solve diagnostics (residual, clipping).
+
+    preclip_min is the smallest cell value before the undershoot clip, so a
+    negative value shows how far the Newton iterate left the positive cone.
+    """
 
     field: GridField
     residual_l1: float
     newton_iters: int
     clipped_mass: float
+    preclip_min: float
 
 
 @dataclass
@@ -342,11 +347,13 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
             residual=res_l1)
 
     clipped = float(np.sum(np.maximum(-u, 0.0)) * dx)
+    preclip_min = float(u.min())
     u = np.maximum(u, 0.0)
     out = GridField(lo=f.lo, hi=f.hi, values=u)
     assert out.mass() >= 0.0
     return ResolventSolution(field=out, residual_l1=res_l1,
-                             newton_iters=iters, clipped_mass=clipped)
+                             newton_iters=iters, clipped_mass=clipped,
+                             preclip_min=preclip_min)
 
 
 def step_chain(nu: GridField, T: float, config: SolverConfig,

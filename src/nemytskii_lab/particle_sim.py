@@ -6,12 +6,12 @@ Each particle moves by
 
 where u_hat is a kernel-density estimate of the empirical law frozen at the
 start of the step (explicit coupling).  Noise comes from counter-based
-streams keyed by (seed, step), so runs are bit-reproducible regardless of
-thread scheduling, and same-noise coupled pairs of runs are exact.
+streams keyed by (seed, step), so runs are bit-reproducible, and same-noise
+coupled pairs of runs are exact.
 
-Within a step the per-particle updates are independent (the frozen density
-is read-only) and the statistics reductions run in a fixed order, so the
-determinism contract survives parallel execution.
+The module runs in the calling thread and starts no threads or processes;
+each step is a fixed sequence of whole-array numpy operations and
+reductions, so the same config and seed give the same bytes.
 """
 
 from __future__ import annotations
@@ -193,6 +193,13 @@ def frozen_density(ensemble: ParticleEnsemble, kernel: str,
     much finer than the bandwidth and evaluated by linear interpolation; this
     is the O(N + grid) stand-in for the exact kernel sum inside the step
     loop, with binning error O((grid/h)^2).  Deterministic given positions.
+
+    The grid is uniform, so the evaluator finds each query's cell directly
+    from (x - lo)/step and corrects that guess by one node comparison on
+    each side, instead of a binary search.  Cell choice, slopes and the
+    final slope*(x - node) + value match numpy's interp loop operation for
+    operation, so the result is bit-identical to
+    np.interp(x, grid, dens, left=0, right=0) at every finite x and NaN.
     """
     h = ensemble.bandwidth
     pos = ensemble.positions
@@ -208,8 +215,26 @@ def frozen_density(ensemble: ParticleEnsemble, kernel: str,
     kern = _kernel_profile(kernel, offsets / h) / h
     dens = np.convolve(counts, kern, mode="same") / pos.size
 
+    # Row k of the tables is cell k - 1 of the grid.  Row 0 (left of the
+    # grid) and row n + 2 (right of it) have slope and value 0; row n + 1
+    # holds the last node, where np.interp returns dens[-1].
+    n = n_grid_cells
+    slopes = (dens[1:] - dens[:-1]) / (grid[1:] - grid[:-1])
+    row_slope = np.concatenate([[0.0], slopes, [0.0, 0.0]])
+    row_value = np.concatenate([[0.0], dens, [0.0]])
+    row_node = np.concatenate([grid[:1], grid, grid[-1:]])
+    origin = lo - step   # (x - origin)/step is row k + fraction
+    inv_step = 1.0 / step
+    last = grid[-1]
+
     def evaluate(x):
-        return np.interp(x, grid, dens, left=0.0, right=0.0)
+        x = np.asarray(x, dtype=float)
+        # fmax/fmin send NaN to row 1, where the arithmetic returns NaN
+        k = np.fmin(np.fmax((x - origin) * inv_step, 1.0), float(n)).astype(np.intp)
+        k -= x < row_node[k]
+        k += x >= row_node[k + 1]
+        k += x > last
+        return row_slope[k] * (x - row_node[k]) + row_value[k]
 
     return evaluate
 

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from nemytskii_lab import cli
 from nemytskii_lab.cli import (
     ConfigError,
     Scenario,
@@ -90,6 +92,34 @@ def test_failing_check_exits_2_with_full_report(tmp_path):
     records = read_report(tmp_path / "report.ndjson")
     failing = [r for r in records if r.get("pass") is False]
     assert failing and failing[0]["check_id"] == "l1_error_vs_closed_form"
+
+
+def test_preclip_undershoot_row_reads_before_the_clip(tmp_path, monkeypatch):
+    # min_value reads the clipped fields and stays 0; the new row must see a
+    # negative iterate reported by the solve
+    chain = cli.step_chain
+
+    def undershooting(*args, **kwargs):
+        traj = chain(*args, **kwargs)
+        traj.infos[3] = replace(traj.infos[3], preclip_min=-1e-9)
+        return traj
+
+    params = {"m": 2.0, "t0": 0.1, "T": 0.2, "n_cells": 200,
+              "h": 5e-3, "lo": -4.0, "hi": 4.0}
+    s = Scenario(name="fpe-run", params=params, output_dir=tmp_path / "ok")
+    assert run_scenario(s) == 0
+    rows = {r["check_id"]: r for r in read_report(tmp_path / "ok" / "report.ndjson")
+            if "check_id" in r}
+    assert rows["preclip_undershoot"]["achieved"] == 0.0
+    assert rows["preclip_undershoot"]["tolerance"] == 1e-12
+
+    monkeypatch.setattr(cli, "step_chain", undershooting)
+    s = Scenario(name="fpe-run", params=params, output_dir=tmp_path / "bad")
+    assert run_scenario(s) == 2
+    records = read_report(tmp_path / "bad" / "report.ndjson")
+    failing = [r["check_id"] for r in records if r.get("pass") is False]
+    assert failing == ["preclip_undershoot"]
+    assert [r["achieved"] for r in records if r.get("check_id") == "min_value"] == [0.0]
 
 
 def test_fpe_run_with_drift_and_binary_trajectory(tmp_path):

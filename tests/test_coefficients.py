@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
+from nemytskii_lab import coefficients
 from nemytskii_lab.coefficients import (
     DriftSpec,
     NonlinearitySpec,
@@ -114,7 +115,7 @@ def test_yosida_residual_and_bound(r):
 
 def test_yosida_m2_closed_form_array_and_scalar():
     # g + eps*|g|*g = r has the root g = sign(r)*(sqrt(1 + 4 eps |r|) - 1)/(2 eps);
-    # r = 1e6 cannot meet the 1e-12 residual and goes through the bisection
+    # r = +-1e6 checks the large-|r| end, where the tolerance is 4 ulp(r)
     eps = 0.5
     r = np.concatenate([np.linspace(-4, 4, 37), [-1e6, 1e6]])
     oracle = np.sign(r) * (np.sqrt(1.0 + 4.0 * eps * np.abs(r)) - 1.0) / (2.0 * eps)
@@ -127,6 +128,24 @@ def test_yosida_m2_closed_form_array_and_scalar():
         assert g == pytest.approx(expected, rel=1e-13, abs=1e-12)
         # converged entries of a batch keep stepping, so agreement is not bitwise
         assert g == pytest.approx(batched, rel=1e-13, abs=1e-12)
+
+
+def test_yosida_large_r_converges_without_bisection(monkeypatch):
+    # 1e-12 is below the ulp of r = 1e6 (1.2e-10); the per-entry tolerance
+    # max(1e-12, 4 ulp(r)) is one Newton can meet
+    fallbacks = []
+    bisect = coefficients._bisect_resolvent
+
+    def counted(spec, epsilon, r, lo, hi):
+        fallbacks.append(r.size)
+        return bisect(spec, epsilon, r, lo, hi)
+
+    monkeypatch.setattr(coefficients, "_bisect_resolvent", counted)
+    r = np.array([-1e6, 1e6])
+    g = yosida_resolvent(M2, 0.5, r)
+    assert fallbacks == []
+    residual = g + 0.5 * np.asarray(M2.beta(g)) - r
+    assert np.all(np.abs(residual) <= 4.0 * np.spacing(np.abs(r)))
 
 
 def test_yosida_bisection_rejects_broken_bracket():

@@ -83,6 +83,7 @@ def test_resolvent_nonnegativity():
         sol = resolvent_solve(f, 5e-3, SPEC, ZERO_DRIFT, REG)
         assert sol.field.values.min() >= 0.0
         assert sol.clipped_mass <= 1e-12
+        assert sol.preclip_min >= 0.0
 
 
 def test_resolvent_step_restriction():

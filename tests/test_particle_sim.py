@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nemytskii_lab import particle_sim
 from nemytskii_lab.analysis import w1_distance
@@ -92,6 +94,48 @@ def test_binned_density_tracks_exact_kernel_sum():
     xs = np.linspace(-1.2, 1.2, 41)
     exact = kde_density(ens, xs, kernel="epanechnikov")
     assert np.max(np.abs(approx(xs) - exact)) <= 2e-3 * max(1.0, exact.max())
+
+
+def _interp_reference(ens, kernel, n_grid_cells):
+    """frozen_density's grid and values, evaluated by np.interp's search."""
+    h = ens.bandwidth
+    pos = ens.positions
+    pad = 2.0 * h if kernel == "epanechnikov" else 8.0 * h
+    lo = float(pos.min()) - pad
+    hi = float(pos.max()) + pad
+    step = (hi - lo) / n_grid_cells
+    grid = lo + np.arange(n_grid_cells + 1) * step
+    counts, _ = np.histogram(pos, bins=n_grid_cells + 1,
+                             range=(lo - 0.5 * step, hi + 0.5 * step))
+    reach = int(math.ceil((1.0 if kernel == "epanechnikov" else 6.0) * h / step))
+    kern = particle_sim._kernel_profile(
+        kernel, np.arange(-reach, reach + 1) * step / h) / h
+    dens = np.convolve(counts, kern, mode="same") / pos.size
+    return grid, lambda x: np.interp(x, grid, dens, left=0.0, right=0.0)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(100, 3000),
+       scale=st.floats(1e-3, 1e3), center=st.floats(-1e3, 1e3),
+       kernel=st.sampled_from(["epanechnikov", "gaussian"]),
+       cells=st.sampled_from([16, 257, 4096]))
+@settings(max_examples=40, deadline=None)
+def test_frozen_density_lookup_is_np_interp_bit_for_bit(seed, n, scale, center,
+                                                        kernel, cells):
+    rng = np.random.default_rng(seed)
+    pos = center + scale * rng.standard_normal(n)
+    ens = ParticleEnsemble(positions=pos, t=0.0, seed=seed, step_index=0,
+                           bandwidth=particle_sim._silverman_bandwidth(pos))
+    grid, reference = _interp_reference(ens, kernel, cells)
+    span = grid[-1] - grid[0]
+    queries = np.concatenate([
+        pos,                                       # in range
+        pos - span, pos + span,                    # outside on each side
+        grid, 0.5 * (grid[1:] + grid[:-1]),        # every node and midpoint
+        np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+        rng.uniform(grid[0] - 0.1 * span, grid[-1] + 0.1 * span, n),
+    ])
+    got = frozen_density(ens, kernel, cells)(queries)
+    assert np.array_equal(got.view(np.int64), reference(queries).view(np.int64))
 
 
 # -- stepping ---------------------------------------------------------------------
