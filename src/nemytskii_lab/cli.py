@@ -22,6 +22,7 @@ import numpy as np
 from . import analysis, closed_form, particle_sim
 from .coefficients import DriftSpec, NonlinearitySpec, check_hypotheses, lambda_zero
 from .fpe_solver import (
+    MAX_CLIPPED_MASS,
     GridField,
     SolverConfig,
     entropy_audit,
@@ -264,7 +265,8 @@ def _run_fpe(scenario: Scenario, out: Path) -> list[Check]:
     undershoot = max(0.0, -min(info.preclip_min for info in traj.infos))
     checks.append(_bound_check("preclip_undershoot", undershoot,
                                config.newton_tol, 0.0))
-    checks.append(_bound_check("clipped_mass", traj.total_clipped_mass(), 1e-6, 0.0))
+    checks.append(_bound_check("clipped_mass", traj.total_clipped_mass(),
+                               MAX_CLIPPED_MASS, 0.0))
     c = drift.combined_sup()
     linf_cap = max(f.linf() / (math.exp(math.sqrt(c) * t) * nu.linf())
                    for t, f in zip(traj.times, traj.fields))

@@ -204,23 +204,13 @@ class DriftSpec:
 
 @dataclass(frozen=True)
 class RegularizationParams:
-    """Single regularization level shared by beta_eps, b_eps and the E cutoff."""
+    """Single regularization level shared by beta_eps, b_eps and the E cutoff (radius 1/eps)."""
 
     epsilon: float
-    mollifier_width: float | None = None
-    cutoff_radius: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.mollifier_width is None:
-            object.__setattr__(self, "mollifier_width", self.epsilon)
-        if self.cutoff_radius is None:
-            object.__setattr__(self, "cutoff_radius", 1.0 / self.epsilon)
-        if self.mollifier_width <= 0:
-            raise ValueError("mollifier_width must be positive")
-        if self.cutoff_radius != 1.0 / self.epsilon:
-            raise ValueError("cutoff_radius must equal 1/epsilon")
 
 
 # ---------------------------------------------------------------------------

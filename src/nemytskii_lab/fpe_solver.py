@@ -18,7 +18,6 @@ may run concurrently (fields are immutable once a step completes).
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -51,19 +50,11 @@ __all__ = [
     "entropy_audit",
     "write_trajectory_binary",
     "read_trajectory_binary",
-    "worker_count",
+    "MAX_CLIPPED_MASS",
 ]
 
-
-def worker_count(default: int = 2) -> int:
-    """Worker cap from NEMYTSKII_THREADS (>=1); used by concurrent chains."""
-    raw = os.environ.get("NEMYTSKII_THREADS")
-    if not raw:
-        return default
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default
+# budget for the undershoot mass a chain may clip away, summed over its steps
+MAX_CLIPPED_MASS = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -143,23 +134,21 @@ class SolverConfig:
 
     epsilon_reg enters the operator as the zero-order absorption term
     lam*eps*beta_tilde_eps(u); it is kept at 1e-12 so the absorbed mass over
-    a full run stays far below the 1e-8 conservation budget.
+    a full run stays far below the 1e-8 conservation budget.  The boundary
+    is always zero flux, and a chain aborts once its clipped undershoot mass
+    exceeds MAX_CLIPPED_MASS.
     """
 
     lambda_step: float
     epsilon_reg: float = 1e-12
     newton_tol: float = 1e-12
     newton_max_iter: int = 60
-    boundary: str = "zero_flux"
-    max_clipped_mass: float = 1e-6
 
     def __post_init__(self):
         if self.lambda_step <= 0:
             raise ValueError("lambda_step must be positive")
         if not 0.0 < self.epsilon_reg < 1.0:
             raise ValueError("epsilon_reg must lie in (0, 1)")
-        if self.boundary not in ("zero_flux", "dirichlet_zero"):
-            raise ValueError(f"unknown boundary policy {self.boundary!r}")
 
     def regularization(self) -> RegularizationParams:
         return RegularizationParams(epsilon=self.epsilon_reg)
@@ -216,17 +205,14 @@ def _interface_velocity(f: GridField, drift: DriftSpec, reg: RegularizationParam
 
 def _apply_operator(u: np.ndarray, f: GridField, spec: NonlinearitySpec,
                     drift: DriftSpec, reg: RegularizationParams,
-                    e_face: np.ndarray, boundary: str) -> np.ndarray:
-    """Regularized operator values in flux form (telescoping conserves mass)."""
+                    e_face: np.ndarray) -> np.ndarray:
+    """Regularized operator in flux form; zero boundary flux, so telescoping conserves mass."""
     dx = f.cell_width
     bt = np.asarray(beta_tilde_epsilon(spec, reg.epsilon, u))
 
     # diffusive flux -D(beta_tilde)/dx at interior interfaces
     dif_flux = np.zeros(u.size + 1)
     dif_flux[1:-1] = -(bt[1:] - bt[:-1]) / dx
-    if boundary == "dirichlet_zero":
-        dif_flux[0] = -(bt[0] - 0.0) / dx
-        dif_flux[-1] = -(0.0 - bt[-1]) / dx
 
     # donor-cell advective flux of E_eps * b_eps(u) * u
     adv_flux = np.zeros(u.size + 1)
@@ -235,9 +221,6 @@ def _apply_operator(u: np.ndarray, f: GridField, spec: NonlinearitySpec,
         ep = np.maximum(e_face[1:-1], 0.0)
         em = np.minimum(e_face[1:-1], 0.0)
         adv_flux[1:-1] = ep * g[:-1] + em * g[1:]
-        if boundary == "dirichlet_zero":
-            adv_flux[0] = np.minimum(e_face[0], 0.0) * g[0]
-            adv_flux[-1] = np.maximum(e_face[-1], 0.0) * g[-1]
 
     div = (dif_flux[1:] + adv_flux[1:] - dif_flux[:-1] - adv_flux[:-1]) / dx
     return div + reg.epsilon * bt
@@ -245,7 +228,7 @@ def _apply_operator(u: np.ndarray, f: GridField, spec: NonlinearitySpec,
 
 def _jacobian_bands(u: np.ndarray, f: GridField, spec: NonlinearitySpec,
                     drift: DriftSpec, reg: RegularizationParams,
-                    e_face: np.ndarray, boundary: str, lam: float) -> np.ndarray:
+                    e_face: np.ndarray, lam: float) -> np.ndarray:
     """Banded (1,1) Jacobian of u + lam*A_eps(u) for solve_banded."""
     n = u.size
     dx = f.cell_width
@@ -256,8 +239,7 @@ def _jacobian_bands(u: np.ndarray, f: GridField, spec: NonlinearitySpec,
     lower = np.zeros(n)   # lower[j] holds J[j+1, j]
 
     lap_diag = np.full(n, 2.0)
-    if boundary == "zero_flux":
-        lap_diag[0] = lap_diag[-1] = 1.0
+    lap_diag[0] = lap_diag[-1] = 1.0
     diag += lam * (lap_diag / dx**2 + reg.epsilon) * btp
     upper[1:] += -lam * btp[1:] / dx**2
     lower[:-1] += -lam * btp[:-1] / dx**2
@@ -267,13 +249,8 @@ def _jacobian_bands(u: np.ndarray, f: GridField, spec: NonlinearitySpec,
         gp = b_eps + np.asarray(mollified_b_prime(drift, reg.epsilon, u)) * u
         epf = np.maximum(e_face, 0.0)
         emf = np.minimum(e_face, 0.0)
-        if boundary == "zero_flux":
-            # boundary faces carry no flux
-            epf[0] = emf[0] = epf[-1] = emf[-1] = 0.0
-        else:
-            # outside donor is the zero ghost cell
-            epf[0] = 0.0
-            emf[-1] = 0.0
+        # boundary faces carry no flux
+        epf[0] = emf[0] = epf[-1] = emf[-1] = 0.0
         diag += lam * (epf[1:] - emf[:-1]) * gp / dx
         upper[1:] += lam * emf[1:-1] * gp[1:] / dx
         lower[:-1] += -lam * epf[1:-1] * gp[:-1] / dx
@@ -287,8 +264,8 @@ def _jacobian_bands(u: np.ndarray, f: GridField, spec: NonlinearitySpec,
 
 def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
                     drift: DriftSpec, reg: RegularizationParams,
-                    newton_tol: float = 1e-12, newton_max_iter: int = 60,
-                    boundary: str = "zero_flux") -> ResolventSolution:
+                    newton_tol: float = 1e-12,
+                    newton_max_iter: int = 60) -> ResolventSolution:
     """One implicit step: solve u + lam*A_eps(u) = f on the grid of f.
 
     Damped Newton with tridiagonal Jacobian; a damped fixed-point sweep is
@@ -299,7 +276,8 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
     ------
     SolverError
         If the residual has not reached newton_tol after newton_max_iter
-        iterations (carries the last residual).
+        iterations, or a step stalls (carries the last residual; the message
+        states lam and the iteration count).
     """
     lam0 = lambda_zero(drift)
     if not 0.0 < lam < lam0:
@@ -309,14 +287,14 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
     target = f.values
 
     def residual(u):
-        return u + lam * _apply_operator(u, f, spec, drift, reg, e_face, boundary) - target
+        return u + lam * _apply_operator(u, f, spec, drift, reg, e_face) - target
 
     u = target.copy()
     res = residual(u)
     res_l1 = float(np.sum(np.abs(res)) * dx)
     iters = 0
     while res_l1 > newton_tol and iters < newton_max_iter:
-        ab = _jacobian_bands(u, f, spec, drift, reg, e_face, boundary, lam)
+        ab = _jacobian_bands(u, f, spec, drift, reg, e_face, lam)
         delta = solve_banded((1, 1), ab, -res)
         step = 1.0
         improved = False
@@ -336,14 +314,15 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
             trial_l1 = float(np.sum(np.abs(trial_res)) * dx)
             if trial_l1 >= res_l1:
                 raise SolverError(
-                    f"nonlinear solve stalled at residual {res_l1:.3e}",
+                    f"nonlinear solve at lam={lam!r} stalled at residual "
+                    f"{res_l1:.3e} after {iters} iterations",
                     residual=res_l1)
             u, res, res_l1 = trial, trial_res, trial_l1
         iters += 1
     if res_l1 > newton_tol:
         raise SolverError(
-            f"nonlinear solve did not reach tol {newton_tol:.1e} "
-            f"after {iters} iterations (residual {res_l1:.3e})",
+            f"nonlinear solve at lam={lam!r} did not reach tol "
+            f"{newton_tol:.1e} after {iters} iterations (residual {res_l1:.3e})",
             residual=res_l1)
 
     clipped = float(np.sum(np.maximum(-u, 0.0)) * dx)
@@ -362,7 +341,7 @@ def step_chain(nu: GridField, T: float, config: SolverConfig,
 
     N = ceil(T/h) steps of size h, the last one shortened to land exactly on
     T.  The initial mass must be 1 to within 1e-8 and the run aborts if the
-    accumulated undershoot clipping exceeds the configured budget.
+    accumulated undershoot clipping exceeds MAX_CLIPPED_MASS.
     """
     if abs(nu.mass() - 1.0) > 1e-8:
         raise ValueError(f"initial mass must be 1 +- 1e-8, got {nu.mass()}")
@@ -385,8 +364,7 @@ def step_chain(nu: GridField, T: float, config: SolverConfig,
         try:
             sol = resolvent_solve(current, lam, spec, drift, reg,
                                   newton_tol=config.newton_tol,
-                                  newton_max_iter=config.newton_max_iter,
-                                  boundary=config.boundary)
+                                  newton_max_iter=config.newton_max_iter)
         except SolverError as err:
             err.step = i
             raise
@@ -396,10 +374,10 @@ def step_chain(nu: GridField, T: float, config: SolverConfig,
         traj.fields.append(current)
         traj.infos.append(sol)
         clipped += sol.clipped_mass
-        if clipped > config.max_clipped_mass:
+        if clipped > MAX_CLIPPED_MASS:
             raise SolverError(
                 f"clipped mass {clipped:.3e} exceeded budget "
-                f"{config.max_clipped_mass:.1e} at step {i}",
+                f"{MAX_CLIPPED_MASS:.1e} at step {i}",
                 residual=sol.residual_l1, step=i)
     return traj
 
@@ -410,20 +388,15 @@ def semigroup_distance(nu1: GridField, nu2: GridField, T: float,
     """Worst contraction ratio max_t ||S_h(t)nu1 - S_h(t)nu2||_1 / ||nu1 - nu2||_1.
 
     Returns 0 when the inputs coincide.  The two chains are independent and
-    run on the worker pool (capped by NEMYTSKII_THREADS).
+    run on a two-thread pool.
     """
     denom = nu1.l1_distance(nu2)
     if denom == 0.0:
         return 0.0
-    workers = min(2, worker_count())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            f1 = pool.submit(step_chain, nu1, T, config, spec, drift)
-            f2 = pool.submit(step_chain, nu2, T, config, spec, drift)
-            t1, t2 = f1.result(), f2.result()
-    else:
-        t1 = step_chain(nu1, T, config, spec, drift)
-        t2 = step_chain(nu2, T, config, spec, drift)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        f1 = pool.submit(step_chain, nu1, T, config, spec, drift)
+        f2 = pool.submit(step_chain, nu2, T, config, spec, drift)
+        t1, t2 = f1.result(), f2.result()
     ratios = [a.l1_distance(b) / denom for a, b in zip(t1.fields, t2.fields)]
     return max(ratios)
 

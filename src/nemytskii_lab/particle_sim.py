@@ -36,7 +36,10 @@ __all__ = [
     "em_step",
     "run",
     "coupling_experiment",
+    "DOMAIN_BOUND",
 ]
+
+DOMAIN_BOUND = 50.0   # half-width of the seeding interval; the watchdog is 10x
 
 
 class SimulationError(RuntimeError):
@@ -49,6 +52,8 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One particle run; particles are seeded on [-DOMAIN_BOUND, DOMAIN_BOUND]."""
+
     n_particles: int
     dt: float
     t0: float
@@ -59,8 +64,6 @@ class SimConfig:
     seed: int = 0
     coupling_delta: float = 1e-6
     linf_clamp: float | None = None
-    eval_grid_cells: int = 4096
-    domain_bound: float = 50.0
 
     def __post_init__(self):
         if self.n_particles < 100:
@@ -245,8 +248,7 @@ def frozen_density(ensemble: ParticleEnsemble, kernel: str,
 
 def em_step(ensemble: ParticleEnsemble, dt: float, spec: NonlinearitySpec,
             drift: DriftSpec, kernel: str = "epanechnikov",
-            clamp: float | None = None, density=None,
-            eval_grid_cells: int = 4096) -> ParticleEnsemble:
+            clamp: float | None = None, density=None) -> ParticleEnsemble:
     """One explicit Euler-Maruyama step with the density frozen at step start.
 
     density may be supplied to share a frozen estimate between coupled runs;
@@ -256,7 +258,7 @@ def em_step(ensemble: ParticleEnsemble, dt: float, spec: NonlinearitySpec,
     if dt <= 0:
         raise ValueError("dt must be positive")
     if density is None:
-        density = frozen_density(ensemble, kernel, eval_grid_cells)
+        density = frozen_density(ensemble, kernel)
     pos = ensemble.positions
     dens = np.maximum(np.asarray(density(pos), dtype=float), 0.0)
     sig2 = np.asarray(sigma_squared(
@@ -297,8 +299,7 @@ class RunResult:
 def _seeded(config: SimConfig, initial_density) -> ParticleEnsemble:
     """The configured ensemble at t0, sampled from initial_density."""
     ens = seed_from_density(initial_density, config.n_particles, config.seed,
-                            -config.domain_bound, config.domain_bound,
-                            t0=config.t0)
+                            -DOMAIN_BOUND, DOMAIN_BOUND, t0=config.t0)
     if config.bandwidth_rule == "fixed":
         ens = replace(ens, bandwidth=float(config.bandwidth_value))
     return ens
@@ -309,13 +310,13 @@ def run(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
         keep_positions: bool = False) -> RunResult:
     """Advance the ensemble from t0 to T, recording snapshot statistics.
 
-    initial_density is sampled by inverse CDF on [-domain_bound, domain_bound].
+    initial_density is sampled by inverse CDF on [-DOMAIN_BOUND, DOMAIN_BOUND].
     Each step refreshes the Silverman bandwidth (unless the rule is fixed)
     and leaves the frozen density and its one lookup at the particles to
     em_step.  Snapshots record empirical mean, variance and the
     Wasserstein-1 distance to reference_density(t) when provided; with
     keep_positions the particle positions at each snapshot are retained for
-    dumps.  A watchdog aborts if any particle leaves 10x the domain bound.
+    dumps.  A watchdog aborts if any particle leaves 10 * DOMAIN_BOUND.
     """
     ens = _seeded(config, initial_density)
     if snapshot_times is None:
@@ -340,9 +341,8 @@ def run(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
         if config.bandwidth_rule == "silverman":
             ens = replace(ens, bandwidth=_silverman_bandwidth(ens.positions))
         ens = em_step(ens, config.dt, spec, drift, kernel=config.kde,
-                      clamp=config.linf_clamp,
-                      eval_grid_cells=config.eval_grid_cells)
-        if float(np.max(np.abs(ens.positions))) > 10.0 * config.domain_bound:
+                      clamp=config.linf_clamp)
+        if float(np.max(np.abs(ens.positions))) > 10.0 * DOMAIN_BOUND:
             raise SimulationError(
                 "particle blow-up beyond the watchdog bound",
                 particle_index=int(np.argmax(np.abs(ens.positions))))
@@ -386,7 +386,7 @@ def coupling_experiment(config: SimConfig, spec: NonlinearitySpec,
             bw = _silverman_bandwidth(x_ens.positions)
             x_ens = replace(x_ens, bandwidth=bw)
             y_ens = replace(y_ens, bandwidth=bw)
-        density = frozen_density(x_ens, config.kde, config.eval_grid_cells)
+        density = frozen_density(x_ens, config.kde)
         x_ens = em_step(x_ens, config.dt, spec, drift, kernel=config.kde,
                         clamp=config.linf_clamp, density=density)
         y_ens = em_step(y_ens, config.dt, spec, drift, kernel=config.kde,

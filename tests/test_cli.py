@@ -178,19 +178,31 @@ def test_hypotheses_scenario(tmp_path):
     assert run_scenario(s) == 0
 
 
-def test_coupling_scenario_and_determinism(tmp_path):
-    params = {"m": 2.0, "t0": 0.1, "T": 0.13, "n_particles": 1000,
-              "dt": 1e-3, "perturbation": 0.0, "seed": 5}
+@pytest.mark.parametrize("name,params", [
+    ("coupling", {"m": 2.0, "t0": 0.1, "T": 0.13, "n_particles": 1000,
+                  "dt": 1e-3, "perturbation": 0.0, "seed": 5}),
+    ("fpe-run", {"m": 2.0, "t0": 0.1, "T": 0.15, "n_cells": 200, "h": 5e-3,
+                 "lo": -4.0, "hi": 4.0, "drift": "tanh_inward",
+                 "drift_amplitude": 0.25}),
+    ("particle-run", {"m": 2.0, "t0": 0.1, "T": 0.13, "n_particles": 2000,
+                      "dt": 1e-3, "seed": 4, "dump_stride": 10}),
+], ids=["coupling", "fpe-run-drift", "particle-run"])
+def test_coupling_scenario_and_determinism(tmp_path, name, params):
     outs = []
     for sub in ("a", "b"):
         d = tmp_path / sub
-        assert run_scenario(Scenario(name="coupling", params=dict(params),
+        assert run_scenario(Scenario(name=name, params=dict(params),
                                      output_dir=d)) == 0
         outs.append(d)
-    rep_a = strip_wall_time((outs[0] / "report.ndjson").read_text())
-    rep_b = strip_wall_time((outs[1] / "report.ndjson").read_text())
-    assert rep_a == rep_b
-    assert (outs[0] / "coupling.ndjson").read_bytes() == (outs[1] / "coupling.ndjson").read_bytes()
+    files = sorted(p.name for p in outs[0].iterdir())
+    assert files == sorted(p.name for p in outs[1].iterdir())
+    assert "report.ndjson" in files and len(files) > 1
+    for fname in files:
+        a, b = ((d / fname).read_bytes() for d in outs)
+        if fname == "report.ndjson":
+            assert strip_wall_time(a.decode()) == strip_wall_time(b.decode())
+        else:
+            assert a == b, fname
 
 
 # -- entry point ----------------------------------------------------------------
