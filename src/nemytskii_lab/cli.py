@@ -30,27 +30,6 @@ from .fpe_solver import (
     write_trajectory_binary,
 )
 
-SCENARIOS = (
-    "barenblatt-verify",
-    "fpe-run",
-    "particle-run",
-    "compare",
-    "regularity-scan",
-    "coupling",
-    "hypotheses-check",
-)
-
-_REQUIRED_KEYS = {
-    "barenblatt-verify": ("m",),
-    "fpe-run": ("m", "t0", "T", "n_cells", "h"),
-    "particle-run": ("m", "t0", "T", "n_particles", "dt"),
-    "compare": ("m", "t0", "T", "n_cells", "h", "n_particles", "dt"),
-    "regularity-scan": ("m", "p"),
-    "coupling": ("m", "t0", "T", "n_particles", "dt", "perturbation"),
-    "hypotheses-check": ("m",),
-}
-
-
 class ConfigError(ValueError):
     """Carries every validation problem found, not just the first."""
 
@@ -92,11 +71,11 @@ def parse_config(text: str) -> Scenario:
     name = params.pop("scenario", None)
     if name is None:
         problems.append("missing required key 'scenario'")
-    elif name not in SCENARIOS:
+    elif name not in _SCENARIO_TABLE:
         problems.append(
             f"unknown scenario {name!r}; allowed: {', '.join(SCENARIOS)}")
-    if name in _REQUIRED_KEYS:
-        for key in _REQUIRED_KEYS[name]:
+    else:
+        for key in _SCENARIO_TABLE[name][1]:
             if key not in params:
                 problems.append(f"scenario {name}: missing required key {key!r}")
     if "m" in params:
@@ -439,15 +418,19 @@ def _run_hypotheses(scenario: Scenario, out: Path) -> list[Check]:
     return checks
 
 
-_RUNNERS = {
-    "barenblatt-verify": _run_barenblatt_verify,
-    "fpe-run": _run_fpe,
-    "particle-run": _run_particles,
-    "compare": _run_compare,
-    "regularity-scan": _run_regularity,
-    "coupling": _run_coupling,
-    "hypotheses-check": _run_hypotheses,
+# scenario name -> (runner, required config keys), in list-scenarios order
+_SCENARIO_TABLE = {
+    "barenblatt-verify": (_run_barenblatt_verify, ("m",)),
+    "fpe-run": (_run_fpe, ("m", "t0", "T", "n_cells", "h")),
+    "particle-run": (_run_particles, ("m", "t0", "T", "n_particles", "dt")),
+    "compare": (_run_compare,
+                ("m", "t0", "T", "n_cells", "h", "n_particles", "dt")),
+    "regularity-scan": (_run_regularity, ("m", "p")),
+    "coupling": (_run_coupling,
+                 ("m", "t0", "T", "n_particles", "dt", "perturbation")),
+    "hypotheses-check": (_run_hypotheses, ("m",)),
 }
+SCENARIOS = tuple(_SCENARIO_TABLE)
 
 
 def run_scenario(scenario: Scenario) -> int:
@@ -456,7 +439,8 @@ def run_scenario(scenario: Scenario) -> int:
     out = scenario.output_dir
     out.mkdir(parents=True, exist_ok=True)
     try:
-        checks = _RUNNERS[scenario.name](scenario, out)
+        runner, _ = _SCENARIO_TABLE[scenario.name]
+        checks = runner(scenario, out)
     except Exception as err:  # noqa: BLE001 - execution error maps to exit 1
         _write_report(out / "report.ndjson", scenario,
                       [Check("execution", 0.0, 1.0, 0.0, False)], started)

@@ -4,10 +4,11 @@ Each particle moves by
 
     X <- X + E(X) b(u_hat(X)) dt + sqrt(2 beta(u_hat(X)) / u_hat(X)) dW
 
-where u_hat is a kernel-density estimate of the empirical law frozen at the
-start of the step (explicit coupling).  Noise comes from counter-based
-streams keyed by (seed, step), so runs are bit-reproducible, and same-noise
-coupled pairs of runs are exact.
+where u_hat is an Epanechnikov kernel-density estimate of the empirical law
+at Silverman's bandwidth, frozen at the start of the step (explicit
+coupling).  Noise comes from counter-based streams keyed by (seed, step), so
+runs are bit-reproducible, and same-noise coupled pairs of runs are exact.
+A run and a coupled pair step through the same loop.
 
 The module runs in the calling thread and starts no threads or processes;
 each step is a fixed sequence of whole-array numpy operations and
@@ -52,18 +53,20 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One particle run; particles are seeded on [-DOMAIN_BOUND, DOMAIN_BOUND]."""
+    """One particle run or same-noise pair, seeded on [-DOMAIN_BOUND, DOMAIN_BOUND].
+
+    Each step estimates the density with the Epanechnikov kernel at
+    Silverman's bandwidth; linf_clamp caps it where the diffusion coefficient
+    reads it, and coupling_delta scales the pair's Lyapunov statistic.
+    """
 
     n_particles: int
     dt: float
     t0: float
     T: float
-    kde: str = "epanechnikov"
-    bandwidth_rule: str = "silverman"
-    bandwidth_value: float | None = None
+    linf_clamp: float
     seed: int = 0
     coupling_delta: float = 1e-6
-    linf_clamp: float | None = None
 
     def __post_init__(self):
         if self.n_particles < 100:
@@ -72,12 +75,8 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if not self.t0 < self.T:
             raise ValueError("need t0 < T")
-        if self.kde not in ("gaussian", "epanechnikov"):
-            raise ValueError(f"unknown kernel {self.kde!r}")
-        if self.bandwidth_rule not in ("silverman", "fixed"):
-            raise ValueError(f"unknown bandwidth rule {self.bandwidth_rule!r}")
-        if self.bandwidth_rule == "fixed" and not self.bandwidth_value:
-            raise ValueError("fixed bandwidth rule needs bandwidth_value")
+        if not self.linf_clamp > 0:
+            raise ValueError("linf_clamp must be positive")
 
 
 @dataclass(frozen=True)
@@ -129,13 +128,12 @@ def _silverman_bandwidth(positions: np.ndarray) -> float:
 
 
 def seed_from_density(density, n: int, seed: int, lo: float, hi: float,
-                      t0: float = 0.0, n_grid: int = 200001,
-                      bandwidth: float | None = None) -> ParticleEnsemble:
+                      t0: float = 0.0) -> ParticleEnsemble:
     """Inverse-CDF sample of an evaluable unit-mass density on [lo, hi].
 
     The CDF is built on a fine quadrature grid (trapezoid) concentrated on
     the region where the density is nonzero; the input mass must be 1 to
-    within 1e-6.
+    within 1e-6.  The ensemble carries the Silverman bandwidth of the sample.
     """
     probe = np.linspace(lo, hi, 16385)
     pv = np.maximum(np.asarray(density(probe), dtype=float), 0.0)
@@ -144,7 +142,7 @@ def seed_from_density(density, n: int, seed: int, lo: float, hi: float,
         pad = 2.0 * (probe[1] - probe[0])
         lo = max(lo, float(probe[live[0]]) - pad)
         hi = min(hi, float(probe[live[-1]]) + pad)
-    x = np.linspace(lo, hi, n_grid)
+    x = np.linspace(lo, hi, 200001)
     dens = np.maximum(np.asarray(density(x), dtype=float), 0.0)
     widths = np.diff(x)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * widths)])
@@ -153,28 +151,25 @@ def seed_from_density(density, n: int, seed: int, lo: float, hi: float,
         raise ValueError(f"density mass {mass} deviates from 1 by more than 1e-6")
     uni = _noise_block(seed, 0, n, kind="uniform")
     positions = np.interp(uni * mass, cdf, x)
-    bw = bandwidth if bandwidth is not None else _silverman_bandwidth(positions)
-    return ParticleEnsemble(positions=positions, t=t0, seed=seed,
-                            step_index=0, bandwidth=bw)
+    return ParticleEnsemble(positions=positions, t=t0, seed=seed, step_index=0,
+                            bandwidth=_silverman_bandwidth(positions))
 
 
 # ---------------------------------------------------------------------------
 # density estimation
 # ---------------------------------------------------------------------------
 
-def _kernel_profile(kind: str, z: np.ndarray) -> np.ndarray:
-    if kind == "gaussian":
-        return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    out = 0.75 * np.maximum(1.0 - z * z, 0.0)
-    return out
+def _kernel_profile(z: np.ndarray) -> np.ndarray:
+    """Epanechnikov kernel 3/4 (1 - z^2)_+, supported on [-1, 1]."""
+    return 0.75 * np.maximum(1.0 - z * z, 0.0)
 
 
-def kde_density(ensemble: ParticleEnsemble, x, kernel: str = "epanechnikov"):
-    """Exact kernel sum (1/N) sum_i K_h(x - X_i) at the query points.
+def kde_density(ensemble: ParticleEnsemble, x):
+    """Exact Epanechnikov kernel sum (1/N) sum_i K_h(x - X_i) at the queries.
 
-    Nonnegative by construction; integrates to 1 up to kernel truncation at
-    the domain ends.  Meant for point queries and verification; the run loop
-    uses the binned estimator below.
+    Nonnegative by construction, integrates to 1 and vanishes farther than
+    one bandwidth from every particle.  Meant for point queries and
+    verification; the step loop uses the binned estimator below.
     """
     h = ensemble.bandwidth
     if h <= 0:
@@ -184,18 +179,18 @@ def kde_density(ensemble: ParticleEnsemble, x, kernel: str = "epanechnikov"):
     chunk = max(1, int(2e6 / max(ensemble.n, 1)))
     for start in range(0, xq.size, chunk):
         block = xq[start:start + chunk, None] - ensemble.positions[None, :]
-        out[start:start + chunk] = np.mean(_kernel_profile(kernel, block / h), axis=1) / h
+        out[start:start + chunk] = np.mean(_kernel_profile(block / h), axis=1) / h
     return out if np.ndim(x) else float(out[0])
 
 
-def frozen_density(ensemble: ParticleEnsemble, kernel: str,
-                   n_grid_cells: int = 4096):
+def frozen_density(ensemble: ParticleEnsemble, n_grid_cells: int = 4096):
     """Binned KDE snapshot: returns an evaluator x -> u_hat(x).
 
-    The particle histogram is convolved with the kernel on an auxiliary grid
-    much finer than the bandwidth and evaluated by linear interpolation; this
-    is the O(N + grid) stand-in for the exact kernel sum inside the step
-    loop, with binning error O((grid/h)^2).  Deterministic given positions.
+    The particle histogram is convolved with the Epanechnikov kernel at the
+    ensemble's bandwidth on an auxiliary grid much finer than the bandwidth
+    and evaluated by linear interpolation; this is the O(N + grid) stand-in
+    for the exact kernel sum inside the step loop, with binning error
+    O((grid/h)^2).  Deterministic given positions.
 
     The grid is uniform, so the evaluator finds each query's cell directly
     from (x - lo)/step and corrects that guess by one node comparison on
@@ -206,16 +201,15 @@ def frozen_density(ensemble: ParticleEnsemble, kernel: str,
     """
     h = ensemble.bandwidth
     pos = ensemble.positions
-    pad = 2.0 * h if kernel == "epanechnikov" else 8.0 * h
-    lo = float(pos.min()) - pad
-    hi = float(pos.max()) + pad
+    lo = float(pos.min()) - 2.0 * h
+    hi = float(pos.max()) + 2.0 * h
     step = (hi - lo) / n_grid_cells
     grid = lo + (np.arange(n_grid_cells + 1)) * step
     counts, _ = np.histogram(pos, bins=n_grid_cells + 1,
                              range=(lo - 0.5 * step, hi + 0.5 * step))
-    reach = int(math.ceil((1.0 if kernel == "epanechnikov" else 6.0) * h / step))
+    reach = int(math.ceil(h / step))
     offsets = np.arange(-reach, reach + 1) * step
-    kern = _kernel_profile(kernel, offsets / h) / h
+    kern = _kernel_profile(offsets / h) / h
     dens = np.convolve(counts, kern, mode="same") / pos.size
 
     # Row k of the tables is cell k - 1 of the grid.  Row 0 (left of the
@@ -247,22 +241,20 @@ def frozen_density(ensemble: ParticleEnsemble, kernel: str,
 # ---------------------------------------------------------------------------
 
 def em_step(ensemble: ParticleEnsemble, dt: float, spec: NonlinearitySpec,
-            drift: DriftSpec, kernel: str = "epanechnikov",
-            clamp: float | None = None, density=None) -> ParticleEnsemble:
+            drift: DriftSpec, density, clamp: float) -> ParticleEnsemble:
     """One explicit Euler-Maruyama step with the density frozen at step start.
 
-    density may be supplied to share a frozen estimate between coupled runs;
-    otherwise it is built from this ensemble.  Vacuum regions (u_hat = 0)
-    produce exactly zero diffusion, preserving the degeneracy.
+    density is the caller's frozen estimate, an evaluator x -> u_hat(x) such
+    as frozen_density returns; coupled twins pass the same one.  It is looked
+    up once at the particles; the diffusion coefficient sees it capped at
+    clamp, the drift uncapped.  Vacuum regions (u_hat = 0) produce exactly
+    zero diffusion, preserving the degeneracy.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if density is None:
-        density = frozen_density(ensemble, kernel)
     pos = ensemble.positions
     dens = np.maximum(np.asarray(density(pos), dtype=float), 0.0)
-    sig2 = np.asarray(sigma_squared(
-        spec, dens if clamp is None else np.minimum(dens, clamp)))
+    sig2 = np.asarray(sigma_squared(spec, np.minimum(dens, clamp)))
     xi = _noise_block(ensemble.seed, ensemble.step_index + 1, pos.size)
     drift_term = 0.0
     if drift.sup_norm_E > 0 and drift.sup_norm_b > 0:
@@ -274,8 +266,7 @@ def em_step(ensemble: ParticleEnsemble, dt: float, spec: NonlinearitySpec,
             "non-finite position after step",
             particle_index=int(np.flatnonzero(~np.isfinite(new_pos))[0]))
     return replace(ensemble, positions=new_pos, t=ensemble.t + dt,
-                   step_index=ensemble.step_index + 1,
-                   bandwidth=ensemble.bandwidth)
+                   step_index=ensemble.step_index + 1)
 
 
 @dataclass
@@ -298,11 +289,34 @@ class RunResult:
 
 def _seeded(config: SimConfig, initial_density) -> ParticleEnsemble:
     """The configured ensemble at t0, sampled from initial_density."""
-    ens = seed_from_density(initial_density, config.n_particles, config.seed,
-                            -DOMAIN_BOUND, DOMAIN_BOUND, t0=config.t0)
-    if config.bandwidth_rule == "fixed":
-        ens = replace(ens, bandwidth=float(config.bandwidth_value))
-    return ens
+    return seed_from_density(initial_density, config.n_particles, config.seed,
+                             -DOMAIN_BOUND, DOMAIN_BOUND, t0=config.t0)
+
+
+def _steps(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
+           ensembles: tuple[ParticleEnsemble, ...]):
+    """Step the ensembles together from t0 to T, yielding them after each step.
+
+    Each step takes Silverman's bandwidth of the first ensemble and freezes
+    one Epanechnikov density of it, which every ensemble's em_step looks up:
+    one ensemble is a run, a same-noise pair is the coupled twin.  A watchdog
+    aborts if any particle of any ensemble leaves 10 * DOMAIN_BOUND.
+    """
+    bound = 10.0 * DOMAIN_BOUND
+    for _ in range(int(round((config.T - config.t0) / config.dt))):
+        bw = _silverman_bandwidth(ensembles[0].positions)
+        ensembles = tuple(replace(e, bandwidth=bw) for e in ensembles)
+        density = frozen_density(ensembles[0])
+        ensembles = tuple(em_step(e, config.dt, spec, drift, density,
+                                  config.linf_clamp) for e in ensembles)
+        for e in ensembles:
+            dist = np.abs(e.positions)
+            if float(np.max(dist)) > bound:
+                raise SimulationError(
+                    f"particle blow-up beyond the watchdog bound {bound:g} "
+                    f"at step {e.step_index} (t = {e.t:g})",
+                    particle_index=int(np.argmax(dist)))
+        yield ensembles
 
 
 def run(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
@@ -311,12 +325,12 @@ def run(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
     """Advance the ensemble from t0 to T, recording snapshot statistics.
 
     initial_density is sampled by inverse CDF on [-DOMAIN_BOUND, DOMAIN_BOUND].
-    Each step refreshes the Silverman bandwidth (unless the rule is fixed)
-    and leaves the frozen density and its one lookup at the particles to
-    em_step.  Snapshots record empirical mean, variance and the
-    Wasserstein-1 distance to reference_density(t) when provided; with
-    keep_positions the particle positions at each snapshot are retained for
-    dumps.  A watchdog aborts if any particle leaves 10 * DOMAIN_BOUND.
+    Each step refreshes the Silverman bandwidth, freezes one Epanechnikov
+    density and leaves its one lookup at the particles to em_step.
+    Snapshots record empirical mean, variance and the Wasserstein-1 distance
+    to reference_density(t) when provided; with keep_positions the particle
+    positions at each snapshot are retained for dumps.  A watchdog aborts if
+    any particle leaves 10 * DOMAIN_BOUND.
     """
     ens = _seeded(config, initial_density)
     if snapshot_times is None:
@@ -324,7 +338,6 @@ def run(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
     snapshot_times = sorted(float(t) for t in snapshot_times)
 
     result = RunResult()
-    n_steps = int(round((config.T - config.t0) / config.dt))
     next_snap = 0
 
     def record(e: ParticleEnsemble):
@@ -337,15 +350,7 @@ def run(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
         if keep_positions:
             result.position_snapshots.append(e.positions.copy())
 
-    for _ in range(n_steps):
-        if config.bandwidth_rule == "silverman":
-            ens = replace(ens, bandwidth=_silverman_bandwidth(ens.positions))
-        ens = em_step(ens, config.dt, spec, drift, kernel=config.kde,
-                      clamp=config.linf_clamp)
-        if float(np.max(np.abs(ens.positions))) > 10.0 * DOMAIN_BOUND:
-            raise SimulationError(
-                "particle blow-up beyond the watchdog bound",
-                particle_index=int(np.argmax(np.abs(ens.positions))))
+    for (ens,) in _steps(config, spec, drift, (ens,)):
         while next_snap < len(snapshot_times) \
                 and ens.t >= snapshot_times[next_snap] - 0.5 * config.dt:
             record(ens)
@@ -371,7 +376,7 @@ def coupling_experiment(config: SimConfig, spec: NonlinearitySpec,
     two solutions with identical time marginals.  Records the sup separation
     and the Lyapunov statistic mean_i ln(|Z_i|^2/delta^2 + 1) per step.
     Perturbation 0 reproduces bit-identical trajectories, hence exactly zero
-    separation.
+    separation.  The twins step through run's loop, watchdog included.
     """
     if perturbation < 0:
         raise ValueError("perturbation must be nonnegative")
@@ -380,17 +385,7 @@ def coupling_experiment(config: SimConfig, spec: NonlinearitySpec,
     y_ens = replace(x_ens, positions=x_ens.positions + perturbation)
 
     records = []
-    n_steps = int(round((config.T - config.t0) / config.dt))
-    for _ in range(n_steps):
-        if config.bandwidth_rule == "silverman":
-            bw = _silverman_bandwidth(x_ens.positions)
-            x_ens = replace(x_ens, bandwidth=bw)
-            y_ens = replace(y_ens, bandwidth=bw)
-        density = frozen_density(x_ens, config.kde)
-        x_ens = em_step(x_ens, config.dt, spec, drift, kernel=config.kde,
-                        clamp=config.linf_clamp, density=density)
-        y_ens = em_step(y_ens, config.dt, spec, drift, kernel=config.kde,
-                        clamp=config.linf_clamp, density=density)
+    for x_ens, y_ens in _steps(config, spec, drift, (x_ens, y_ens)):
         z = x_ens.positions - y_ens.positions
         records.append(CouplingRecord(
             t=x_ens.t,

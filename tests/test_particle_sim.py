@@ -69,63 +69,60 @@ def test_seed_uniform_ks_envelope():
 
 def test_kde_single_cluster_peak():
     pos = np.zeros(500)
-    ens = ParticleEnsemble(positions=pos, t=0.0, seed=0, step_index=0, bandwidth=1.0)
-    assert kde_density(ens, 0.0, kernel="gaussian") == pytest.approx(
-        1.0 / math.sqrt(2 * math.pi), abs=1e-12)
+    ens = ParticleEnsemble(positions=pos, t=0.0, seed=0, step_index=0, bandwidth=0.5)
+    # the Epanechnikov peak 0.75/h
+    assert kde_density(ens, 0.0) == pytest.approx(0.75 / 0.5, abs=1e-12)
 
 
 def test_kde_compact_support_vanishes():
     rng = np.random.default_rng(0)
     ens = ParticleEnsemble(positions=rng.uniform(-1, 1, 500), t=0.0, seed=0,
                            step_index=0, bandwidth=0.2)
-    assert kde_density(ens, 5.0, kernel="epanechnikov") == 0.0
+    assert kde_density(ens, 5.0) == 0.0
 
 
 def test_kde_consistency_at_center():
     ens = seed_from_density(lambda x: barenblatt_eval(P2, 1.0, x), 100_000, 3,
                             -5, 5, t0=1.0)
-    val = kde_density(ens, 0.0, kernel="epanechnikov")
+    val = kde_density(ens, 0.0)
     assert val == pytest.approx(P2.C_norm, rel=0.05)
 
 
 def test_binned_density_tracks_exact_kernel_sum():
     ens = seed_from_density(BB_INIT, 20_000, 4, -5, 5, t0=T0)
-    approx = frozen_density(ens, "epanechnikov")
+    approx = frozen_density(ens)
     xs = np.linspace(-1.2, 1.2, 41)
-    exact = kde_density(ens, xs, kernel="epanechnikov")
+    exact = kde_density(ens, xs)
     assert np.max(np.abs(approx(xs) - exact)) <= 2e-3 * max(1.0, exact.max())
 
 
-def _interp_reference(ens, kernel, n_grid_cells):
+def _interp_reference(ens, n_grid_cells):
     """frozen_density's grid and values, evaluated by np.interp's search."""
     h = ens.bandwidth
     pos = ens.positions
-    pad = 2.0 * h if kernel == "epanechnikov" else 8.0 * h
-    lo = float(pos.min()) - pad
-    hi = float(pos.max()) + pad
+    lo = float(pos.min()) - 2.0 * h
+    hi = float(pos.max()) + 2.0 * h
     step = (hi - lo) / n_grid_cells
     grid = lo + np.arange(n_grid_cells + 1) * step
     counts, _ = np.histogram(pos, bins=n_grid_cells + 1,
                              range=(lo - 0.5 * step, hi + 0.5 * step))
-    reach = int(math.ceil((1.0 if kernel == "epanechnikov" else 6.0) * h / step))
-    kern = particle_sim._kernel_profile(
-        kernel, np.arange(-reach, reach + 1) * step / h) / h
+    reach = int(math.ceil(h / step))
+    kern = particle_sim._kernel_profile(np.arange(-reach, reach + 1) * step / h) / h
     dens = np.convolve(counts, kern, mode="same") / pos.size
     return grid, lambda x: np.interp(x, grid, dens, left=0.0, right=0.0)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(100, 3000),
        scale=st.floats(1e-3, 1e3), center=st.floats(-1e3, 1e3),
-       kernel=st.sampled_from(["epanechnikov", "gaussian"]),
        cells=st.sampled_from([16, 257, 4096]))
 @settings(max_examples=40, deadline=None)
 def test_frozen_density_lookup_is_np_interp_bit_for_bit(seed, n, scale, center,
-                                                        kernel, cells):
+                                                        cells):
     rng = np.random.default_rng(seed)
     pos = center + scale * rng.standard_normal(n)
     ens = ParticleEnsemble(positions=pos, t=0.0, seed=seed, step_index=0,
                            bandwidth=particle_sim._silverman_bandwidth(pos))
-    grid, reference = _interp_reference(ens, kernel, cells)
+    grid, reference = _interp_reference(ens, cells)
     span = grid[-1] - grid[0]
     queries = np.concatenate([
         pos,                                       # in range
@@ -134,7 +131,7 @@ def test_frozen_density_lookup_is_np_interp_bit_for_bit(seed, n, scale, center,
         np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
         rng.uniform(grid[0] - 0.1 * span, grid[-1] + 0.1 * span, n),
     ])
-    got = frozen_density(ens, kernel, cells)(queries)
+    got = frozen_density(ens, cells)(queries)
     assert np.array_equal(got.view(np.int64), reference(queries).view(np.int64))
 
 
@@ -143,7 +140,8 @@ def test_frozen_density_lookup_is_np_interp_bit_for_bit(seed, n, scale, center,
 def test_em_step_vacuum_is_frozen():
     ens = seed_from_density(BB_INIT, 1000, 5, -5, 5, t0=T0)
     out = em_step(ens, 1e-3, SPEC2, ZERO_DRIFT,
-                  density=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+                  density=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+                  clamp=CLAMP)
     assert np.array_equal(out.positions, ens.positions)
 
 
@@ -152,15 +150,17 @@ def test_em_step_increment_scale():
     pos = np.zeros(n)
     ens = ParticleEnsemble(positions=pos, t=0.0, seed=9, step_index=0, bandwidth=0.1)
     out = em_step(ens, 1e-2, SPEC2, ZERO_DRIFT,
-                  density=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5))
+                  density=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5),
+                  clamp=CLAMP)
     # sigma^2 = 2 beta(0.5)/0.5 = 1, so the increment std is sqrt(dt)
     assert np.std(out.positions) == pytest.approx(math.sqrt(1e-2), rel=0.02)
 
 
 def test_em_step_determinism():
     ens = seed_from_density(BB_INIT, 1000, 6, -5, 5, t0=T0)
-    a = em_step(ens, 1e-3, SPEC2, ZERO_DRIFT)
-    b = em_step(ens, 1e-3, SPEC2, ZERO_DRIFT)
+    density = frozen_density(ens)
+    a = em_step(ens, 1e-3, SPEC2, ZERO_DRIFT, density=density, clamp=CLAMP)
+    b = em_step(ens, 1e-3, SPEC2, ZERO_DRIFT, density=density, clamp=CLAMP)
     assert np.array_equal(a.positions, b.positions)
 
 
@@ -191,20 +191,6 @@ def test_run_looks_up_the_density_once_per_step(monkeypatch):
     assert lookups == [cfg.n_particles] * 10
 
 
-def test_run_gaussian_kernel_variant():
-    cfg = small_config(n_particles=5000, T=0.15, kde="gaussian")
-    res = run(cfg, SPEC2, ZERO_DRIFT, BB_INIT)
-    assert res.final.t == pytest.approx(0.15, abs=1e-9)
-    assert math.isfinite(res.variances[-1])
-
-
-def test_run_fixed_bandwidth_rule():
-    cfg = small_config(n_particles=2000, T=0.12, bandwidth_rule="fixed",
-                       bandwidth_value=0.08)
-    res = run(cfg, SPEC2, ZERO_DRIFT, BB_INIT)
-    assert res.final.bandwidth == 0.08
-
-
 def test_run_mean_stays_centered():
     cfg = small_config(n_particles=20_000, T=0.3)
     res = run(cfg, SPEC2, ZERO_DRIFT, BB_INIT)
@@ -219,13 +205,17 @@ def test_run_variance_growth_law():
     assert res.loglog_variance_slope() == pytest.approx(2.0 / 3.0, abs=0.05)
 
 
-def test_run_watchdog_catches_blowup():
+@pytest.mark.parametrize("simulate", [
+    lambda cfg, drift: run(cfg, SPEC2, drift, BB_INIT),
+    lambda cfg, drift: coupling_experiment(cfg, SPEC2, drift, 0.0, BB_INIT),
+], ids=["run", "coupling"])
+def test_run_watchdog_catches_blowup(simulate):
     drift = DriftSpec.constant_b(E=lambda x: np.full_like(np.asarray(x, dtype=float), 1e7),
                                  b0=1.0, sup_norm_E=1e7, div_E_minus_sup=0.0,
                                  sup_div_minus_plus_E=1e7)
     cfg = small_config(n_particles=200, dt=0.05, T=0.3)
-    with pytest.raises(SimulationError):
-        run(cfg, SPEC2, drift, BB_INIT)
+    with pytest.raises(SimulationError, match="watchdog"):
+        simulate(cfg, drift)
 
 
 def test_marginal_agreement_improves_with_n():
@@ -272,6 +262,4 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         small_config(T=T0)
     with pytest.raises(ValueError):
-        small_config(kde="box")
-    with pytest.raises(ValueError):
-        small_config(bandwidth_rule="fixed")
+        small_config(linf_clamp=0.0)
