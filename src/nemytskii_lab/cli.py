@@ -78,6 +78,10 @@ def parse_config(text: str) -> Scenario:
         for key in _SCENARIO_TABLE[name][1]:
             if key not in params:
                 problems.append(f"scenario {name}: missing required key {key!r}")
+    drift = params.get("drift", "zero")
+    if drift not in _DRIFT_TABLE:
+        problems.append(
+            f"unknown drift {drift!r}; allowed: {', '.join(_DRIFT_TABLE)}")
     if "m" in params:
         m = params["m"]
         if not isinstance(m, (int, float)) or m <= 1:
@@ -148,6 +152,11 @@ class Check:
         }, sort_keys=True)
 
 
+def _flag_check(check_id: str, ok: bool, gated: bool = True) -> Check:
+    """A yes/no row: achieved is 1.0 or 0.0; an ungated row always passes."""
+    return Check(check_id, 1.0, 1.0 if ok else 0.0, 0.0, bool(ok) or not gated)
+
+
 def _bound_check(check_id: str, achieved: float, bound: float,
                  target: float | None = None) -> Check:
     return Check(check_id=check_id, target=bound if target is None else target,
@@ -170,33 +179,72 @@ def _write_report(path: Path, scenario: Scenario, checks: list[Check],
 # scenario implementations
 # ---------------------------------------------------------------------------
 
-def _power_spec(params) -> NonlinearitySpec:
-    return NonlinearitySpec.power_law(float(params["m"]),
-                                      zeta=float(params.get("zeta", 0.0)))
+@dataclass(frozen=True)
+class Problem:
+    """β, the drift and the source-type solution that seeds and checks both legs."""
+
+    spec: NonlinearitySpec
+    drift: DriftSpec
+    source: closed_form.BarenblattParams
+
+    def density(self, t: float):
+        """x -> the source-type solution at time t."""
+        return lambda x: closed_form.barenblatt_eval(self.source, t, x)
+
+    def field(self, t: float, lo: float, hi: float, n_cells: int) -> GridField:
+        """The source-type solution at time t, sampled at the cell centres."""
+        return GridField.from_function(lo, hi, n_cells, self.density(t))
 
 
-def _drift_from(params) -> DriftSpec:
-    kind = params.get("drift", "zero")
-    if kind == "zero":
-        return DriftSpec.zero()
-    if kind == "tanh_inward":
-        amp = float(params.get("drift_amplitude", 0.25))
-        b0 = float(params.get("b_constant", 1.0))
-        return DriftSpec.constant_b(
-            E=lambda x: -amp * np.tanh(np.asarray(x, dtype=float)),
-            b0=b0, sup_norm_E=amp, div_E_minus_sup=amp,
-            sup_div_minus_plus_E=1.25 * amp)
-    raise ConfigError([f"unknown drift {kind!r}"])
+def _tanh_inward(params) -> DriftSpec:
+    amp = float(params.get("drift_amplitude", 0.25))
+    return DriftSpec.constant_b(
+        E=lambda x: -amp * np.tanh(np.asarray(x, dtype=float)),
+        b0=float(params.get("b_constant", 1.0)), sup_norm_E=amp,
+        div_E_minus_sup=amp, sup_div_minus_plus_E=1.25 * amp)
 
 
-def _run_barenblatt_verify(scenario: Scenario, out: Path) -> list[Check]:
-    params = scenario.params
+# drift kind -> its builder from the config
+_DRIFT_TABLE = {
+    "zero": lambda params: DriftSpec.zero(),
+    "tanh_inward": _tanh_inward,
+}
+
+
+def _build_problem(params) -> Problem:
     m = float(params["m"])
-    p = closed_form.make_barenblatt(1, m)
+    return Problem(
+        spec=NonlinearitySpec.power_law(m, zeta=float(params.get("zeta", 0.0))),
+        drift=_DRIFT_TABLE[params.get("drift", "zero")](params),
+        source=closed_form.make_barenblatt(1, m))
+
+
+def _grid(params) -> tuple[float, float, int]:
+    return (float(params.get("lo", -6.0)), float(params.get("hi", 6.0)),
+            int(params["n_cells"]))
+
+
+def _hypothesis_rows(problem: Problem, gated: bool) -> list[Check]:
+    """One row per coefficient condition; ungated rows are advisory."""
+    prefix = "hypothesis_" if gated else "advisory_hypothesis_"
+    clauses = check_hypotheses(problem.spec, problem.drift).clauses
+    return [_flag_check(prefix + name, clause["pass"], gated)
+            for name, clause in sorted(clauses.items())]
+
+
+def _w1_row(check_id: str, problem: Problem, positions, t: float, grid) -> Check:
+    """W1 of the particles to the source-type solution at time t on grid."""
+    ref = problem.field(t, *grid).normalized()
+    return _bound_check(check_id, analysis.w1_distance(positions, ref), 0.05, 0.0)
+
+
+
+def _run_barenblatt_verify(params, problem: Problem, out: Path) -> list[Check]:
+    p = problem.source
     checks = []
-    alpha = 1.0 / (m + 1.0)
+    alpha = 1.0 / (p.m + 1.0)
     checks.append(_bound_check("alpha_formula", abs(p.alpha - alpha), 1e-15, 0.0))
-    checks.append(_bound_check("k_formula", abs(p.k - alpha * (m - 1) / (2 * m)), 1e-15, 0.0))
+    checks.append(_bound_check("k_formula", abs(p.k - alpha * (p.m - 1) / (2 * p.m)), 1e-15, 0.0))
     checks.append(_bound_check("beta_ss_formula", abs(p.beta_ss - alpha), 1e-15, 0.0))
     for t in (0.1, 1.0, 10.0):
         mass = closed_form.barenblatt_mass(p, t)
@@ -213,26 +261,14 @@ def _run_barenblatt_verify(scenario: Scenario, out: Path) -> list[Check]:
     return checks
 
 
-def _seed_field(p, t0: float, lo: float, hi: float, n_cells: int) -> GridField:
-    fld = GridField.from_function(lo, hi, n_cells,
-                                  lambda x: closed_form.barenblatt_eval(p, t0, x))
-    return fld.normalized()
-
-
-def _run_fpe(scenario: Scenario, out: Path) -> list[Check]:
-    params = scenario.params
-    spec = _power_spec(params)
-    drift = _drift_from(params)
-    p = closed_form.make_barenblatt(1, spec.m)
+def _run_fpe(params, problem: Problem, out: Path) -> list[Check]:
     t0 = float(params["t0"])
     T_final = float(params["T"])
-    lo = float(params.get("lo", -6.0))
-    hi = float(params.get("hi", 6.0))
-    n_cells = int(params["n_cells"])
+    grid = _grid(params)
     config = SolverConfig(lambda_step=float(params["h"]),
                           epsilon_reg=float(params.get("epsilon_reg", 1e-12)))
-    nu = _seed_field(p, t0, lo, hi, n_cells)
-    traj = step_chain(nu, T_final - t0, config, spec, drift)
+    nu = problem.field(t0, *grid).normalized()
+    traj = step_chain(nu, T_final - t0, config, problem.spec, problem.drift)
 
     checks = []
     masses = [f.mass() for f in traj.fields]
@@ -246,19 +282,18 @@ def _run_fpe(scenario: Scenario, out: Path) -> list[Check]:
                                config.newton_tol, 0.0))
     checks.append(_bound_check("clipped_mass", traj.total_clipped_mass(),
                                MAX_CLIPPED_MASS, 0.0))
-    c = drift.combined_sup()
+    drift_free = problem.drift.sup_norm_E == 0
+    c = problem.drift.combined_sup()
     linf_cap = max(f.linf() / (math.exp(math.sqrt(c) * t) * nu.linf())
                    for t, f in zip(traj.times, traj.fields))
-    linf_tol = 1.0 + 1e-6 if drift.sup_norm_E == 0 else 1.001
+    linf_tol = 1.0 + 1e-6 if drift_free else 1.001
     checks.append(_bound_check("linf_growth_ratio", linf_cap, linf_tol, 1.0))
-    if drift.sup_norm_E == 0:
-        audit = entropy_audit(traj, spec)
+    if drift_free:
+        # only the porous-medium equation has the entropy and closed-form oracles
+        audit = entropy_audit(traj, problem.spec)
         checks.append(_bound_check("entropy_audit_max",
                                    max(r.audit_value for r in audit), 1e-6, 0.0))
-    if params.get("drift", "zero") == "zero":
-        ref = GridField.from_function(
-            lo, hi, n_cells, lambda x: closed_form.barenblatt_eval(p, T_final, x))
-        err = traj.final.l1_distance(ref)
+        err = traj.final.l1_distance(problem.field(T_final, *grid))
         checks.append(_bound_check("l1_error_vs_closed_form", err,
                                    float(params.get("l1_tol", 0.02)), 0.0))
 
@@ -276,44 +311,33 @@ def _run_fpe(scenario: Scenario, out: Path) -> list[Check]:
     return checks
 
 
-def _particle_setup(params, p, coupling_delta: float = 1e-6):
-    """SimConfig of a particle scenario and its Barenblatt density at t0.
+def _sim_config(params, problem: Problem) -> particle_sim.SimConfig:
+    """SimConfig of a particle scenario started from the source-type solution.
 
     The L-infinity clamp is twice the source-type solution's peak at t0.
     """
     t0 = float(params["t0"])
-    config = particle_sim.SimConfig(
+    return particle_sim.SimConfig(
         n_particles=int(params["n_particles"]), dt=float(params["dt"]),
         t0=t0, T=float(params["T"]), seed=int(params.get("seed", 0)),
-        coupling_delta=coupling_delta,
-        linf_clamp=2.0 * p.C_norm * t0 ** (-p.alpha))
-    return config, lambda x: closed_form.barenblatt_eval(p, t0, x)
+        coupling_delta=float(params.get("delta", 1e-6)),
+        linf_clamp=2.0 * problem.density(t0)(problem.source.x0))
 
 
-def _run_particles(scenario: Scenario, out: Path) -> list[Check]:
-    params = scenario.params
-    spec = _power_spec(params)
-    drift = _drift_from(params)
-    p = closed_form.make_barenblatt(1, spec.m)
+def _run_particles(params, problem: Problem, out: Path) -> list[Check]:
     dump_stride = int(params.get("dump_stride", 0))
-    config, initial = _particle_setup(params, p)
-    result = particle_sim.run(config, spec, drift, initial_density=initial,
+    config = _sim_config(params, problem)
+    result = particle_sim.run(config, problem.spec, problem.drift,
+                              initial_density=problem.density(config.t0),
                               keep_positions=dump_stride > 0)
 
-    # advisory coefficient-condition rows; they never gate the exit code
-    checks = [Check(f"advisory_hypothesis_{name}", 1.0,
-                    1.0 if clause["pass"] else 0.0, 0.0, True)
-              for name, clause in sorted(check_hypotheses(spec, drift).clauses.items())]
-    target_var = closed_form.barenblatt_moment2(p, result.times[-1])
+    checks = _hypothesis_rows(problem, gated=False)
+    target_var = closed_form.barenblatt_moment2(problem.source, result.times[-1])
     achieved = result.variances[-1]
     checks.append(_bound_check("variance_rel_error",
                                abs(achieved - target_var) / target_var, 0.05, 0.0))
-    w1 = analysis.w1_distance(
-        result.final.positions,
-        GridField.from_function(-6.0, 6.0, 2000,
-                                lambda x: closed_form.barenblatt_eval(
-                                    p, result.times[-1], x)).normalized())
-    checks.append(_bound_check("w1_vs_closed_form", w1, 0.05, 0.0))
+    checks.append(_w1_row("w1_vs_closed_form", problem, result.final.positions,
+                          result.times[-1], (-6.0, 6.0, 2000)))
 
     with _Artifact(out / "particles.csv") as fh:
         fh.write("t,statistic,value\n")
@@ -330,32 +354,22 @@ def _run_particles(scenario: Scenario, out: Path) -> list[Check]:
     return checks
 
 
-def _run_compare(scenario: Scenario, out: Path) -> list[Check]:
-    checks = _run_fpe(scenario, out)
-    params = scenario.params
-    spec = _power_spec(params)
-    p = closed_form.make_barenblatt(1, spec.m)
-    config, initial = _particle_setup(params, p)
-    result = particle_sim.run(config, spec, _drift_from(params),
-                              initial_density=initial)
-    ref = GridField.from_function(
-        float(params.get("lo", -6.0)), float(params.get("hi", 6.0)),
-        int(params["n_cells"]),
-        lambda x: closed_form.barenblatt_eval(p, config.T, x)).normalized()
-    checks.append(_bound_check(
-        "w1_particle_vs_closed_form",
-        analysis.w1_distance(result.final.positions, ref), 0.05, 0.0))
+def _run_compare(params, problem: Problem, out: Path) -> list[Check]:
+    checks = _run_fpe(params, problem, out)
+    config = _sim_config(params, problem)
+    result = particle_sim.run(config, problem.spec, problem.drift,
+                              initial_density=problem.density(config.t0))
+    checks.append(_w1_row("w1_particle_vs_closed_form", problem,
+                          result.final.positions, config.T, _grid(params)))
     return checks
 
 
-def _run_regularity(scenario: Scenario, out: Path) -> list[Check]:
-    params = scenario.params
-    m = float(params["m"])
+def _run_regularity(params, problem: Problem, out: Path) -> list[Check]:
+    bb = problem.source
+    m = bb.m
     p_exp = float(params["p"])
-    bb = closed_form.make_barenblatt(1, m)
     s_max, condition = closed_form.regularity_threshold(m, p_exp)
-    checks = [Check("density_condition", 1.0, 1.0 if condition else 0.0,
-                    0.0, True)]
+    checks = [_flag_check("density_condition", condition, gated=False)]
     grid = np.linspace(-1.2 * bb.support_radius_t1, 1.2 * bb.support_radius_t1,
                        int(params.get("n_grid", 801)))
     profile = np.maximum(bb.C_norm - bb.k * grid**2, 0.0) ** (p_exp / (m - 1.0))
@@ -369,8 +383,7 @@ def _run_regularity(scenario: Scenario, out: Path) -> list[Check]:
         checks.append(_bound_check(f"exponent_identity_s={s:.2f}",
                                    abs((e + 1.0) - identity), 1e-12, 0.0))
         flip_ok = (e > -1.0) == (s < s_max)
-        checks.append(Check(f"integrability_flip_s={s:.2f}", 1.0,
-                            1.0 if flip_ok else 0.0, 0.0, flip_ok))
+        checks.append(_flag_check(f"integrability_flip_s={s:.2f}", flip_ok))
     with _Artifact(out / "profile.csv") as fh:
         fh.write("s,seminorm,converged,divergent,time_exponent,integrable\n")
         for row in rows:
@@ -378,16 +391,12 @@ def _run_regularity(scenario: Scenario, out: Path) -> list[Check]:
     return checks
 
 
-def _run_coupling(scenario: Scenario, out: Path) -> list[Check]:
-    params = scenario.params
-    spec = _power_spec(params)
-    p = closed_form.make_barenblatt(1, spec.m)
-    config, initial = _particle_setup(
-        params, p, coupling_delta=float(params.get("delta", 1e-6)))
+def _run_coupling(params, problem: Problem, out: Path) -> list[Check]:
+    config = _sim_config(params, problem)
     perturbation = float(params["perturbation"])
     records = particle_sim.coupling_experiment(
-        config, spec, _drift_from(params), perturbation,
-        initial_density=initial)
+        config, problem.spec, problem.drift, perturbation,
+        initial_density=problem.density(config.t0))
     checks = []
     terminal = records[-1].sup_distance
     if perturbation == 0.0:
@@ -404,17 +413,10 @@ def _run_coupling(scenario: Scenario, out: Path) -> list[Check]:
     return checks
 
 
-def _run_hypotheses(scenario: Scenario, out: Path) -> list[Check]:
-    params = scenario.params
-    spec = _power_spec(params)
-    drift = _drift_from(params)
-    report = check_hypotheses(spec, drift)
-    checks = [Check(f"hypothesis_{name}", 1.0, 1.0 if clause["pass"] else 0.0,
-                    0.0, clause["pass"])
-              for name, clause in sorted(report.clauses.items())]
-    lam0 = lambda_zero(drift)
-    checks.append(Check("lambda_zero_positive", 1.0,
-                        1.0 if lam0 > 0 else 0.0, 0.0, lam0 > 0))
+def _run_hypotheses(params, problem: Problem, out: Path) -> list[Check]:
+    checks = _hypothesis_rows(problem, gated=True)
+    lam0 = lambda_zero(problem.drift)
+    checks.append(_flag_check("lambda_zero_positive", lam0 > 0))
     return checks
 
 
@@ -440,7 +442,7 @@ def run_scenario(scenario: Scenario) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         runner, _ = _SCENARIO_TABLE[scenario.name]
-        checks = runner(scenario, out)
+        checks = runner(scenario.params, _build_problem(scenario.params), out)
     except Exception as err:  # noqa: BLE001 - execution error maps to exit 1
         _write_report(out / "report.ndjson", scenario,
                       [Check("execution", 0.0, 1.0, 0.0, False)], started)

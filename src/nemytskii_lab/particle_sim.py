@@ -261,10 +261,7 @@ def em_step(ensemble: ParticleEnsemble, dt: float, spec: NonlinearitySpec,
         drift_term = np.asarray(drift.E(pos), dtype=float) \
             * np.asarray(drift.b(dens), dtype=float) * dt
     new_pos = pos + drift_term + np.sqrt(sig2 * dt) * xi
-    if not np.all(np.isfinite(new_pos)):
-        raise SimulationError(
-            "non-finite position after step",
-            particle_index=int(np.flatnonzero(~np.isfinite(new_pos))[0]))
+    # replace checks the new positions (SimulationError with the index)
     return replace(ensemble, positions=new_pos, t=ensemble.t + dt,
                    step_index=ensemble.step_index + 1)
 

@@ -48,11 +48,12 @@ def test_parse_unknown_scenario_lists_names():
 
 def test_parse_collects_all_errors():
     with pytest.raises(ConfigError) as err:
-        parse_config("scenario = fpe-run\nnot a pair\nm = -1\n")
+        parse_config("scenario = fpe-run\nnot a pair\nm = -1\ndrift = bogus\n")
     joined = " | ".join(err.value.problems)
     assert "line 2" in joined
     assert "m must exceed 1" in joined
     assert "missing required key" in joined
+    assert "unknown drift 'bogus'" in joined
 
 
 def test_parse_missing_scenario():
@@ -122,6 +123,21 @@ def test_preclip_undershoot_row_reads_before_the_clip(tmp_path, monkeypatch):
     assert [r["achieved"] for r in records if r.get("check_id") == "min_value"] == [0.0]
 
 
+def test_fpe_run_zero_amplitude_drift_checks_the_closed_form(tmp_path):
+    # a drift of amplitude 0 leaves the porous-medium equation, so the run
+    # keeps its entropy and closed-form rows
+    s = Scenario(name="fpe-run",
+                 params={"m": 2.0, "t0": 0.1, "T": 0.2, "n_cells": 200,
+                         "h": 5e-3, "lo": -4.0, "hi": 4.0,
+                         "drift": "tanh_inward", "drift_amplitude": 0.0},
+                 output_dir=tmp_path)
+    assert run_scenario(s) == 0
+    ids = [r["check_id"] for r in read_report(tmp_path / "report.ndjson")
+           if "check_id" in r]
+    assert ids[-3:] == ["linf_growth_ratio", "entropy_audit_max",
+                        "l1_error_vs_closed_form"]
+
+
 def test_fpe_run_with_drift_and_binary_trajectory(tmp_path):
     s = Scenario(name="fpe-run",
                  params={"m": 2.0, "t0": 0.1, "T": 0.15, "n_cells": 200,
@@ -164,6 +180,25 @@ def test_particle_run_scenario_with_dump(tmp_path):
     assert any(i.startswith("advisory_hypothesis_") for i in ids)
 
 
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0, 4.0])
+def test_particle_clamp_is_twice_the_source_peak(m):
+    params = {"m": m, "t0": 0.1, "T": 0.3, "n_particles": 1000, "dt": 1e-3}
+    problem = cli._build_problem(params)
+    p = problem.source
+    config = cli._sim_config(params, problem)
+    peak = p.C_norm ** (1.0 / (m - 1.0)) * 0.1 ** (-p.alpha)
+    assert config.linf_clamp == pytest.approx(2.0 * peak, rel=1e-12)
+
+
+def test_particle_run_m4_meets_its_tolerances(tmp_path):
+    # a clamp below the source peak starves the diffusion at m = 4
+    s = Scenario(name="particle-run",
+                 params={"m": 4.0, "t0": 0.1, "T": 0.3, "n_particles": 20_000,
+                         "dt": 1e-3, "seed": 4},
+                 output_dir=tmp_path)
+    assert run_scenario(s) == 0
+
+
 def test_regularity_scan_scenario(tmp_path):
     s = Scenario(name="regularity-scan", params={"m": 2.0, "p": 1.0, "n_grid": 401},
                  output_dir=tmp_path)
@@ -186,7 +221,10 @@ def test_hypotheses_scenario(tmp_path):
                  "drift_amplitude": 0.25}),
     ("particle-run", {"m": 2.0, "t0": 0.1, "T": 0.13, "n_particles": 2000,
                       "dt": 1e-3, "seed": 4, "dump_stride": 10}),
-], ids=["coupling", "fpe-run-drift", "particle-run"])
+    ("compare", {"m": 2.0, "t0": 0.1, "T": 0.13, "n_cells": 200, "h": 5e-3,
+                 "lo": -4.0, "hi": 4.0, "n_particles": 2000, "dt": 1e-3,
+                 "seed": 4}),
+], ids=["coupling", "fpe-run-drift", "particle-run", "compare"])
 def test_coupling_scenario_and_determinism(tmp_path, name, params):
     outs = []
     for sub in ("a", "b"):

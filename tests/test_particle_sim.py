@@ -164,6 +164,17 @@ def test_em_step_determinism():
     assert np.array_equal(a.positions, b.positions)
 
 
+def test_em_step_non_finite_position_names_the_particle():
+    ens = seed_from_density(BB_INIT, 1000, 7, -5, 5, t0=T0)
+    nan_right = DriftSpec.constant_b(
+        E=lambda x: np.where(np.asarray(x) > 0, np.nan, 0.0), b0=1.0,
+        sup_norm_E=1.0, div_E_minus_sup=0.0)
+    with pytest.raises(SimulationError) as err:
+        em_step(ens, 1e-3, SPEC2, nan_right, density=frozen_density(ens),
+                clamp=CLAMP)
+    assert err.value.particle_index == int(np.flatnonzero(ens.positions > 0)[0])
+
+
 def test_run_determinism_bit_identical():
     cfg = small_config()
     r1 = run(cfg, SPEC2, ZERO_DRIFT, BB_INIT)
