@@ -187,6 +187,11 @@ class Problem:
     drift: DriftSpec
     source: closed_form.BarenblattParams
 
+    @property
+    def drift_free(self) -> bool:
+        """Only then is the source-type solution the oracle for the chain and the particles."""
+        return self.drift.sup_norm_E == 0
+
     def density(self, t: float):
         """x -> the source-type solution at time t."""
         return lambda x: closed_form.barenblatt_eval(self.source, t, x)
@@ -282,13 +287,12 @@ def _run_fpe(params, problem: Problem, out: Path) -> list[Check]:
                                config.newton_tol, 0.0))
     checks.append(_bound_check("clipped_mass", traj.total_clipped_mass(),
                                MAX_CLIPPED_MASS, 0.0))
-    drift_free = problem.drift.sup_norm_E == 0
     c = problem.drift.combined_sup()
     linf_cap = max(f.linf() / (math.exp(math.sqrt(c) * t) * nu.linf())
                    for t, f in zip(traj.times, traj.fields))
-    linf_tol = 1.0 + 1e-6 if drift_free else 1.001
+    linf_tol = 1.0 + 1e-6 if problem.drift_free else 1.001
     checks.append(_bound_check("linf_growth_ratio", linf_cap, linf_tol, 1.0))
-    if drift_free:
+    if problem.drift_free:
         # only the porous-medium equation has the entropy and closed-form oracles
         audit = entropy_audit(traj, problem.spec)
         checks.append(_bound_check("entropy_audit_max",
@@ -303,11 +307,11 @@ def _run_fpe(params, problem: Problem, out: Path) -> list[Check]:
         stride = int(params.get("snapshot_stride", max(1, len(traj.fields) // 10)))
         with _Artifact(out / "trajectory.csv") as fh:
             fh.write("step,t,cell_center,value\n")
-            centers = nu.centers
+            centers = [_fmt(x) for x in nu.centers.tolist()]
             for i in range(0, len(traj.fields), stride):
-                fld = traj.fields[i]
-                for x, v in zip(centers, fld.values):
-                    fh.write(f"{i + 1},{_fmt(traj.times[i])},{_fmt(float(x))},{_fmt(float(v))}\n")
+                head = f"{i + 1},{_fmt(traj.times[i])},"
+                fh.write("".join([f"{head}{x},{v!r}\n" for x, v in
+                                  zip(centers, traj.fields[i].values.tolist())]))
     return checks
 
 
@@ -332,12 +336,13 @@ def _run_particles(params, problem: Problem, out: Path) -> list[Check]:
                               keep_positions=dump_stride > 0)
 
     checks = _hypothesis_rows(problem, gated=False)
-    target_var = closed_form.barenblatt_moment2(problem.source, result.times[-1])
-    achieved = result.variances[-1]
-    checks.append(_bound_check("variance_rel_error",
-                               abs(achieved - target_var) / target_var, 0.05, 0.0))
-    checks.append(_w1_row("w1_vs_closed_form", problem, result.final.positions,
-                          result.times[-1], (-6.0, 6.0, 2000)))
+    if problem.drift_free:
+        target_var = closed_form.barenblatt_moment2(problem.source, result.times[-1])
+        achieved = result.variances[-1]
+        checks.append(_bound_check("variance_rel_error",
+                                   abs(achieved - target_var) / target_var, 0.05, 0.0))
+        checks.append(_w1_row("w1_vs_closed_form", problem, result.final.positions,
+                              result.times[-1], (-6.0, 6.0, 2000)))
 
     with _Artifact(out / "particles.csv") as fh:
         fh.write("t,statistic,value\n")
@@ -348,19 +353,22 @@ def _run_particles(params, problem: Problem, out: Path) -> list[Check]:
         with _Artifact(out / "particles_dump.csv") as fh:
             fh.write("t,particle,position\n")
             for idx in range(0, len(result.position_snapshots), dump_stride):
-                t = result.times[idx]
-                for j, pos in enumerate(result.position_snapshots[idx]):
-                    fh.write(f"{_fmt(t)},{j},{_fmt(float(pos))}\n")
+                head = f"{_fmt(result.times[idx])},"
+                fh.write("".join([f"{head}{j},{x!r}\n" for j, x in enumerate(
+                    result.position_snapshots[idx].tolist())]))
     return checks
 
 
 def _run_compare(params, problem: Problem, out: Path) -> list[Check]:
+    """The fpe-run checks, plus the particles' W1 row when the source-type
+    solution is their oracle (drift-free); a drifted run has none yet."""
     checks = _run_fpe(params, problem, out)
-    config = _sim_config(params, problem)
-    result = particle_sim.run(config, problem.spec, problem.drift,
-                              initial_density=problem.density(config.t0))
-    checks.append(_w1_row("w1_particle_vs_closed_form", problem,
-                          result.final.positions, config.T, _grid(params)))
+    if problem.drift_free:
+        config = _sim_config(params, problem)
+        result = particle_sim.run(config, problem.spec, problem.drift,
+                                  initial_density=problem.density(config.t0))
+        checks.append(_w1_row("w1_particle_vs_closed_form", problem,
+                              result.final.positions, config.T, _grid(params)))
     return checks
 
 

@@ -30,6 +30,8 @@ __all__ = [
     "beta_epsilon",
     "beta_tilde_epsilon",
     "beta_tilde_epsilon_prime",
+    "beta_tilde_from_resolvent",
+    "beta_tilde_prime_from_resolvent",
     "mollified_b",
     "cutoff_E",
     "capital_G",
@@ -234,10 +236,8 @@ def sigma_squared(spec: NonlinearitySpec, r) -> float:
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0):
         raise ValueError("sigma_squared is defined for r >= 0 only")
-    pos = arr > 0
-    out = np.empty_like(arr)
-    out[pos] = 2.0 * np.asarray(spec.beta(arr[pos])) / arr[pos]
-    out[~pos] = 2.0 * spec.beta_prime(0.0)
+    out = np.full_like(arr, 2.0 * spec.beta_prime(0.0))
+    np.divide(2.0 * np.asarray(spec.beta(arr)), arr, out=out, where=arr > 0)
     return _scalar_or_array(out)
 
 
@@ -324,14 +324,25 @@ def beta_epsilon(spec: NonlinearitySpec, epsilon: float, r):
 
 def beta_tilde_epsilon(spec: NonlinearitySpec, epsilon: float, r):
     """beta_tilde_eps(r) = beta_eps(r) + epsilon*r; strictly increasing, slope >= epsilon."""
-    return _scalar_or_array(beta_epsilon(spec, epsilon, r)
-                            + epsilon * np.asarray(r, dtype=float))
+    return _scalar_or_array(beta_tilde_from_resolvent(
+        spec, epsilon, yosida_resolvent(spec, epsilon, r), r))
 
 
 def beta_tilde_epsilon_prime(spec: NonlinearitySpec, epsilon: float, r):
     """Derivative of beta_tilde_eps: beta'(g)/(1 + eps*beta'(g)) + eps."""
-    bp = np.asarray(spec.beta_prime(yosida_resolvent(spec, epsilon, r)))
-    return _scalar_or_array(bp / (1.0 + epsilon * bp) + epsilon)
+    return _scalar_or_array(beta_tilde_prime_from_resolvent(
+        spec, epsilon, yosida_resolvent(spec, epsilon, r)))
+
+
+def beta_tilde_from_resolvent(spec: NonlinearitySpec, epsilon: float, g, r) -> np.ndarray:
+    """beta_tilde_eps(r) = beta(g) + epsilon*r, given g = yosida_resolvent(spec, epsilon, r)."""
+    return np.asarray(spec.beta(g)) + epsilon * np.asarray(r, dtype=float)
+
+
+def beta_tilde_prime_from_resolvent(spec: NonlinearitySpec, epsilon: float, g) -> np.ndarray:
+    """beta_tilde_eps'(r) = beta'(g)/(1 + eps*beta'(g)) + eps, given g = g_eps(r)."""
+    bp = np.asarray(spec.beta_prime(g))
+    return bp / (1.0 + epsilon * bp) + epsilon
 
 
 # ---------------------------------------------------------------------------

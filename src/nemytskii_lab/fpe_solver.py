@@ -22,20 +22,27 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded  # noqa: F401 - see below
+from scipy.linalg.lapack import dgtsv
 
-from .coefficients import (
+from .coefficients import (  # noqa: F401 - see below
     DriftSpec,
     NonlinearitySpec,
     RegularizationParams,
     beta_tilde_epsilon,
     beta_tilde_epsilon_prime,
+    beta_tilde_from_resolvent,
+    beta_tilde_prime_from_resolvent,
     cutoff_E,
     entropy_Psi,
     lambda_zero,
     mollified_b,
     mollified_b_prime,
+    yosida_resolvent,
 )
+
+# solve_banded, beta_tilde_epsilon and beta_tilde_epsilon_prime are unused
+# here but stay importable: the traced benchmark patches them by name (ROADMAP item 1).
 
 __all__ = [
     "GridField",
@@ -160,6 +167,8 @@ class ResolventSolution:
 
     preclip_min is the smallest cell value before the undershoot clip, so a
     negative value shows how far the Newton iterate left the positive cone.
+    halvings counts the line search's step halvings over all iterations and
+    fallbacks the iterations that took the damped fixed-point step.
     """
 
     field: GridField
@@ -167,6 +176,8 @@ class ResolventSolution:
     newton_iters: int
     clipped_mass: float
     preclip_min: float
+    halvings: int
+    fallbacks: int
 
 
 @dataclass
@@ -203,12 +214,15 @@ def _interface_velocity(f: GridField, drift: DriftSpec, reg: RegularizationParam
     return np.asarray(cutoff_E(drift, reg.epsilon, f.edges), dtype=float)
 
 
-def _apply_operator(u: np.ndarray, f: GridField, spec: NonlinearitySpec,
-                    drift: DriftSpec, reg: RegularizationParams,
-                    e_face: np.ndarray) -> np.ndarray:
-    """Regularized operator in flux form; zero boundary flux, so telescoping conserves mass."""
+def _apply_operator(u: np.ndarray, g: np.ndarray, f: GridField,
+                    spec: NonlinearitySpec, drift: DriftSpec,
+                    reg: RegularizationParams, e_face: np.ndarray) -> np.ndarray:
+    """Regularized operator in flux form; zero boundary flux, so telescoping conserves mass.
+
+    g is the Yosida resolvent of u, from which beta_tilde_eps(u) is formed.
+    """
     dx = f.cell_width
-    bt = np.asarray(beta_tilde_epsilon(spec, reg.epsilon, u))
+    bt = beta_tilde_from_resolvent(spec, reg.epsilon, g, u)
 
     # diffusive flux -D(beta_tilde)/dx at interior interfaces
     dif_flux = np.zeros(u.size + 1)
@@ -217,32 +231,32 @@ def _apply_operator(u: np.ndarray, f: GridField, spec: NonlinearitySpec,
     # donor-cell advective flux of E_eps * b_eps(u) * u
     adv_flux = np.zeros(u.size + 1)
     if drift.sup_norm_E > 0:
-        g = np.asarray(mollified_b(drift, reg.epsilon, u)) * u
+        carried = np.asarray(mollified_b(drift, reg.epsilon, u)) * u
         ep = np.maximum(e_face[1:-1], 0.0)
         em = np.minimum(e_face[1:-1], 0.0)
-        adv_flux[1:-1] = ep * g[:-1] + em * g[1:]
+        adv_flux[1:-1] = ep * carried[:-1] + em * carried[1:]
 
     div = (dif_flux[1:] + adv_flux[1:] - dif_flux[:-1] - adv_flux[:-1]) / dx
     return div + reg.epsilon * bt
 
 
-def _jacobian_bands(u: np.ndarray, f: GridField, spec: NonlinearitySpec,
-                    drift: DriftSpec, reg: RegularizationParams,
-                    e_face: np.ndarray, lam: float) -> np.ndarray:
-    """Banded (1,1) Jacobian of u + lam*A_eps(u) for solve_banded."""
+def _jacobian_bands(u: np.ndarray, g: np.ndarray, f: GridField,
+                    spec: NonlinearitySpec, drift: DriftSpec,
+                    reg: RegularizationParams, e_face: np.ndarray,
+                    lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonals (dl, d, du) of the Jacobian of u + lam*A_eps(u); g is u's resolvent.
+
+    dl[j] holds J[j+1, j] and du[j] holds J[j, j+1].
+    """
     n = u.size
     dx = f.cell_width
-    btp = np.asarray(beta_tilde_epsilon_prime(spec, reg.epsilon, u))
-
-    diag = np.ones(n)
-    upper = np.zeros(n)   # upper[j] holds J[j-1, j]
-    lower = np.zeros(n)   # lower[j] holds J[j+1, j]
+    btp = beta_tilde_prime_from_resolvent(spec, reg.epsilon, g)
 
     lap_diag = np.full(n, 2.0)
     lap_diag[0] = lap_diag[-1] = 1.0
-    diag += lam * (lap_diag / dx**2 + reg.epsilon) * btp
-    upper[1:] += -lam * btp[1:] / dx**2
-    lower[:-1] += -lam * btp[:-1] / dx**2
+    d = 1.0 + lam * (lap_diag / dx**2 + reg.epsilon) * btp
+    du = -lam * btp[1:] / dx**2
+    dl = -lam * btp[:-1] / dx**2
 
     if drift.sup_norm_E > 0:
         b_eps = np.asarray(mollified_b(drift, reg.epsilon, u))
@@ -251,35 +265,50 @@ def _jacobian_bands(u: np.ndarray, f: GridField, spec: NonlinearitySpec,
         emf = np.minimum(e_face, 0.0)
         # boundary faces carry no flux
         epf[0] = emf[0] = epf[-1] = emf[-1] = 0.0
-        diag += lam * (epf[1:] - emf[:-1]) * gp / dx
-        upper[1:] += lam * emf[1:-1] * gp[1:] / dx
-        lower[:-1] += -lam * epf[1:-1] * gp[:-1] / dx
+        d += lam * (epf[1:] - emf[:-1]) * gp / dx
+        du += lam * emf[1:-1] * gp[1:] / dx
+        dl += -lam * epf[1:-1] * gp[:-1] / dx
+    return dl, d, du
 
-    ab = np.zeros((3, n))
-    ab[0, :] = upper
-    ab[1, :] = diag
-    ab[2, :] = lower
-    return ab
+
+def _tridiagonal_solve(bands, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solve the system with diagonals bands = (dl, d, du) by LAPACK gtsv.
+
+    solve_banded((1, 1), ...) runs the same routine, so x is bit-identical;
+    this skips its validation and copies.  bands and rhs are overwritten.
+    Returns x and gtsv's info, which is > 0 at an exactly zero pivot.
+    """
+    dl, d, du = bands
+    *_, x, info = dgtsv(dl, d, du, rhs, overwrite_dl=True, overwrite_d=True,
+                        overwrite_du=True, overwrite_b=True)
+    return x, info
 
 
 def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
                     drift: DriftSpec, reg: RegularizationParams,
                     newton_tol: float = 1e-12,
                     newton_max_iter: int = 60,
-                    out: np.ndarray | None = None) -> ResolventSolution:
+                    out: np.ndarray | None = None,
+                    start: np.ndarray | None = None) -> ResolventSolution:
     """One implicit step: solve u + lam*A_eps(u) = f on the grid of f.
 
-    Damped Newton with tridiagonal Jacobian; a damped fixed-point sweep is
-    tried when a Newton step stalls.  Convergence is measured in discrete L1.
-    Negative undershoot is clipped at 0 and its mass reported.  The clipped
-    solution is written into out (a float array of f's size) when given.
+    Damped Newton from start (default f's values) with a tridiagonal
+    Jacobian, solved directly by LAPACK gtsv.  Each residual evaluation
+    solves the Yosida resolvent once, and the accepted iterate's resolvent
+    also gives the next Jacobian.  The line search halves a rejected step up
+    to 12 times; when every trial fails, a damped fixed-point step is tried
+    instead.  The solution reports the halvings and fixed-point fallbacks.
+    Convergence is measured in discrete L1.  Negative undershoot is clipped
+    at 0 and its mass reported.  The clipped solution is written into out
+    (a float array of f's size) when given.
 
     Raises
     ------
     SolverError
-        If the residual has not reached newton_tol after newton_max_iter
-        iterations, or a step stalls (carries the last residual; the message
-        states lam and the iteration count).
+        If a residual is not finite, the residual has not reached newton_tol
+        after newton_max_iter iterations, a step stalls or the Jacobian is
+        singular (carries the last residual; the message states lam and the
+        iteration count).
     """
     lam0 = lambda_zero(drift)
     if not 0.0 < lam < lam0:
@@ -289,43 +318,47 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
     target = f.values
 
     def residual(u):
-        return u + lam * _apply_operator(u, f, spec, drift, reg, e_face) - target
+        g = yosida_resolvent(spec, reg.epsilon, u)
+        res = u + lam * _apply_operator(u, g, f, spec, drift, reg, e_face) - target
+        return g, res, float(np.sum(np.abs(res)) * dx)
 
-    u = target.copy()
-    res = residual(u)
-    res_l1 = float(np.sum(np.abs(res)) * dx)
-    iters = 0
+    def failure(what, res_l1, iters):
+        return SolverError(f"nonlinear solve at lam={lam!r} {what} after "
+                           f"{iters} iterations (residual {res_l1:.3e})",
+                           residual=res_l1)
+
+    u = (target if start is None else np.asarray(start, dtype=float)).copy()
+    g, res, res_l1 = residual(u)
+    if not math.isfinite(res_l1):
+        raise failure("has a non-finite residual", res_l1, 0)
+    iters = halvings = fallbacks = 0
     while res_l1 > newton_tol and iters < newton_max_iter:
-        ab = _jacobian_bands(u, f, spec, drift, reg, e_face, lam)
-        delta = solve_banded((1, 1), ab, -res)
+        delta, info = _tridiagonal_solve(
+            _jacobian_bands(u, g, f, spec, drift, reg, e_face, lam), -res)
+        if info != 0:
+            raise failure(f"has a singular Jacobian (gtsv info {info})", res_l1, iters)
         step = 1.0
         improved = False
         for _ in range(12):
             trial = u + step * delta
-            trial_res = residual(trial)
-            trial_l1 = float(np.sum(np.abs(trial_res)) * dx)
+            trial_g, trial_res, trial_l1 = residual(trial)
             if trial_l1 < res_l1:
-                u, res, res_l1 = trial, trial_res, trial_l1
+                u, g, res, res_l1 = trial, trial_g, trial_res, trial_l1
                 improved = True
                 break
             step *= 0.5
+            halvings += 1
         if not improved:
             # damped fixed-point fallback
             trial = u - 0.5 * res
-            trial_res = residual(trial)
-            trial_l1 = float(np.sum(np.abs(trial_res)) * dx)
-            if trial_l1 >= res_l1:
-                raise SolverError(
-                    f"nonlinear solve at lam={lam!r} stalled at residual "
-                    f"{res_l1:.3e} after {iters} iterations",
-                    residual=res_l1)
-            u, res, res_l1 = trial, trial_res, trial_l1
+            trial_g, trial_res, trial_l1 = residual(trial)
+            if not trial_l1 < res_l1:
+                raise failure("stalled", res_l1, iters)
+            u, g, res, res_l1 = trial, trial_g, trial_res, trial_l1
+            fallbacks += 1
         iters += 1
     if res_l1 > newton_tol:
-        raise SolverError(
-            f"nonlinear solve at lam={lam!r} did not reach tol "
-            f"{newton_tol:.1e} after {iters} iterations (residual {res_l1:.3e})",
-            residual=res_l1)
+        raise failure(f"did not reach tol {newton_tol:.1e}", res_l1, iters)
 
     clipped = float(np.sum(np.maximum(-u, 0.0)) * dx)
     preclip_min = float(u.min())
@@ -334,7 +367,8 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
     assert solved.mass() >= 0.0
     return ResolventSolution(field=solved, residual_l1=res_l1,
                              newton_iters=iters, clipped_mass=clipped,
-                             preclip_min=preclip_min)
+                             preclip_min=preclip_min, halvings=halvings,
+                             fallbacks=fallbacks)
 
 
 def step_chain(nu: GridField, T: float, config: SolverConfig,

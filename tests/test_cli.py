@@ -199,6 +199,31 @@ def test_particle_run_m4_meets_its_tolerances(tmp_path):
     assert run_scenario(s) == 0
 
 
+def test_drifted_particle_run_has_no_closed_form_rows(tmp_path):
+    # the source-type solution solves only the drift-free equation; gating
+    # a drifted run against it failed with variance_rel_error 0.082
+    s = Scenario(name="particle-run",
+                 params={"m": 2.0, "t0": 0.1, "T": 0.4, "n_particles": 20_000,
+                         "dt": 1e-3, "seed": 4, "drift": "tanh_inward"},
+                 output_dir=tmp_path)
+    assert run_scenario(s) == 0
+    ids = {r["check_id"] for r in read_report(tmp_path / "report.ndjson")
+           if "check_id" in r}
+    assert ids and all(i.startswith("advisory_hypothesis_") for i in ids)
+
+
+def test_drifted_compare_has_no_particle_row(tmp_path):
+    s = Scenario(name="compare",
+                 params={"m": 2.0, "t0": 0.1, "T": 0.13, "n_cells": 200,
+                         "h": 5e-3, "lo": -4.0, "hi": 4.0, "n_particles": 2000,
+                         "dt": 1e-3, "seed": 4, "drift": "tanh_inward"},
+                 output_dir=tmp_path)
+    assert run_scenario(s) == 0
+    ids = [r["check_id"] for r in read_report(tmp_path / "report.ndjson")
+           if "check_id" in r]
+    assert ids[-1] == "linf_growth_ratio"
+
+
 def test_regularity_scan_scenario(tmp_path):
     s = Scenario(name="regularity-scan", params={"m": 2.0, "p": 1.0, "n_grid": 401},
                  output_dir=tmp_path)

@@ -80,6 +80,31 @@ def test_sigma_squared_rejects_negative():
         sigma_squared(M2, -0.1)
 
 
+def _sigma_squared_gathered(spec, r):
+    # the former formula: masked gathers of the positive and the zero entries
+    pos = r > 0
+    out = np.empty_like(r)
+    out[pos] = 2.0 * np.asarray(spec.beta(r[pos])) / r[pos]
+    out[~pos] = 2.0 * spec.beta_prime(0.0)
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    NonlinearitySpec.power_law(1.5), M2, M3,
+    NonlinearitySpec.from_table(np.linspace(-2.0, 3.0, 51),
+                                np.linspace(-2.0, 3.0, 51) ** 3
+                                + np.linspace(-2.0, 3.0, 51), m=3.0),
+], ids=["m=1.5", "m=2", "m=3", "table"])
+def test_sigma_squared_bit_identical_to_gathered_formula(spec):
+    rng = np.random.default_rng(5)
+    r = rng.uniform(0.0, 3.0, 4096)
+    r[rng.random(r.size) < 0.4] = 0.0   # vacuum cells
+    r[:3] = (0.0, 5e-324, 1e-300)
+    got = sigma_squared(spec, r)
+    assert np.array_equal(got.view(np.int64),
+                          _sigma_squared_gathered(spec, r).view(np.int64))
+
+
 def test_sigma_squared_degenerate_envelope():
     # continuity at 0: bounded by 2 C_K r^(m-1) with C_K = 1 for the power law
     r = np.linspace(0, 2, 100)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from nemytskii_lab import fpe_solver
 from nemytskii_lab.closed_form import barenblatt_eval, make_barenblatt
@@ -133,6 +134,83 @@ def test_resolvent_newton_failure_carries_residual():
     assert "after 1 iterations" in str(err.value)
 
 
+def nan_right_drift():
+    # E is NaN for x > 0, so every residual is NaN
+    return DriftSpec.constant_b(
+        E=lambda x: np.where(np.asarray(x) > 0, np.nan, 0.0), b0=1.0,
+        sup_norm_E=1.0, div_E_minus_sup=0.0)
+
+
+def test_resolvent_non_finite_residual_raises():
+    f = gaussian_field(n=64)
+    with pytest.raises(SolverError, match="non-finite residual") as err:
+        resolvent_solve(f, 1e-2, SPEC, nan_right_drift(), REG)
+    assert math.isnan(err.value.residual)
+    assert "lam=0.01" in str(err.value)
+    assert "after 0 iterations" in str(err.value)
+    with pytest.raises(SolverError) as err:
+        step_chain(f.normalized(), 0.1, SolverConfig(lambda_step=1e-2), SPEC,
+                   nan_right_drift())
+    assert err.value.step == 0
+
+
+@pytest.mark.parametrize("drift", [ZERO_DRIFT, tanh_drift(0.5)],
+                         ids=["zero", "tanh"])
+def test_resolvent_one_yosida_solve_per_residual_evaluation(monkeypatch, drift):
+    counts = {"yosida": 0, "residual": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(fpe_solver, "yosida_resolvent",
+                        counted("yosida", fpe_solver.yosida_resolvent))
+    monkeypatch.setattr(fpe_solver, "_apply_operator",
+                        counted("residual", fpe_solver._apply_operator))
+    sol = resolvent_solve(barenblatt_field(0.1), 1e-2, SPEC, drift, REG)
+    assert sol.newton_iters > 0
+    # one initial residual, one accepted trial per iteration, one per halving
+    assert counts["residual"] == 1 + sol.newton_iters + sol.halvings
+    assert counts["yosida"] == counts["residual"]
+
+
+def test_resolvent_fallback_telemetry(monkeypatch):
+    # a zero Newton step fails all 12 trials, so every iteration halves 12
+    # times and then takes the damped fixed-point step
+    monkeypatch.setattr(fpe_solver, "_tridiagonal_solve",
+                        lambda bands, rhs: (np.zeros_like(rhs), 0))
+    sol = resolvent_solve(gaussian_field(n=64), 1e-3, SPEC, ZERO_DRIFT, REG)
+    assert sol.fallbacks == sol.newton_iters > 0
+    assert sol.halvings == 12 * sol.fallbacks
+
+
+def test_resolvent_singular_jacobian_raises(monkeypatch):
+    monkeypatch.setattr(fpe_solver, "_tridiagonal_solve",
+                        lambda bands, rhs: (rhs, 3))
+    with pytest.raises(SolverError, match="singular") as err:
+        resolvent_solve(gaussian_field(n=64), 1e-2, SPEC, ZERO_DRIFT, REG)
+    assert "lam=0.01" in str(err.value) and "after 0 iterations" in str(err.value)
+
+
+@given(n=st.integers(16, 4096), seed=st.integers(0, 2**31))
+@settings(max_examples=40, deadline=None)
+def test_tridiagonal_solve_is_solve_banded_bit_for_bit(n, seed):
+    rng = np.random.default_rng(seed)
+    dl, du = rng.uniform(-1.0, 1.0, (2, n - 1))
+    d = np.abs(np.concatenate([[0.0], dl])) + np.abs(np.concatenate([du, [0.0]])) \
+        + rng.uniform(0.01, 2.0, n)   # diagonally dominant
+    d *= rng.choice([-1.0, 1.0], n)
+    rhs = rng.normal(size=n)
+    ab = np.zeros((3, n))
+    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+    expected = solve_banded((1, 1), ab, rhs)
+    x, info = fpe_solver._tridiagonal_solve((dl.copy(), d.copy(), du.copy()), rhs.copy())
+    assert info == 0
+    assert np.array_equal(x.view(np.int64), expected.view(np.int64))
+
+
 # One zero-flux resolvent step on random data.  (I + lam*A) is L1-accretive,
 # so an iterate with L1 residual r lies within r of the exact solution in L1
 # and within r/dx at every cell.  The bounds below are these residual
@@ -243,6 +321,16 @@ def test_step_chain_clipped_mass_budget_aborts(monkeypatch):
     with pytest.raises(SolverError, match="budget 1.0e-06") as err:
         step_chain(nu, 0.05, SolverConfig(lambda_step=1e-2), SPEC, ZERO_DRIFT)
     assert err.value.step == 1
+
+
+def test_barenblatt_chain_newton_telemetry():
+    # the benchmark's fpe-barenblatt chain: 4000 cells, 900 steps of 1e-3
+    nu = GridField.from_function(-6.0, 6.0, 4000,
+                                 lambda x: barenblatt_eval(P2, 0.1, x)).normalized()
+    traj = step_chain(nu, 0.9, SolverConfig(lambda_step=1e-3), SPEC, ZERO_DRIFT)
+    assert len(traj.infos) == 900
+    assert sum(info.halvings for info in traj.infos) == 0
+    assert sum(info.fallbacks for info in traj.infos) == 0
 
 
 def test_step_chain_drift_linf_bound():
