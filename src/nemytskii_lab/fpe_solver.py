@@ -15,20 +15,21 @@ line-search halvings and fixed-point fallbacks.  Fluxes are written in
 conservation form (3-point diffusive flux, donor-cell upwind advection), so
 the zero-flux boundary conserves mass by exact telescoping.
 
-A single chain is strictly sequential; distinct chains are independent and
-may run concurrently (fields are immutable once a step completes).
+A chain is strictly sequential and runs in the calling thread; its iterates
+are the rows of one writable (N, n_cells) array.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+import os
+# ThreadPoolExecutor, solve_banded, beta_tilde_epsilon and
+# beta_tilde_epsilon_prime are unused here but stay importable: the traced
+# benchmark patches them by name (ROADMAP item 1).
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+from dataclasses import dataclass, replace
 
 import numpy as np
-# solve_banded, beta_tilde_epsilon and beta_tilde_epsilon_prime are unused
-# here but stay importable: the traced benchmark patches them by name
-# (ROADMAP item 1).
 from scipy.linalg import solve_banded  # noqa: F401
 from scipy.linalg.lapack import dgtsv
 
@@ -116,9 +117,6 @@ class GridField:
     def mass(self) -> float:
         return float(np.sum(self.values) * self.cell_width)
 
-    def l1(self) -> float:
-        return float(np.sum(np.abs(self.values)) * self.cell_width)
-
     def linf(self) -> float:
         return float(np.max(np.abs(self.values)))
 
@@ -186,25 +184,24 @@ class ResolventSolution:
 
 @dataclass
 class Trajectory:
-    """Chain output: the initial datum and one field per implicit step."""
+    """Chain output: the initial datum, and the (N, n_cells) array step_chain
+    filled, whose row i is the iterate at times[i] with infos[i] its report."""
 
     initial: GridField
-    times: list[float] = field(default_factory=list)
-    fields: list[GridField] = field(default_factory=list)
-    infos: list[ResolventSolution] = field(default_factory=list)
+    times: np.ndarray
+    values: np.ndarray
+    infos: list[ResolventSolution]
 
     def field_at(self, t: float) -> GridField:
         """Piecewise-constant-in-time lookup: u_h(t) = u^(i+1) on (t_i, t_{i+1}]."""
-        if t <= 0:
+        if t <= 0 or not self.times.size:
             return self.initial
-        for tk, fk in zip(self.times, self.fields):
-            if t <= tk + 1e-14:
-                return fk
-        return self.fields[-1]
+        i = min(int(np.searchsorted(self.times, t - 1e-14)), self.times.size - 1)
+        return GridField(lo=self.initial.lo, hi=self.initial.hi, values=self.values[i])
 
     @property
     def final(self) -> GridField:
-        return self.fields[-1] if self.fields else self.initial
+        return self.field_at(math.inf)
 
     def total_clipped_mass(self) -> float:
         return sum(info.clipped_mass for info in self.infos)
@@ -213,10 +210,6 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # discrete operator pieces
 # ---------------------------------------------------------------------------
-
-def _interface_velocity(f: GridField, drift: DriftSpec, reg: RegularizationParams) -> np.ndarray:
-    return np.asarray(cutoff_E(drift, reg.epsilon, f.edges), dtype=float)
-
 
 def _apply_operator(u: np.ndarray, g: np.ndarray, f: GridField,
                     spec: NonlinearitySpec, drift: DriftSpec,
@@ -319,7 +312,7 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
     if not 0.0 < lam < lam0:
         raise ValueError(f"lambda must lie in (0, {lam0}), got {lam}")
     dx = f.cell_width
-    e_face = _interface_velocity(f, drift, reg)
+    e_face = np.asarray(cutoff_E(drift, reg.epsilon, f.edges), dtype=float)
     target = f.values
 
     def residual(u):
@@ -402,12 +395,13 @@ def step_chain(nu: GridField, T: float, config: SolverConfig,
     n_steps = max(1, math.ceil(T / h))
     reg = config.regularization()
     values = np.empty((n_steps, nu.n_cells))
+    times = np.empty(n_steps)
+    infos = []
 
-    traj = Trajectory(initial=nu)
     current = nu
     previous = None   # the iterate before current, from the second step on
     t = 0.0
-    clipped = 0.0   # running traj.total_clipped_mass()
+    clipped = 0.0   # running total of the steps' clipped mass
     for i in range(n_steps):
         lam = h if i < n_steps - 1 else T - (n_steps - 1) * h
         if lam <= 0:
@@ -423,18 +417,19 @@ def step_chain(nu: GridField, T: float, config: SolverConfig,
             err.step = i
             raise
         t += lam
+        times[i] = t
+        infos.append(sol)
         previous = current.values
         current = sol.field
-        traj.times.append(t)
-        traj.fields.append(current)
-        traj.infos.append(sol)
         clipped += sol.clipped_mass
         if clipped > MAX_CLIPPED_MASS:
             raise SolverError(
                 f"clipped mass {clipped:.3e} exceeded budget "
                 f"{MAX_CLIPPED_MASS:.1e} at step {i}",
                 residual=sol.residual_l1, step=i)
-    return traj
+    done = len(infos)
+    return Trajectory(initial=nu, times=times[:done], values=values[:done],
+                      infos=infos)
 
 
 def semigroup_distance(nu1: GridField, nu2: GridField, T: float,
@@ -442,18 +437,18 @@ def semigroup_distance(nu1: GridField, nu2: GridField, T: float,
                        drift: DriftSpec) -> float:
     """Worst contraction ratio max_t ||S_h(t)nu1 - S_h(t)nu2||_1 / ||nu1 - nu2||_1.
 
-    Returns 0 when the inputs coincide.  The two chains are independent and
-    run on a two-thread pool.
+    Returns 0 when the inputs coincide.  The two chains run one after the
+    other, and one reduction over their rows gives every step's ratio.
     """
     denom = nu1.l1_distance(nu2)
     if denom == 0.0:
         return 0.0
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        f1 = pool.submit(step_chain, nu1, T, config, spec, drift)
-        f2 = pool.submit(step_chain, nu2, T, config, spec, drift)
-        t1, t2 = f1.result(), f2.result()
-    ratios = [a.l1_distance(b) / denom for a, b in zip(t1.fields, t2.fields)]
-    return max(ratios)
+    t1 = step_chain(nu1, T, config, spec, drift)
+    t2 = step_chain(nu2, T, config, spec, drift)
+    # t1 is not returned, so its rows can hold |u1 - u2| in place
+    gap = np.subtract(t1.values, t2.values, out=t1.values)
+    np.abs(gap, out=gap)
+    return float(np.max(np.sum(gap, axis=1) * nu1.cell_width / denom))
 
 
 def write_trajectory_binary(traj: Trajectory, path) -> None:
@@ -466,24 +461,29 @@ def write_trajectory_binary(traj: Trajectory, path) -> None:
     with open(path, "wb") as fh:
         np.asarray([n], dtype="<i8").tofile(fh)
         np.asarray([traj.initial.lo, traj.initial.hi], dtype="<f8").tofile(fh)
-        np.asarray([len(traj.fields)], dtype="<i8").tofile(fh)
-        for t, fld in zip(traj.times, traj.fields):
+        np.asarray([traj.times.size], dtype="<i8").tofile(fh)
+        for t, row in zip(traj.times, traj.values):
             np.asarray([t], dtype="<f8").tofile(fh)
-            fld.values.astype("<f8").tofile(fh)
+            row.astype("<f8", copy=False).tofile(fh)
 
 
-def read_trajectory_binary(path) -> tuple[float, float, list[float], list[np.ndarray]]:
-    """Inverse of write_trajectory_binary; returns (lo, hi, times, value arrays)."""
+def read_trajectory_binary(path) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Inverse of write_trajectory_binary: (lo, hi, times, values) arrays.
+
+    Raises ValueError, stating the expected and found byte counts, when the
+    file size does not match its header.
+    """
+    found = os.path.getsize(path)
     with open(path, "rb") as fh:
-        n = int(np.fromfile(fh, dtype="<i8", count=1)[0])
-        lo, hi = np.fromfile(fh, dtype="<f8", count=2)
-        n_steps = int(np.fromfile(fh, dtype="<i8", count=1)[0])
-        times = []
-        fields = []
-        for _ in range(n_steps):
-            times.append(float(np.fromfile(fh, dtype="<f8", count=1)[0]))
-            fields.append(np.fromfile(fh, dtype="<f8", count=n))
-    return float(lo), float(hi), times, fields
+        head = np.fromfile(fh, dtype="<i8", count=4)
+        n, n_steps = (int(head[0]), int(head[3])) if head.size == 4 else (0, 0)
+        expected = 32 + 8 * n_steps * (n + 1)
+        if n < 1 or n_steps < 0 or found != expected:
+            raise ValueError(f"{path}: {n_steps} steps of {n} cells take "
+                             f"{expected} bytes, found {found}")
+        payload = np.fromfile(fh, dtype="<f8").reshape(n_steps, n + 1)
+    lo, hi = head[1:3].view("<f8")
+    return float(lo), float(hi), payload[:, 0], payload[:, 1:]
 
 
 @dataclass(frozen=True)
@@ -520,11 +520,11 @@ def entropy_audit(traj: Trajectory, spec: NonlinearitySpec) -> list[EntropyRecor
     records = []
     cumulative = 0.0
     prev_t = 0.0
-    for i, (t, fld) in enumerate(zip(traj.times, traj.fields)):
+    for i, (t, row) in enumerate(zip(traj.times.tolist(), traj.values)):
         h = t - prev_t
         prev_t = t
-        cumulative += h * dissipation_of(fld.values)
-        s = entropy_of(fld.values)
+        cumulative += h * dissipation_of(row)
+        s = entropy_of(row)
         records.append(EntropyRecord(step=i + 1, t=t, entropy=s,
                                      cumulative_dissipation=cumulative,
                                      audit_value=s + cumulative - s0))

@@ -22,7 +22,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analysis import w1_distance
+# w1_distance is unused here but stays importable: the traced benchmark
+# patches it by name (ROADMAP item 1).
+from .analysis import w1_distance  # noqa: F401
 from .coefficients import DriftSpec, NonlinearitySpec, sigma_squared
 
 __all__ = [
@@ -92,7 +94,6 @@ class ParticleEnsemble:
     t: float
     seed: int
     step_index: int
-    bandwidth: float
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -133,7 +134,7 @@ def seed_from_density(density, n: int, seed: int, lo: float, hi: float,
 
     The CDF is built on a fine quadrature grid (trapezoid) concentrated on
     the region where the density is nonzero; the input mass must be 1 to
-    within 1e-6.  The ensemble carries the Silverman bandwidth of the sample.
+    within 1e-6.
     """
     probe = np.linspace(lo, hi, 16385)
     pv = np.maximum(np.asarray(density(probe), dtype=float), 0.0)
@@ -151,8 +152,7 @@ def seed_from_density(density, n: int, seed: int, lo: float, hi: float,
         raise ValueError(f"density mass {mass} deviates from 1 by more than 1e-6")
     uni = _noise_block(seed, 0, n, kind="uniform")
     positions = np.interp(uni * mass, cdf, x)
-    return ParticleEnsemble(positions=positions, t=t0, seed=seed, step_index=0,
-                            bandwidth=_silverman_bandwidth(positions))
+    return ParticleEnsemble(positions=positions, t=t0, seed=seed, step_index=0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +164,14 @@ def _kernel_profile(z: np.ndarray) -> np.ndarray:
     return 0.75 * np.maximum(1.0 - z * z, 0.0)
 
 
-def kde_density(ensemble: ParticleEnsemble, x):
+def kde_density(ensemble: ParticleEnsemble, bandwidth: float, x):
     """Exact Epanechnikov kernel sum (1/N) sum_i K_h(x - X_i) at the queries.
 
     Nonnegative by construction, integrates to 1 and vanishes farther than
     one bandwidth from every particle.  Meant for point queries and
     verification; the step loop uses the binned estimator below.
     """
-    h = ensemble.bandwidth
+    h = bandwidth
     if h <= 0:
         raise ValueError("bandwidth must be positive")
     xq = np.atleast_1d(np.asarray(x, dtype=float))
@@ -183,14 +183,15 @@ def kde_density(ensemble: ParticleEnsemble, x):
     return out if np.ndim(x) else float(out[0])
 
 
-def frozen_density(ensemble: ParticleEnsemble, n_grid_cells: int = 4096):
+def frozen_density(ensemble: ParticleEnsemble, bandwidth: float,
+                   n_grid_cells: int = 4096):
     """Binned KDE snapshot: returns an evaluator x -> u_hat(x).
 
     The particle histogram is convolved with the Epanechnikov kernel at the
-    ensemble's bandwidth on an auxiliary grid much finer than the bandwidth
-    and evaluated by linear interpolation; this is the O(N + grid) stand-in
-    for the exact kernel sum inside the step loop, with binning error
-    O((grid/h)^2).  Deterministic given positions.
+    bandwidth h on an auxiliary grid much finer than h and evaluated by
+    linear interpolation; this is the O(N + grid) stand-in for the exact
+    kernel sum inside the step loop, with binning error O((grid/h)^2).
+    Deterministic given positions.
 
     The grid is uniform, so the evaluator finds each query's cell directly
     from (x - lo)/step and corrects that guess by one node comparison on
@@ -199,7 +200,7 @@ def frozen_density(ensemble: ParticleEnsemble, n_grid_cells: int = 4096):
     operation, so the result is bit-identical to
     np.interp(x, grid, dens, left=0, right=0) at every finite x and NaN.
     """
-    h = ensemble.bandwidth
+    h = bandwidth
     pos = ensemble.positions
     lo = float(pos.min()) - 2.0 * h
     hi = float(pos.max()) + 2.0 * h
@@ -273,7 +274,6 @@ class RunResult:
     times: list[float] = field(default_factory=list)
     means: list[float] = field(default_factory=list)
     variances: list[float] = field(default_factory=list)
-    reference_w1: list[float] = field(default_factory=list)
     position_snapshots: list[np.ndarray] = field(default_factory=list)
     final: ParticleEnsemble | None = None
 
@@ -301,9 +301,8 @@ def _steps(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
     """
     bound = 10.0 * DOMAIN_BOUND
     for _ in range(int(round((config.T - config.t0) / config.dt))):
-        bw = _silverman_bandwidth(ensembles[0].positions)
-        ensembles = tuple(replace(e, bandwidth=bw) for e in ensembles)
-        density = frozen_density(ensembles[0])
+        density = frozen_density(
+            ensembles[0], _silverman_bandwidth(ensembles[0].positions))
         ensembles = tuple(em_step(e, config.dt, spec, drift, density,
                                   config.linf_clamp) for e in ensembles)
         for e in ensembles:
@@ -317,17 +316,16 @@ def _steps(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
 
 
 def run(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
-        initial_density, snapshot_times=None, reference_density=None,
+        initial_density, snapshot_times=None,
         keep_positions: bool = False) -> RunResult:
     """Advance the ensemble from t0 to T, recording snapshot statistics.
 
     initial_density is sampled by inverse CDF on [-DOMAIN_BOUND, DOMAIN_BOUND].
     Each step refreshes the Silverman bandwidth, freezes one Epanechnikov
     density and leaves its one lookup at the particles to em_step.
-    Snapshots record empirical mean, variance and the Wasserstein-1 distance
-    to reference_density(t) when provided; with keep_positions the particle
-    positions at each snapshot are retained for dumps.  A watchdog aborts if
-    any particle leaves 10 * DOMAIN_BOUND.
+    Snapshots record empirical mean and variance; with keep_positions the
+    particle positions at each snapshot are retained for dumps.  A watchdog
+    aborts if any particle leaves 10 * DOMAIN_BOUND.
     """
     ens = _seeded(config, initial_density)
     if snapshot_times is None:
@@ -341,9 +339,6 @@ def run(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
         result.times.append(e.t)
         result.means.append(float(np.mean(e.positions)))
         result.variances.append(float(np.var(e.positions)))
-        if reference_density is not None:
-            result.reference_w1.append(
-                w1_distance(e.positions, reference_density(e.t)))
         if keep_positions:
             result.position_snapshots.append(e.positions.copy())
 

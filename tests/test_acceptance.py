@@ -130,11 +130,11 @@ def test_criterion_4_linf_bound():
         -6, 6, 1000, lambda x: np.exp(-x * x / 2) / math.sqrt(2 * math.pi)).normalized()
     traj = step_chain(nu, 1.0, SolverConfig(lambda_step=1e-3), SPEC2, drift)
     c = drift.combined_sup()
-    worst_drift = max(f.linf() / (math.exp(math.sqrt(c) * t) * nu.linf())
-                      for t, f in zip(traj.times, traj.fields))
+    worst_drift = max(row.max() / (math.exp(math.sqrt(c) * t) * nu.linf())
+                      for t, row in zip(traj.times, traj.values))
 
     traj0 = step_chain(nu, 0.3, SolverConfig(lambda_step=1e-3), SPEC2, ZERO_DRIFT)
-    worst_free = max(f.linf() / nu.linf() for f in traj0.fields)
+    worst_free = traj0.values.max() / nu.linf()
     report("criterion 4 (sup-norm bound)",
            worst_drift <= 1.001 and worst_free <= 1.0 + 1e-6,
            f"drifted ratio={worst_drift:.6f} (tol 1.001), "
@@ -152,8 +152,9 @@ def test_criterion_5_mass_and_positivity():
     worst_min = 0.0
     clipped = 0.0
     for traj in (traj2, traj4):
-        worst_mass = max(worst_mass, max(abs(f.mass() - 1.0) for f in traj.fields))
-        worst_min = min(worst_min, min(f.values.min() for f in traj.fields))
+        masses = traj.values.sum(axis=1) * traj.initial.cell_width
+        worst_mass = max(worst_mass, float(np.max(np.abs(masses - 1.0))))
+        worst_min = min(worst_min, float(traj.values.min()))
         clipped = max(clipped, traj.total_clipped_mass())
     report("criterion 5 (mass and positivity)",
            worst_mass <= 1e-8 and worst_min >= 0.0 and clipped <= 1e-6,

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -147,9 +148,26 @@ def test_fpe_run_with_drift_and_binary_trajectory(tmp_path):
                  output_dir=tmp_path)
     assert run_scenario(s) == 0
     from nemytskii_lab.fpe_solver import read_trajectory_binary
-    lo, hi, times, fields = read_trajectory_binary(tmp_path / "trajectory.bin")
+    lo, hi, times, values = read_trajectory_binary(tmp_path / "trajectory.bin")
     assert (lo, hi) == (-4.0, 4.0)
-    assert len(times) == len(fields) == 10
+    assert times.shape == (10,) and values.shape == (10, 200)
+
+
+def test_fpe_run_holds_one_copy_of_the_iterates(tmp_path):
+    # 300 steps of 2000 cells: the chain's (300, 2000) array takes 4.8 MB.
+    # The traced peak measured 1.15x that; one more full-size array over the
+    # iterates, such as np.abs of them, takes it above 2x.
+    s = Scenario(name="fpe-run",
+                 params={"m": 2.0, "t0": 0.1, "T": 0.4, "n_cells": 2000,
+                         "h": 1e-3},
+                 output_dir=tmp_path)
+    tracemalloc.start()
+    try:
+        assert run_scenario(s) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 300 * 2000 * 8
 
 
 def test_compare_scenario(tmp_path):

@@ -280,9 +280,9 @@ def test_step_chain_barenblatt_accuracy_coarse():
 def test_step_chain_mass_and_positivity():
     nu = barenblatt_field(0.1)
     traj = step_chain(nu, 0.45, SolverConfig(lambda_step=2.5e-3), SPEC, ZERO_DRIFT)
-    for fld in traj.fields:
-        assert abs(fld.mass() - 1.0) <= 1e-8
-        assert fld.values.min() >= 0.0
+    masses = traj.values.sum(axis=1) * nu.cell_width
+    assert np.max(np.abs(masses - 1.0)) <= 1e-8
+    assert traj.values.min() >= 0.0
     assert traj.total_clipped_mass() <= 1e-6
 
 
@@ -290,7 +290,7 @@ def test_step_chain_linf_nonincreasing_without_drift():
     nu = random_smooth_field(3)
     traj = step_chain(nu, 0.05, SolverConfig(lambda_step=2.5e-3), SPEC, ZERO_DRIFT)
     cap = nu.linf() * (1 + 1e-6)
-    assert all(f.linf() <= cap for f in traj.fields)
+    assert traj.values.max() <= cap
 
 
 def test_step_chain_refinement_is_cauchy():
@@ -305,9 +305,23 @@ def test_step_chain_refinement_is_cauchy():
 def test_step_chain_partial_last_step():
     nu = barenblatt_field(0.1, n=200, lo=-4, hi=4)
     traj = step_chain(nu, 0.025, SolverConfig(lambda_step=1e-2), SPEC, ZERO_DRIFT)
-    assert len(traj.fields) == 3
+    assert traj.values.shape == (3, 200)
     assert traj.times[-1] == pytest.approx(0.025, abs=1e-14)
-    assert traj.field_at(0.015).l1_distance(traj.fields[1]) == 0.0
+    assert np.array_equal(traj.field_at(0.015).values, traj.values[1])
+    # a time at a step's end belongs to that step; past T reads the last step
+    assert np.array_equal(traj.field_at(traj.times[0]).values, traj.values[0])
+    assert np.array_equal(traj.field_at(1.0).values, traj.values[2])
+
+
+def test_step_chain_keeps_only_the_filled_rows():
+    # ceil(0.035 / 0.005) is 8, but 7 steps already reach T, so the array
+    # allocated for 8 iterates holds 7
+    nu = barenblatt_field(0.1, n=200, lo=-4, hi=4)
+    traj = step_chain(nu, 0.035, SolverConfig(lambda_step=5e-3), SPEC, ZERO_DRIFT)
+    assert traj.values.shape == (7, 200)
+    assert traj.times.shape == (7,) and len(traj.infos) == 7
+    assert traj.times[-1] == pytest.approx(0.035, abs=1e-14)
+    assert np.array_equal(traj.final.values, traj.infos[-1].field.values)
 
 
 def test_step_chain_clipped_mass_budget_aborts(monkeypatch):
@@ -339,9 +353,9 @@ def test_step_chain_drift_linf_bound():
     nu = gaussian_field(n=400)
     traj = step_chain(nu, 0.5, SolverConfig(lambda_step=2e-3), SPEC, drift)
     c = drift.combined_sup()
-    for t, fld in zip(traj.times, traj.fields):
-        assert fld.linf() <= math.exp(math.sqrt(c) * t) * nu.linf() * 1.001
-        assert abs(fld.mass() - 1.0) <= 1e-8
+    for t, row in zip(traj.times, traj.values):
+        assert row.max() <= math.exp(math.sqrt(c) * t) * nu.linf() * 1.001
+        assert abs(row.sum() * nu.cell_width - 1.0) <= 1e-8
 
 
 # -- semigroup distance -------------------------------------------------------
@@ -369,11 +383,50 @@ def test_semigroup_distance_disjoint_supports():
     assert ratio <= 1.0 + 1e-6
 
 
+def _step_ratios(t1, t2, denom):
+    """Each step's ||u1 - u2||_1 / denom through GridField.l1_distance."""
+    lo, hi = t1.initial.lo, t1.initial.hi
+    return [GridField(lo, hi, a).l1_distance(GridField(lo, hi, b)) / denom
+            for a, b in zip(t1.values, t2.values)]
+
+
+def test_semigroup_distance_is_the_worst_step_ratio_bit_for_bit():
+    drift = tanh_drift(0.25)
+    cfg = SolverConfig(lambda_step=2e-3)
+    nu1, nu2 = random_smooth_field(7), random_smooth_field(8)
+    ratios = _step_ratios(step_chain(nu1, 0.02, cfg, SPEC, drift),
+                          step_chain(nu2, 0.02, cfg, SPEC, drift),
+                          nu1.l1_distance(nu2))
+    assert len(ratios) == 10
+    assert semigroup_distance(nu1, nu2, 0.02, cfg, SPEC, drift) == max(ratios)
+
+
+def test_semigroup_distance_reads_every_step(monkeypatch):
+    # a contraction's worst ratio is at step 1, so chains whose distance
+    # grows check that the later steps are read as well
+    nu1, nu2 = random_smooth_field(7), random_smooth_field(8)
+    weights = np.array([0.1, 0.4, 0.2, 0.9, 0.3])
+
+    def fake_chain(nu, T, config, spec, drift):
+        s = weights[:, None] if nu is nu2 else np.zeros((weights.size, 1))
+        values = (1.0 - s) * nu1.values + s * nu2.values
+        return Trajectory(initial=nu, times=np.arange(1.0, 6.0), values=values,
+                          infos=[])
+
+    ratios = _step_ratios(fake_chain(nu1, 0, 0, 0, 0), fake_chain(nu2, 0, 0, 0, 0),
+                          nu1.l1_distance(nu2))
+    monkeypatch.setattr(fpe_solver, "step_chain", fake_chain)
+    got = semigroup_distance(nu1, nu2, 1.0, SolverConfig(lambda_step=1e-2),
+                             SPEC, ZERO_DRIFT)
+    assert got == max(ratios) == ratios[3]
+
+
 # -- entropy audit -------------------------------------------------------------
 
 def test_entropy_audit_zero_field():
     zero = GridField(-2, 2, np.zeros(32))
-    traj = Trajectory(initial=zero, times=[0.01], fields=[zero], infos=[])
+    traj = Trajectory(initial=zero, times=np.array([0.01]),
+                      values=zero.values[None, :], infos=[])
     rec = entropy_audit(traj, SPEC)[0]
     assert rec.entropy == 0.0
     assert rec.cumulative_dissipation == 0.0
@@ -394,10 +447,25 @@ def test_trajectory_binary_roundtrip(tmp_path):
     traj = step_chain(nu, 0.02, SolverConfig(lambda_step=1e-2), SPEC, ZERO_DRIFT)
     path = tmp_path / "traj.bin"
     write_trajectory_binary(traj, path)
-    lo, hi, times, fields = read_trajectory_binary(path)
+    lo, hi, times, values = read_trajectory_binary(path)
     assert (lo, hi) == (-3.0, 3.0)
-    assert times == traj.times
-    assert all(np.array_equal(a, b.values) for a, b in zip(fields, traj.fields))
+    assert np.array_equal(times, traj.times)
+    assert np.array_equal(values, traj.values)
+
+
+@pytest.mark.parametrize("cut", [-100, -8, 8])
+def test_trajectory_binary_wrong_size_raises(tmp_path, cut):
+    from nemytskii_lab.fpe_solver import read_trajectory_binary, write_trajectory_binary
+    nu = barenblatt_field(0.1, n=64, lo=-3, hi=3)
+    traj = step_chain(nu, 0.02, SolverConfig(lambda_step=1e-2), SPEC, ZERO_DRIFT)
+    path = tmp_path / "traj.bin"
+    write_trajectory_binary(traj, path)
+    data = path.read_bytes()
+    assert len(data) == 32 + 2 * 65 * 8
+    path.write_bytes(data[:cut] if cut < 0 else data + bytes(cut))
+    with pytest.raises(ValueError, match=f"2 steps of 64 cells take 1072 bytes, "
+                                         f"found {1072 + cut}"):
+        read_trajectory_binary(path)
 
 
 def test_entropy_audit_barenblatt_dissipation_bounded():

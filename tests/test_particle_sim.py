@@ -69,36 +69,36 @@ def test_seed_uniform_ks_envelope():
 
 def test_kde_single_cluster_peak():
     pos = np.zeros(500)
-    ens = ParticleEnsemble(positions=pos, t=0.0, seed=0, step_index=0, bandwidth=0.5)
+    ens = ParticleEnsemble(positions=pos, t=0.0, seed=0, step_index=0)
     # the Epanechnikov peak 0.75/h
-    assert kde_density(ens, 0.0) == pytest.approx(0.75 / 0.5, abs=1e-12)
+    assert kde_density(ens, 0.5, 0.0) == pytest.approx(0.75 / 0.5, abs=1e-12)
 
 
 def test_kde_compact_support_vanishes():
     rng = np.random.default_rng(0)
     ens = ParticleEnsemble(positions=rng.uniform(-1, 1, 500), t=0.0, seed=0,
-                           step_index=0, bandwidth=0.2)
-    assert kde_density(ens, 5.0) == 0.0
+                           step_index=0)
+    assert kde_density(ens, 0.2, 5.0) == 0.0
 
 
 def test_kde_consistency_at_center():
     ens = seed_from_density(lambda x: barenblatt_eval(P2, 1.0, x), 100_000, 3,
                             -5, 5, t0=1.0)
-    val = kde_density(ens, 0.0)
+    val = kde_density(ens, particle_sim._silverman_bandwidth(ens.positions), 0.0)
     assert val == pytest.approx(P2.C_norm, rel=0.05)
 
 
 def test_binned_density_tracks_exact_kernel_sum():
     ens = seed_from_density(BB_INIT, 20_000, 4, -5, 5, t0=T0)
-    approx = frozen_density(ens)
+    bw = particle_sim._silverman_bandwidth(ens.positions)
+    approx = frozen_density(ens, bw)
     xs = np.linspace(-1.2, 1.2, 41)
-    exact = kde_density(ens, xs)
+    exact = kde_density(ens, bw, xs)
     assert np.max(np.abs(approx(xs) - exact)) <= 2e-3 * max(1.0, exact.max())
 
 
-def _interp_reference(ens, n_grid_cells):
+def _interp_reference(ens, h, n_grid_cells):
     """frozen_density's grid and values, evaluated by np.interp's search."""
-    h = ens.bandwidth
     pos = ens.positions
     lo = float(pos.min()) - 2.0 * h
     hi = float(pos.max()) + 2.0 * h
@@ -120,9 +120,9 @@ def test_frozen_density_lookup_is_np_interp_bit_for_bit(seed, n, scale, center,
                                                         cells):
     rng = np.random.default_rng(seed)
     pos = center + scale * rng.standard_normal(n)
-    ens = ParticleEnsemble(positions=pos, t=0.0, seed=seed, step_index=0,
-                           bandwidth=particle_sim._silverman_bandwidth(pos))
-    grid, reference = _interp_reference(ens, cells)
+    ens = ParticleEnsemble(positions=pos, t=0.0, seed=seed, step_index=0)
+    bw = particle_sim._silverman_bandwidth(pos)
+    grid, reference = _interp_reference(ens, bw, cells)
     span = grid[-1] - grid[0]
     queries = np.concatenate([
         pos,                                       # in range
@@ -131,7 +131,7 @@ def test_frozen_density_lookup_is_np_interp_bit_for_bit(seed, n, scale, center,
         np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
         rng.uniform(grid[0] - 0.1 * span, grid[-1] + 0.1 * span, n),
     ])
-    got = frozen_density(ens, cells)(queries)
+    got = frozen_density(ens, bw, cells)(queries)
     assert np.array_equal(got.view(np.int64), reference(queries).view(np.int64))
 
 
@@ -148,7 +148,7 @@ def test_em_step_vacuum_is_frozen():
 def test_em_step_increment_scale():
     n = 200_000
     pos = np.zeros(n)
-    ens = ParticleEnsemble(positions=pos, t=0.0, seed=9, step_index=0, bandwidth=0.1)
+    ens = ParticleEnsemble(positions=pos, t=0.0, seed=9, step_index=0)
     out = em_step(ens, 1e-2, SPEC2, ZERO_DRIFT,
                   density=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5),
                   clamp=CLAMP)
@@ -158,7 +158,7 @@ def test_em_step_increment_scale():
 
 def test_em_step_determinism():
     ens = seed_from_density(BB_INIT, 1000, 6, -5, 5, t0=T0)
-    density = frozen_density(ens)
+    density = frozen_density(ens, particle_sim._silverman_bandwidth(ens.positions))
     a = em_step(ens, 1e-3, SPEC2, ZERO_DRIFT, density=density, clamp=CLAMP)
     b = em_step(ens, 1e-3, SPEC2, ZERO_DRIFT, density=density, clamp=CLAMP)
     assert np.array_equal(a.positions, b.positions)
@@ -170,8 +170,8 @@ def test_em_step_non_finite_position_names_the_particle():
         E=lambda x: np.where(np.asarray(x) > 0, np.nan, 0.0), b0=1.0,
         sup_norm_E=1.0, div_E_minus_sup=0.0)
     with pytest.raises(SimulationError) as err:
-        em_step(ens, 1e-3, SPEC2, nan_right, density=frozen_density(ens),
-                clamp=CLAMP)
+        density = frozen_density(ens, particle_sim._silverman_bandwidth(ens.positions))
+        em_step(ens, 1e-3, SPEC2, nan_right, density=density, clamp=CLAMP)
     assert err.value.particle_index == int(np.flatnonzero(ens.positions > 0)[0])
 
 
