@@ -3,7 +3,6 @@
 from .coefficients import (
     DriftSpec,
     NonlinearitySpec,
-    RegularizationParams,
     beta_epsilon,
     beta_eval,
     beta_tilde_epsilon,
@@ -38,7 +37,6 @@ from .fpe_solver import (
 __all__ = [
     "DriftSpec",
     "NonlinearitySpec",
-    "RegularizationParams",
     "beta_epsilon",
     "beta_eval",
     "beta_tilde_epsilon",

@@ -23,6 +23,7 @@ from . import analysis, closed_form, particle_sim
 from .coefficients import DriftSpec, NonlinearitySpec, check_hypotheses, lambda_zero
 from .fpe_solver import (
     MAX_CLIPPED_MASS,
+    NEWTON_TOL,
     GridField,
     SolverConfig,
     entropy_audit,
@@ -84,7 +85,7 @@ def parse_config(text: str) -> Scenario:
             f"unknown drift {drift!r}; allowed: {', '.join(_DRIFT_TABLE)}")
     if "m" in params:
         m = params["m"]
-        if not isinstance(m, (int, float)) or m <= 1:
+        if not isinstance(m, (int, float)) or not m > 1:
             problems.append("m must exceed 1 (power-law exponent range)")
     if problems:
         raise ConfigError(problems)
@@ -243,7 +244,6 @@ def _w1_row(check_id: str, problem: Problem, positions, t: float, grid) -> Check
     return _bound_check(check_id, analysis.w1_distance(positions, ref), 0.05, 0.0)
 
 
-
 def _run_barenblatt_verify(params, problem: Problem, out: Path) -> list[Check]:
     p = problem.source
     checks = []
@@ -254,15 +254,6 @@ def _run_barenblatt_verify(params, problem: Problem, out: Path) -> list[Check]:
     for t in (0.1, 1.0, 10.0):
         mass = closed_form.barenblatt_mass(p, t)
         checks.append(_bound_check(f"mass_t={t:g}", abs(mass - 1.0), 1e-9, 0.0))
-    n_profile = int(params.get("profile_samples", 0))
-    if n_profile > 0:
-        with _Artifact(out / "profile.csv") as fh:
-            fh.write("t,x,u\n")
-            for t in (0.1, 1.0, 10.0):
-                R = p.support_radius(t)
-                for x in np.linspace(p.x0 - 1.2 * R, p.x0 + 1.2 * R, n_profile):
-                    fh.write(f"{_fmt(t)},{_fmt(float(x))},"
-                             f"{_fmt(closed_form.barenblatt_eval(p, t, float(x)))}\n")
     return checks
 
 
@@ -270,8 +261,7 @@ def _run_fpe(params, problem: Problem, out: Path) -> list[Check]:
     t0 = float(params["t0"])
     T_final = float(params["T"])
     grid = _grid(params)
-    config = SolverConfig(lambda_step=float(params["h"]),
-                          epsilon_reg=float(params.get("epsilon_reg", 1e-12)))
+    config = SolverConfig(lambda_step=float(params["h"]))
     nu = problem.field(t0, *grid).normalized()
     traj = step_chain(nu, T_final - t0, config, problem.spec, problem.drift)
     times, values = traj.times.tolist(), traj.values   # row i is u at times[i]
@@ -284,8 +274,7 @@ def _run_fpe(params, problem: Problem, out: Path) -> list[Check]:
     # Measured 0.0 on every CLI fpe config; the margin is the solve's
     # residual tolerance, below which the values are not resolved.
     undershoot = max(0.0, -min(info.preclip_min for info in traj.infos))
-    checks.append(_bound_check("preclip_undershoot", undershoot,
-                               config.newton_tol, 0.0))
+    checks.append(_bound_check("preclip_undershoot", undershoot, NEWTON_TOL, 0.0))
     checks.append(_bound_check("clipped_mass", traj.total_clipped_mass(),
                                MAX_CLIPPED_MASS, 0.0))
     c = problem.drift.combined_sup()
@@ -306,7 +295,7 @@ def _run_fpe(params, problem: Problem, out: Path) -> list[Check]:
     if params.get("trajectory_format", "csv") == "binary":
         write_trajectory_binary(traj, out / "trajectory.bin")
     else:
-        stride = int(params.get("snapshot_stride", max(1, len(times) // 10)))
+        stride = max(1, len(times) // 10)
         with _Artifact(out / "trajectory.csv") as fh:
             fh.write("step,t,cell_center,value\n")
             centers = [_fmt(x) for x in nu.centers.tolist()]
@@ -326,7 +315,6 @@ def _sim_config(params, problem: Problem) -> particle_sim.SimConfig:
     return particle_sim.SimConfig(
         n_particles=int(params["n_particles"]), dt=float(params["dt"]),
         t0=t0, T=float(params["T"]), seed=int(params.get("seed", 0)),
-        coupling_delta=float(params.get("delta", 1e-6)),
         linf_clamp=2.0 * problem.density(t0)(problem.source.x0))
 
 
@@ -413,8 +401,7 @@ def _run_coupling(params, problem: Problem, out: Path) -> list[Check]:
         worst = max(r.sup_distance for r in records)
         checks.append(_bound_check("zero_perturbation_sup", worst, 0.0, 0.0))
     else:
-        checks.append(_bound_check("terminal_sup_distance", terminal,
-                                   float(params.get("sup_bound", 1e-2)), 0.0))
+        checks.append(_bound_check("terminal_sup_distance", terminal, 1e-2, 0.0))
     with _Artifact(out / "coupling.ndjson") as fh:
         for r in records:
             fh.write(json.dumps({"t": r.t, "sup_distance": r.sup_distance,

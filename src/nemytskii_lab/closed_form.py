@@ -74,7 +74,7 @@ def make_barenblatt(d: int, m: float, x0: float = 0.0) -> BarenblattParams:
     Only d = 1 is supported in the default build (d = 2 is excluded by design;
     radial d >= 3 is not wired up).  m must exceed 1.
     """
-    if m <= 1.0:
+    if not m > 1.0:
         raise ValueError(f"m must exceed 1, got {m}")
     if d != 1:
         raise ValueError("only d = 1 is supported")
@@ -147,7 +147,7 @@ def regularity_threshold(m: float, p: float) -> tuple[float, bool]:
     stated time integrability; the boolean is the hypothesis under which the
     regularity below the ceiling is actually attained.
     """
-    if m <= 1.0:
+    if not m > 1.0:
         raise ValueError(f"m must exceed 1, got {m}")
     if not 0.0 < p <= m:
         raise ValueError(f"p must lie in (0, m], got {p}")

@@ -22,7 +22,6 @@ from scipy import integrate, interpolate, optimize
 __all__ = [
     "NonlinearitySpec",
     "DriftSpec",
-    "RegularizationParams",
     "HypothesesReport",
     "beta_eval",
     "sigma_squared",
@@ -71,7 +70,7 @@ class NonlinearitySpec:
     _spline: object | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.m <= 1.0:
+        if not self.m > 1.0:
             raise ValueError(f"m must exceed 1, got {self.m}")
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError(f"zeta must lie in [0, 1], got {self.zeta}")
@@ -202,17 +201,6 @@ class DriftSpec:
         if self.sup_div_minus_plus_E is not None:
             return self.sup_div_minus_plus_E
         return self.div_E_minus_sup + self.sup_norm_E
-
-
-@dataclass(frozen=True)
-class RegularizationParams:
-    """Single regularization level shared by beta_eps, b_eps and the E cutoff (radius 1/eps)."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
 
 # ---------------------------------------------------------------------------
@@ -511,17 +499,19 @@ class HypothesesReport:
         return all(c["pass"] for c in self.clauses.values())
 
 
-def check_hypotheses(spec: NonlinearitySpec, drift: DriftSpec,
-                     k_grid=(0.5, 1.0, 2.0, 5.0), n_samples: int = 400) -> HypothesesReport:
+def check_hypotheses(spec: NonlinearitySpec, drift: DriftSpec) -> HypothesesReport:
     """Sample the growth/positivity/compatibility clauses and report witnesses.
 
-    The Lipschitz clause for b o (G o beta^{1/2})^{-1} is checked on a compact
-    grid only and is advisory; no constructive criterion exists for general b.
+    The beta envelope is checked on [0, K] for K in 0.5, 1, 2 and 5, and each
+    sampled clause uses 400 points.  The Lipschitz clause for
+    b o (G o beta^{1/2})^{-1} is checked on a compact grid only and is
+    advisory; no constructive criterion exists for general b.
     """
     clauses = {}
+    n_samples = 400
 
     # growth envelope of beta on [0, K]: a_K r^(m-1) <= beta'(r), beta(r) <= C_K r^m
-    for K in k_grid:
+    for K in (0.5, 1.0, 2.0, 5.0):
         r = np.linspace(0.0, K, n_samples)[1:]
         lower = np.asarray(spec.beta_prime(r)) / r ** (spec.m - 1.0)
         upper = np.asarray(spec.beta(r)) / r ** spec.m

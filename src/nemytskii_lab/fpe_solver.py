@@ -36,7 +36,6 @@ from scipy.linalg.lapack import dgtsv
 from .coefficients import (  # noqa: F401
     DriftSpec,
     NonlinearitySpec,
-    RegularizationParams,
     beta_tilde_epsilon,
     beta_tilde_epsilon_prime,
     beta_tilde_from_resolvent,
@@ -63,10 +62,21 @@ __all__ = [
     "write_trajectory_binary",
     "read_trajectory_binary",
     "MAX_CLIPPED_MASS",
+    "EPSILON_REG",
+    "NEWTON_TOL",
+    "NEWTON_MAX_ITER",
 ]
 
 # budget for the undershoot mass a chain may clip away, summed over its steps
 MAX_CLIPPED_MASS = 1e-6
+# regularization level of beta_tilde_eps, b_eps and the E cutoff (radius
+# 1/eps); the absorption lam*eps*beta_tilde_eps(u) it adds to the operator
+# removes far less mass over a run than the 1e-8 conservation budget
+EPSILON_REG = 1e-12
+# Newton stops once the discrete L1 residual is at most NEWTON_TOL and fails
+# if it is still above after NEWTON_MAX_ITER iterations
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 60
 
 
 class SolverError(RuntimeError):
@@ -139,28 +149,19 @@ class GridField:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step size, regularization level and Newton controls for the chain.
+    """Step size h of the chain.
 
-    epsilon_reg enters the operator as the zero-order absorption term
-    lam*eps*beta_tilde_eps(u); it is kept at 1e-12 so the absorbed mass over
-    a full run stays far below the 1e-8 conservation budget.  The boundary
-    is always zero flux, and a chain aborts once its clipped undershoot mass
-    exceeds MAX_CLIPPED_MASS.
+    Every step regularizes at EPSILON_REG and runs Newton to NEWTON_TOL
+    within NEWTON_MAX_ITER iterations.  The boundary is always zero flux,
+    and a chain aborts once its clipped undershoot mass exceeds
+    MAX_CLIPPED_MASS.
     """
 
     lambda_step: float
-    epsilon_reg: float = 1e-12
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 60
 
     def __post_init__(self):
-        if self.lambda_step <= 0:
-            raise ValueError("lambda_step must be positive")
-        if not 0.0 < self.epsilon_reg < 1.0:
-            raise ValueError("epsilon_reg must lie in (0, 1)")
-
-    def regularization(self) -> RegularizationParams:
-        return RegularizationParams(epsilon=self.epsilon_reg)
+        if not self.lambda_step > 0:
+            raise ValueError(f"lambda_step must be positive, got {self.lambda_step!r}")
 
 
 @dataclass(frozen=True)
@@ -213,13 +214,13 @@ class Trajectory:
 
 def _apply_operator(u: np.ndarray, g: np.ndarray, f: GridField,
                     spec: NonlinearitySpec, drift: DriftSpec,
-                    reg: RegularizationParams, e_face: np.ndarray) -> np.ndarray:
+                    e_face: np.ndarray) -> np.ndarray:
     """Regularized operator in flux form; zero boundary flux, so telescoping conserves mass.
 
     g is the Yosida resolvent of u, from which beta_tilde_eps(u) is formed.
     """
     dx = f.cell_width
-    bt = beta_tilde_from_resolvent(spec, reg.epsilon, g, u)
+    bt = beta_tilde_from_resolvent(spec, EPSILON_REG, g, u)
 
     # diffusive flux -D(beta_tilde)/dx at interior interfaces
     dif_flux = np.zeros(u.size + 1)
@@ -228,18 +229,18 @@ def _apply_operator(u: np.ndarray, g: np.ndarray, f: GridField,
     # donor-cell advective flux of E_eps * b_eps(u) * u
     adv_flux = np.zeros(u.size + 1)
     if drift.sup_norm_E > 0:
-        carried = np.asarray(mollified_b(drift, reg.epsilon, u)) * u
+        carried = np.asarray(mollified_b(drift, EPSILON_REG, u)) * u
         ep = np.maximum(e_face[1:-1], 0.0)
         em = np.minimum(e_face[1:-1], 0.0)
         adv_flux[1:-1] = ep * carried[:-1] + em * carried[1:]
 
     div = (dif_flux[1:] + adv_flux[1:] - dif_flux[:-1] - adv_flux[:-1]) / dx
-    return div + reg.epsilon * bt
+    return div + EPSILON_REG * bt
 
 
 def _jacobian_bands(u: np.ndarray, g: np.ndarray, f: GridField,
                     spec: NonlinearitySpec, drift: DriftSpec,
-                    reg: RegularizationParams, e_face: np.ndarray,
+                    e_face: np.ndarray,
                     lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonals (dl, d, du) of the Jacobian of u + lam*A_eps(u); g is u's resolvent.
 
@@ -247,17 +248,17 @@ def _jacobian_bands(u: np.ndarray, g: np.ndarray, f: GridField,
     """
     n = u.size
     dx = f.cell_width
-    btp = beta_tilde_prime_from_resolvent(spec, reg.epsilon, g)
+    btp = beta_tilde_prime_from_resolvent(spec, EPSILON_REG, g)
 
     lap_diag = np.full(n, 2.0)
     lap_diag[0] = lap_diag[-1] = 1.0
-    d = 1.0 + lam * (lap_diag / dx**2 + reg.epsilon) * btp
+    d = 1.0 + lam * (lap_diag / dx**2 + EPSILON_REG) * btp
     du = -lam * btp[1:] / dx**2
     dl = -lam * btp[:-1] / dx**2
 
     if drift.sup_norm_E > 0:
-        b_eps = np.asarray(mollified_b(drift, reg.epsilon, u))
-        gp = b_eps + np.asarray(mollified_b_prime(drift, reg.epsilon, u)) * u
+        b_eps = np.asarray(mollified_b(drift, EPSILON_REG, u))
+        gp = b_eps + np.asarray(mollified_b_prime(drift, EPSILON_REG, u)) * u
         epf = np.maximum(e_face, 0.0)
         emf = np.minimum(e_face, 0.0)
         # boundary faces carry no flux
@@ -282,29 +283,26 @@ def _tridiagonal_solve(bands, rhs: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
-                    drift: DriftSpec, reg: RegularizationParams,
-                    newton_tol: float = 1e-12,
-                    newton_max_iter: int = 60,
-                    out: np.ndarray | None = None,
+                    drift: DriftSpec, out: np.ndarray | None = None,
                     start: np.ndarray | None = None) -> ResolventSolution:
     """One implicit step: solve u + lam*A_eps(u) = f on the grid of f.
 
-    Damped Newton from start (default f's values; step_chain passes its
-    linear predictor) with a tridiagonal Jacobian, solved directly by LAPACK
-    gtsv.  Each residual evaluation solves the Yosida resolvent once, and the
-    accepted iterate's resolvent also gives the next Jacobian.  The line
-    search halves a rejected step up to 12 times; when every trial fails, a
-    damped fixed-point step is tried instead.  The solution reports the
-    halvings and fixed-point fallbacks.  Convergence is measured in discrete
-    L1.  Negative undershoot is clipped at 0 and its mass reported.  The
-    clipped solution is written into out (a float array of f's size) when
-    given.
+    A_eps is regularized at EPSILON_REG.  Damped Newton from start (default
+    f's values; step_chain passes its linear predictor) with a tridiagonal
+    Jacobian, solved directly by LAPACK gtsv.  Each residual evaluation
+    solves the Yosida resolvent once, and the accepted iterate's resolvent
+    also gives the next Jacobian.  The line search halves a rejected step up
+    to 12 times; when every trial fails, a damped fixed-point step is tried
+    instead.  The solution reports the halvings and fixed-point fallbacks.
+    Convergence is measured in discrete L1: Newton stops at NEWTON_TOL.
+    Negative undershoot is clipped at 0 and its mass reported.  The clipped
+    solution is written into out (a float array of f's size) when given.
 
     Raises
     ------
     SolverError
-        If a residual is not finite, the residual has not reached newton_tol
-        after newton_max_iter iterations, a step stalls or the tridiagonal
+        If a residual is not finite, the residual has not reached NEWTON_TOL
+        after NEWTON_MAX_ITER iterations, a step stalls or the tridiagonal
         solve fails (carries the last residual; the message states lam and
         the iteration count).
     """
@@ -312,12 +310,12 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
     if not 0.0 < lam < lam0:
         raise ValueError(f"lambda must lie in (0, {lam0}), got {lam}")
     dx = f.cell_width
-    e_face = np.asarray(cutoff_E(drift, reg.epsilon, f.edges), dtype=float)
+    e_face = np.asarray(cutoff_E(drift, EPSILON_REG, f.edges), dtype=float)
     target = f.values
 
     def residual(u):
-        g = yosida_resolvent(spec, reg.epsilon, u)
-        res = u + lam * _apply_operator(u, g, f, spec, drift, reg, e_face) - target
+        g = yosida_resolvent(spec, EPSILON_REG, u)
+        res = u + lam * _apply_operator(u, g, f, spec, drift, e_face) - target
         return g, res, float(np.sum(np.abs(res)) * dx)
 
     def failure(what, res_l1, iters):
@@ -330,9 +328,9 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
     if not math.isfinite(res_l1):
         raise failure("has a non-finite residual", res_l1, 0)
     iters = halvings = fallbacks = 0
-    while res_l1 > newton_tol and iters < newton_max_iter:
+    while res_l1 > NEWTON_TOL and iters < NEWTON_MAX_ITER:
         delta, info = _tridiagonal_solve(
-            _jacobian_bands(u, g, f, spec, drift, reg, e_face, lam), -res)
+            _jacobian_bands(u, g, f, spec, drift, e_face, lam), -res)
         if info != 0:
             raise failure(f"failed in the tridiagonal solve (gtsv info {info})",
                           res_l1, iters)
@@ -354,8 +352,8 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
             u, g, res, res_l1 = trial, trial_g, trial_res, trial_l1
             fallbacks += 1
         iters += 1
-    if res_l1 > newton_tol:
-        raise failure(f"did not reach tol {newton_tol:.1e}", res_l1, iters)
+    if res_l1 > NEWTON_TOL:
+        raise failure(f"did not reach tol {NEWTON_TOL:.1e}", res_l1, iters)
 
     clipped = float(np.sum(np.maximum(-u, 0.0)) * dx)
     preclip_min = float(u.min())
@@ -372,19 +370,25 @@ def step_chain(nu: GridField, T: float, config: SolverConfig,
                spec: NonlinearitySpec, drift: DriftSpec) -> Trajectory:
     """Run the implicit chain u^(i+1) + h A(u^(i+1)) = u^i from nu up to time T.
 
-    N = ceil(T/h) steps of size h, the last one shortened to land exactly on
-    T.  From the second step on, Newton starts at the linear predictor
-    max(2u^i - u^(i-1), 0) rather than at u^i; on a 4000-cell, 900-step
-    Barenblatt chain this took 2365 iterations instead of 2825.  The initial
-    mass must be 1 to within 1e-8 and the run aborts if the accumulated
-    undershoot clipping exceeds MAX_CLIPPED_MASS.
+    N = ceil(T/h) steps of size h, the last one shortened to land on T.
+    When rounding leaves a last step of at most 1e-9 h (T = 0.14 - 0.1 with
+    h = 1e-3 gives T/h = 40.00000000000001), that step is not taken and the
+    chain ends after N - 1 full steps.  From the second step on, Newton
+    starts at the linear predictor max(2u^i - u^(i-1), 0) rather than at
+    u^i; on a 4000-cell, 900-step Barenblatt chain this took 2365 iterations
+    instead of 2825.  The initial mass must be 1 to within 1e-8 and the run
+    aborts if the accumulated undershoot clipping exceeds MAX_CLIPPED_MASS.
 
     The iterates are the rows of one (N, n_cells) array.  As N separate
     arrays they would sit between the solver's temporaries on the allocator's
     heap, whose fragmentation then varies from process to process: a
     4000-cell, 900-step chain peaked at 114 MB RSS in some processes and at
     128 MB in others.
+
+    Raises ValueError when T is not positive.
     """
+    if not T > 0:
+        raise ValueError(f"chain horizon T must be positive, got T = {T!r}")
     if abs(nu.mass() - 1.0) > 1e-8:
         raise ValueError(f"initial mass must be 1 +- 1e-8, got {nu.mass()}")
     lam0 = lambda_zero(drift)
@@ -393,7 +397,10 @@ def step_chain(nu: GridField, T: float, config: SolverConfig,
                          f"step restriction {lam0}")
     h = config.lambda_step
     n_steps = max(1, math.ceil(T / h))
-    reg = config.regularization()
+    last = T - (n_steps - 1) * h
+    if n_steps > 1 and last <= 1e-9 * h:   # only rounding left it
+        n_steps -= 1
+        last = h
     values = np.empty((n_steps, nu.n_cells))
     times = np.empty(n_steps)
     infos = []
@@ -403,16 +410,12 @@ def step_chain(nu: GridField, T: float, config: SolverConfig,
     t = 0.0
     clipped = 0.0   # running total of the steps' clipped mass
     for i in range(n_steps):
-        lam = h if i < n_steps - 1 else T - (n_steps - 1) * h
-        if lam <= 0:
-            break
+        lam = h if i < n_steps - 1 else last
         start = None if previous is None else \
             np.maximum(2.0 * current.values - previous, 0.0)
         try:
-            sol = resolvent_solve(current, lam, spec, drift, reg,
-                                  newton_tol=config.newton_tol,
-                                  newton_max_iter=config.newton_max_iter,
-                                  out=values[i], start=start)
+            sol = resolvent_solve(current, lam, spec, drift, out=values[i],
+                                  start=start)
         except SolverError as err:
             err.step = i
             raise
@@ -427,9 +430,7 @@ def step_chain(nu: GridField, T: float, config: SolverConfig,
                 f"clipped mass {clipped:.3e} exceeded budget "
                 f"{MAX_CLIPPED_MASS:.1e} at step {i}",
                 residual=sol.residual_l1, step=i)
-    done = len(infos)
-    return Trajectory(initial=nu, times=times[:done], values=values[:done],
-                      infos=infos)
+    return Trajectory(initial=nu, times=times, values=values, infos=infos)
 
 
 def semigroup_distance(nu1: GridField, nu2: GridField, T: float,

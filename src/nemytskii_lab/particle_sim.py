@@ -40,9 +40,11 @@ __all__ = [
     "run",
     "coupling_experiment",
     "DOMAIN_BOUND",
+    "COUPLING_DELTA",
 ]
 
 DOMAIN_BOUND = 50.0   # half-width of the seeding interval; the watchdog is 10x
+COUPLING_DELTA = 1e-6   # length scale of the twins' Lyapunov statistic
 
 
 class SimulationError(RuntimeError):
@@ -59,7 +61,7 @@ class SimConfig:
 
     Each step estimates the density with the Epanechnikov kernel at
     Silverman's bandwidth; linf_clamp caps it where the diffusion coefficient
-    reads it, and coupling_delta scales the pair's Lyapunov statistic.
+    reads it.  A pair's Lyapunov statistic is scaled by COUPLING_DELTA.
     """
 
     n_particles: int
@@ -68,13 +70,12 @@ class SimConfig:
     T: float
     linf_clamp: float
     seed: int = 0
-    coupling_delta: float = 1e-6
 
     def __post_init__(self):
         if self.n_particles < 100:
             raise ValueError("need at least 100 particles")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not self.dt > 0:
+            raise ValueError(f"dt must be positive, got {self.dt!r}")
         if not self.t0 < self.T:
             raise ValueError("need t0 < T")
         if not self.linf_clamp > 0:
@@ -251,7 +252,7 @@ def em_step(ensemble: ParticleEnsemble, dt: float, spec: NonlinearitySpec,
     clamp, the drift uncapped.  Vacuum regions (u_hat = 0) produce exactly
     zero diffusion, preserving the degeneracy.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     pos = ensemble.positions
     dens = np.maximum(np.asarray(density(pos), dtype=float), 0.0)
@@ -366,13 +367,13 @@ def coupling_experiment(config: SimConfig, spec: NonlinearitySpec,
     The second ensemble starts shifted by the perturbation; both are driven
     by identical noise blocks and see the reference ensemble's KDE, mirroring
     two solutions with identical time marginals.  Records the sup separation
-    and the Lyapunov statistic mean_i ln(|Z_i|^2/delta^2 + 1) per step.
+    and the Lyapunov statistic mean_i ln(|Z_i|^2/delta^2 + 1) per step, with
+    delta = COUPLING_DELTA.
     Perturbation 0 reproduces bit-identical trajectories, hence exactly zero
     separation.  The twins step through run's loop, watchdog included.
     """
     if perturbation < 0:
         raise ValueError("perturbation must be nonnegative")
-    delta = config.coupling_delta
     x_ens = _seeded(config, initial_density)
     y_ens = replace(x_ens, positions=x_ens.positions + perturbation)
 
@@ -382,5 +383,5 @@ def coupling_experiment(config: SimConfig, spec: NonlinearitySpec,
         records.append(CouplingRecord(
             t=x_ens.t,
             sup_distance=float(np.max(np.abs(z))),
-            f_delta_mean=float(np.mean(np.log(z * z / delta**2 + 1.0)))))
+            f_delta_mean=float(np.mean(np.log(z * z / COUPLING_DELTA**2 + 1.0)))))
     return records

@@ -57,6 +57,11 @@ def test_parse_collects_all_errors():
     assert "unknown drift 'bogus'" in joined
 
 
+def test_parse_rejects_a_nan_exponent():
+    with pytest.raises(ConfigError, match="m must exceed 1"):
+        parse_config("scenario = barenblatt-verify\nm = nan\n")
+
+
 def test_parse_missing_scenario():
     with pytest.raises(ConfigError, match="scenario"):
         parse_config("m = 2.0\n")
@@ -83,6 +88,29 @@ def test_fpe_run_scenario(tmp_path):
     assert (tmp_path / "trajectory.csv").exists()
     header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
     assert header == "step,t,cell_center,value"
+
+
+@pytest.mark.parametrize("T,stride", [(0.135, 1), (0.255, 3)],
+                         ids=["7-steps", "31-steps"])
+def test_fpe_run_trajectory_csv_keeps_every_tenth_step(tmp_path, T, stride):
+    # N steps are written at steps 1, 1 + s, 1 + 2s, ... with s = max(1, N // 10)
+    n_steps = round((T - 0.1) / 5e-3)
+    s = Scenario(name="fpe-run",
+                 params={"m": 2.0, "t0": 0.1, "T": T, "n_cells": 64,
+                         "h": 5e-3, "lo": -4.0, "hi": 4.0},
+                 output_dir=tmp_path)
+    assert run_scenario(s) == 0
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+    steps = [int(row.split(",", 1)[0]) for row in rows]
+    assert steps == [k for k in range(1, n_steps + 1, stride) for _ in range(64)]
+
+
+def test_fpe_run_with_T_not_after_t0_exits_1_naming_T(tmp_path, capsys):
+    cfg = tmp_path / "backwards.conf"
+    cfg.write_text("scenario = fpe-run\nm = 2.0\nt0 = 0.1\nT = 0.1\n"
+                   "n_cells = 64\nh = 1e-3\n")
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    assert "horizon T" in capsys.readouterr().err
 
 
 def test_failing_check_exits_2_with_full_report(tmp_path):
@@ -254,6 +282,19 @@ def test_regularity_scan_scenario(tmp_path):
 def test_hypotheses_scenario(tmp_path):
     s = Scenario(name="hypotheses-check", params={"m": 2.0}, output_dir=tmp_path)
     assert run_scenario(s) == 0
+
+
+def test_coupling_with_perturbation_gates_the_terminal_distance(tmp_path):
+    s = Scenario(name="coupling",
+                 params={"m": 2.0, "t0": 0.1, "T": 0.13, "n_particles": 1000,
+                         "dt": 1e-3, "perturbation": 1e-3, "seed": 5},
+                 output_dir=tmp_path)
+    assert run_scenario(s) == 0
+    rows = [r for r in read_report(tmp_path / "report.ndjson") if "check_id" in r]
+    assert [r["check_id"] for r in rows] == ["terminal_sup_distance"]
+    assert rows[0]["tolerance"] == 1e-2 and rows[0]["pass"]
+    # measured 1.53e-3; the bound leaves a factor 2 of margin
+    assert 0.0 < rows[0]["achieved"] <= 3e-3
 
 
 @pytest.mark.parametrize("name,params", [

@@ -78,6 +78,8 @@ def test_make_barenblatt_rejections():
         make_barenblatt(1, 1.0)
     with pytest.raises(ValueError):
         make_barenblatt(2, 2.0)
+    with pytest.raises(ValueError, match="m must exceed 1"):
+        make_barenblatt(1, math.nan)
 
 
 def test_moment2_closed_form_and_oracle():

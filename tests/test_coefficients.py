@@ -11,7 +11,6 @@ from nemytskii_lab import coefficients
 from nemytskii_lab.coefficients import (
     DriftSpec,
     NonlinearitySpec,
-    RegularizationParams,
     beta_epsilon,
     beta_eval,
     beta_tilde_epsilon,
@@ -65,6 +64,8 @@ def test_spec_parameter_validation():
         NonlinearitySpec.power_law(1.0)
     with pytest.raises(ValueError, match="2\\*zeta/m"):
         NonlinearitySpec.power_law(1.5, zeta=0.8)
+    with pytest.raises(ValueError, match="m must exceed 1"):
+        NonlinearitySpec.power_law(math.nan)
 
 
 # -- diffusion coefficient ---------------------------------------------------
@@ -338,13 +339,6 @@ def test_lambda_zero_cases():
     d2 = DriftSpec(E=lambda x: x, b=lambda r: np.zeros_like(r), sup_norm_E=4.0,
                    sup_norm_b=0.0, div_E_minus_sup=0.0, sup_div_minus_plus_E=4.0)
     assert lambda_zero(d2) == pytest.approx(0.25, abs=1e-15)
-
-
-def test_regularization_params_contract():
-    assert RegularizationParams(epsilon=0.1).epsilon == 0.1
-    for bad in (0.0, 1.0):
-        with pytest.raises(ValueError):
-            RegularizationParams(epsilon=bad)
 
 
 def _monomial_drift(l: float) -> DriftSpec:

@@ -12,7 +12,6 @@ from nemytskii_lab.closed_form import barenblatt_eval, make_barenblatt
 from nemytskii_lab.coefficients import (
     DriftSpec,
     NonlinearitySpec,
-    RegularizationParams,
     lambda_zero,
 )
 from nemytskii_lab.fpe_solver import (
@@ -28,7 +27,6 @@ from nemytskii_lab.fpe_solver import (
 
 SPEC = NonlinearitySpec.power_law(2.0)
 ZERO_DRIFT = DriftSpec.zero()
-REG = RegularizationParams(epsilon=1e-12)
 P2 = make_barenblatt(1, 2.0)
 
 
@@ -73,13 +71,13 @@ def test_grid_field_validation():
 
 def test_resolvent_zero_input():
     f = GridField(-3, 3, np.zeros(64))
-    sol = resolvent_solve(f, 1e-3, SPEC, ZERO_DRIFT, REG)
+    sol = resolvent_solve(f, 1e-3, SPEC, ZERO_DRIFT)
     assert np.all(sol.field.values == 0.0)
 
 
 def test_resolvent_mass_conservation():
     f = gaussian_field()
-    sol = resolvent_solve(f, 1e-3, SPEC, ZERO_DRIFT, REG)
+    sol = resolvent_solve(f, 1e-3, SPEC, ZERO_DRIFT)
     # independent summation oracle
     oracle_in = math.fsum(f.values) * f.cell_width
     oracle_out = math.fsum(sol.field.values) * f.cell_width
@@ -89,15 +87,15 @@ def test_resolvent_mass_conservation():
 
 def test_resolvent_l1_contraction_pair():
     a, b = random_smooth_field(1), random_smooth_field(2)
-    sa = resolvent_solve(a, 1e-3, SPEC, ZERO_DRIFT, REG)
-    sb = resolvent_solve(b, 1e-3, SPEC, ZERO_DRIFT, REG)
+    sa = resolvent_solve(a, 1e-3, SPEC, ZERO_DRIFT)
+    sb = resolvent_solve(b, 1e-3, SPEC, ZERO_DRIFT)
     assert sa.field.l1_distance(sb.field) <= a.l1_distance(b) + 1e-10
 
 
 def test_resolvent_nonnegativity():
     for seed in range(5):
         f = random_smooth_field(seed)
-        sol = resolvent_solve(f, 5e-3, SPEC, ZERO_DRIFT, REG)
+        sol = resolvent_solve(f, 5e-3, SPEC, ZERO_DRIFT)
         assert sol.field.values.min() >= 0.0
         assert sol.clipped_mass <= 1e-12
         assert sol.preclip_min >= 0.0
@@ -109,14 +107,14 @@ def test_resolvent_step_restriction():
                       sup_div_minus_plus_E=1.0, b_is_constant=True)
     f = gaussian_field(n=64)
     with pytest.raises(ValueError, match="lambda"):
-        resolvent_solve(f, 0.6, SPEC, drift, REG)   # lambda_0 = 0.5 here
+        resolvent_solve(f, 0.6, SPEC, drift)   # lambda_0 = 0.5 here
 
 
 def test_resolvent_small_lambda_consistency():
     f = gaussian_field()
     dists = []
     for lam in (1e-2, 1e-3, 1e-4):
-        sol = resolvent_solve(f, lam, SPEC, ZERO_DRIFT, REG)
+        sol = resolvent_solve(f, lam, SPEC, ZERO_DRIFT)
         dists.append(sol.field.l1_distance(f))
     assert dists[0] > dists[1] > dists[2]
     # O(lambda): each decade shrinks the distance by roughly 10x
@@ -124,11 +122,12 @@ def test_resolvent_small_lambda_consistency():
     assert 5.0 < dists[1] / dists[2] < 20.0
 
 
-def test_resolvent_newton_failure_carries_residual():
+def test_resolvent_newton_failure_carries_residual(monkeypatch):
+    monkeypatch.setattr(fpe_solver, "NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(fpe_solver, "NEWTON_TOL", 1e-14)
     f = gaussian_field(n=64)
     with pytest.raises(SolverError) as err:
-        resolvent_solve(f, 1e-2, SPEC, ZERO_DRIFT, REG, newton_max_iter=1,
-                        newton_tol=1e-14)
+        resolvent_solve(f, 1e-2, SPEC, ZERO_DRIFT)
     assert math.isfinite(err.value.residual)
     assert "lam=0.01" in str(err.value)
     assert "after 1 iterations" in str(err.value)
@@ -144,7 +143,7 @@ def nan_right_drift():
 def test_resolvent_non_finite_residual_raises():
     f = gaussian_field(n=64)
     with pytest.raises(SolverError, match="non-finite residual") as err:
-        resolvent_solve(f, 1e-2, SPEC, nan_right_drift(), REG)
+        resolvent_solve(f, 1e-2, SPEC, nan_right_drift())
     assert math.isnan(err.value.residual)
     assert "lam=0.01" in str(err.value)
     assert "after 0 iterations" in str(err.value)
@@ -169,7 +168,7 @@ def test_resolvent_one_yosida_solve_per_residual_evaluation(monkeypatch, drift):
                         counted("yosida", fpe_solver.yosida_resolvent))
     monkeypatch.setattr(fpe_solver, "_apply_operator",
                         counted("residual", fpe_solver._apply_operator))
-    sol = resolvent_solve(barenblatt_field(0.1), 1e-2, SPEC, drift, REG)
+    sol = resolvent_solve(barenblatt_field(0.1), 1e-2, SPEC, drift)
     assert sol.newton_iters > 0
     # one initial residual, one accepted trial per iteration, one per halving
     assert counts["residual"] == 1 + sol.newton_iters + sol.halvings
@@ -181,7 +180,7 @@ def test_resolvent_fallback_telemetry(monkeypatch):
     # times and then takes the damped fixed-point step
     monkeypatch.setattr(fpe_solver, "_tridiagonal_solve",
                         lambda bands, rhs: (np.zeros_like(rhs), 0))
-    sol = resolvent_solve(gaussian_field(n=64), 1e-3, SPEC, ZERO_DRIFT, REG)
+    sol = resolvent_solve(gaussian_field(n=64), 1e-3, SPEC, ZERO_DRIFT)
     assert sol.fallbacks == sol.newton_iters > 0
     assert sol.halvings == 12 * sol.fallbacks
 
@@ -190,7 +189,7 @@ def test_resolvent_failed_tridiagonal_solve_raises(monkeypatch):
     monkeypatch.setattr(fpe_solver, "_tridiagonal_solve",
                         lambda bands, rhs: (rhs, 3))
     with pytest.raises(SolverError, match="gtsv info 3") as err:
-        resolvent_solve(gaussian_field(n=64), 1e-2, SPEC, ZERO_DRIFT, REG)
+        resolvent_solve(gaussian_field(n=64), 1e-2, SPEC, ZERO_DRIFT)
     assert "lam=0.01" in str(err.value) and "after 0 iterations" in str(err.value)
 
 
@@ -214,7 +213,7 @@ def test_tridiagonal_solve_is_solve_banded_bit_for_bit(n, seed):
 # One zero-flux resolvent step on random data.  (I + lam*A) is L1-accretive,
 # so an iterate with L1 residual r lies within r of the exact solution in L1
 # and within r/dx at every cell.  The bounds below are these residual
-# budgets (newton_tol = 1e-12 per solve).  Over 200 random cases of the same
+# budgets (NEWTON_TOL = 1e-12 per solve).  Over 200 random cases of the same
 # draw, max(u - v) stayed below -6e-4, the relative mass change below 7e-15
 # and the contraction ratio below 0.997.
 PROPERTY_TOL = 1e-12
@@ -229,7 +228,7 @@ def _property_case(m, amp, lam_frac, seed):
     above = GridField(a.lo, a.hi, a.values + bump)
 
     def solve(f):
-        return resolvent_solve(f, lam, spec, drift, REG).field
+        return resolvent_solve(f, lam, spec, drift).field
 
     return a, b, above, solve
 
@@ -314,14 +313,38 @@ def test_step_chain_partial_last_step():
 
 
 def test_step_chain_keeps_only_the_filled_rows():
-    # ceil(0.035 / 0.005) is 8, but 7 steps already reach T, so the array
-    # allocated for 8 iterates holds 7
+    # ceil(0.035 / 0.005) is 8, but 7 steps already reach T, so the eighth,
+    # which rounding leaves at most 1e-9 h long, is not taken
     nu = barenblatt_field(0.1, n=200, lo=-4, hi=4)
     traj = step_chain(nu, 0.035, SolverConfig(lambda_step=5e-3), SPEC, ZERO_DRIFT)
     assert traj.values.shape == (7, 200)
     assert traj.times.shape == (7,) and len(traj.infos) == 7
     assert traj.times[-1] == pytest.approx(0.035, abs=1e-14)
     assert np.array_equal(traj.final.values, traj.infos[-1].field.values)
+
+
+def test_step_chain_skips_a_last_step_left_by_rounding():
+    # the CLI passes T - t0: 0.14 - 0.1 = 0.04000000000000001 puts T/h just
+    # above 40, and a 41st step would last 7e-18
+    T = 0.14 - 0.1
+    nu = barenblatt_field(0.1, n=200, lo=-4, hi=4)
+    traj = step_chain(nu, T, SolverConfig(lambda_step=1e-3), SPEC, ZERO_DRIFT)
+    assert traj.values.shape == (40, 200)
+    assert traj.times.shape == (40,) and len(traj.infos) == 40
+    assert abs(traj.times[-1] - T) <= 1e-15
+
+
+@pytest.mark.parametrize("T", [0.0, -0.05, math.nan])
+def test_step_chain_rejects_a_non_positive_horizon(T):
+    with pytest.raises(ValueError, match="horizon T"):
+        step_chain(barenblatt_field(0.1), T, SolverConfig(lambda_step=1e-3),
+                   SPEC, ZERO_DRIFT)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
+def test_solver_config_rejects_a_non_positive_step(h):
+    with pytest.raises(ValueError, match="lambda_step must be positive"):
+        SolverConfig(lambda_step=h)
 
 
 def test_step_chain_clipped_mass_budget_aborts(monkeypatch):

@@ -274,3 +274,5 @@ def test_sim_config_validation():
         small_config(T=T0)
     with pytest.raises(ValueError):
         small_config(linf_clamp=0.0)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        small_config(dt=math.nan)
