@@ -49,8 +49,9 @@ class Scenario:
 def parse_config(text: str) -> Scenario:
     """Parse flat ``key = value`` lines with # comments into a Scenario.
 
-    Values are typed as int, then float, then bare string.  All problems are
-    collected (with line numbers) before raising.
+    Values are typed as int, then float, then bare string.  A non-finite
+    number and a key the scenario does not read are problems; all problems
+    are collected (with line numbers) before raising.
     """
     problems: list[str] = []
     params: dict = {}
@@ -68,6 +69,8 @@ def parse_config(text: str) -> Scenario:
             problems.append(f"line {lineno}: empty key or value")
             continue
         params[key] = _type_value(value)
+        if isinstance(params[key], float) and not math.isfinite(params[key]):
+            problems.append(f"line {lineno}: {key} must be finite, got {value}")
 
     name = params.pop("scenario", None)
     if name is None:
@@ -76,9 +79,15 @@ def parse_config(text: str) -> Scenario:
         problems.append(
             f"unknown scenario {name!r}; allowed: {', '.join(SCENARIOS)}")
     else:
-        for key in _SCENARIO_TABLE[name][1]:
+        _, required, optional = _SCENARIO_TABLE[name]
+        for key in required:
             if key not in params:
                 problems.append(f"scenario {name}: missing required key {key!r}")
+        known = required + optional + _COMMON_KEYS
+        unknown = ", ".join(repr(key) for key in params if key not in known)
+        if unknown:
+            problems.append(f"scenario {name}: unknown key(s) {unknown}; "
+                            f"known keys: {', '.join(known)}")
     drift = params.get("drift", "zero")
     if drift not in _DRIFT_TABLE:
         problems.append(
@@ -417,17 +426,25 @@ def _run_hypotheses(params, problem: Problem, out: Path) -> list[Check]:
     return checks
 
 
-# scenario name -> (runner, required config keys), in list-scenarios order
+# optional config keys of every scenario, read by _build_problem and parse_config
+_COMMON_KEYS = ("zeta", "drift", "drift_amplitude", "b_constant", "output_dir")
+_FPE_KEYS = ("lo", "hi", "l1_tol", "trajectory_format")
+
+# scenario name -> (runner, required keys, optional keys besides _COMMON_KEYS)
+# in list-scenarios order, as the README's scenario table lists them
 _SCENARIO_TABLE = {
-    "barenblatt-verify": (_run_barenblatt_verify, ("m",)),
-    "fpe-run": (_run_fpe, ("m", "t0", "T", "n_cells", "h")),
-    "particle-run": (_run_particles, ("m", "t0", "T", "n_particles", "dt")),
+    "barenblatt-verify": (_run_barenblatt_verify, ("m",), ()),
+    "fpe-run": (_run_fpe, ("m", "t0", "T", "n_cells", "h"), _FPE_KEYS),
+    "particle-run": (_run_particles, ("m", "t0", "T", "n_particles", "dt"),
+                     ("seed", "dump_stride")),
     "compare": (_run_compare,
-                ("m", "t0", "T", "n_cells", "h", "n_particles", "dt")),
-    "regularity-scan": (_run_regularity, ("m", "p")),
+                ("m", "t0", "T", "n_cells", "h", "n_particles", "dt"),
+                _FPE_KEYS + ("seed",)),
+    "regularity-scan": (_run_regularity, ("m", "p"), ("n_grid",)),
     "coupling": (_run_coupling,
-                 ("m", "t0", "T", "n_particles", "dt", "perturbation")),
-    "hypotheses-check": (_run_hypotheses, ("m",)),
+                 ("m", "t0", "T", "n_particles", "dt", "perturbation"),
+                 ("seed",)),
+    "hypotheses-check": (_run_hypotheses, ("m",), ()),
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)
 
@@ -438,7 +455,7 @@ def run_scenario(scenario: Scenario) -> int:
     out = scenario.output_dir
     out.mkdir(parents=True, exist_ok=True)
     try:
-        runner, _ = _SCENARIO_TABLE[scenario.name]
+        runner = _SCENARIO_TABLE[scenario.name][0]
         checks = runner(scenario.params, _build_problem(scenario.params), out)
     except Exception as err:  # noqa: BLE001 - execution error maps to exit 1
         _write_report(out / "report.ndjson", scenario,

@@ -59,13 +59,19 @@ class BarenblattParams:
         return self.support_radius_t1 * t ** self.beta_ss
 
 
-def _profile_mass(C: float, m: float, k: float) -> float:
-    # substitute x = R sin(theta): the boundary kink flattens to cos powers
-    q = 1.0 / (m - 1.0)
-    R = math.sqrt(C / k)
+def _profile_integral(C: float, q: float, R: float, weight=lambda th: 1.0) -> float:
+    """Integral of weight * (C - k x^2)_+^q over its support |x| <= R = sqrt(C/k).
+
+    Substituting x = R sin(theta) flattens the boundary kink to cos powers:
+    the integrand becomes weight(theta) * (C cos^2)^q * R cos on [-pi/2, pi/2].
+    """
     return _panel_integrate(
-        lambda th: (C * np.cos(th) ** 2) ** q * R * np.cos(th),
+        lambda th: weight(th) * (C * np.cos(th) ** 2) ** q * R * np.cos(th),
         -0.5 * math.pi, 0.5 * math.pi)
+
+
+def _profile_mass(C: float, m: float, k: float) -> float:
+    return _profile_integral(C, 1.0 / (m - 1.0), math.sqrt(C / k))
 
 
 def make_barenblatt(d: int, m: float, x0: float = 0.0) -> BarenblattParams:
@@ -100,13 +106,10 @@ def make_barenblatt(d: int, m: float, x0: float = 0.0) -> BarenblattParams:
 
 def barenblatt_mass(p: BarenblattParams, t: float) -> float:
     """Quadrature of the profile over its support at time t (should be 1)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    q = 1.0 / (p.m - 1.0)
-    R = p.support_radius(t)
-    return _panel_integrate(
-        lambda th: t ** (-p.alpha) * (p.C_norm * np.cos(th) ** 2) ** q * R * np.cos(th),
-        -0.5 * math.pi, 0.5 * math.pi)
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t!r}")
+    return _profile_integral(p.C_norm, 1.0 / (p.m - 1.0), p.support_radius(t),
+                             lambda th: t ** (-p.alpha))
 
 
 def barenblatt_eval(p: BarenblattParams, t: float, x):
@@ -115,8 +118,8 @@ def barenblatt_eval(p: BarenblattParams, t: float, x):
     t <= 0 is a domain error: the initial datum is a point mass, not a
     function.
     """
-    if t <= 0:
-        raise ValueError("profile is a function only for t > 0")
+    if not t > 0:
+        raise ValueError(f"profile is a function only for t > 0, got {t!r}")
     x = np.asarray(x, dtype=float)
     y = (x - p.x0) * t ** (-p.beta_ss)
     core = np.maximum(p.C_norm - p.k * y * y, 0.0)
@@ -129,14 +132,11 @@ def barenblatt_moment2(p: BarenblattParams, t: float) -> float:
 
     Scales exactly as t^(2*beta_ss) by self-similarity.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    q = 1.0 / (p.m - 1.0)
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t!r}")
     R = p.support_radius_t1
-    m2_t1 = _panel_integrate(
-        lambda th: (R * np.sin(th)) ** 2
-        * (p.C_norm * np.cos(th) ** 2) ** q * R * np.cos(th),
-        -0.5 * math.pi, 0.5 * math.pi)
+    m2_t1 = _profile_integral(p.C_norm, 1.0 / (p.m - 1.0), R,
+                              lambda th: (R * np.sin(th)) ** 2)
     return m2_t1 * t ** (2.0 * p.beta_ss)
 
 

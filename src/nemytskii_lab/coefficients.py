@@ -29,8 +29,6 @@ __all__ = [
     "beta_epsilon",
     "beta_tilde_epsilon",
     "beta_tilde_epsilon_prime",
-    "beta_tilde_from_resolvent",
-    "beta_tilde_prime_from_resolvent",
     "mollified_b",
     "cutoff_E",
     "capital_G",
@@ -168,9 +166,11 @@ class DriftSpec:
     iota: object | None = None
 
     def __post_init__(self):
-        for name in ("sup_norm_E", "sup_norm_b", "div_E_minus_sup"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for name in ("sup_norm_E", "sup_norm_b", "div_E_minus_sup",
+                     "sup_div_minus_plus_E"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
     @classmethod
     def zero(cls) -> "DriftSpec":
@@ -187,8 +187,8 @@ class DriftSpec:
                    e_square_integrable: bool = False,
                    iota=None) -> "DriftSpec":
         b0 = float(b0)
-        if b0 < 0:
-            raise ValueError("b must be nonnegative")
+        if not b0 >= 0:
+            raise ValueError(f"b must be nonnegative, got {b0!r}")
         return cls(E=E, b=lambda r: np.full_like(np.asarray(r, dtype=float), b0),
                    sup_norm_E=sup_norm_E, sup_norm_b=b0,
                    div_E_minus_sup=div_E_minus_sup,
@@ -240,8 +240,8 @@ def yosida_resolvent(spec: NonlinearitySpec, epsilon: float, r):
     of beta guarantees the bracket, so a failing bracket indicates a broken
     spec and raises.  A scalar r gives a float.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     r = np.asarray(r, dtype=float)
     flat = np.atleast_1d(r)
     lo, hi = np.minimum(0.0, flat), np.maximum(0.0, flat)
@@ -312,25 +312,15 @@ def beta_epsilon(spec: NonlinearitySpec, epsilon: float, r):
 
 def beta_tilde_epsilon(spec: NonlinearitySpec, epsilon: float, r):
     """beta_tilde_eps(r) = beta_eps(r) + epsilon*r; strictly increasing, slope >= epsilon."""
-    return _scalar_or_array(beta_tilde_from_resolvent(
-        spec, epsilon, yosida_resolvent(spec, epsilon, r), r))
+    g = yosida_resolvent(spec, epsilon, r)
+    return _scalar_or_array(
+        np.asarray(spec.beta(g)) + epsilon * np.asarray(r, dtype=float))
 
 
 def beta_tilde_epsilon_prime(spec: NonlinearitySpec, epsilon: float, r):
     """Derivative of beta_tilde_eps: beta'(g)/(1 + eps*beta'(g)) + eps."""
-    return _scalar_or_array(beta_tilde_prime_from_resolvent(
-        spec, epsilon, yosida_resolvent(spec, epsilon, r)))
-
-
-def beta_tilde_from_resolvent(spec: NonlinearitySpec, epsilon: float, g, r) -> np.ndarray:
-    """beta_tilde_eps(r) = beta(g) + epsilon*r, given g = yosida_resolvent(spec, epsilon, r)."""
-    return np.asarray(spec.beta(g)) + epsilon * np.asarray(r, dtype=float)
-
-
-def beta_tilde_prime_from_resolvent(spec: NonlinearitySpec, epsilon: float, g) -> np.ndarray:
-    """beta_tilde_eps'(r) = beta'(g)/(1 + eps*beta'(g)) + eps, given g = g_eps(r)."""
-    bp = np.asarray(spec.beta_prime(g))
-    return bp / (1.0 + epsilon * bp) + epsilon
+    bp = np.asarray(spec.beta_prime(yosida_resolvent(spec, epsilon, r)))
+    return _scalar_or_array(bp / (1.0 + epsilon * bp) + epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +345,8 @@ def mollified_b(drift: DriftSpec, epsilon: float, r):
     Constant b is returned untouched.  The mollifier is the compactly
     supported polynomial bump of width eps, so no tail truncation enters.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     arr = np.asarray(r, dtype=float)
     if drift.b_is_constant:
         return _scalar_or_array(np.asarray(drift.b(arr), dtype=float))
@@ -383,8 +373,8 @@ def cutoff_E(drift: DriftSpec, epsilon: float, x):
     A field flagged square-integrable with div E in L2 + Linf needs no
     truncation and is returned unchanged.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     arr = np.asarray(x, dtype=float)
     ev = np.asarray(drift.E(arr), dtype=float)
     if drift.e_square_integrable:

@@ -1,19 +1,18 @@
 """Implicit finite-difference chain for the degenerate Fokker-Planck flow.
 
-One backward step solves the regularized elliptic problem
+One backward step solves the elliptic problem
 
-    u - lam * Lap_h(beta_tilde_eps(u)) + lam*eps*beta_tilde_eps(u)
-      + lam * div_h(E_eps * b_eps(u) * u)  =  f
+    u - lam * Lap_h(beta(u)) + lam * div_h(E_eps * b_eps(u) * u)  =  f
 
 on a uniform cell-centered grid via damped Newton with a tridiagonal
 Jacobian, solved directly by LAPACK gtsv; chaining steps of size h yields
 the piecewise-constant-in-time mild approximation whose limit defines the
-semigroup.  From its second step on, the chain starts Newton at the linear
-predictor max(2u^i - u^(i-1), 0).  Each residual evaluation solves the
-Yosida resolvent once, and each solve reports its Newton iterations,
-line-search halvings and fixed-point fallbacks.  Fluxes are written in
-conservation form (3-point diffusive flux, donor-cell upwind advection), so
-the zero-flux boundary conserves mass by exact telescoping.
+semigroup.  The diffusion uses beta itself: only the response b and the
+field E are regularized.  From its second step on, the chain starts Newton
+at the linear predictor max(2u^i - u^(i-1), 0).  Each solve reports its
+Newton iterations, line-search halvings and fixed-point fallbacks.  Fluxes
+are written in conservation form (3-point diffusive flux, donor-cell upwind
+advection), so the zero-flux boundary conserves mass to roundoff.
 
 A chain is strictly sequential and runs in the calling thread; its iterates
 are the rows of one writable (N, n_cells) array.
@@ -38,14 +37,11 @@ from .coefficients import (  # noqa: F401
     NonlinearitySpec,
     beta_tilde_epsilon,
     beta_tilde_epsilon_prime,
-    beta_tilde_from_resolvent,
-    beta_tilde_prime_from_resolvent,
     cutoff_E,
     entropy_Psi,
     lambda_zero,
     mollified_b,
     mollified_b_prime,
-    yosida_resolvent,
 )
 
 __all__ = [
@@ -69,9 +65,8 @@ __all__ = [
 
 # budget for the undershoot mass a chain may clip away, summed over its steps
 MAX_CLIPPED_MASS = 1e-6
-# regularization level of beta_tilde_eps, b_eps and the E cutoff (radius
-# 1/eps); the absorption lam*eps*beta_tilde_eps(u) it adds to the operator
-# removes far less mass over a run than the 1e-8 conservation budget
+# regularization level of the response b_eps and of the E cutoff (radius
+# 1/eps); the diffusion uses beta itself
 EPSILON_REG = 1e-12
 # Newton stops once the discrete L1 residual is at most NEWTON_TOL and fails
 # if it is still above after NEWTON_MAX_ITER iterations
@@ -151,10 +146,10 @@ class GridField:
 class SolverConfig:
     """Step size h of the chain.
 
-    Every step regularizes at EPSILON_REG and runs Newton to NEWTON_TOL
-    within NEWTON_MAX_ITER iterations.  The boundary is always zero flux,
-    and a chain aborts once its clipped undershoot mass exceeds
-    MAX_CLIPPED_MASS.
+    Every step diffuses by beta itself, regularizes b and E at EPSILON_REG
+    and runs Newton to NEWTON_TOL within NEWTON_MAX_ITER iterations.  The
+    boundary is always zero flux, and a chain aborts once its clipped
+    undershoot mass exceeds MAX_CLIPPED_MASS.
     """
 
     lambda_step: float
@@ -212,17 +207,13 @@ class Trajectory:
 # discrete operator pieces
 # ---------------------------------------------------------------------------
 
-def _apply_operator(u: np.ndarray, g: np.ndarray, f: GridField,
-                    spec: NonlinearitySpec, drift: DriftSpec,
-                    e_face: np.ndarray) -> np.ndarray:
-    """Regularized operator in flux form; zero boundary flux, so telescoping conserves mass.
-
-    g is the Yosida resolvent of u, from which beta_tilde_eps(u) is formed.
-    """
+def _apply_operator(u: np.ndarray, f: GridField, spec: NonlinearitySpec,
+                    drift: DriftSpec, e_face: np.ndarray) -> np.ndarray:
+    """Discrete operator in flux form; zero boundary flux, so telescoping conserves mass."""
     dx = f.cell_width
-    bt = beta_tilde_from_resolvent(spec, EPSILON_REG, g, u)
+    bt = np.asarray(spec.beta(u))
 
-    # diffusive flux -D(beta_tilde)/dx at interior interfaces
+    # diffusive flux -D(beta)/dx at interior interfaces
     dif_flux = np.zeros(u.size + 1)
     dif_flux[1:-1] = -(bt[1:] - bt[:-1]) / dx
 
@@ -234,25 +225,25 @@ def _apply_operator(u: np.ndarray, g: np.ndarray, f: GridField,
         em = np.minimum(e_face[1:-1], 0.0)
         adv_flux[1:-1] = ep * carried[:-1] + em * carried[1:]
 
-    div = (dif_flux[1:] + adv_flux[1:] - dif_flux[:-1] - adv_flux[:-1]) / dx
-    return div + EPSILON_REG * bt
+    return (dif_flux[1:] + adv_flux[1:] - dif_flux[:-1] - adv_flux[:-1]) / dx
 
 
-def _jacobian_bands(u: np.ndarray, g: np.ndarray, f: GridField,
-                    spec: NonlinearitySpec, drift: DriftSpec,
-                    e_face: np.ndarray,
+def _jacobian_bands(u: np.ndarray, f: GridField, spec: NonlinearitySpec,
+                    drift: DriftSpec, e_face: np.ndarray,
                     lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonals (dl, d, du) of the Jacobian of u + lam*A_eps(u); g is u's resolvent.
+    """Diagonals (dl, d, du) of the Jacobian of u + lam*A(u).
 
-    dl[j] holds J[j+1, j] and du[j] holds J[j, j+1].
+    dl[j] holds J[j+1, j] and du[j] holds J[j, j+1].  With beta' >= 0 and
+    (b_eps(r) r)' >= 0 every column is diagonally dominant with a diagonal
+    of at least 1, so J is nonsingular.
     """
     n = u.size
     dx = f.cell_width
-    btp = beta_tilde_prime_from_resolvent(spec, EPSILON_REG, g)
+    btp = np.asarray(spec.beta_prime(u))
 
     lap_diag = np.full(n, 2.0)
     lap_diag[0] = lap_diag[-1] = 1.0
-    d = 1.0 + lam * (lap_diag / dx**2 + EPSILON_REG) * btp
+    d = 1.0 + lam * lap_diag / dx**2 * btp
     du = -lam * btp[1:] / dx**2
     dl = -lam * btp[:-1] / dx**2
 
@@ -285,13 +276,13 @@ def _tridiagonal_solve(bands, rhs: np.ndarray) -> tuple[np.ndarray, int]:
 def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
                     drift: DriftSpec, out: np.ndarray | None = None,
                     start: np.ndarray | None = None) -> ResolventSolution:
-    """One implicit step: solve u + lam*A_eps(u) = f on the grid of f.
+    """One implicit step: solve u + lam*A(u) = f on the grid of f.
 
-    A_eps is regularized at EPSILON_REG.  Damped Newton from start (default
-    f's values; step_chain passes its linear predictor) with a tridiagonal
+    A(u) = -Lap_h beta(u) + div_h(E_eps b_eps(u) u), with b and E
+    regularized at EPSILON_REG.  Damped Newton from start (default f's
+    values; step_chain passes its linear predictor) with a tridiagonal
     Jacobian, solved directly by LAPACK gtsv.  Each residual evaluation
-    solves the Yosida resolvent once, and the accepted iterate's resolvent
-    also gives the next Jacobian.  The line search halves a rejected step up
+    applies the operator once.  The line search halves a rejected step up
     to 12 times; when every trial fails, a damped fixed-point step is tried
     instead.  The solution reports the halvings and fixed-point fallbacks.
     Convergence is measured in discrete L1: Newton stops at NEWTON_TOL.
@@ -314,9 +305,8 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
     target = f.values
 
     def residual(u):
-        g = yosida_resolvent(spec, EPSILON_REG, u)
-        res = u + lam * _apply_operator(u, g, f, spec, drift, e_face) - target
-        return g, res, float(np.sum(np.abs(res)) * dx)
+        res = u + lam * _apply_operator(u, f, spec, drift, e_face) - target
+        return res, float(np.sum(np.abs(res)) * dx)
 
     def failure(what, res_l1, iters):
         return SolverError(f"nonlinear solve at lam={lam!r} {what} after "
@@ -324,32 +314,32 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
                            residual=res_l1)
 
     u = np.array(target if start is None else start, dtype=float)
-    g, res, res_l1 = residual(u)
+    res, res_l1 = residual(u)
     if not math.isfinite(res_l1):
         raise failure("has a non-finite residual", res_l1, 0)
     iters = halvings = fallbacks = 0
     while res_l1 > NEWTON_TOL and iters < NEWTON_MAX_ITER:
         delta, info = _tridiagonal_solve(
-            _jacobian_bands(u, g, f, spec, drift, e_face, lam), -res)
+            _jacobian_bands(u, f, spec, drift, e_face, lam), -res)
         if info != 0:
             raise failure(f"failed in the tridiagonal solve (gtsv info {info})",
                           res_l1, iters)
         step = 1.0
         for _ in range(12):
             trial = u + step * delta
-            trial_g, trial_res, trial_l1 = residual(trial)
+            trial_res, trial_l1 = residual(trial)
             if trial_l1 < res_l1:
-                u, g, res, res_l1 = trial, trial_g, trial_res, trial_l1
+                u, res, res_l1 = trial, trial_res, trial_l1
                 break
             step *= 0.5
             halvings += 1
         else:
             # damped fixed-point fallback
             trial = u - 0.5 * res
-            trial_g, trial_res, trial_l1 = residual(trial)
+            trial_res, trial_l1 = residual(trial)
             if not trial_l1 < res_l1:
                 raise failure("stalled", res_l1, iters)
-            u, g, res, res_l1 = trial, trial_g, trial_res, trial_l1
+            u, res, res_l1 = trial, trial_res, trial_l1
             fallbacks += 1
         iters += 1
     if res_l1 > NEWTON_TOL:
@@ -358,12 +348,10 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
     clipped = float(np.sum(np.maximum(-u, 0.0)) * dx)
     preclip_min = float(u.min())
     u = np.maximum(u, 0.0, out=out)
-    solved = GridField(lo=f.lo, hi=f.hi, values=u)
-    assert solved.mass() >= 0.0
-    return ResolventSolution(field=solved, residual_l1=res_l1,
-                             newton_iters=iters, clipped_mass=clipped,
-                             preclip_min=preclip_min, halvings=halvings,
-                             fallbacks=fallbacks)
+    return ResolventSolution(field=GridField(lo=f.lo, hi=f.hi, values=u),
+                             residual_l1=res_l1, newton_iters=iters,
+                             clipped_mass=clipped, preclip_min=preclip_min,
+                             halvings=halvings, fallbacks=fallbacks)
 
 
 def step_chain(nu: GridField, T: float, config: SolverConfig,

@@ -173,8 +173,8 @@ def kde_density(ensemble: ParticleEnsemble, bandwidth: float, x):
     verification; the step loop uses the binned estimator below.
     """
     h = bandwidth
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not h > 0:
+        raise ValueError(f"bandwidth must be positive, got {h!r}")
     xq = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(xq)
     chunk = max(1, int(2e6 / max(ensemble.n, 1)))
@@ -372,8 +372,8 @@ def coupling_experiment(config: SimConfig, spec: NonlinearitySpec,
     Perturbation 0 reproduces bit-identical trajectories, hence exactly zero
     separation.  The twins step through run's loop, watchdog included.
     """
-    if perturbation < 0:
-        raise ValueError("perturbation must be nonnegative")
+    if not perturbation >= 0:
+        raise ValueError(f"perturbation must be nonnegative, got {perturbation!r}")
     x_ens = _seeded(config, initial_density)
     y_ens = replace(x_ens, positions=x_ens.positions + perturbation)
 

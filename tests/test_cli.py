@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -17,6 +18,9 @@ from nemytskii_lab.cli import (
 )
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def read_report(path: Path):
     lines = path.read_text().splitlines()
     return [json.loads(line) for line in lines]
@@ -29,16 +33,18 @@ def strip_wall_time(text: str) -> str:
 # -- parsing -----------------------------------------------------------------
 
 def test_parse_valid_config():
-    s = parse_config("scenario = barenblatt-verify\nm = 2.0\nd = 1\n")
+    s = parse_config("scenario = barenblatt-verify\nm = 2.0\nzeta = 0\n")
     assert s.name == "barenblatt-verify"
     assert s.params["m"] == 2.0
-    assert s.params["d"] == 1
+    assert s.params["zeta"] == 0
 
 
 def test_parse_comments_and_types():
-    s = parse_config("# header\nscenario = regularity-scan\nm = 2.0  # power\np = 1.0\nlabel = mycase\n")
-    assert s.params["label"] == "mycase"
+    s = parse_config("# header\nscenario = regularity-scan\nm = 2.0  # power\n"
+                     "p = 1.0\nn_grid = 401\ndrift = zero\n")
+    assert s.params["drift"] == "zero"
     assert isinstance(s.params["p"], float)
+    assert isinstance(s.params["n_grid"], int)
 
 
 def test_parse_unknown_scenario_lists_names():
@@ -60,6 +66,58 @@ def test_parse_collects_all_errors():
 def test_parse_rejects_a_nan_exponent():
     with pytest.raises(ConfigError, match="m must exceed 1"):
         parse_config("scenario = barenblatt-verify\nm = nan\n")
+
+
+@pytest.mark.parametrize("key, value", [("drift_amplitude", "nan"),
+                                        ("perturbation", "nan"), ("T", "inf"),
+                                        ("dt", "-inf")])
+def test_parse_rejects_a_non_finite_value_naming_its_key(key, value):
+    params = {"m": "2.0", "t0": "0.1", "T": "0.2", "n_particles": "1000",
+              "dt": "1e-3", "perturbation": "0", "drift": "tanh_inward",
+              key: value}
+    text = "scenario = coupling\n" + "".join(f"{k} = {v}\n" for k, v in params.items())
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.problems == [f"line {list(params).index(key) + 2}: {key} "
+                                  f"must be finite, got {value}"]
+
+
+def test_main_nan_drift_amplitude_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "nan.conf"
+    cfg.write_text("scenario = fpe-run\nm = 2.0\nt0 = 0.1\nT = 0.2\nn_cells = 64\n"
+                   "h = 1e-2\ndrift = tanh_inward\ndrift_amplitude = nan\n")
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    assert "drift_amplitude must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.ndjson").exists()
+
+
+def test_parse_rejects_an_unknown_key_listing_the_known_ones():
+    with pytest.raises(ConfigError) as err:
+        parse_config("scenario = fpe-run\nm = 2.0\nt0 = 0.1\nT = 0.2\n"
+                     "n_cells = 64\nh = 1e-2\nl1tol = 1e-9\nepsilon_reg = 1e-6\n")
+    (problem,) = err.value.problems
+    assert problem.startswith("scenario fpe-run: unknown key(s) 'l1tol', 'epsilon_reg'; ")
+    assert "l1_tol" in problem and "drift_amplitude" in problem
+
+
+def _readme_keys(text: str) -> tuple:
+    """The keys the README names as `key` (default)."""
+    return tuple(re.findall(r"`(\w+)` \(", text))
+
+
+def test_readme_scenario_table_matches_the_parser():
+    text = README.read_text(encoding="utf-8")
+    rows = {}
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip("| ").split(" | ")]
+        if line.startswith("| `") and len(cells) == 4:
+            rows[cells[0].strip("`")] = (tuple(cells[1].strip("`").split()),
+                                         _readme_keys(cells[2]))
+    assert rows == {name: (required, optional)
+                    for name, (_, required, optional) in cli._SCENARIO_TABLE.items()}
+    (common,) = [par for par in text.split("\n\n")
+                 if par.startswith("Every scenario needs `m`")]
+    assert _readme_keys(common) == cli._COMMON_KEYS
 
 
 def test_parse_missing_scenario():

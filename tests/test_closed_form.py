@@ -169,3 +169,12 @@ def test_threshold_consistent_with_time_exponent():
             assert integrable == (s < s_max)
         identity = p.alpha * (m / pw) * (s_max - s)
         assert abs((e + 1.0) - identity) <= 1e-12
+
+
+@pytest.mark.parametrize("fn", [lambda t: barenblatt_eval(P2, t, 0.0),
+                                lambda t: barenblatt_mass(P2, t),
+                                lambda t: barenblatt_moment2(P2, t)],
+                         ids=["eval", "mass", "moment2"])
+def test_time_guard_rejects_nan(fn):
+    with pytest.raises(ValueError, match="got nan"):
+        fn(math.nan)

@@ -368,3 +368,30 @@ def test_hypotheses_iota_surrogate():
                                  iota=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5))
     report = check_hypotheses(M2, drift)
     assert report.passed("E_monotonicity_surrogate")
+
+
+# -- guards that NaN fails ------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["sup_norm_E", "sup_norm_b", "div_E_minus_sup",
+                                  "sup_div_minus_plus_E"])
+def test_drift_spec_rejects_a_nan_norm(name):
+    norms = dict(sup_norm_E=1.0, sup_norm_b=1.0, div_E_minus_sup=1.0,
+                 sup_div_minus_plus_E=2.0)
+    norms[name] = math.nan
+    with pytest.raises(ValueError, match=f"{name} must be nonnegative, got nan"):
+        DriftSpec(E=np.tanh, b=np.ones_like, **norms)
+
+
+def test_constant_b_rejects_a_nan_b0():
+    with pytest.raises(ValueError, match="b must be nonnegative, got nan"):
+        DriftSpec.constant_b(E=np.tanh, b0=math.nan, sup_norm_E=1.0,
+                             div_E_minus_sup=1.0)
+
+
+@pytest.mark.parametrize("fn, owner", [(yosida_resolvent, M2),
+                                       (mollified_b, DriftSpec.zero()),
+                                       (cutoff_E, DriftSpec.zero())],
+                         ids=["yosida_resolvent", "mollified_b", "cutoff_E"])
+def test_epsilon_guard_rejects_nan(fn, owner):
+    with pytest.raises(ValueError, match="epsilon must be positive, got nan"):
+        fn(owner, math.nan, np.array([0.5, 1.0]))

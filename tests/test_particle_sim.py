@@ -81,6 +81,12 @@ def test_kde_compact_support_vanishes():
     assert kde_density(ens, 0.2, 5.0) == 0.0
 
 
+def test_kde_rejects_a_nan_bandwidth():
+    ens = ParticleEnsemble(positions=np.zeros(500), t=0.0, seed=0, step_index=0)
+    with pytest.raises(ValueError, match="bandwidth must be positive, got nan"):
+        kde_density(ens, math.nan, 0.0)
+
+
 def test_kde_consistency_at_center():
     ens = seed_from_density(lambda x: barenblatt_eval(P2, 1.0, x), 100_000, 3,
                             -5, 5, t0=1.0)
@@ -261,6 +267,11 @@ def test_coupling_small_perturbation_stays_small():
 def test_coupling_rejects_negative_perturbation():
     with pytest.raises(ValueError):
         coupling_experiment(small_config(), SPEC2, ZERO_DRIFT, -1.0, BB_INIT)
+
+
+def test_coupling_rejects_a_nan_perturbation():
+    with pytest.raises(ValueError, match="perturbation must be nonnegative, got nan"):
+        coupling_experiment(small_config(), SPEC2, ZERO_DRIFT, math.nan, BB_INIT)
 
 
 # -- config validation ----------------------------------------------------------
