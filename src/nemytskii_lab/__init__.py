@@ -3,8 +3,6 @@
 from .coefficients import (
     DriftSpec,
     NonlinearitySpec,
-    beta_epsilon,
-    beta_eval,
     beta_tilde_epsilon,
     capital_G,
     check_hypotheses,
@@ -37,8 +35,6 @@ from .fpe_solver import (
 __all__ = [
     "DriftSpec",
     "NonlinearitySpec",
-    "beta_epsilon",
-    "beta_eval",
     "beta_tilde_epsilon",
     "capital_G",
     "check_hypotheses",

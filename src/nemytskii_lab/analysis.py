@@ -1,9 +1,8 @@
-"""Numerical functionals shared by the test batteries.
+"""Numerical functionals shared by the test batteries and the CLI.
 
 Local Hardy-Littlewood maximal functions with the companion Lipschitz-type
 pair estimate, Gagliardo (fractional Sobolev) seminorms with refinement
-flags, the exact 1-D Wasserstein-1 distance between CDFs, weighted L1 norms
-and entropy integrals of grid fields.
+flags, and the exact 1-D Wasserstein-1 distance between CDFs.
 """
 
 from __future__ import annotations
@@ -13,20 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import NonlinearitySpec, entropy_Psi
 from .fpe_solver import GridField
 
 __all__ = [
     "SampledFunction",
-    "WeightFunction",
     "LipschitzReport",
     "GagliardoResult",
     "maximal_function",
     "lipschitz_estimate_check",
     "gagliardo_seminorm",
     "w1_distance",
-    "weighted_l1_norm",
-    "entropy_of_field",
 ]
 
 
@@ -65,32 +60,6 @@ class SampledFunction:
     @property
     def dx(self) -> float:
         return float(self.grid[1] - self.grid[0])
-
-
-@dataclass(frozen=True)
-class WeightFunction:
-    """Weight Phi >= 1 with integrable Phi^(-alpha_w) for some alpha_w >= 2."""
-
-    phi: object
-    alpha_w: float = 2.0
-
-    def __post_init__(self):
-        if self.alpha_w < 2.0:
-            raise ValueError("alpha_w must be >= 2")
-        probe = np.linspace(-50.0, 50.0, 501)
-        vals = np.asarray(self.phi(probe), dtype=float)
-        if np.any(vals < 1.0 - 1e-12):
-            raise ValueError("Phi must be >= 1 on the sampled grid")
-        tail = float(np.trapezoid(vals ** (-self.alpha_w), probe))
-        if not math.isfinite(tail):
-            raise ValueError("Phi^(-alpha_w) fails the sampled integrability check")
-
-    @classmethod
-    def polynomial(cls, gamma: float = 0.5, alpha_w: float = 2.0) -> "WeightFunction":
-        if not 0.0 < gamma <= 0.5:
-            raise ValueError("gamma must lie in (0, 1/2]")
-        return cls(phi=lambda x: (1.0 + np.asarray(x, dtype=float) ** 2) ** gamma,
-                   alpha_w=alpha_w)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +202,7 @@ def gagliardo_seminorm(f: SampledFunction, s: float, p: float) -> GagliardoResul
 
 
 # ---------------------------------------------------------------------------
-# Wasserstein-1 and weighted norms
+# Wasserstein-1
 # ---------------------------------------------------------------------------
 
 def _cdf_of(obj):
@@ -286,16 +255,3 @@ def w1_distance(mu, nu) -> float:
         0.5 * (da * da + db * db) / np.maximum(np.abs(da) + np.abs(db), 1e-300) * w,
     )
     return float(np.sum(seg))
-
-
-def weighted_l1_norm(u: GridField, w: WeightFunction) -> float:
-    """Cell sum of |u| * Phi."""
-    phi_vals = np.asarray(w.phi(u.centers), dtype=float)
-    return float(np.sum(np.abs(u.values) * phi_vals) * u.cell_width)
-
-
-def entropy_of_field(u: GridField, spec: NonlinearitySpec) -> float:
-    """Cell sum of Psi(u) over the grid."""
-    if np.any(u.values < 0):
-        raise ValueError("field must be nonnegative")
-    return float(np.sum(entropy_Psi(spec, u.values)) * u.cell_width)

@@ -45,13 +45,18 @@ class Scenario:
     params: dict
     output_dir: Path = field(default_factory=lambda: Path("."))
 
+    def __post_init__(self):
+        for key, value in self.params.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+
 
 def parse_config(text: str) -> Scenario:
     """Parse flat ``key = value`` lines with # comments into a Scenario.
 
     Values are typed as int, then float, then bare string.  A non-finite
-    number and a key the scenario does not read are problems; all problems
-    are collected (with line numbers) before raising.
+    number and a key that neither the scenario nor its drift kind reads are
+    problems; all problems are collected (with line numbers) before raising.
     """
     problems: list[str] = []
     params: dict = {}
@@ -72,6 +77,8 @@ def parse_config(text: str) -> Scenario:
         if isinstance(params[key], float) and not math.isfinite(params[key]):
             problems.append(f"line {lineno}: {key} must be finite, got {value}")
 
+    drift = params.get("drift", "zero")
+    drift_keys = _DRIFT_TABLE[drift][1] if drift in _DRIFT_TABLE else ()
     name = params.pop("scenario", None)
     if name is None:
         problems.append("missing required key 'scenario'")
@@ -83,12 +90,14 @@ def parse_config(text: str) -> Scenario:
         for key in required:
             if key not in params:
                 problems.append(f"scenario {name}: missing required key {key!r}")
-        known = required + optional + _COMMON_KEYS
+        known = required + optional + _COMMON_KEYS + drift_keys
         unknown = ", ".join(repr(key) for key in params if key not in known)
         if unknown:
+            other = "".join(f"; drift = {kind} also reads {', '.join(keys)}"
+                            for kind, (_, keys) in _DRIFT_TABLE.items()
+                            if keys and kind != drift)
             problems.append(f"scenario {name}: unknown key(s) {unknown}; "
-                            f"known keys: {', '.join(known)}")
-    drift = params.get("drift", "zero")
+                            f"known keys: {', '.join(known)}{other}")
     if drift not in _DRIFT_TABLE:
         problems.append(
             f"unknown drift {drift!r}; allowed: {', '.join(_DRIFT_TABLE)}")
@@ -179,7 +188,7 @@ def _write_report(path: Path, scenario: Scenario, checks: list[Check],
         fh.write(json.dumps({"scenario": scenario.name,
                              "config": {k: scenario.params[k]
                                         for k in sorted(scenario.params)}},
-                            sort_keys=True) + "\n")
+                            sort_keys=True, allow_nan=False) + "\n")
         for check in checks:
             fh.write(check.as_json() + "\n")
         fh.write(json.dumps({"wall_time": time.monotonic() - started}) + "\n")
@@ -219,10 +228,10 @@ def _tanh_inward(params) -> DriftSpec:
         div_E_minus_sup=amp, sup_div_minus_plus_E=1.25 * amp)
 
 
-# drift kind -> its builder from the config
+# drift kind -> (its builder from the config, the config keys it reads)
 _DRIFT_TABLE = {
-    "zero": lambda params: DriftSpec.zero(),
-    "tanh_inward": _tanh_inward,
+    "zero": (lambda params: DriftSpec.zero(), ()),
+    "tanh_inward": (_tanh_inward, ("drift_amplitude", "b_constant")),
 }
 
 
@@ -230,7 +239,7 @@ def _build_problem(params) -> Problem:
     m = float(params["m"])
     return Problem(
         spec=NonlinearitySpec.power_law(m, zeta=float(params.get("zeta", 0.0))),
-        drift=_DRIFT_TABLE[params.get("drift", "zero")](params),
+        drift=_DRIFT_TABLE[params.get("drift", "zero")][0](params),
         source=closed_form.make_barenblatt(1, m))
 
 
@@ -426,8 +435,9 @@ def _run_hypotheses(params, problem: Problem, out: Path) -> list[Check]:
     return checks
 
 
-# optional config keys of every scenario, read by _build_problem and parse_config
-_COMMON_KEYS = ("zeta", "drift", "drift_amplitude", "b_constant", "output_dir")
+# optional config keys of every scenario, read by _build_problem and parse_config;
+# each drift kind adds the keys _DRIFT_TABLE lists for it
+_COMMON_KEYS = ("zeta", "drift", "output_dir")
 _FPE_KEYS = ("lo", "hi", "l1_tol", "trajectory_format")
 
 # scenario name -> (runner, required keys, optional keys besides _COMMON_KEYS)

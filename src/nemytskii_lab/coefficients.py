@@ -1,11 +1,11 @@
 """Nonlinear diffusivity, drift and response coefficients with their regularizations.
 
-The diffusivity beta is either the odd power law ``beta(r) = |r|^(m-1) r`` or a
-user-supplied strictly monotone sample table (C2 spline).  On top of it sit the
-Yosida-type resolvent ``g_eps``, the regularized ``beta_eps`` / ``beta_tilde_eps``,
-the damped mollification of the response ``b``, the compact cutoff of the vector
-field ``E``, and the scalar functionals ``G`` and ``Psi`` used by the condition
-checkers and the entropy diagnostics.
+The diffusivity beta is the odd power law ``beta(r) = |r|^(m-1) r`` of the
+porous medium equation.  On top of it sit the Yosida-type resolvent ``g_eps``
+with the regularized ``beta_tilde_eps``, the damped mollification of the
+response ``b``, the compact cutoff of the vector field ``E``, and the
+closed-form functionals ``G`` and ``Psi`` used by the condition checker and
+the entropy diagnostics.
 
 Everything here is a pure function of immutable specs; concurrent use from any
 number of threads is safe.
@@ -14,25 +14,21 @@ number of threads is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, interpolate, optimize
 
 __all__ = [
     "NonlinearitySpec",
     "DriftSpec",
     "HypothesesReport",
-    "beta_eval",
     "sigma_squared",
     "yosida_resolvent",
-    "beta_epsilon",
     "beta_tilde_epsilon",
     "beta_tilde_epsilon_prime",
     "mollified_b",
     "cutoff_E",
     "capital_G",
-    "capital_G_inverse",
     "entropy_Psi",
     "check_hypotheses",
     "lambda_zero",
@@ -49,23 +45,18 @@ def _scalar_or_array(out):
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """Strictly increasing diffusivity with ``beta(0) = 0``.
+    """The porous-medium diffusivity ``beta(r) = |r|^(m-1) r``.
 
     Parameters
     ----------
-    kind : {"power_law", "custom"}
     m : float
-        Growth exponent, must exceed 1.  For the power law this defines
-        ``beta`` exactly; for a table it is metadata used by condition checks.
+        Growth exponent, must exceed 1.
     zeta : float
         Exponent in the singular weight of ``G``; requires ``2*zeta/m < 1``.
     """
 
-    kind: str
     m: float
     zeta: float = 0.0
-    _table_r: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _spline: object | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.m > 1.0:
@@ -77,69 +68,16 @@ class NonlinearitySpec:
 
     @classmethod
     def power_law(cls, m: float, zeta: float = 0.0) -> "NonlinearitySpec":
-        return cls(kind="power_law", m=float(m), zeta=float(zeta))
-
-    @classmethod
-    def from_table(cls, r, values, m: float, zeta: float = 0.0) -> "NonlinearitySpec":
-        """Build a custom diffusivity from a strictly monotone sample table.
-
-        Non-monotone tables are rejected here, not at evaluation time.  The
-        table is interpolated by a C2 cubic spline whose monotonicity is
-        re-validated on a dense grid (a spline through monotone data can
-        still undulate).
-        """
-        r = np.asarray(r, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if r.ndim != 1 or r.shape != values.shape or r.size < 4:
-            raise ValueError("table needs >= 4 matching 1-D abscissae/values")
-        if np.any(np.diff(r) <= 0):
-            raise ValueError("table abscissae must be strictly increasing")
-        if np.any(np.diff(values) <= 0):
-            raise ValueError("non-monotone custom table rejected")
-        if r[0] > 0 or r[-1] <= 0:
-            raise ValueError("table must contain r = 0 in its range")
-        spline = interpolate.CubicSpline(r, values)
-        if abs(float(spline(0.0))) > 1e-12:
-            raise ValueError("custom beta must satisfy beta(0) = 0")
-        dense = np.linspace(r[0], r[-1], 8 * r.size)
-        if np.any(spline(dense, 1) < 0):
-            raise ValueError("spline interpolant of table is not monotone")
-        return cls(kind="custom", m=float(m), zeta=float(zeta),
-                   _table_r=r, _spline=spline)
-
-    # -- evaluation ------------------------------------------------------
+        return cls(m=float(m), zeta=float(zeta))
 
     def beta(self, r):
         """beta(r); accepts scalars or arrays."""
-        if self.kind == "power_law":
-            r = np.asarray(r, dtype=float)
-            return _scalar_or_array(np.abs(r) ** (self.m - 1.0) * r)
-        return _scalar_or_array(
-            self._spline(np.clip(r, self._table_r[0], self._table_r[-1])))
+        r = np.asarray(r, dtype=float)
+        return _scalar_or_array(np.abs(r) ** (self.m - 1.0) * r)
 
     def beta_prime(self, r):
-        if self.kind == "power_law":
-            r = np.asarray(r, dtype=float)
-            return _scalar_or_array(self.m * np.abs(r) ** (self.m - 1.0))
-        return _scalar_or_array(
-            self._spline(np.clip(r, self._table_r[0], self._table_r[-1]), 1))
-
-    def beta_inverse(self, y):
-        if self.kind == "power_law":
-            y = np.asarray(y, dtype=float)
-            return _scalar_or_array(np.abs(y) ** (1.0 / self.m) * np.sign(y))
-        return self._table_invert(y)
-
-    def _table_invert(self, y):
-        y = np.asarray(y, dtype=float)
-        flat = np.atleast_1d(y)
-        lo, hi = self._table_r[0], self._table_r[-1]
-        out = np.empty_like(flat)
-        for i, yi in enumerate(flat):
-            yc = min(max(yi, float(self._spline(lo))), float(self._spline(hi)))
-            out[i] = optimize.brentq(lambda s: float(self._spline(s)) - yc, lo, hi,
-                                     xtol=1e-14)
-        return _scalar_or_array(out.reshape(y.shape))
+        r = np.asarray(r, dtype=float)
+        return _scalar_or_array(self.m * np.abs(r) ** (self.m - 1.0))
 
 
 @dataclass(frozen=True)
@@ -206,13 +144,6 @@ class DriftSpec:
 # ---------------------------------------------------------------------------
 # point evaluations
 # ---------------------------------------------------------------------------
-
-def beta_eval(spec: NonlinearitySpec, r: float) -> float:
-    """Evaluate the diffusivity at r."""
-    if not np.isfinite(r):
-        raise ValueError("r must be finite")
-    return float(spec.beta(r))
-
 
 def sigma_squared(spec: NonlinearitySpec, r) -> float:
     """Squared diffusion coefficient 2*beta(r)/r, with 2*beta'(0) at r = 0.
@@ -305,11 +236,6 @@ def _bisect_resolvent(spec: NonlinearitySpec, epsilon: float, r: np.ndarray,
     return g
 
 
-def beta_epsilon(spec: NonlinearitySpec, epsilon: float, r):
-    """beta_eps(r) = beta(g_eps(r)) = (r - g_eps(r))/epsilon."""
-    return _scalar_or_array(spec.beta(yosida_resolvent(spec, epsilon, r)))
-
-
 def beta_tilde_epsilon(spec: NonlinearitySpec, epsilon: float, r):
     """beta_tilde_eps(r) = beta_eps(r) + epsilon*r; strictly increasing, slope >= epsilon."""
     g = yosida_resolvent(spec, epsilon, r)
@@ -385,80 +311,34 @@ def cutoff_E(drift: DriftSpec, epsilon: float, x):
 
 
 # ---------------------------------------------------------------------------
-# scalar functionals
+# closed-form functionals
 # ---------------------------------------------------------------------------
 
-def capital_G(spec: NonlinearitySpec, r: float) -> float:
-    """G(r) = integral_0^r (beta^{-1}(s^2))^{-zeta} ds, r >= 0.
+def capital_G(spec: NonlinearitySpec, r):
+    """G(r) = integral_0^r (beta^{-1}(s^2))^{-zeta} ds = r^(1-a)/(1-a), a = 2*zeta/m.
 
-    The integrand has the integrable singularity s^{-2*zeta/m} at 0; for the
-    power law the exact antiderivative is used, otherwise adaptive quadrature
-    with the singular endpoint declared.
+    Defined for r >= 0; the integrand s^(-a) has an integrable singularity at
+    0 because the spec keeps a < 1.  Accepts scalars or arrays.
     """
-    if r < 0:
+    arr = np.asarray(r, dtype=float)
+    if np.any(arr < 0):
         raise ValueError("G is defined for r >= 0")
     expo = 2.0 * spec.zeta / spec.m
-    if expo >= 1.0:
-        raise ValueError("2*zeta/m >= 1 makes G divergent")
-    if r == 0.0:
-        return 0.0
-    if spec.zeta == 0.0:
-        return float(r)
-    if spec.kind == "power_law":
-        return r ** (1.0 - expo) / (1.0 - expo)
-
-    def integrand(s):
-        if s <= 0:
-            return 0.0
-        inv = max(float(spec.beta_inverse(s * s)), 0.0)   # root solve can undershoot 0
-        return inv ** (-spec.zeta) if inv > 0 else 0.0
-
-    val, _ = integrate.quad(integrand, 0.0, r, points=[0.0], limit=200)
-    return val
+    return _scalar_or_array(arr ** (1.0 - expo) / (1.0 - expo))
 
 
-def capital_G_inverse(spec: NonlinearitySpec, y: float) -> float:
-    """Inverse of G by root solve; satisfies G(G^{-1}(y)) = y to 1e-10."""
-    if y < 0:
-        raise ValueError("G^{-1} is defined for y >= 0")
-    if y == 0.0:
-        return 0.0
-    expo = 2.0 * spec.zeta / spec.m
-    if spec.kind == "power_law":
-        return (y * (1.0 - expo)) ** (1.0 / (1.0 - expo))
-    hi = 1.0
-    while capital_G(spec, hi) < y:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError("G^{-1} bracket exceeded numeric range")
-    return optimize.brentq(lambda r: capital_G(spec, r) - y, 0.0, hi, xtol=1e-13)
+def entropy_Psi(spec: NonlinearitySpec, r):
+    """Psi(r) = integral_0^r ln(beta(s)) ds = m*r*(ln r - 1), with Psi(0) = 0.
 
-
-def entropy_Psi(spec: NonlinearitySpec, r) -> float:
-    """Psi(r) = integral_0^r ln(beta(s)) ds, with Psi(0) = 0.
-
-    For the power law the logarithmic singularity integrates exactly to
-    m*r*(ln r - 1); a custom beta goes through adaptive quadrature.
-    Accepts arrays (used by the field-level entropy sums).
+    Accepts scalars or arrays (the entropy audit sums it over a field).
     """
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0):
         raise ValueError("Psi is defined for r >= 0")
-    if spec.kind == "power_law":
-        out = np.zeros_like(arr)
-        pos = arr > 0
-        out[pos] = spec.m * arr[pos] * (np.log(arr[pos]) - 1.0)
-        return _scalar_or_array(out)
-    flat = np.atleast_1d(arr)
-    out = np.empty_like(flat)
-    for i, ri in enumerate(flat):
-        if ri == 0.0:
-            out[i] = 0.0
-        else:
-            out[i], _ = integrate.quad(
-                lambda s: math.log(float(spec.beta(s))) if s > 0 else 0.0,
-                0.0, ri, points=[0.0], limit=200)
-    return _scalar_or_array(out.reshape(arr.shape))
+    out = np.zeros_like(arr)
+    pos = arr > 0
+    out[pos] = spec.m * arr[pos] * (np.log(arr[pos]) - 1.0)
+    return _scalar_or_array(out)
 
 
 def lambda_zero(drift: DriftSpec) -> float:
@@ -533,7 +413,7 @@ def check_hypotheses(spec: NonlinearitySpec, drift: DriftSpec) -> HypothesesRepo
 
     # advisory: local Lipschitz quotients of b o (G o beta^{1/2})^{-1}
     rr = np.linspace(0.0, 2.0, n_samples)
-    y = np.array([capital_G(spec, math.sqrt(float(spec.beta(v)))) for v in rr])
+    y = capital_G(spec, np.sqrt(spec.beta(rr)))
     bv = np.asarray(drift.b(rr), dtype=float)
     dy = np.diff(y)
     quot = np.abs(np.diff(bv))[dy > 0] / dy[dy > 0]

@@ -8,25 +8,20 @@ from hypothesis import strategies as st
 from nemytskii_lab.analysis import (
     GagliardoResult,
     SampledFunction,
-    WeightFunction,
-    entropy_of_field,
     gagliardo_seminorm,
     lipschitz_estimate_check,
     maximal_function,
     w1_distance,
-    weighted_l1_norm,
 )
 from nemytskii_lab.closed_form import barenblatt_eval, make_barenblatt
 from nemytskii_lab.coefficients import NonlinearitySpec
-from nemytskii_lab.fpe_solver import GridField
+from nemytskii_lab.fpe_solver import GridField, Trajectory, entropy_audit
 
 P2 = make_barenblatt(1, 2.0)
 SPEC2 = NonlinearitySpec.power_law(2.0)
 
-# frozen quadrature oracles for the unit-mass profile at t = 1 (m = 2):
-#   integral of u * sqrt(1 + x^2)          -> 1.3295155155334213
+# frozen quadrature oracle for the unit-mass profile at t = 1 (m = 2):
 #   integral of 2 u (ln u - 1)             -> -4.600925140887928
-WEIGHTED_L1_ORACLE = 1.3295155155334213
 ENTROPY_ORACLE = -4.600925140887928
 
 
@@ -250,39 +245,19 @@ def test_w1_samples_vs_field_consistency():
     assert w1_distance(samples, flat) < 5e-3
 
 
-# -- weighted norms and entropy ---------------------------------------------------
+# -- entropy -----------------------------------------------------------------
 
-def test_weighted_l1_unit_weight():
-    g = GridField.from_function(-4, 4, 400, lambda x: barenblatt_eval(P2, 1.0, x)).normalized()
-    one = WeightFunction(phi=lambda x: np.ones_like(np.asarray(x, dtype=float)))
-    assert weighted_l1_norm(g, one) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_weighted_l1_delta_like():
-    v = np.zeros(801)
-    v[400] = 1.0
-    g = GridField(-4, 4, v).normalized()        # spike centered at 0.005
-    w = WeightFunction.polynomial(0.5)
-    assert weighted_l1_norm(g, w) == pytest.approx(1.0, abs=1e-4)
-
-
-def test_weighted_l1_barenblatt_oracle():
-    g = GridField.from_function(-3, 3, 4000, lambda x: barenblatt_eval(P2, 1.0, x))
-    w = WeightFunction.polynomial(0.5)
-    assert weighted_l1_norm(g, w) == pytest.approx(WEIGHTED_L1_ORACLE, rel=1e-6)
-
-
-def test_weight_function_validation():
-    with pytest.raises(ValueError, match=">= 1"):
-        WeightFunction(phi=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5))
-    with pytest.raises(ValueError):
-        WeightFunction.polynomial(0.7)
+def entropy_of_field(u: GridField) -> float:
+    """The entropy entropy_audit records for a one-step chain whose iterate is u."""
+    traj = Trajectory(initial=u, times=np.array([1.0]), values=u.values[None, :],
+                      infos=[])
+    return entropy_audit(traj, SPEC2)[0].entropy
 
 
 def test_entropy_of_field_cases():
     zeros = GridField(-1, 1, np.zeros(32))
-    assert entropy_of_field(zeros, SPEC2) == 0.0
+    assert entropy_of_field(zeros) == 0.0
     ones = GridField(0, 1, np.ones(32))
-    assert entropy_of_field(ones, SPEC2) == pytest.approx(-2.0, abs=1e-12)
+    assert entropy_of_field(ones) == pytest.approx(-2.0, abs=1e-12)
     g = GridField.from_function(-3, 3, 4000, lambda x: barenblatt_eval(P2, 1.0, x))
-    assert entropy_of_field(g, SPEC2) == pytest.approx(ENTROPY_ORACLE, rel=1e-5)
+    assert entropy_of_field(g) == pytest.approx(ENTROPY_ORACLE, rel=1e-5)

@@ -1,5 +1,9 @@
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -115,9 +119,46 @@ def test_readme_scenario_table_matches_the_parser():
                                          _readme_keys(cells[2]))
     assert rows == {name: (required, optional)
                     for name, (_, required, optional) in cli._SCENARIO_TABLE.items()}
-    (common,) = [par for par in text.split("\n\n")
-                 if par.startswith("Every scenario needs `m`")]
-    assert _readme_keys(common) == cli._COMMON_KEYS
+    paragraphs = text.split("\n\n")
+    (at,) = [i for i, par in enumerate(paragraphs)
+             if par.startswith("Every scenario needs `m`")]
+    assert _readme_keys(paragraphs[at]) == cli._COMMON_KEYS
+    # the list after it gives each drift kind's own keys
+    drift_rows = dict(re.findall(r"^- `(\w+)`: (.*)$", paragraphs[at + 1], re.M))
+    assert {kind: _readme_keys(keys) for kind, keys in drift_rows.items()} == \
+        {kind: keys for kind, (_, keys) in cli._DRIFT_TABLE.items()}
+
+
+def test_parse_rejects_a_key_of_another_drift_kind():
+    with pytest.raises(ConfigError) as err:
+        parse_config("scenario = barenblatt-verify\nm = 2.0\ndrift_amplitude = 0.5\n")
+    (problem,) = err.value.problems
+    assert problem.startswith("scenario barenblatt-verify: unknown key(s) "
+                              "'drift_amplitude'; ")
+    assert problem.endswith("; drift = tanh_inward also reads drift_amplitude, "
+                            "b_constant")
+    s = parse_config("scenario = barenblatt-verify\nm = 2.0\ndrift = tanh_inward\n"
+                     "drift_amplitude = 0.5\nb_constant = 0.5\n")
+    assert s.params["drift_amplitude"] == 0.5 and s.params["b_constant"] == 0.5
+
+
+def test_scenario_rejects_a_non_finite_param_naming_its_key(tmp_path):
+    with pytest.raises(ValueError, match="drift_amplitude must be finite, got nan"):
+        run_scenario(Scenario("hypotheses-check",
+                              {"m": 2.0, "drift": "tanh_inward",
+                               "drift_amplitude": math.nan}, tmp_path))
+    assert not (tmp_path / "report.ndjson").exists()
+
+
+def test_cli_imports_no_scipy_integrate_interpolate_or_optimize():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, nemytskii_lab.cli\n"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate',"
+            " 'scipy.optimize') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_parse_missing_scenario():

@@ -11,11 +11,8 @@ from nemytskii_lab import coefficients
 from nemytskii_lab.coefficients import (
     DriftSpec,
     NonlinearitySpec,
-    beta_epsilon,
-    beta_eval,
     beta_tilde_epsilon,
     capital_G,
-    capital_G_inverse,
     check_hypotheses,
     cutoff_E,
     entropy_Psi,
@@ -33,30 +30,14 @@ M3 = NonlinearitySpec.power_law(3.0)
 # -- diffusivity -------------------------------------------------------------
 
 def test_beta_power_law_values():
-    assert beta_eval(M2, 0.5) == pytest.approx(0.25, abs=1e-15)
-    assert beta_eval(M2, 0.0) == 0.0
-    assert beta_eval(M3, -1.0) == pytest.approx(-1.0, abs=1e-15)
+    assert M2.beta(0.5) == pytest.approx(0.25, abs=1e-15)
+    assert M2.beta(0.0) == 0.0
+    assert M3.beta(-1.0) == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_beta_strictly_increasing_sampled():
     r = np.linspace(-3, 3, 400)
     assert np.all(np.diff(M3.beta(r)) > 0)
-
-
-def test_custom_table_roundtrip():
-    r = np.linspace(-2, 2, 41)
-    spec = NonlinearitySpec.from_table(r, r**3, m=3.0)
-    probe = np.linspace(-1.5, 1.5, 50)
-    assert np.allclose(spec.beta(probe), probe**3, atol=1e-4)
-    assert spec.beta_inverse(0.125) == pytest.approx(0.5, abs=1e-6)
-
-
-def test_custom_table_rejections():
-    r = np.linspace(-1, 1, 21)
-    with pytest.raises(ValueError, match="non-monotone"):
-        NonlinearitySpec.from_table(r, np.sin(4 * r), m=2.0)
-    with pytest.raises(ValueError, match="beta\\(0\\)"):
-        NonlinearitySpec.from_table(r, r**3 + 0.5, m=3.0)
 
 
 def test_spec_parameter_validation():
@@ -90,12 +71,8 @@ def _sigma_squared_gathered(spec, r):
     return out
 
 
-@pytest.mark.parametrize("spec", [
-    NonlinearitySpec.power_law(1.5), M2, M3,
-    NonlinearitySpec.from_table(np.linspace(-2.0, 3.0, 51),
-                                np.linspace(-2.0, 3.0, 51) ** 3
-                                + np.linspace(-2.0, 3.0, 51), m=3.0),
-], ids=["m=1.5", "m=2", "m=3", "table"])
+@pytest.mark.parametrize("spec", [NonlinearitySpec.power_law(1.5), M2, M3],
+                         ids=["m=1.5", "m=2", "m=3"])
 def test_sigma_squared_bit_identical_to_gathered_formula(spec):
     rng = np.random.default_rng(5)
     r = rng.uniform(0.0, 3.0, 4096)
@@ -183,18 +160,23 @@ def test_yosida_bisection_rejects_broken_bracket():
         yosida_resolvent(broken, 1.0, np.array([2.0, 0.5]))
 
 
+def _beta_eps(spec, eps, r):
+    # beta_eps(r) = beta(g_eps(r)) = beta_tilde_eps(r) - eps*r
+    return beta_tilde_epsilon(spec, eps, r) - eps * np.asarray(r, dtype=float)
+
+
 def test_beta_epsilon_cases():
-    assert beta_epsilon(M3, 1.0, 2.0) == pytest.approx(1.0, abs=1e-11)
+    assert _beta_eps(M3, 1.0, 2.0) == pytest.approx(1.0, abs=1e-11)
     assert beta_tilde_epsilon(M3, 1.0, 2.0) == pytest.approx(3.0, abs=1e-11)
-    assert beta_epsilon(M2, 0.3, 0.0) == 0.0
+    assert _beta_eps(M2, 0.3, 0.0) == 0.0
     assert beta_tilde_epsilon(M2, 0.3, 0.0) == 0.0
     # resolvent oracle: beta_eps(1) = g^2 with g = sqrt(3) - 1
-    assert beta_epsilon(M2, 0.5, 1.0) == pytest.approx((math.sqrt(3) - 1) ** 2, abs=1e-10)
+    assert _beta_eps(M2, 0.5, 1.0) == pytest.approx((math.sqrt(3) - 1) ** 2, abs=1e-10)
 
 
 def test_beta_epsilon_converges_pointwise():
     r = np.linspace(0, 3, 60)
-    errors = [np.max(np.abs(beta_epsilon(M2, eps, r) - M2.beta(r)))
+    errors = [np.max(np.abs(_beta_eps(M2, eps, r) - M2.beta(r)))
               for eps in (1e-1, 1e-2, 1e-3)]
     assert errors[0] > errors[1] > errors[2]
 
@@ -288,26 +270,16 @@ def test_capital_G_against_quadrature_oracle():
 def test_capital_G_increasing_and_inverse_roundtrip():
     spec = NonlinearitySpec.power_law(2.5, zeta=0.6)
     rs = np.linspace(0.1, 4.0, 20)
-    vals = [capital_G(spec, r) for r in rs]
+    vals = capital_G(spec, rs)
+    scalars = [capital_G(spec, float(r)) for r in rs]
+    assert all(type(v) is float for v in scalars)
+    assert np.array_equal(vals.view(np.int64), np.array(scalars).view(np.int64))
     assert np.all(np.diff(vals) > 0)
+    # G(r) = r^(1-a)/(1-a) with a = 2*zeta/m has the inverse (y*(1-a))^(1/(1-a))
+    a = 2.0 * spec.zeta / spec.m
     for y in (0.3, 1.0, 2.7):
-        assert capital_G(spec, capital_G_inverse(spec, y)) == pytest.approx(y, abs=1e-10)
-
-
-def _kink_refined_table():
-    # dense abscissae near the degenerate origin, where the kink lives
-    r = np.unique(np.concatenate([
-        np.linspace(-0.5, 11.0, 100),
-        np.geomspace(1e-5, 1.0, 200),
-        [0.0],
-    ]))
-    return r, np.abs(r) * r
-
-
-def test_capital_G_custom_table():
-    r, vals = _kink_refined_table()
-    spec = NonlinearitySpec.from_table(r, vals, m=2.0, zeta=0.5)
-    assert capital_G(spec, 1.0) == pytest.approx(2.0, rel=1e-4)
+        inverse = (y * (1.0 - a)) ** (1.0 / (1.0 - a))
+        assert capital_G(spec, inverse) == pytest.approx(y, abs=1e-10)
 
 
 def test_entropy_psi_closed_cases():
@@ -321,12 +293,6 @@ def test_entropy_psi_matches_quadrature():
     for r in rng.uniform(0.05, 10.0, 8):
         oracle, _ = integrate.quad(lambda s: M2.m * math.log(s), 0.0, r, points=[0.0])
         assert entropy_Psi(M2, r) == pytest.approx(oracle, abs=1e-8)
-
-
-def test_entropy_psi_custom_table():
-    r, vals = _kink_refined_table()
-    spec = NonlinearitySpec.from_table(r, vals, m=2.0)
-    assert entropy_Psi(spec, 1.0) == pytest.approx(-2.0, abs=1e-4)
 
 
 # -- step restriction and hypotheses -----------------------------------------
