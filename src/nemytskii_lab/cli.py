@@ -51,12 +51,14 @@ class Scenario:
                 raise ValueError(f"{key} must be finite, got {value!r}")
 
 
-def parse_config(text: str) -> Scenario:
+def parse_config(text: str, overrides: dict | None = None) -> Scenario:
     """Parse flat ``key = value`` lines with # comments into a Scenario.
 
-    Values are typed as int, then float, then bare string.  A non-finite
-    number and a key that neither the scenario nor its drift kind reads are
-    problems; all problems are collected (with line numbers) before raising.
+    Values are typed as int, then float, then bare string.  overrides (the
+    command line's values) replace the file's and are checked like them.  A
+    non-finite number and a key that neither the scenario nor its drift kind
+    reads are problems; all problems are collected (with line numbers)
+    before raising.
     """
     problems: list[str] = []
     params: dict = {}
@@ -76,6 +78,7 @@ def parse_config(text: str) -> Scenario:
         params[key] = _type_value(value)
         if isinstance(params[key], float) and not math.isfinite(params[key]):
             problems.append(f"line {lineno}: {key} must be finite, got {value}")
+    params.update(overrides or {})
 
     drift = params.get("drift", "zero")
     drift_keys = _DRIFT_TABLE[drift][1] if drift in _DRIFT_TABLE else ()
@@ -375,8 +378,9 @@ def _run_compare(params, problem: Problem, out: Path) -> list[Check]:
         config = _sim_config(params, problem)
         result = particle_sim.run(config, problem.spec, problem.drift,
                                   initial_density=problem.density(config.t0))
+        # the particles stop at the step nearest T, as particle-run's do
         checks.append(_w1_row("w1_particle_vs_closed_form", problem,
-                              result.final.positions, config.T, _grid(params)))
+                              result.final.positions, result.final.t, _grid(params)))
     return checks
 
 
@@ -493,8 +497,10 @@ def main(argv=None) -> int:
             print(name)
         return 0
 
+    seed = getattr(args, "seed", None)
     try:
-        scenario = parse_config(args.config.read_text(encoding="utf-8"))
+        scenario = parse_config(args.config.read_text(encoding="utf-8"),
+                                overrides=None if seed is None else {"seed": seed})
     except ConfigError as err:
         for problem in err.problems:
             print(f"config error: {problem}", file=sys.stderr)
@@ -505,8 +511,6 @@ def main(argv=None) -> int:
                             output_dir=scenario.output_dir)
     if getattr(args, "output_dir", None) is not None:
         scenario.output_dir = args.output_dir
-    if getattr(args, "seed", None) is not None:
-        scenario.params["seed"] = args.seed
     return run_scenario(scenario)
 
 

@@ -16,21 +16,24 @@ advection), so the zero-flux boundary conserves mass to roundoff.
 
 A chain is strictly sequential and runs in the calling thread; its iterates
 are the rows of one writable (N, n_cells) array.
+
+scipy is imported only when a chain first solves: the first
+_tridiagonal_solve loads LAPACK gtsv from scipy.linalg and keeps it.  A
+process that runs no chain (the particle scenarios) never loads scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-# ThreadPoolExecutor, solve_banded, beta_tilde_epsilon and
-# beta_tilde_epsilon_prime are unused here but stay importable: the traced
-# benchmark patches them by name (ROADMAP item 1).
+# ThreadPoolExecutor, beta_tilde_epsilon and beta_tilde_epsilon_prime are
+# unused here but stay importable: the traced benchmark patches them by name
+# (ROADMAP item 1).
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded  # noqa: F401
-from scipy.linalg.lapack import dgtsv
 
 from .coefficients import (  # noqa: F401
     DriftSpec,
@@ -72,6 +75,16 @@ EPSILON_REG = 1e-12
 # if it is still above after NEWTON_MAX_ITER iterations
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
+
+
+def __getattr__(name):
+    # solve_banded is unused here too, but the traced benchmark patches it by
+    # name; it is imported on first access, so that importing this module
+    # loads no scipy.  This shim goes with ROADMAP item 1.
+    if name == "solve_banded":
+        from scipy.linalg import solve_banded
+        return solve_banded
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SolverError(RuntimeError):
@@ -260,6 +273,13 @@ def _jacobian_bands(u: np.ndarray, f: GridField, spec: NonlinearitySpec,
     return dl, d, du
 
 
+@functools.cache
+def _gtsv():
+    """scipy's LAPACK dgtsv, imported by the first call and kept."""
+    from scipy.linalg.lapack import dgtsv
+    return dgtsv
+
+
 def _tridiagonal_solve(bands, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     """Solve the system with diagonals bands = (dl, d, du) by LAPACK gtsv.
 
@@ -268,8 +288,8 @@ def _tridiagonal_solve(bands, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     Returns x and gtsv's info, which is > 0 at an exactly zero pivot.
     """
     dl, d, du = bands
-    *_, x, info = dgtsv(dl, d, du, rhs, overwrite_dl=True, overwrite_d=True,
-                        overwrite_du=True, overwrite_b=True)
+    *_, x, info = _gtsv()(dl, d, du, rhs, overwrite_dl=True, overwrite_d=True,
+                          overwrite_du=True, overwrite_b=True)
     return x, info
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from nemytskii_lab import cli
+from nemytskii_lab import analysis, cli, particle_sim
 from nemytskii_lab.cli import (
     ConfigError,
     Scenario,
@@ -150,15 +150,51 @@ def test_scenario_rejects_a_non_finite_param_naming_its_key(tmp_path):
     assert not (tmp_path / "report.ndjson").exists()
 
 
-def test_cli_imports_no_scipy_integrate_interpolate_or_optimize():
+# a fresh interpreter: imports the package, runs each scenario through
+# cli.main and prints the exit codes and the scipy modules loaded so far
+_IMPORT_PROBE = """
+import json, sys
+from pathlib import Path
+import nemytskii_lab, nemytskii_lab.cli as cli
+tmp = Path(sys.argv[1])
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = {"import": scipy_modules()}
+for name in ("particle-run", "coupling", "fpe-run"):
+    code = cli.main(["run", str(tmp / f"{name}.cfg"), "--output-dir", str(tmp / name)])
+    seen[name] = [code, scipy_modules()]
+import scipy.linalg
+from nemytskii_lab import fpe_solver
+seen["solve_banded"] = fpe_solver.solve_banded is scipy.linalg.solve_banded
+print(json.dumps(seen))
+"""
+
+
+def test_cli_imports_no_scipy_integrate_interpolate_or_optimize(tmp_path):
+    # the particle scenarios load no scipy module at all; a chain loads
+    # scipy.linalg at its first solve
+    configs = {
+        "particle-run": "t0 = 0.1\nT = 0.13\nn_particles = 2000\ndt = 1e-3\n"
+                        "seed = 4\n",
+        "coupling": "t0 = 0.1\nT = 0.13\nn_particles = 1000\ndt = 1e-3\n"
+                    "perturbation = 0.0\nseed = 5\n",
+        "fpe-run": "t0 = 0.1\nT = 0.11\nn_cells = 64\nh = 1e-3\n",
+    }
+    for name, text in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(f"scenario = {name}\nm = 2.0\n{text}")
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = ("import sys, nemytskii_lab.cli\n"
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate',"
-            " 'scipy.optimize') if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
+                          env=env, check=True, capture_output=True, text=True)
+    seen = json.loads(done.stdout)
+    assert seen["import"] == []
+    assert seen["particle-run"] == [0, []]
+    assert seen["coupling"] == [0, []]
+    code, loaded = seen["fpe-run"]
+    assert code == 0 and "scipy.linalg" in loaded
+    assert seen["solve_banded"] is True
 
 
 def test_parse_missing_scenario():
@@ -310,6 +346,22 @@ def test_compare_scenario(tmp_path):
     assert "l1_error_vs_closed_form" in ids
 
 
+def test_compare_gates_the_particles_at_their_final_time(tmp_path):
+    # (T - t0)/dt = 3.33, so the particles stop after 3 steps at t = 0.19
+    params = {"m": 2.0, "t0": 0.1, "T": 0.2, "n_cells": 200, "h": 5e-3,
+              "lo": -4.0, "hi": 4.0, "n_particles": 2000, "dt": 0.03, "seed": 4}
+    assert run_scenario(Scenario("compare", dict(params), tmp_path)) == 0
+    row = next(r for r in read_report(tmp_path / "report.ndjson")
+               if r.get("check_id") == "w1_particle_vs_closed_form")
+    problem = cli._build_problem(params)
+    config = cli._sim_config(params, problem)
+    final = particle_sim.run(config, problem.spec, problem.drift,
+                             initial_density=problem.density(config.t0)).final
+    assert final.t == pytest.approx(0.19, abs=1e-12)
+    ref = problem.field(final.t, -4.0, 4.0, 200).normalized()
+    assert row["achieved"] == analysis.w1_distance(final.positions, ref)
+
+
 def test_particle_run_scenario_with_dump(tmp_path):
     s = Scenario(name="particle-run",
                  params={"m": 2.0, "t0": 0.1, "T": 0.4, "n_particles": 20_000,
@@ -451,7 +503,38 @@ def test_main_check_hypotheses(tmp_path):
     assert main(["check-hypotheses", str(cfg)]) == 0
     assert (tmp_path / "hyp_report" / "report.ndjson").exists()
     out = tmp_path / "hyp_out"
+    assert main(["run", str(cfg), "--output-dir", str(out)]) == 0
+    assert (out / "report.ndjson").exists()
+
+
+_SEEDLESS_CONFIGS = {
+    "fpe-run": "t0 = 0.1\nT = 0.11\nn_cells = 64\nh = 1e-3\n",
+    "barenblatt-verify": "",
+    "regularity-scan": "p = 1.0\nn_grid = 201\n",
+    "hypotheses-check": "",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDLESS_CONFIGS))
+def test_main_seed_of_a_scenario_without_one_is_a_config_error(tmp_path, capsys, name):
+    # --seed is checked like a seed line in the file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scenario = {name}\nm = 2.0\n{_SEEDLESS_CONFIGS[name]}")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--output-dir", str(out), "--seed", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "unknown key(s) 'seed'" in err
+    assert not out.exists()
+    assert main(["run", str(cfg), "--output-dir", str(out)]) == 0
+
+
+def test_main_seed_overrides_the_config_seed(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = particle-run\nm = 2.0\nt0 = 0.1\nT = 0.13\n"
+                   "n_particles = 2000\ndt = 1e-3\nseed = 5\n")
+    out = tmp_path / "out"
     assert main(["run", str(cfg), "--output-dir", str(out), "--seed", "3"]) == 0
+    assert read_report(out / "report.ndjson")[0]["config"]["seed"] == 3
 
 
 def test_artifact_partial_on_crash(tmp_path):
