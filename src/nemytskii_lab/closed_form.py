@@ -1,12 +1,16 @@
-"""Exact self-similar source solution of the porous medium equation.
+"""Exact self-similar source solution of the 1-D porous medium equation.
 
-Provides the compactly supported profile
+Provides the compactly supported profile started from a unit point mass at x0,
 
-    u(t, x) = t^(-alpha) * (C - k |(x - x0) t^(-beta_ss)|^2)_+^(1/(m-1))
+    u(t, x) = t^(-alpha) * (C - k |(x - x0) t^(-beta_ss)|^2)_+^q,   q = 1/(m-1),
 
-with alpha = d/(d(m-1)+2), k = alpha(m-1)/(2md), beta_ss = alpha/d, and the
-normalizing constant C fixed by unit mass.  Also houses the fractional
-regularity exponent algebra used by the regularity scan.
+with alpha = beta_ss = 1/(m+1) and k = (m-1)/(2m(m+1)).  Unit mass fixes C in
+closed form: substituting x = R sin(theta), R = sqrt(C/k), the mass is
+C^(q+1/2) k^(-1/2) B(1/2, q+1), so C = (sqrt(k) / B(1/2, q+1))^(1/(q+1/2)).
+The second moment at t = 1 is R^2 B(3/2, q+1) / B(1/2, q+1) = R^2/(2q+3).
+Only barenblatt_mass is a quadrature: it is the check on C that does not use
+the Beta function.  Also houses the fractional regularity exponent algebra
+used by the regularity scan.
 """
 
 from __future__ import annotations
@@ -26,23 +30,13 @@ __all__ = [
     "time_integrability_exponent",
 ]
 
-# composite Gauss-Legendre panels reused by all profile integrals
+# composite Gauss-Legendre panels of the mass quadrature
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _N_PANELS = 64
 
 
-def _panel_integrate(fn, a: float, b: float) -> float:
-    """Composite Gauss-Legendre of fn over [a, b] with fixed panels."""
-    edges = np.linspace(a, b, _N_PANELS + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    pts = mid[:, None] + half * _GL_NODES[None, :]
-    return float(np.sum(half * _GL_WEIGHTS[None, :] * fn(pts)))
-
-
 @dataclass(frozen=True)
 class BarenblattParams:
-    d: int
     m: float
     x0: float
     alpha: float
@@ -59,57 +53,42 @@ class BarenblattParams:
         return self.support_radius_t1 * t ** self.beta_ss
 
 
-def _profile_integral(C: float, q: float, R: float, weight=lambda th: 1.0) -> float:
-    """Integral of weight * (C - k x^2)_+^q over its support |x| <= R = sqrt(C/k).
+def _profile_integral(C: float, q: float, R: float) -> float:
+    """Integral of (C (1 - x^2/R^2))_+^q, a profile of support radius R.
 
     Substituting x = R sin(theta) flattens the boundary kink to cos powers:
-    the integrand becomes weight(theta) * (C cos^2)^q * R cos on [-pi/2, pi/2].
+    the integrand becomes (C cos^2)^q * R cos on [-pi/2, pi/2], summed by
+    composite Gauss-Legendre on fixed panels.
     """
-    return _panel_integrate(
-        lambda th: weight(th) * (C * np.cos(th) ** 2) ** q * R * np.cos(th),
-        -0.5 * math.pi, 0.5 * math.pi)
+    edges = np.linspace(-0.5 * math.pi, 0.5 * math.pi, _N_PANELS + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    th = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * _GL_NODES[None, :]
+    cos = np.cos(th)
+    return float(np.sum(half * _GL_WEIGHTS[None, :] * (C * cos ** 2) ** q * R * cos))
 
 
-def _profile_mass(C: float, m: float, k: float) -> float:
-    return _profile_integral(C, 1.0 / (m - 1.0), math.sqrt(C / k))
+def make_barenblatt(m: float, x0: float = 0.0) -> BarenblattParams:
+    """The exponents and the unit-mass normalizer C, all in closed form.
 
-
-def make_barenblatt(d: int, m: float, x0: float = 0.0) -> BarenblattParams:
-    """Compute the exponents from their formulas and C by quadrature bisection.
-
-    Only d = 1 is supported in the default build (d = 2 is excluded by design;
-    radial d >= 3 is not wired up).  m must exceed 1.
+    m must be finite and exceed 1.
     """
-    if not m > 1.0:
-        raise ValueError(f"m must exceed 1, got {m}")
-    if d != 1:
-        raise ValueError("only d = 1 is supported")
-    alpha = d / (d * (m - 1.0) + 2.0)
-    k = alpha * (m - 1.0) / (2.0 * m * d)
-    beta_ss = alpha / d
-
-    lo, hi = 1e-12, 1.0
-    while _profile_mass(hi, m, k) < 1.0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _profile_mass(mid, m, k) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * hi:
-            break
-    C = 0.5 * (lo + hi)
-    return BarenblattParams(d=d, m=float(m), x0=float(x0), alpha=alpha, k=k,
-                            beta_ss=beta_ss, C_norm=C)
+    if not (m > 1.0 and math.isfinite(m)):
+        raise ValueError(f"m must exceed 1 and be finite, got {m}")
+    q = 1.0 / (m - 1.0)
+    alpha = 1.0 / (m + 1.0)
+    k = alpha * (m - 1.0) / (2.0 * m)
+    log_beta = math.lgamma(0.5) + math.lgamma(q + 1.0) - math.lgamma(q + 1.5)
+    C = math.exp((0.5 * math.log(k) - log_beta) / (q + 0.5))
+    return BarenblattParams(m=float(m), x0=float(x0), alpha=alpha, k=k,
+                            beta_ss=alpha, C_norm=C)
 
 
 def barenblatt_mass(p: BarenblattParams, t: float) -> float:
     """Quadrature of the profile over its support at time t (should be 1)."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t!r}")
-    return _profile_integral(p.C_norm, 1.0 / (p.m - 1.0), p.support_radius(t),
-                             lambda th: t ** (-p.alpha))
+    return t ** (-p.alpha) * _profile_integral(p.C_norm, 1.0 / (p.m - 1.0),
+                                               p.support_radius(t))
 
 
 def barenblatt_eval(p: BarenblattParams, t: float, x):
@@ -128,16 +107,13 @@ def barenblatt_eval(p: BarenblattParams, t: float, x):
 
 
 def barenblatt_moment2(p: BarenblattParams, t: float) -> float:
-    """Second moment about x0 at time t, integral over the support.
+    """Second moment about x0 at time t: R(t)^2 / (2q + 3), q = 1/(m-1).
 
-    Scales exactly as t^(2*beta_ss) by self-similarity.
+    R(t)^2 = (C/k) t^(2*beta_ss) is the squared support radius.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t!r}")
-    R = p.support_radius_t1
-    m2_t1 = _profile_integral(p.C_norm, 1.0 / (p.m - 1.0), R,
-                              lambda th: (R * np.sin(th)) ** 2)
-    return m2_t1 * t ** (2.0 * p.beta_ss)
+    return p.C_norm / p.k * t ** (2.0 * p.beta_ss) / (2.0 / (p.m - 1.0) + 3.0)
 
 
 def regularity_threshold(m: float, p: float) -> tuple[float, bool]:

@@ -78,8 +78,16 @@ class SimConfig:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if not self.t0 < self.T:
             raise ValueError("need t0 < T")
+        if self.n_steps < 1:
+            raise ValueError(f"t0 = {self.t0!r}, T = {self.T!r} and dt = {self.dt!r} "
+                             "give no step: round((T - t0)/dt) = 0")
         if not self.linf_clamp > 0:
             raise ValueError("linf_clamp must be positive")
+
+    @property
+    def n_steps(self) -> int:
+        """The number of steps from t0 to T, round((T - t0)/dt)."""
+        return int(round((self.T - self.t0) / self.dt))
 
 
 @dataclass(frozen=True)
@@ -301,7 +309,7 @@ def _steps(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
     aborts if any particle of any ensemble leaves 10 * DOMAIN_BOUND.
     """
     bound = 10.0 * DOMAIN_BOUND
-    for _ in range(int(round((config.T - config.t0) / config.dt))):
+    for _ in range(config.n_steps):
         density = frozen_density(
             ensembles[0], _silverman_bandwidth(ensembles[0].positions))
         ensembles = tuple(em_step(e, config.dt, spec, drift, density,

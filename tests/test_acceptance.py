@@ -39,7 +39,7 @@ from nemytskii_lab.particle_sim import SimConfig, coupling_experiment, run
 
 SPEC2 = NonlinearitySpec.power_law(2.0)
 ZERO_DRIFT = DriftSpec.zero()
-P2 = make_barenblatt(1, 2.0)
+P2 = make_barenblatt(2.0)
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -51,7 +51,7 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 
 def test_criterion_1_barenblatt_exactness():
     start = time.monotonic()
-    p = make_barenblatt(1, 2.0)
+    p = make_barenblatt(2.0)
     exact = (abs(p.alpha - 1.0 / 3.0) <= 1e-15
              and abs(p.k - 1.0 / 12.0) <= 1e-15
              and abs(p.beta_ss - 1.0 / 3.0) <= 1e-15)
@@ -240,7 +240,7 @@ def test_criterion_9_regularity_dichotomy():
         m = rng.uniform(1.1, 5.0)
         pw = rng.uniform(0.1, m)
         s = rng.uniform(0.0, 2.5)
-        p = make_barenblatt(1, m)
+        p = make_barenblatt(m)
         s_max, _ = regularity_threshold(m, pw)
         e, integrable = time_integrability_exponent(p, pw, s)
         identity_err = max(identity_err,

@@ -17,7 +17,7 @@ from nemytskii_lab.closed_form import barenblatt_eval, make_barenblatt
 from nemytskii_lab.coefficients import NonlinearitySpec
 from nemytskii_lab.fpe_solver import GridField, Trajectory, entropy_audit
 
-P2 = make_barenblatt(1, 2.0)
+P2 = make_barenblatt(2.0)
 SPEC2 = NonlinearitySpec.power_law(2.0)
 
 # frozen quadrature oracle for the unit-mass profile at t = 1 (m = 2):
@@ -186,7 +186,7 @@ def test_gagliardo_monotone_in_s_small_diameter():
 def test_gagliardo_growth_toward_high_order():
     # kinked profile (exponent 3/4) stays finite for s < 1 but grows sharply;
     # recorded oracle ratio ~7.5 between s = 0.99 and s = 0.5 at n = 801
-    p3 = make_barenblatt(1, 3.0)
+    p3 = make_barenblatt(3.0)
     f = profile_sample(p3, 1.5)
     v_mid = gagliardo_seminorm(f, 0.5, 2.0).value
     v_high = gagliardo_seminorm(f, 0.99, 2.0).value

@@ -129,6 +129,14 @@ def test_readme_scenario_table_matches_the_parser():
         {kind: keys for kind, (_, keys) in cli._DRIFT_TABLE.items()}
 
 
+def test_readme_library_sketch_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    (sketch,) = re.findall(r"## Library sketch\n\n```python\n(.*?)```", text, re.S)
+    exec(compile(sketch, "README.md", "exec"), {})
+    mass_drift, linf, audit = map(float, capsys.readouterr().out.split())
+    assert mass_drift <= 1e-8 and linf > 0.0 and audit <= 1e-6
+
+
 def test_parse_rejects_a_key_of_another_drift_kind():
     with pytest.raises(ConfigError) as err:
         parse_config("scenario = barenblatt-verify\nm = 2.0\ndrift_amplitude = 0.5\n")
@@ -205,13 +213,17 @@ def test_parse_missing_scenario():
 # -- scenarios ----------------------------------------------------------------
 
 def test_barenblatt_verify_scenario(tmp_path):
-    s = Scenario(name="barenblatt-verify", params={"m": 2.0}, output_dir=tmp_path)
-    assert run_scenario(s) == 0
-    records = read_report(tmp_path / "report.ndjson")
-    assert records[0]["scenario"] == "barenblatt-verify"
-    checks = [r for r in records if "check_id" in r]
-    assert checks and all(r["pass"] for r in checks)
-    assert "wall_time" in records[-1]
+    # each row compares the quadrature mass with the closed-form C
+    for m in (1.01, 2.0, 8.0, 20.0, 100.0):
+        out = tmp_path / f"m={m:g}"
+        s = Scenario(name="barenblatt-verify", params={"m": m}, output_dir=out)
+        assert run_scenario(s) == 0
+        records = read_report(out / "report.ndjson")
+        assert records[0]["scenario"] == "barenblatt-verify"
+        rows = [r for r in records if "check_id" in r]
+        assert [r["check_id"] for r in rows] == ["mass_t=0.1", "mass_t=1", "mass_t=10"]
+        assert all(r["achieved"] <= 1e-9 and r["tolerance"] == 1e-9 for r in rows)
+        assert "wall_time" in records[-1]
 
 
 def test_fpe_run_scenario(tmp_path):
@@ -385,6 +397,44 @@ def test_particle_clamp_is_twice_the_source_peak(m):
     config = cli._sim_config(params, problem)
     peak = p.C_norm ** (1.0 / (m - 1.0)) * 0.1 ** (-p.alpha)
     assert config.linf_clamp == pytest.approx(2.0 * peak, rel=1e-12)
+
+
+@pytest.mark.parametrize("name,extra", [("particle-run", {}),
+                                        ("coupling", {"perturbation": 0.0})])
+def test_particle_scenario_without_a_step_is_rejected(tmp_path, capsys, name, extra):
+    # round((0.1004 - 0.1)/1e-3) = 0 used to end in a bare IndexError
+    s = Scenario(name=name,
+                 params={"m": 2.0, "t0": 0.1, "T": 0.1004, "n_particles": 1000,
+                         "dt": 1e-3, **extra},
+                 output_dir=tmp_path)
+    assert run_scenario(s) == 1
+    assert "t0 = 0.1, T = 0.1004 and dt = 0.001 give no step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,extra", [("fpe-run", {}),
+                                        ("compare", {"n_particles": 1000, "dt": 1e-3})])
+def test_unknown_trajectory_format_is_rejected(tmp_path, capsys, monkeypatch, name, extra):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("the chain ran")
+
+    monkeypatch.setattr(cli, "step_chain", no_chain)
+    s = Scenario(name=name,
+                 params={"m": 2.0, "t0": 0.1, "T": 0.11, "n_cells": 64, "h": 1e-3,
+                         "trajectory_format": "binry", **extra},
+                 output_dir=tmp_path)
+    assert run_scenario(s) == 1
+    assert "trajectory_format must be csv or binary, got 'binry'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.ndjson"]
+
+
+def test_negative_dump_stride_is_rejected(tmp_path, capsys):
+    s = Scenario(name="particle-run",
+                 params={"m": 2.0, "t0": 0.1, "T": 0.13, "n_particles": 1000,
+                         "dt": 1e-3, "dump_stride": -3},
+                 output_dir=tmp_path)
+    assert run_scenario(s) == 1
+    assert "dump_stride must be nonnegative, got -3" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.ndjson"]
 
 
 def test_particle_run_m4_meets_its_tolerances(tmp_path):

@@ -13,8 +13,8 @@ from nemytskii_lab.closed_form import (
     time_integrability_exponent,
 )
 
-P2 = make_barenblatt(1, 2.0)
-P3 = make_barenblatt(1, 3.0)
+P2 = make_barenblatt(2.0)
+P3 = make_barenblatt(3.0)
 
 
 def _mass_oracle(p, t):
@@ -46,9 +46,13 @@ def test_normalizer_m2_closed_form():
     assert (4.0 / 3.0) * P2.C_norm ** 1.5 / math.sqrt(P2.k) == pytest.approx(1.0, abs=1e-9)
 
 
+# from a nearly linear diffusion (q = 100) to a nearly flat profile (q = 1/19)
+ORACLE_MS = (1.01, 1.5, 2.0, 3.0, 5.0, 8.0, 20.0)
+
+
 def test_normalizer_matches_gamma_oracle():
-    for p, m in ((P2, 2.0), (P3, 3.0), (make_barenblatt(1, 1.5), 1.5)):
-        assert p.C_norm == pytest.approx(_normalizer_oracle(m), abs=1e-10)
+    for m in ORACLE_MS:
+        assert make_barenblatt(m).C_norm == pytest.approx(_normalizer_oracle(m), rel=1e-13)
 
 
 def test_mass_is_one_at_all_times():
@@ -75,11 +79,10 @@ def test_eval_rejects_nonpositive_time():
 
 def test_make_barenblatt_rejections():
     with pytest.raises(ValueError):
-        make_barenblatt(1, 1.0)
-    with pytest.raises(ValueError):
-        make_barenblatt(2, 2.0)
-    with pytest.raises(ValueError, match="m must exceed 1"):
-        make_barenblatt(1, math.nan)
+        make_barenblatt(1.0)
+    for m in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="m must exceed 1 and be finite"):
+            make_barenblatt(m)
 
 
 def test_moment2_closed_form_and_oracle():
@@ -89,6 +92,15 @@ def test_moment2_closed_form_and_oracle():
     oracle, _ = integrate.quad(lambda x: x * x * (P2.C_norm - P2.k * x * x), -R, R,
                                epsabs=1e-13)
     assert barenblatt_moment2(P2, 1.0) == pytest.approx(oracle, abs=1e-10)
+
+
+def test_moment2_matches_the_quad_oracle():
+    for m in ORACLE_MS:
+        p = make_barenblatt(m)
+        R, q = p.support_radius_t1, 1.0 / (m - 1.0)
+        oracle, _ = integrate.quad(lambda x: x * x * max(p.C_norm - p.k * x * x, 0.0) ** q,
+                                   -R, R, epsabs=0.0, epsrel=2e-14, limit=200)
+        assert barenblatt_moment2(p, 1.0) == pytest.approx(oracle, rel=1e-13)
 
 
 def test_moment2_self_similar_scaling():
@@ -108,7 +120,7 @@ def test_self_similarity_pointwise():
 
 
 def test_center_offset():
-    p = make_barenblatt(1, 2.0, x0=1.5)
+    p = make_barenblatt(2.0, x0=1.5)
     assert barenblatt_eval(p, 1.0, 1.5) == pytest.approx(p.C_norm, abs=1e-12)
     assert barenblatt_eval(p, 1.0, 0.0) == barenblatt_eval(P2, 1.0, -1.5)
 
@@ -162,7 +174,7 @@ def test_threshold_consistent_with_time_exponent():
         m = rng.uniform(1.1, 5.0)
         pw = rng.uniform(0.1, m)
         s = rng.uniform(0.0, 2.5)
-        p = make_barenblatt(1, m)
+        p = make_barenblatt(m)
         s_max, _ = regularity_threshold(m, pw)
         e, integrable = time_integrability_exponent(p, pw, s)
         if abs(s - s_max) > 1e-9:

@@ -28,7 +28,7 @@ from nemytskii_lab.fpe_solver import (
 
 SPEC = NonlinearitySpec.power_law(2.0)
 ZERO_DRIFT = DriftSpec.zero()
-P2 = make_barenblatt(1, 2.0)
+P2 = make_barenblatt(2.0)
 
 
 def gaussian_field(n=512, lo=-6.0, hi=6.0, sigma=1.0):

@@ -24,7 +24,7 @@ from nemytskii_lab.particle_sim import (
 
 SPEC2 = NonlinearitySpec.power_law(2.0)
 ZERO_DRIFT = DriftSpec.zero()
-P2 = make_barenblatt(1, 2.0)
+P2 = make_barenblatt(2.0)
 T0 = 0.1
 BB_INIT = lambda x: barenblatt_eval(P2, T0, x)
 CLAMP = 2.0 * P2.C_norm * T0 ** (-P2.alpha)
@@ -287,3 +287,5 @@ def test_sim_config_validation():
         small_config(linf_clamp=0.0)
     with pytest.raises(ValueError, match="dt must be positive"):
         small_config(dt=math.nan)
+    with pytest.raises(ValueError, match=r"give no step: round\(\(T - t0\)/dt\) = 0"):
+        small_config(T=T0 + 0.4 * small_config().dt)
