@@ -22,7 +22,6 @@ import numpy as np
 from . import analysis, closed_form, particle_sim
 from .coefficients import DriftSpec, NonlinearitySpec, check_hypotheses, lambda_zero
 from .fpe_solver import (
-    MAX_CLIPPED_MASS,
     NEWTON_TOL,
     GridField,
     SolverConfig,
@@ -47,8 +46,19 @@ class Scenario:
 
     def __post_init__(self):
         for key, value in self.params.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value!r}")
+            problem = _value_problem(key, value)
+            if problem:
+                raise ValueError(problem)
+
+
+def _value_problem(key: str, value) -> str | None:
+    """Why a config value is unusable: not finite, or a count not whole."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"{key} must be finite, got {value!r}"
+    counts = ("n_cells", "n_particles", "dump_stride", "n_grid", "seed")  # read by int()
+    if key in counts and (not isinstance(value, (int, float)) or value % 1):
+        return f"{key} must be a whole number, got {value!r}"
+    return None
 
 
 def parse_config(text: str, overrides: dict | None = None) -> Scenario:
@@ -56,9 +66,9 @@ def parse_config(text: str, overrides: dict | None = None) -> Scenario:
 
     Values are typed as int, then float, then bare string.  overrides (the
     command line's values) replace the file's and are checked like them.  A
-    non-finite number and a key that neither the scenario nor its drift kind
-    reads are problems; all problems are collected (with line numbers)
-    before raising.
+    non-finite number, a count that is not whole and a key that neither the
+    scenario nor its drift kind reads are problems; all problems are
+    collected (with line numbers) before raising.
     """
     problems: list[str] = []
     params: dict = {}
@@ -76,8 +86,9 @@ def parse_config(text: str, overrides: dict | None = None) -> Scenario:
             problems.append(f"line {lineno}: empty key or value")
             continue
         params[key] = _type_value(value)
-        if isinstance(params[key], float) and not math.isfinite(params[key]):
-            problems.append(f"line {lineno}: {key} must be finite, got {value}")
+        problem = _value_problem(key, params[key])
+        if problem:
+            problems.append(f"line {lineno}: {problem}")
     params.update(overrides or {})
 
     drift = params.get("drift", "zero")
@@ -289,14 +300,12 @@ def _run_fpe(params, problem: Problem, out: Path) -> list[Check]:
     checks = []
     masses = values.sum(axis=1) * nu.cell_width
     checks.append(_bound_check("mass_drift", float(np.max(np.abs(masses - 1.0))), 1e-8, 0.0))
-    checks.append(_bound_check("min_value", max(-values.min(), 0.0), 0.0, 0.0))
-    # min_value is read after the clip; this row reads the iterate before it.
+    # The iterates are clipped at 0, and step_chain raises once the clipped
+    # mass passes its budget, so nonnegativity is gated before the clip.
     # Measured 0.0 on every CLI fpe config; the margin is the solve's
     # residual tolerance, below which the values are not resolved.
     undershoot = max(0.0, -min(info.preclip_min for info in traj.infos))
     checks.append(_bound_check("preclip_undershoot", undershoot, NEWTON_TOL, 0.0))
-    checks.append(_bound_check("clipped_mass", traj.total_clipped_mass(),
-                               MAX_CLIPPED_MASS, 0.0))
     c = problem.drift.combined_sup()
     # the rows are nonnegative, so their maxima are their sup norms
     linf_cap = max(m / (math.exp(math.sqrt(c) * t) * nu.linf())
@@ -313,7 +322,8 @@ def _run_fpe(params, problem: Problem, out: Path) -> list[Check]:
                                    float(params.get("l1_tol", 0.02)), 0.0))
 
     if trajectory_format == "binary":
-        write_trajectory_binary(traj, out / "trajectory.bin")
+        with _Artifact(out / "trajectory.bin") as fh:
+            write_trajectory_binary(traj, fh.buffer)   # the handle's binary layer
     else:
         stride = max(1, len(times) // 10)
         with _Artifact(out / "trajectory.csv") as fh:
@@ -349,12 +359,15 @@ def _run_particles(params, problem: Problem, out: Path) -> list[Check]:
 
     checks = _hypothesis_rows(problem, gated=False)
     if problem.drift_free:
-        target_var = closed_form.barenblatt_moment2(problem.source, result.times[-1])
+        t = result.times[-1]
+        target_var = closed_form.barenblatt_moment2(problem.source, t)
         achieved = result.variances[-1]
         checks.append(_bound_check("variance_rel_error",
                                    abs(achieved - target_var) / target_var, 0.05, 0.0))
+        # the reference grid spans the source-type support at time t
+        half = 1.25 * problem.source.support_radius(t)
         checks.append(_w1_row("w1_vs_closed_form", problem, result.final.positions,
-                              result.times[-1], (-6.0, 6.0, 2000)))
+                              t, (-half, half, 2000)))
 
     with _Artifact(out / "particles.csv") as fh:
         fh.write("t,statistic,value\n")
@@ -374,9 +387,9 @@ def _run_particles(params, problem: Problem, out: Path) -> list[Check]:
 def _run_compare(params, problem: Problem, out: Path) -> list[Check]:
     """The fpe-run checks, plus the particles' W1 row when the source-type
     solution is their oracle (drift-free); a drifted run has none yet."""
+    config = _sim_config(params, problem)   # checked before the chain writes
     checks = _run_fpe(params, problem, out)
     if problem.drift_free:
-        config = _sim_config(params, problem)
         result = particle_sim.run(config, problem.spec, problem.drift,
                                   initial_density=problem.density(config.t0))
         # the particles stop at the step nearest T, as particle-run's do
@@ -386,11 +399,12 @@ def _run_compare(params, problem: Problem, out: Path) -> list[Check]:
 
 
 def _run_regularity(params, problem: Problem, out: Path) -> list[Check]:
+    """profile.csv of seminorm and time exponent per s; gates no row, since
+    integrability (s < 2p/m) is closed_form's exponent algebra, not measured."""
     bb = problem.source
     m = bb.m
     p_exp = float(params["p"])
-    s_max, condition = closed_form.regularity_threshold(m, p_exp)
-    checks = [_flag_check("density_condition", condition, gated=False)]
+    _, condition = closed_form.regularity_threshold(m, p_exp)
     grid = np.linspace(-1.2 * bb.support_radius_t1, 1.2 * bb.support_radius_t1,
                        int(params.get("n_grid", 801)))
     profile = np.maximum(bb.C_norm - bb.k * grid**2, 0.0) ** (p_exp / (m - 1.0))
@@ -400,16 +414,11 @@ def _run_regularity(params, problem: Problem, out: Path) -> list[Check]:
         res = analysis.gagliardo_seminorm(f, float(s), m / p_exp)
         e, integrable = closed_form.time_integrability_exponent(bb, p_exp, float(s))
         rows.append((float(s), res.value, res.converged, res.divergent, e, integrable))
-        identity = bb.alpha * (m / p_exp) * (2 * p_exp / m - s)
-        checks.append(_bound_check(f"exponent_identity_s={s:.2f}",
-                                   abs((e + 1.0) - identity), 1e-12, 0.0))
-        flip_ok = (e > -1.0) == (s < s_max)
-        checks.append(_flag_check(f"integrability_flip_s={s:.2f}", flip_ok))
     with _Artifact(out / "profile.csv") as fh:
         fh.write("s,seminorm,converged,divergent,time_exponent,integrable\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-    return checks
+    return [_flag_check("density_condition", condition, gated=False)]
 
 
 def _run_coupling(params, problem: Problem, out: Path) -> list[Check]:

@@ -370,27 +370,16 @@ class HypothesesReport:
 
 
 def check_hypotheses(spec: NonlinearitySpec, drift: DriftSpec) -> HypothesesReport:
-    """Sample the growth/positivity/compatibility clauses and report witnesses.
+    """Sample the drift's positivity/growth/compatibility clauses and report witnesses.
 
-    The beta envelope is checked on [0, K] for K in 0.5, 1, 2 and 5, and each
-    sampled clause uses 400 points.  The Lipschitz clause for
+    beta's growth envelope a_K r^(m-1) <= beta'(r), beta(r) <= C_K r^m needs
+    no clause: the power law meets it with a_K = m and C_K = 1 on every
+    [0, K].  Each sampled clause uses 400 points.  The Lipschitz clause for
     b o (G o beta^{1/2})^{-1} is checked on a compact grid only and is
     advisory; no constructive criterion exists for general b.
     """
     clauses = {}
     n_samples = 400
-
-    # growth envelope of beta on [0, K]: a_K r^(m-1) <= beta'(r), beta(r) <= C_K r^m
-    for K in (0.5, 1.0, 2.0, 5.0):
-        r = np.linspace(0.0, K, n_samples)[1:]
-        lower = np.asarray(spec.beta_prime(r)) / r ** (spec.m - 1.0)
-        upper = np.asarray(spec.beta(r)) / r ** spec.m
-        a_K = float(np.min(lower))
-        C_K = float(np.max(upper))
-        clauses[f"beta_envelope_K={K:g}"] = {
-            "pass": bool(a_K > 0 and np.isfinite(C_K)),
-            "a_K": a_K, "C_K": C_K,
-        }
 
     # b bounded, C1, nonnegative
     r = np.linspace(-10.0, 10.0, n_samples)

@@ -460,20 +460,18 @@ def semigroup_distance(nu1: GridField, nu2: GridField, T: float,
     return float(np.max(np.sum(gap, axis=1) * nu1.cell_width / denom))
 
 
-def write_trajectory_binary(traj: Trajectory, path) -> None:
-    """Compact little-endian dump of a chain.
+def write_trajectory_binary(traj: Trajectory, fh) -> None:
+    """Compact little-endian dump of a chain into fh, a file open for binary writing.
 
     Layout: int64 n_cells, float64 lo, float64 hi, int64 n_steps, then per
     step one float64 time followed by n_cells float64 cell values.
     """
-    n = traj.initial.n_cells
-    with open(path, "wb") as fh:
-        np.asarray([n], dtype="<i8").tofile(fh)
-        np.asarray([traj.initial.lo, traj.initial.hi], dtype="<f8").tofile(fh)
-        np.asarray([traj.times.size], dtype="<i8").tofile(fh)
-        for t, row in zip(traj.times, traj.values):
-            np.asarray([t], dtype="<f8").tofile(fh)
-            row.astype("<f8", copy=False).tofile(fh)
+    np.asarray([traj.initial.n_cells], dtype="<i8").tofile(fh)
+    np.asarray([traj.initial.lo, traj.initial.hi], dtype="<f8").tofile(fh)
+    np.asarray([traj.times.size], dtype="<i8").tofile(fh)
+    for t, row in zip(traj.times, traj.values):
+        np.asarray([t], dtype="<f8").tofile(fh)
+        row.astype("<f8", copy=False).tofile(fh)
 
 
 def read_trajectory_binary(path) -> tuple[float, float, np.ndarray, np.ndarray]:

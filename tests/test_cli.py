@@ -95,6 +95,40 @@ def test_main_nan_drift_amplitude_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "report.ndjson").exists()
 
 
+def test_main_count_that_is_not_whole_is_a_config_error(tmp_path, capsys):
+    # int() used to run 1000 particles and dump every 2nd snapshot while the
+    # report echoed 1000.7 and 2.5
+    cfg = tmp_path / "frac.conf"
+    cfg.write_text("scenario = particle-run\nm = 2.0\nt0 = 0.1\nT = 0.13\n"
+                   "n_particles = 1000.7\ndt = 1e-3\ndump_stride = 2.5\n")
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: line 5: n_particles must be a whole number, got 1000.7",
+        "config error: line 7: dump_stride must be a whole number, got 2.5"]
+    assert not (tmp_path / "out").exists()
+    params = {"m": 2.0, "t0": 0.1, "T": 0.13, "n_particles": 1000.7, "dt": 1e-3}
+    with pytest.raises(ValueError, match="n_particles must be a whole number, got 1000.7"):
+        Scenario("particle-run", params, tmp_path)
+
+
+@pytest.mark.parametrize("name, key, text", [
+    ("fpe-run", "n_cells", "t0 = 0.1\nT = 0.2\nh = 1e-2\n"),
+    ("particle-run", "n_particles", "t0 = 0.1\nT = 0.2\ndt = 1e-3\n"),
+    ("particle-run", "dump_stride", "t0 = 0.1\nT = 0.2\nn_particles = 1000\ndt = 1e-3\n"),
+    ("regularity-scan", "n_grid", "p = 1.0\n"),
+    ("coupling", "seed", "t0 = 0.1\nT = 0.2\nn_particles = 1000\ndt = 1e-3\n"
+                         "perturbation = 0\n"),
+], ids=["n_cells", "n_particles", "dump_stride", "n_grid", "seed"])
+def test_parse_reads_a_count_only_as_a_whole_number(name, key, text):
+    head = f"scenario = {name}\nm = 2.0\n{text}"
+    for value, shown in (("2.5", "2.5"), ("ten", "'ten'")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{head}{key} = {value}\n")
+        assert err.value.problems == [
+            f"line {head.count(chr(10)) + 1}: {key} must be a whole number, got {shown}"]
+    assert parse_config(f"{head}{key} = 1e5\n").params[key] == 1e5
+
+
 def test_parse_rejects_an_unknown_key_listing_the_known_ones():
     with pytest.raises(ConfigError) as err:
         parse_config("scenario = fpe-run\nm = 2.0\nt0 = 0.1\nT = 0.2\n"
@@ -232,6 +266,10 @@ def test_fpe_run_scenario(tmp_path):
                          "h": 4e-3, "lo": -4.0, "hi": 4.0},
                  output_dir=tmp_path)
     assert run_scenario(s) == 0
+    ids = [r["check_id"] for r in read_report(tmp_path / "report.ndjson")
+           if "check_id" in r]
+    assert ids == ["mass_drift", "preclip_undershoot", "linf_growth_ratio",
+                   "entropy_audit_max", "l1_error_vs_closed_form"]
     assert (tmp_path / "trajectory.csv").exists()
     header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
     assert header == "step,t,cell_center,value"
@@ -272,8 +310,8 @@ def test_failing_check_exits_2_with_full_report(tmp_path):
 
 
 def test_preclip_undershoot_row_reads_before_the_clip(tmp_path, monkeypatch):
-    # min_value reads the clipped fields and stays 0; the new row must see a
-    # negative iterate reported by the solve
+    # the iterates are clipped at 0; the row must see a negative iterate
+    # reported by the solve
     chain = cli.step_chain
 
     def undershooting(*args, **kwargs):
@@ -296,7 +334,6 @@ def test_preclip_undershoot_row_reads_before_the_clip(tmp_path, monkeypatch):
     records = read_report(tmp_path / "bad" / "report.ndjson")
     failing = [r["check_id"] for r in records if r.get("pass") is False]
     assert failing == ["preclip_undershoot"]
-    assert [r["achieved"] for r in records if r.get("check_id") == "min_value"] == [0.0]
 
 
 def test_fpe_run_zero_amplitude_drift_checks_the_closed_form(tmp_path):
@@ -326,6 +363,21 @@ def test_fpe_run_with_drift_and_binary_trajectory(tmp_path):
     lo, hi, times, values = read_trajectory_binary(tmp_path / "trajectory.bin")
     assert (lo, hi) == (-4.0, 4.0)
     assert times.shape == (10,) and values.shape == (10, 200)
+
+
+def test_interrupted_binary_trajectory_keeps_its_partial_suffix(tmp_path, monkeypatch):
+    def crashing(traj, fh):
+        fh.write(b"\0" * 32)
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(cli, "write_trajectory_binary", crashing)
+    s = Scenario(name="fpe-run",
+                 params={"m": 2.0, "t0": 0.1, "T": 0.11, "n_cells": 64,
+                         "h": 1e-3, "trajectory_format": "binary"},
+                 output_dir=tmp_path)
+    assert run_scenario(s) == 1
+    assert (tmp_path / "trajectory.bin.partial").read_bytes() == b"\0" * 32
+    assert not (tmp_path / "trajectory.bin").exists()
 
 
 def test_fpe_run_holds_one_copy_of_the_iterates(tmp_path):
@@ -372,6 +424,32 @@ def test_compare_gates_the_particles_at_their_final_time(tmp_path):
     assert final.t == pytest.approx(0.19, abs=1e-12)
     ref = problem.field(final.t, -4.0, 4.0, 200).normalized()
     assert row["achieved"] == analysis.w1_distance(final.positions, ref)
+
+
+def test_compare_checks_its_particles_before_the_chain_writes(tmp_path, capsys):
+    # the 4 chain steps used to run and write trajectory.csv before the
+    # particles' zero-step config exited 1
+    s = Scenario(name="compare",
+                 params={"m": 2.0, "t0": 0.1, "T": 0.1004, "n_cells": 64,
+                         "h": 1e-4, "n_particles": 1000, "dt": 1e-3},
+                 output_dir=tmp_path)
+    assert run_scenario(s) == 1
+    assert "give no step" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.ndjson"]
+
+
+def test_particle_run_w1_reference_spans_the_support(tmp_path):
+    # R(60) = 8.14 at m = 2: a reference grid fixed on (-6, 6) read W1 0.377
+    # against variance_rel_error 0.0085
+    s = Scenario(name="particle-run",
+                 params={"m": 2.0, "t0": 50.0, "T": 60.0, "n_particles": 20_000,
+                         "dt": 0.1, "seed": 3},
+                 output_dir=tmp_path)
+    assert run_scenario(s) == 0
+    rows = {r["check_id"]: r for r in read_report(tmp_path / "report.ndjson")
+            if "check_id" in r}
+    assert rows["w1_vs_closed_form"]["achieved"] <= 0.05
+    assert rows["variance_rel_error"]["achieved"] <= 0.05
 
 
 def test_particle_run_scenario_with_dump(tmp_path):
@@ -480,9 +558,24 @@ def test_regularity_scan_scenario(tmp_path):
     assert len(rows) > 10
 
 
+def test_regularity_scan_at_the_threshold_gates_no_row(tmp_path):
+    # s = 0.1 is s_max = 2p/m here; a row gating the integrability flip
+    # failed on e = -0.9999999999999999
+    s = Scenario(name="regularity-scan", params={"m": 8.0, "p": 0.4},
+                 output_dir=tmp_path)
+    assert run_scenario(s) == 0
+    rows = [r for r in read_report(tmp_path / "report.ndjson") if "check_id" in r]
+    assert [r["check_id"] for r in rows] == ["density_condition"]
+    assert (tmp_path / "profile.csv").read_text().splitlines()[1].startswith("0.1,")
+
+
 def test_hypotheses_scenario(tmp_path):
     s = Scenario(name="hypotheses-check", params={"m": 2.0}, output_dir=tmp_path)
     assert run_scenario(s) == 0
+    ids = [r["check_id"] for r in read_report(tmp_path / "report.ndjson")
+           if "check_id" in r]
+    assert ids == ["hypothesis_b_bounded", "hypothesis_b_compat_lipschitz",
+                   "hypothesis_b_nonnegative", "lambda_zero_positive"]
 
 
 def test_coupling_with_perturbation_gates_the_terminal_distance(tmp_path):

@@ -478,7 +478,8 @@ def test_trajectory_binary_roundtrip(tmp_path):
     nu = barenblatt_field(0.1, n=64, lo=-3, hi=3)
     traj = step_chain(nu, 0.02, SolverConfig(lambda_step=1e-2), SPEC, ZERO_DRIFT)
     path = tmp_path / "traj.bin"
-    write_trajectory_binary(traj, path)
+    with open(path, "wb") as fh:
+        write_trajectory_binary(traj, fh)
     lo, hi, times, values = read_trajectory_binary(path)
     assert (lo, hi) == (-3.0, 3.0)
     assert np.array_equal(times, traj.times)
@@ -491,7 +492,8 @@ def test_trajectory_binary_wrong_size_raises(tmp_path, cut):
     nu = barenblatt_field(0.1, n=64, lo=-3, hi=3)
     traj = step_chain(nu, 0.02, SolverConfig(lambda_step=1e-2), SPEC, ZERO_DRIFT)
     path = tmp_path / "traj.bin"
-    write_trajectory_binary(traj, path)
+    with open(path, "wb") as fh:
+        write_trajectory_binary(traj, fh)
     data = path.read_bytes()
     assert len(data) == 32 + 2 * 65 * 8
     path.write_bytes(data[:cut] if cut < 0 else data + bytes(cut))
