@@ -185,8 +185,11 @@ def gagliardo_seminorm(f: SampledFunction, s: float, p: float) -> GagliardoResul
     form (the naive sum misweights the singular kernel there).  The value is
     recomputed on every other sample; agreement within 5 percent marks the
     estimate converged, growth by 2x or more marks a divergent trend (true
-    divergence is unobservable at finite resolution).
+    divergence is unobservable at finite resolution).  Needs at least 3
+    samples, so that the coarse grid has 2.
     """
+    if f.grid.size < 3:
+        raise ValueError(f"the seminorm needs at least 3 samples, got {f.grid.size}")
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie in (0, 1)")
     if p < 1.0:

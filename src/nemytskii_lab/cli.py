@@ -307,8 +307,9 @@ def _run_fpe(params, problem: Problem, out: Path) -> list[Check]:
     undershoot = max(0.0, -min(info.preclip_min for info in traj.infos))
     checks.append(_bound_check("preclip_undershoot", undershoot, NEWTON_TOL, 0.0))
     c = problem.drift.combined_sup()
+    nu_linf = nu.linf()
     # the rows are nonnegative, so their maxima are their sup norms
-    linf_cap = max(m / (math.exp(math.sqrt(c) * t) * nu.linf())
+    linf_cap = max(m / (math.exp(math.sqrt(c) * t) * nu_linf)
                    for t, m in zip(times, values.max(axis=1).tolist()))
     linf_tol = 1.0 + 1e-6 if problem.drift_free else 1.001
     checks.append(_bound_check("linf_growth_ratio", linf_cap, linf_tol, 1.0))
@@ -405,8 +406,11 @@ def _run_regularity(params, problem: Problem, out: Path) -> list[Check]:
     m = bb.m
     p_exp = float(params["p"])
     _, condition = closed_form.regularity_threshold(m, p_exp)
+    n_grid = int(params.get("n_grid", 801))
+    if n_grid < 3:   # the refinement flag compares against every other sample
+        raise ValueError(f"n_grid must be at least 3, got {n_grid}")
     grid = np.linspace(-1.2 * bb.support_radius_t1, 1.2 * bb.support_radius_t1,
-                       int(params.get("n_grid", 801)))
+                       n_grid)
     profile = np.maximum(bb.C_norm - bb.k * grid**2, 0.0) ** (p_exp / (m - 1.0))
     f = analysis.SampledFunction(grid=grid, values=profile)
     rows = []

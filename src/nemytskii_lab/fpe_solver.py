@@ -14,6 +14,16 @@ Newton iterations, line-search halvings and fixed-point fallbacks.  Fluxes
 are written in conservation form (3-point diffusive flux, donor-cell upwind
 advection), so the zero-flux boundary conserves mass to roundoff.
 
+Without drift, Newton runs on a window: the cells where f or the start is
+nonzero, widened by NEWTON_MAX_ITER + 2 cells per side and clipped to the
+grid.  The result is the full-grid one bit for bit.  beta'(0) = 0 makes each
+vacuum column of the Jacobian an identity column, so each Newton step,
+line-search trial or fixed-point step widens the support by at most one cell
+per side; the cells outside the window keep u = 0, a zero residual and zero
+flux at the window's faces, and gtsv eliminates each block of the
+block-diagonal system on its own.  With drift, advection couples vacuum cells
+through b(0), and the window is the whole grid.
+
 A chain is strictly sequential and runs in the calling thread; its iterates
 are the rows of one writable (N, n_cells) array.
 
@@ -220,10 +230,9 @@ class Trajectory:
 # discrete operator pieces
 # ---------------------------------------------------------------------------
 
-def _apply_operator(u: np.ndarray, f: GridField, spec: NonlinearitySpec,
-                    drift: DriftSpec, e_face: np.ndarray) -> np.ndarray:
+def _apply_operator(u: np.ndarray, dx: float, spec: NonlinearitySpec,
+                    drift: DriftSpec, e_face: np.ndarray | None) -> np.ndarray:
     """Discrete operator in flux form; zero boundary flux, so telescoping conserves mass."""
-    dx = f.cell_width
     bt = np.asarray(spec.beta(u))
 
     # diffusive flux -D(beta)/dx at interior interfaces
@@ -241,8 +250,8 @@ def _apply_operator(u: np.ndarray, f: GridField, spec: NonlinearitySpec,
     return (dif_flux[1:] + adv_flux[1:] - dif_flux[:-1] - adv_flux[:-1]) / dx
 
 
-def _jacobian_bands(u: np.ndarray, f: GridField, spec: NonlinearitySpec,
-                    drift: DriftSpec, e_face: np.ndarray,
+def _jacobian_bands(u: np.ndarray, dx: float, spec: NonlinearitySpec,
+                    drift: DriftSpec, e_face: np.ndarray | None,
                     lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonals (dl, d, du) of the Jacobian of u + lam*A(u).
 
@@ -251,7 +260,6 @@ def _jacobian_bands(u: np.ndarray, f: GridField, spec: NonlinearitySpec,
     of at least 1, so J is nonsingular.
     """
     n = u.size
-    dx = f.cell_width
     btp = np.asarray(spec.beta_prime(u))
 
     lap_diag = np.full(n, 2.0)
@@ -309,6 +317,16 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
     Negative undershoot is clipped at 0 and its mass reported.  The clipped
     solution is written into out (a float array of f's size) when given.
 
+    Without drift (drift.sup_norm_E == 0), Newton runs on the window of
+    cells where f or start is nonzero, widened by NEWTON_MAX_ITER + 2 cells
+    on each side and clipped to the grid; with drift, on the whole grid.
+    Since beta'(0) = 0, each iteration widens the support by at most one
+    cell per side, so every cell outside the window stays 0 with a zero
+    residual and zero face flux, and the values are those of a full-grid
+    solve bit for bit.  Only residual_l1, summed over the window, may differ
+    from a full-grid sum in its last bits; the clip, clipped_mass,
+    preclip_min and the returned field are full-grid.
+
     Raises
     ------
     SolverError
@@ -321,11 +339,23 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
     if not 0.0 < lam < lam0:
         raise ValueError(f"lambda must lie in (0, {lam0}), got {lam}")
     dx = f.cell_width
-    e_face = np.asarray(cutoff_E(drift, EPSILON_REG, f.edges), dtype=float)
-    target = f.values
+    full = np.array(f.values if start is None else start, dtype=float)
+    lo, hi = 0, full.size
+    if drift.sup_norm_E > 0:
+        e_face = np.asarray(cutoff_E(drift, EPSILON_REG, f.edges), dtype=float)
+    else:
+        # one cell per Newton iteration, and one more each for the residual's
+        # stencil and the window's face
+        e_face = None
+        margin = NEWTON_MAX_ITER + 2
+        occupied = np.flatnonzero((f.values != 0.0) | (full != 0.0))
+        if occupied.size:   # else nothing moves, and one residual shows it
+            lo = max(int(occupied[0]) - margin, 0)
+            hi = min(int(occupied[-1]) + 1 + margin, full.size)
+    target = f.values[lo:hi]
 
     def residual(u):
-        res = u + lam * _apply_operator(u, f, spec, drift, e_face) - target
+        res = u + lam * _apply_operator(u, dx, spec, drift, e_face) - target
         return res, float(np.sum(np.abs(res)) * dx)
 
     def failure(what, res_l1, iters):
@@ -333,14 +363,14 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
                            f"{iters} iterations (residual {res_l1:.3e})",
                            residual=res_l1)
 
-    u = np.array(target if start is None else start, dtype=float)
+    u = full[lo:hi]   # a view; every accepted step rebinds u to a new array
     res, res_l1 = residual(u)
     if not math.isfinite(res_l1):
         raise failure("has a non-finite residual", res_l1, 0)
     iters = halvings = fallbacks = 0
     while res_l1 > NEWTON_TOL and iters < NEWTON_MAX_ITER:
         delta, info = _tridiagonal_solve(
-            _jacobian_bands(u, f, spec, drift, e_face, lam), -res)
+            _jacobian_bands(u, dx, spec, drift, e_face, lam), -res)
         if info != 0:
             raise failure(f"failed in the tridiagonal solve (gtsv info {info})",
                           res_l1, iters)
@@ -364,6 +394,9 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
         iters += 1
     if res_l1 > NEWTON_TOL:
         raise failure(f"did not reach tol {NEWTON_TOL:.1e}", res_l1, iters)
+    if u.size < full.size:   # the cells outside the window are still 0
+        full[lo:hi] = u
+        u = full
 
     clipped = float(np.sum(np.maximum(-u, 0.0)) * dx)
     preclip_min = float(u.min())

@@ -202,6 +202,16 @@ def test_gagliardo_rejects_bad_orders():
         gagliardo_seminorm(f, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_gagliardo_needs_three_samples(n):
+    f = SampledFunction(grid=np.linspace(-1.0, 1.0, n), values=np.linspace(0.0, 1.0, n))
+    if n < 3:
+        with pytest.raises(ValueError, match="at least 3 samples, got 2"):
+            gagliardo_seminorm(f, 0.5, 2.0)
+    else:
+        assert gagliardo_seminorm(f, 0.5, 2.0).value > 0.0
+
+
 # -- Wasserstein-1 ---------------------------------------------------------------
 
 def test_w1_identical_fields():

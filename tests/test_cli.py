@@ -558,6 +558,23 @@ def test_regularity_scan_scenario(tmp_path):
     assert len(rows) > 10
 
 
+@pytest.mark.parametrize("n_grid", [1, 2])
+def test_regularity_scan_rejects_a_grid_below_three_points(tmp_path, capsys, n_grid):
+    s = Scenario(name="regularity-scan",
+                 params={"m": 2.0, "p": 1.0, "n_grid": n_grid}, output_dir=tmp_path)
+    assert run_scenario(s) == 1
+    assert f"n_grid must be at least 3, got {n_grid}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.ndjson"]
+
+
+def test_regularity_scan_runs_on_three_points(tmp_path):
+    s = Scenario(name="regularity-scan",
+                 params={"m": 2.0, "p": 1.0, "n_grid": 3}, output_dir=tmp_path)
+    assert run_scenario(s) == 0
+    rows = (tmp_path / "profile.csv").read_text().splitlines()
+    assert len(rows) == 1 + 18   # s = 0.1, 0.15, ..., 0.95
+
+
 def test_regularity_scan_at_the_threshold_gates_no_row(tmp_path):
     # s = 0.1 is s_max = 2p/m here; a row gating the integrability flip
     # failed on e = -0.9999999999999999

@@ -207,6 +207,82 @@ def test_tridiagonal_solve_is_solve_banded_bit_for_bit(n, seed):
     assert np.array_equal(x.view(np.int64), expected.view(np.int64))
 
 
+# -- the drift-free support window ---------------------------------------------
+
+# E = 0 with a positive sup norm takes the advective path, which solves on the
+# whole grid and whose advective terms are all exactly 0: the full-grid
+# oracle for the drift-free window.
+NULL_DRIFT = DriftSpec.constant_b(
+    E=lambda x: np.zeros_like(np.asarray(x, dtype=float)), b0=1.0,
+    sup_norm_E=1e-9, div_E_minus_sup=0.0)
+
+
+def source_field(m, t, n, lo=-6.0, hi=6.0):
+    profile = make_barenblatt(m)
+    return GridField.from_function(lo, hi, n,
+                                   lambda x: barenblatt_eval(profile, t, x)).normalized()
+
+
+def assert_same_chain(window, full):
+    assert np.array_equal(window.values.view(np.int64), full.values.view(np.int64))
+    assert [i.newton_iters for i in window.infos] == [i.newton_iters for i in full.infos]
+    assert [i.halvings for i in window.infos] == [i.halvings for i in full.infos]
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+def test_drift_free_window_matches_the_full_grid_bit_for_bit(m):
+    spec = NonlinearitySpec.power_law(m)
+    nu = source_field(m, 0.1, 1000)
+    assert nu.values[0] == nu.values[-1] == 0.0
+    config = SolverConfig(lambda_step=1e-3)
+    assert_same_chain(step_chain(nu, 0.05, config, spec, ZERO_DRIFT),
+                      step_chain(nu, 0.05, config, spec, NULL_DRIFT))
+
+
+def test_drift_free_window_clipped_at_the_wall_matches_the_full_grid():
+    # the support runs into the zero-flux wall at lo = -0.5
+    nu = source_field(2.0, 0.1, 400, lo=-0.5, hi=3.0)
+    assert nu.values[0] > 0.0 and nu.values[-1] == 0.0
+    config = SolverConfig(lambda_step=1e-3)
+    assert_same_chain(step_chain(nu, 0.05, config, SPEC, ZERO_DRIFT),
+                      step_chain(nu, 0.05, config, SPEC, NULL_DRIFT))
+
+
+def test_drift_free_window_covers_the_start():
+    # Newton starts from a profile 170 cells wider than f on each side, beyond
+    # the margin, so the window must span both
+    f = source_field(2.0, 0.1, 1000)
+    start = source_field(2.0, 3.0, 1000).values
+    window, full = (resolvent_solve(f, 1e-2, SPEC, drift, start=start)
+                    for drift in (ZERO_DRIFT, NULL_DRIFT))
+    assert window.newton_iters == full.newton_iters > 0
+    assert window.halvings == full.halvings
+    assert np.array_equal(window.field.values.view(np.int64),
+                          full.field.values.view(np.int64))
+    assert (window.clipped_mass, window.preclip_min) == \
+        (full.clipped_mass, full.preclip_min)
+
+
+def test_drift_free_newton_solves_the_support_window_only(monkeypatch):
+    sizes = []
+    solve = fpe_solver._tridiagonal_solve
+
+    def recorded(bands, rhs):
+        sizes.append(rhs.size)
+        return solve(bands, rhs)
+
+    monkeypatch.setattr(fpe_solver, "_tridiagonal_solve", recorded)
+    config = SolverConfig(lambda_step=1e-3)
+    # the first step of the benchmark's chain: m = 2, t0 = 0.1, 4000 cells on
+    # [-6, 6], whose support covers 16 percent of them
+    step_chain(barenblatt_field(0.1, n=4000), 1e-3, config, SPEC, ZERO_DRIFT)
+    assert sizes and max(sizes) < 1000
+    sizes.clear()
+    # advection couples vacuum cells, so a drifted step solves every cell
+    step_chain(barenblatt_field(0.1, n=400), 1e-3, config, SPEC, tanh_drift(0.25))
+    assert sizes and set(sizes) == {400}
+
+
 # One zero-flux resolvent step on random data.  (I + lam*A) is L1-accretive,
 # so an iterate with L1 residual r lies within r of the exact solution in L1
 # and within r/dx at every cell.  The bounds below are these residual
