@@ -3,14 +3,11 @@
 from .coefficients import (
     DriftSpec,
     NonlinearitySpec,
-    beta_tilde_epsilon,
     capital_G,
     check_hypotheses,
     entropy_Psi,
     lambda_zero,
-    mollified_b,
     sigma_squared,
-    yosida_resolvent,
 )
 from .closed_form import (
     BarenblattParams,
@@ -35,14 +32,11 @@ from .fpe_solver import (
 __all__ = [
     "DriftSpec",
     "NonlinearitySpec",
-    "beta_tilde_epsilon",
     "capital_G",
     "check_hypotheses",
     "entropy_Psi",
     "lambda_zero",
-    "mollified_b",
     "sigma_squared",
-    "yosida_resolvent",
     "BarenblattParams",
     "barenblatt_eval",
     "barenblatt_mass",

@@ -1,11 +1,11 @@
-"""Nonlinear diffusivity, drift and response coefficients with their regularizations.
+"""Nonlinear diffusivity, drift and response coefficients.
 
 The diffusivity beta is the odd power law ``beta(r) = |r|^(m-1) r`` of the
-porous medium equation.  On top of it sit the Yosida-type resolvent ``g_eps``
-with the regularized ``beta_tilde_eps``, the damped mollification of the
-response ``b``, the compact cutoff of the vector field ``E``, and the
-closed-form functionals ``G`` and ``Psi`` used by the condition checker and
-the entropy diagnostics.
+porous medium equation, and the drift ``E(x) b(u)`` is of Nemytskii type.
+The existence proof's regularizations (the Yosida-type resolvent ``g_eps``
+with ``beta_tilde_eps``, the mollified ``b_eps`` and the cut-off ``E_eps``)
+stay here with their tests, but no run path calls them.  The closed-form
+``G`` and ``Psi`` serve the condition checker and the entropy diagnostics.
 
 Everything here is a pure function of immutable specs; concurrent use from any
 number of threads is safe.
@@ -89,7 +89,8 @@ class DriftSpec:
     restriction and the sup-norm growth bound analytically.
     ``sup_div_minus_plus_E`` is the sup of ``(div E)^- + |E|`` when known in
     closed form; it defaults to the crude bound
-    ``div_E_minus_sup + sup_norm_E``.
+    ``div_E_minus_sup + sup_norm_E``.  The chain needs ``(b(r) r)' >= 0``
+    for r >= 0 to keep its Jacobian diagonally dominant.
     """
 
     E: object

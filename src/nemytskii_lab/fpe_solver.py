@@ -2,17 +2,17 @@
 
 One backward step solves the elliptic problem
 
-    u - lam * Lap_h(beta(u)) + lam * div_h(E_eps * b_eps(u) * u)  =  f
+    u - lam * Lap_h(beta(u)) + lam * div_h(E * b(u) * u)  =  f
 
 on a uniform cell-centered grid via damped Newton with a tridiagonal
 Jacobian, solved directly by LAPACK gtsv; chaining steps of size h yields
 the piecewise-constant-in-time mild approximation whose limit defines the
-semigroup.  The diffusion uses beta itself: only the response b and the
-field E are regularized.  From its second step on, the chain starts Newton
-at the linear predictor max(2u^i - u^(i-1), 0).  Each solve reports its
-Newton iterations, line-search halvings and fixed-point fallbacks.  Fluxes
-are written in conservation form (3-point diffusive flux, donor-cell upwind
-advection), so the zero-flux boundary conserves mass to roundoff.
+semigroup.  beta, E and b enter as given: none is regularized.  From its
+second step on, the chain starts Newton at the linear predictor
+max(2u^i - u^(i-1), 0).  Each solve reports its Newton iterations,
+line-search halvings and fixed-point fallbacks.  Fluxes are written in
+conservation form (3-point diffusive flux, donor-cell upwind advection), so
+the zero-flux boundary conserves mass to roundoff.
 
 Without drift, Newton runs on a window: the cells where f or the start is
 nonzero, widened by NEWTON_MAX_ITER + 2 cells per side and clipped to the
@@ -37,9 +37,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-# ThreadPoolExecutor, beta_tilde_epsilon and beta_tilde_epsilon_prime are
-# unused here but stay importable: the traced benchmark patches them by name
-# (ROADMAP item 1).
+# ThreadPoolExecutor and the epsilon-regularized coefficients are unused here;
+# the traced benchmark patches them by name until ROADMAP items 1 and 2.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
 
@@ -71,16 +70,12 @@ __all__ = [
     "write_trajectory_binary",
     "read_trajectory_binary",
     "MAX_CLIPPED_MASS",
-    "EPSILON_REG",
     "NEWTON_TOL",
     "NEWTON_MAX_ITER",
 ]
 
 # budget for the undershoot mass a chain may clip away, summed over its steps
 MAX_CLIPPED_MASS = 1e-6
-# regularization level of the response b_eps and of the E cutoff (radius
-# 1/eps); the diffusion uses beta itself
-EPSILON_REG = 1e-12
 # Newton stops once the discrete L1 residual is at most NEWTON_TOL and fails
 # if it is still above after NEWTON_MAX_ITER iterations
 NEWTON_TOL = 1e-12
@@ -169,10 +164,9 @@ class GridField:
 class SolverConfig:
     """Step size h of the chain.
 
-    Every step diffuses by beta itself, regularizes b and E at EPSILON_REG
-    and runs Newton to NEWTON_TOL within NEWTON_MAX_ITER iterations.  The
-    boundary is always zero flux, and a chain aborts once its clipped
-    undershoot mass exceeds MAX_CLIPPED_MASS.
+    Each step uses beta, E and b as given, has a zero-flux boundary and runs
+    Newton to NEWTON_TOL within NEWTON_MAX_ITER iterations; a chain aborts
+    once its clipped undershoot mass exceeds MAX_CLIPPED_MASS.
     """
 
     lambda_step: float
@@ -239,10 +233,10 @@ def _apply_operator(u: np.ndarray, dx: float, spec: NonlinearitySpec,
     dif_flux = np.zeros(u.size + 1)
     dif_flux[1:-1] = -(bt[1:] - bt[:-1]) / dx
 
-    # donor-cell advective flux of E_eps * b_eps(u) * u
+    # donor-cell advective flux of E * b(u) * u
     adv_flux = np.zeros(u.size + 1)
     if drift.sup_norm_E > 0:
-        carried = np.asarray(mollified_b(drift, EPSILON_REG, u)) * u
+        carried = np.asarray(drift.b(u)) * u
         ep = np.maximum(e_face[1:-1], 0.0)
         em = np.minimum(e_face[1:-1], 0.0)
         adv_flux[1:-1] = ep * carried[:-1] + em * carried[1:]
@@ -256,8 +250,8 @@ def _jacobian_bands(u: np.ndarray, dx: float, spec: NonlinearitySpec,
     """Diagonals (dl, d, du) of the Jacobian of u + lam*A(u).
 
     dl[j] holds J[j+1, j] and du[j] holds J[j, j+1].  With beta' >= 0 and
-    (b_eps(r) r)' >= 0 every column is diagonally dominant with a diagonal
-    of at least 1, so J is nonsingular.
+    (b(r) r)' >= 0 every column is diagonally dominant with a diagonal of at
+    least 1, so J is nonsingular.
     """
     n = u.size
     btp = np.asarray(spec.beta_prime(u))
@@ -269,8 +263,11 @@ def _jacobian_bands(u: np.ndarray, dx: float, spec: NonlinearitySpec,
     dl = -lam * btp[:-1] / dx**2
 
     if drift.sup_norm_E > 0:
-        b_eps = np.asarray(mollified_b(drift, EPSILON_REG, u))
-        gp = b_eps + np.asarray(mollified_b_prime(drift, EPSILON_REG, u)) * u
+        # (b(u) u)' = b(u) + b'(u) u, with b' by one central difference
+        gp = np.asarray(drift.b(u))
+        if not drift.b_is_constant:   # else b' = 0; skipping it is measurably faster
+            gp = gp + (np.asarray(drift.b(u + 1e-6))
+                       - np.asarray(drift.b(u - 1e-6))) / 2e-6 * u
         epf = np.maximum(e_face, 0.0)
         emf = np.minimum(e_face, 0.0)
         # boundary faces carry no flux
@@ -306,8 +303,8 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
                     start: np.ndarray | None = None) -> ResolventSolution:
     """One implicit step: solve u + lam*A(u) = f on the grid of f.
 
-    A(u) = -Lap_h beta(u) + div_h(E_eps b_eps(u) u), with b and E
-    regularized at EPSILON_REG.  Damped Newton from start (default f's
+    A(u) = -Lap_h beta(u) + div_h(E b(u) u), with the drift's E at the
+    cell faces and its b as given.  Damped Newton from start (default f's
     values; step_chain passes its linear predictor) with a tridiagonal
     Jacobian, solved directly by LAPACK gtsv.  Each residual evaluation
     applies the operator once.  The line search halves a rejected step up
@@ -342,7 +339,7 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
     full = np.array(f.values if start is None else start, dtype=float)
     lo, hi = 0, full.size
     if drift.sup_norm_E > 0:
-        e_face = np.asarray(cutoff_E(drift, EPSILON_REG, f.edges), dtype=float)
+        e_face = np.asarray(drift.E(f.edges), dtype=float)
     else:
         # one cell per Newton iteration, and one more each for the residual's
         # stencil and the window's face

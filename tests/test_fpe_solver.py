@@ -20,6 +20,8 @@ from nemytskii_lab.fpe_solver import (
     SolverConfig,
     SolverError,
     Trajectory,
+    _apply_operator,
+    _jacobian_bands,
     entropy_audit,
     resolvent_solve,
     semigroup_distance,
@@ -49,6 +51,16 @@ def tanh_drift(amp):
     return DriftSpec.constant_b(
         E=lambda x: -amp * np.tanh(np.asarray(x, dtype=float)),
         b0=1.0, sup_norm_E=amp, div_E_minus_sup=amp,
+        sup_div_minus_plus_E=1.25 * amp)
+
+
+def saturating_drift(amp):
+    # the tanh field with the Nemytskii response b(r) = r/(1 + |r|), whose
+    # (b(r) r)' = r(2 + r)/(1 + r)^2 is >= 0 for r >= 0
+    return DriftSpec(
+        E=lambda x: -amp * np.tanh(np.asarray(x, dtype=float)),
+        b=lambda r: np.asarray(r, dtype=float) / (1.0 + np.abs(r)),
+        sup_norm_E=amp, sup_norm_b=1.0, div_E_minus_sup=amp,
         sup_div_minus_plus_E=1.25 * amp)
 
 
@@ -333,6 +345,29 @@ def test_resolvent_l1_contraction(m, amp, lam_frac, seed):
     assert solve(a).l1_distance(solve(b)) <= a.l1_distance(b) + 2 * PROPERTY_TOL
 
 
+# At amplitude 1 the cell Peclet number |E| dx / beta'(u) of the datum below
+# reaches 1.6 on 64 cells and 7.7 on 128, so only upwinded advection keeps the
+# resolvent monotone there; downwinding it undershot by -1.1e-2 or stalled
+# Newton.  The bounds are the residual budgets above.  Measured over these six
+# cases: preclip_min >= -6.2e-19, max(u - w) = 0 and a mass error of 0.
+@pytest.mark.parametrize("lam_frac", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n", [64, 128])
+def test_resolvent_is_monotone_at_cell_peclet_above_one(n, lam_frac):
+    drift = tanh_drift(1.0)
+    lam = lam_frac * lambda_zero(drift)
+    f = GridField.from_function(-3.0, 3.0, n, lambda x: 1.0 - (x / 2.0) ** 2).normalized()
+    above = GridField(f.lo, f.hi, f.values + 0.05 * (np.abs(f.centers) < 1.5))
+    occupied = f.values > 0
+    peclet = np.abs(drift.E(f.centers[occupied])) * f.cell_width \
+        / SPEC.beta_prime(f.values[occupied])
+    assert peclet.max() > 1.5
+    u, w = (resolvent_solve(g, lam, SPEC, drift) for g in (f, above))
+    assert min(u.preclip_min, w.preclip_min) >= -PROPERTY_TOL / f.cell_width
+    assert np.max(u.field.values - w.field.values) <= 2 * PROPERTY_TOL / f.cell_width
+    for sol, g in ((u, f), (w, above)):
+        assert abs(sol.field.mass() - g.mass()) <= PROPERTY_TOL
+
+
 # -- chain --------------------------------------------------------------------
 
 def test_step_chain_requires_unit_mass():
@@ -358,8 +393,9 @@ def test_step_chain_mass_and_positivity():
     assert traj.total_clipped_mass() <= 1e-6
 
 
-@pytest.mark.parametrize("drift", [ZERO_DRIFT, tanh_drift(0.25)],
-                         ids=["zero", "tanh"])
+@pytest.mark.parametrize("drift", [ZERO_DRIFT, tanh_drift(0.25),
+                                   saturating_drift(0.25)],
+                         ids=["zero", "tanh", "saturating_b"])
 def test_step_chain_conserves_mass_to_roundoff(drift):
     # the operator is in flux form with zero boundary flux and has no
     # absorption term, so each step moves the mass only by rounding
@@ -454,6 +490,57 @@ def test_barenblatt_chain_newton_telemetry():
     assert sum(info.fallbacks for info in traj.infos) == 0
     # 2825 iterations when every step started from the previous iterate
     assert sum(info.newton_iters for info in traj.infos) <= 2400
+
+
+def test_drifted_chain_calls_no_epsilon_regularization(monkeypatch):
+    # the chain advects with E and b as given; the regularized coefficients,
+    # still importable from fpe_solver, must not be reached
+    nu = random_smooth_field(7, n=200)
+    config = SolverConfig(lambda_step=5e-3)
+    expected = step_chain(nu, 0.05, config, SPEC, tanh_drift(0.25))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the chain called an epsilon-regularized coefficient")
+
+    for name in ("cutoff_E", "mollified_b", "mollified_b_prime"):
+        monkeypatch.setattr(fpe_solver, name, forbidden)
+    assert_same_chain(step_chain(nu, 0.05, config, SPEC, tanh_drift(0.25)),
+                      expected)
+
+
+def test_saturating_b_chain_contracts():
+    # measured ratios - 1: -0.069, -0.053, -0.030 and -0.051
+    config = SolverConfig(lambda_step=2e-3)
+    for seed in (5, 7, 9, 11):
+        ratio = semigroup_distance(random_smooth_field(seed),
+                                   random_smooth_field(seed + 1), 0.02, config,
+                                   SPEC, saturating_drift(0.25))
+        assert ratio <= 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("amp", [0.25, 1.0])
+def test_jacobian_bands_match_finite_differences_with_saturating_b(amp):
+    # central differences of u + lam*A(u), column by column; measured max
+    # error relative to max |J| was 3.2e-11 (amp 0.25) and 2.9e-11 (amp 1),
+    # bounded with a 30x margin.  Dropping the b'(u) u term errs by 1e-3 and
+    # 4e-3 of max |J|.
+    drift = saturating_drift(amp)
+    f = random_smooth_field(3, n=64)
+    u = f.values * (1.0 + 0.3 * np.random.default_rng(0).uniform(size=64))
+    lam, dx = 0.5 * lambda_zero(drift), f.cell_width
+    e_face = drift.E(f.edges)
+
+    def operator(v):
+        return v + lam * _apply_operator(v, dx, SPEC, drift, e_face)
+
+    fd = np.empty((u.size, u.size))
+    for j in range(u.size):
+        e = np.zeros(u.size)
+        e[j] = 1e-6 * max(1.0, u[j])
+        fd[:, j] = (operator(u + e) - operator(u - e)) / (2.0 * e[j])
+    dl, d, du = _jacobian_bands(u, dx, SPEC, drift, e_face.copy(), lam)
+    bands = np.diag(d) + np.diag(du, 1) + np.diag(dl, -1)
+    assert np.max(np.abs(bands - fd)) <= 1e-9 * np.max(np.abs(bands))
 
 
 def test_step_chain_drift_linf_bound():
