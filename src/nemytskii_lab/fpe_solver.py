@@ -25,7 +25,13 @@ block-diagonal system on its own.  With drift, advection couples vacuum cells
 through b(0), and the window is the whole grid.
 
 A chain is strictly sequential and runs in the calling thread; its iterates
-are the rows of one writable (N, n_cells) array.
+are the rows of one writable (N, n_cells) array.  step_chain also takes a
+tuple of fields on one grid and runs their chains as a stack: one Newton
+loop per step works on a (k, n) array, with one gtsv call for the
+block-diagonal system of all k rows, while each row keeps its own line
+search and its own stop.  Each row equals its standalone chain bit for bit,
+and semigroup_distance runs its pair this way.  The rows of a stack without
+drift share the union of their windows.
 
 scipy is imported only when a chain first solves: the first
 _tridiagonal_solve loads LAPACK gtsv from scipy.linalg and keeps it.  A
@@ -93,12 +99,15 @@ def __getattr__(name):
 
 
 class SolverError(RuntimeError):
-    """Nonlinear solve failure; carries the last residual and step index."""
+    """Nonlinear solve failure; carries the last residual, the step index and
+    the failing row of a stack of chains (0 for a single one)."""
 
-    def __init__(self, message: str, residual: float = math.nan, step: int | None = None):
+    def __init__(self, message: str, residual: float = math.nan,
+                 step: int | None = None, row: int | None = None):
         super().__init__(message)
         self.residual = residual
         self.step = step
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -120,6 +129,16 @@ class GridField:
             raise ValueError("field values must be finite")
         if np.any(vals < 0):
             raise ValueError("field values must be nonnegative")
+
+    @classmethod
+    def _trusted(cls, lo: float, hi: float, values: np.ndarray) -> "GridField":
+        """A field on values already known to be finite and nonnegative, such
+        as the solver's clipped output, built without scanning them again."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "lo", lo)
+        object.__setattr__(field, "hi", hi)
+        object.__setattr__(field, "values", values)
+        return field
 
     @property
     def n_cells(self) -> int:
@@ -224,58 +243,117 @@ class Trajectory:
 # discrete operator pieces
 # ---------------------------------------------------------------------------
 
-def _apply_operator(u: np.ndarray, dx: float, spec: NonlinearitySpec,
-                    drift: DriftSpec, e_face: np.ndarray | None) -> np.ndarray:
-    """Discrete operator in flux form; zero boundary flux, so telescoping conserves mass."""
-    bt = np.asarray(spec.beta(u))
+class _Advection:
+    """Donor-cell advection E * b(u) * u of one chain, fixed over its steps.
 
-    # diffusive flux -D(beta)/dx at interior interfaces
-    dif_flux = np.zeros(u.size + 1)
-    dif_flux[1:-1] = -(bt[1:] - bt[:-1]) / dx
-
-    # donor-cell advective flux of E * b(u) * u
-    adv_flux = np.zeros(u.size + 1)
-    if drift.sup_norm_E > 0:
-        carried = np.asarray(drift.b(u)) * u
-        ep = np.maximum(e_face[1:-1], 0.0)
-        em = np.minimum(e_face[1:-1], 0.0)
-        adv_flux[1:-1] = ep * carried[:-1] + em * carried[1:]
-
-    return (dif_flux[1:] + adv_flux[1:] - dif_flux[:-1] - adv_flux[:-1]) / dx
-
-
-def _jacobian_bands(u: np.ndarray, dx: float, spec: NonlinearitySpec,
-                    drift: DriftSpec, e_face: np.ndarray | None,
-                    lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonals (dl, d, du) of the Jacobian of u + lam*A(u).
-
-    dl[j] holds J[j+1, j] and du[j] holds J[j, j+1].  With beta' >= 0 and
-    (b(r) r)' >= 0 every column is diagonally dominant with a diagonal of at
-    least 1, so J is nonsingular.
+    Holds the splits of E at the interior faces, the outflow E+ - E- of each
+    cell (the boundary faces carry no flux), b, and b's value b0 when b is
+    constant.
     """
-    n = u.size
-    btp = np.asarray(spec.beta_prime(u))
 
-    lap_diag = np.full(n, 2.0)
-    lap_diag[0] = lap_diag[-1] = 1.0
-    d = 1.0 + lam * lap_diag / dx**2 * btp
-    du = -lam * btp[1:] / dx**2
-    dl = -lam * btp[:-1] / dx**2
-
-    if drift.sup_norm_E > 0:
-        # (b(u) u)' = b(u) + b'(u) u, with b' by one central difference
-        gp = np.asarray(drift.b(u))
-        if not drift.b_is_constant:   # else b' = 0; skipping it is measurably faster
-            gp = gp + (np.asarray(drift.b(u + 1e-6))
-                       - np.asarray(drift.b(u - 1e-6))) / 2e-6 * u
+    def __init__(self, drift: DriftSpec, edges: np.ndarray):
+        e_face = np.asarray(drift.E(edges), dtype=float)
+        self.ep = np.maximum(e_face[1:-1], 0.0)
+        self.em = np.minimum(e_face[1:-1], 0.0)
         epf = np.maximum(e_face, 0.0)
         emf = np.minimum(e_face, 0.0)
-        # boundary faces carry no flux
         epf[0] = emf[0] = epf[-1] = emf[-1] = 0.0
-        d += lam * (epf[1:] - emf[:-1]) * gp / dx
-        du += lam * emf[1:-1] * gp[1:] / dx
-        dl += -lam * epf[1:-1] * gp[:-1] / dx
-    return dl, d, du
+        self.outflow = epf[1:] - emf[:-1]
+        self.b = drift.b
+        self.b0 = float(np.asarray(drift.b(0.0))) if drift.b_is_constant else None
+
+    def carried(self, u: np.ndarray) -> np.ndarray:
+        return (self.b0 if self.b0 is not None else np.asarray(self.b(u))) * u
+
+    def slope(self, u: np.ndarray):
+        """(b(u) u)' = b(u) + b'(u) u, with b' by one central difference."""
+        if self.b0 is not None:   # b' = 0
+            return self.b0
+        return np.asarray(self.b(u)) + (np.asarray(self.b(u + 1e-6))
+                                        - np.asarray(self.b(u - 1e-6))) / 2e-6 * u
+
+
+def _apply_operator(u: np.ndarray, dx: float, spec: NonlinearitySpec,
+                    adv: _Advection | None) -> np.ndarray:
+    """Discrete operator in flux form on each row of u; zero boundary flux,
+    so telescoping conserves mass."""
+    bt = np.asarray(spec.beta(u))
+    faces = u.shape[:-1] + (u.shape[-1] + 1,)
+
+    # diffusive flux -D(beta)/dx at interior interfaces
+    dif_flux = np.zeros(faces)
+    dif_flux[..., 1:-1] = -(bt[..., 1:] - bt[..., :-1]) / dx
+
+    if adv is None:
+        # the zero advective flux, added as 0.0 to give the bits of the sum
+        # below with a zero array
+        return (dif_flux[..., 1:] + 0.0 - dif_flux[..., :-1]) / dx
+
+    # donor-cell advective flux of E * b(u) * u
+    adv_flux = np.zeros(faces)
+    carried = adv.carried(u)
+    adv_flux[..., 1:-1] = adv.ep * carried[..., :-1] + adv.em * carried[..., 1:]
+    return (dif_flux[..., 1:] + adv_flux[..., 1:]
+            - dif_flux[..., :-1] - adv_flux[..., :-1]) / dx
+
+
+class _Jacobian:
+    """What the Jacobian of u + lam*A(u) keeps over one solve on a window of
+    the given width: the Laplacian coefficient lam * lap_diag / dx**2 and the
+    advective face terms times lam, multiplied out by b0 when b is constant."""
+
+    def __init__(self, lam: float, dx: float, width: int, adv: _Advection | None):
+        # lam * lap_diag / dx**2, with lap_diag 2 inside and 1 at the ends
+        self.lap = np.full(width, lam * 2.0 / dx**2)
+        self.lap[0] = self.lap[-1] = lam / dx**2
+        self.lam, self.dx2 = lam, dx**2
+        self.adv = adv
+        if adv is not None:
+            self.dx = dx
+            self.face_terms = (lam * adv.outflow, lam * adv.em, -lam * adv.ep)
+            self.fixed = None if adv.b0 is None else self.advective(adv.b0)
+
+    def advective(self, gp):
+        """The advective parts of (d, du, dl) for the slope gp = (b(u) u)'."""
+        lo = gp if np.ndim(gp) == 0 else gp[..., :-1]
+        hi = gp if np.ndim(gp) == 0 else gp[..., 1:]
+        diag, upper, lower = self.face_terms
+        return diag * gp / self.dx, upper * hi / self.dx, lower * lo / self.dx
+
+
+def _jacobian_bands(u: np.ndarray, spec: NonlinearitySpec,
+                    jac: _Jacobian) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonals (dl, d, du) of the Jacobian of u + lam*A(u), row by row.
+
+    u is one row or a (k, w) stack of rows; the bands are those of the
+    block-diagonal (k*w) system, whose entries coupling one row to the next
+    are 0.  dl[j] holds J[j+1, j] and du[j] holds J[j, j+1].  With
+    beta' >= 0 and (b(r) r)' >= 0 every column is diagonally dominant with a
+    diagonal of at least 1, so J is nonsingular.
+    """
+    w = u.shape[-1]
+    btp = np.asarray(spec.beta_prime(u))
+    d = 1.0 + jac.lap * btp
+    off = -jac.lam * btp / jac.dx2   # -lam*beta'/dx^2 gives both off-diagonals
+    du = np.empty(off.size)
+    du[:-1] = off.ravel()[1:]
+    dl = off.reshape(-1)
+    # a row's last entries would couple it to the next row
+    du[w - 1::w] = dl[w - 1::w] = 0.0
+    if jac.adv is not None:
+        add_d, add_du, add_dl = jac.fixed or jac.advective(jac.adv.slope(u))
+        d += add_d
+        du.reshape(-1, w)[:, :-1] += add_du
+        dl.reshape(-1, w)[:, :-1] += add_dl
+    return dl[:-1], d.reshape(-1), du[:-1]
+
+
+def _span(mask: np.ndarray) -> tuple[int, int] | None:
+    """(first, one past the last) index where mask is set; None if nowhere."""
+    first = int(mask.argmax())
+    if not mask[first]:
+        return None
+    return first, mask.size - int(mask[::-1].argmax())
 
 
 @functools.cache
@@ -298,6 +376,146 @@ def _tridiagonal_solve(bands, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     return x, info
 
 
+def _newton_stack(grid: GridField, fs, starts, lam: float,
+                  spec: NonlinearitySpec, adv: _Advection | None,
+                  outs) -> list[ResolventSolution]:
+    """Solve u + lam*A(u) = f for each row f of fs by one damped Newton loop.
+
+    fs, starts and outs hold one array of grid's size per row: the right-hand
+    side, the Newton start and the output.  The rows are solved together as
+    one block-diagonal tridiagonal system, but each keeps its own line search
+    and its own stop, and a row that has converged or accepted its step is
+    left alone; so every row equals its own solve bit for bit.  Without drift
+    each row's window is its occupied cells widened by NEWTON_MAX_ITER + 2
+    per side, and the rows share the union of these windows.  The cells of
+    the union outside a row's own window stay 0 in that row, and the row's
+    residual is summed over its own window only, as its own solve sums it.
+
+    Raises SolverError naming the failing row (its index in fs) and stating
+    lam, the iteration count and that row's residual.
+    """
+    k, n, dx = len(fs), grid.n_cells, grid.cell_width
+    if adv is None:
+        # one cell per Newton iteration, and one more each for the residual's
+        # stencil and the window's face
+        margin = NEWTON_MAX_ITER + 2
+        spans = []
+        for f, start in zip(fs, starts):
+            occupied = _span((f != 0.0) | (start != 0.0))
+            # an empty row does not move, and one residual shows it
+            spans.append((max(occupied[0] - margin, 0), min(occupied[1] + margin, n))
+                         if occupied else (0, n))
+        lo, hi = min(a for a, _ in spans), max(b for _, b in spans)
+    else:   # advection couples vacuum cells through b(0)
+        spans, lo, hi = [(0, n)] * k, 0, n
+    width = hi - lo
+    own = [(a - lo, b - lo) for a, b in spans]
+    uniform = all(span == (0, width) for span in own)
+    target, u = np.empty((k, width)), np.empty((k, width))
+    for r in range(k):
+        target[r], u[r] = fs[r][lo:hi], starts[r][lo:hi]
+    jac = _Jacobian(lam, dx, width, adv)
+    everyone = list(range(k))
+
+    def rows_of(idx):
+        return slice(None) if len(idx) == k else idx
+
+    def residual(v, rows):
+        """The residual of rows (a list of row indices) at v, and its L1
+        norm per row as a list."""
+        res = v + lam * _apply_operator(v, dx, spec, adv) \
+            - (target if len(rows) == k else target[rows])
+        size = np.abs(res)
+        if uniform:
+            return res, (size.sum(axis=1) * dx).tolist()
+        return res, [float(size[j, own[r][0]:own[r][1]].sum() * dx)
+                     for j, r in enumerate(rows)]
+
+    def failure(what, row, iters):
+        which = f" of row {row}" if k > 1 else ""
+        return SolverError(f"nonlinear solve{which} at lam={lam!r} {what} after "
+                           f"{iters} iterations (residual {l1[row]:.3e})",
+                           residual=l1[row], row=row)
+
+    def accept(rows, ok, trial, trial_res, trial_l1):
+        """Take the trial of each of rows whose flag in ok is set."""
+        nonlocal u, res, l1
+        if len(rows) == k and all(ok):
+            u, res, l1 = trial, trial_res, trial_l1
+            return
+        took = [j for j, good in enumerate(ok) if good]
+        into = [rows[j] for j in took]
+        u[into], res[into] = trial[took], trial_res[took]
+        for j, r in zip(took, into):
+            l1[r] = trial_l1[j]
+
+    res, l1 = residual(u, everyone)
+    for r in everyone:
+        if not math.isfinite(l1[r]):
+            raise failure("has a non-finite residual", r, 0)
+    iters, halvings, fallbacks = [0] * k, [0] * k, [0] * k
+    for it in range(NEWTON_MAX_ITER):
+        active = [r for r in everyone if l1[r] > NEWTON_TOL]
+        if not active:
+            break
+        rows = rows_of(active)
+        delta, info = _tridiagonal_solve(_jacobian_bands(u[rows], spec, jac),
+                                         -res[rows].ravel())
+        if info != 0:
+            raise failure(f"failed in the tridiagonal solve (gtsv info {info})",
+                          active[(info - 1) // width], it)
+        delta = delta.reshape(len(active), width)
+        # each row halves its step until its residual falls; the rows still
+        # searching share the step, since they started together
+        pending, at = active, None   # at: their places in active, if not all
+        step = 1.0
+        for _ in range(12):
+            trial = u[rows_of(pending)] + step * (delta if at is None else delta[at])
+            trial_res, trial_l1 = residual(trial, pending)
+            ok = [t < l1[r] for t, r in zip(trial_l1, pending)]
+            accept(pending, ok, trial, trial_res, trial_l1)
+            if all(ok):
+                break
+            left = [j for j, good in enumerate(ok) if not good]
+            pending = [pending[j] for j in left]
+            at = left if at is None else [at[j] for j in left]
+            step *= 0.5
+            for r in pending:
+                halvings[r] += 1
+        else:
+            # damped fixed-point fallback
+            rows = rows_of(pending)
+            trial = u[rows] - 0.5 * res[rows]
+            trial_res, trial_l1 = residual(trial, pending)
+            for t, r in zip(trial_l1, pending):
+                if not t < l1[r]:
+                    raise failure("stalled", r, it)
+                fallbacks[r] += 1
+            accept(pending, [True] * len(pending), trial, trial_res, trial_l1)
+        for r in active:
+            iters[r] += 1
+    for r in everyone:
+        if l1[r] > NEWTON_TOL:
+            raise failure(f"did not reach tol {NEWTON_TOL:.1e}", r, NEWTON_MAX_ITER)
+
+    solutions = []
+    for r, ((a, b), out) in enumerate(zip(own, outs)):
+        # the cells outside the row's window are exactly 0
+        row = u[r, a:b]
+        clipped = float(np.maximum(-row, 0.0).sum() * dx)
+        preclip_min = float(row.min())
+        out[:lo + a] = 0.0
+        out[lo + b:] = 0.0
+        np.maximum(row, 0.0, out=out[lo + a:lo + b])
+        # clipped at 0 from a finite residual, so finite and nonnegative
+        field = GridField._trusted(grid.lo, grid.hi, out)
+        solutions.append(ResolventSolution(
+            field=field, residual_l1=l1[r], newton_iters=iters[r],
+            clipped_mass=clipped, preclip_min=preclip_min,
+            halvings=halvings[r], fallbacks=fallbacks[r]))
+    return solutions
+
+
 def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
                     drift: DriftSpec, out: np.ndarray | None = None,
                     start: np.ndarray | None = None) -> ResolventSolution:
@@ -313,16 +531,12 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
     Convergence is measured in discrete L1: Newton stops at NEWTON_TOL.
     Negative undershoot is clipped at 0 and its mass reported.  The clipped
     solution is written into out (a float array of f's size) when given.
+    This is step_chain's Newton loop on a stack of one row.
 
-    Without drift (drift.sup_norm_E == 0), Newton runs on the window of
-    cells where f or start is nonzero, widened by NEWTON_MAX_ITER + 2 cells
-    on each side and clipped to the grid; with drift, on the whole grid.
-    Since beta'(0) = 0, each iteration widens the support by at most one
-    cell per side, so every cell outside the window stays 0 with a zero
-    residual and zero face flux, and the values are those of a full-grid
-    solve bit for bit.  Only residual_l1, summed over the window, may differ
-    from a full-grid sum in its last bits; the clip, clipped_mass,
-    preclip_min and the returned field are full-grid.
+    Without drift (drift.sup_norm_E == 0), Newton runs on the window of the
+    module docstring, and the values are those of a full-grid solve bit for
+    bit; residual_l1 and clipped_mass are summed over the window, so only
+    their last bits may differ from a full-grid solve's.
 
     Raises
     ------
@@ -335,78 +549,43 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
     lam0 = lambda_zero(drift)
     if not 0.0 < lam < lam0:
         raise ValueError(f"lambda must lie in (0, {lam0}), got {lam}")
-    dx = f.cell_width
-    full = np.array(f.values if start is None else start, dtype=float)
-    lo, hi = 0, full.size
-    if drift.sup_norm_E > 0:
-        e_face = np.asarray(drift.E(f.edges), dtype=float)
-    else:
-        # one cell per Newton iteration, and one more each for the residual's
-        # stencil and the window's face
-        e_face = None
-        margin = NEWTON_MAX_ITER + 2
-        occupied = np.flatnonzero((f.values != 0.0) | (full != 0.0))
-        if occupied.size:   # else nothing moves, and one residual shows it
-            lo = max(int(occupied[0]) - margin, 0)
-            hi = min(int(occupied[-1]) + 1 + margin, full.size)
-    target = f.values[lo:hi]
-
-    def residual(u):
-        res = u + lam * _apply_operator(u, dx, spec, drift, e_face) - target
-        return res, float(np.sum(np.abs(res)) * dx)
-
-    def failure(what, res_l1, iters):
-        return SolverError(f"nonlinear solve at lam={lam!r} {what} after "
-                           f"{iters} iterations (residual {res_l1:.3e})",
-                           residual=res_l1)
-
-    u = full[lo:hi]   # a view; every accepted step rebinds u to a new array
-    res, res_l1 = residual(u)
-    if not math.isfinite(res_l1):
-        raise failure("has a non-finite residual", res_l1, 0)
-    iters = halvings = fallbacks = 0
-    while res_l1 > NEWTON_TOL and iters < NEWTON_MAX_ITER:
-        delta, info = _tridiagonal_solve(
-            _jacobian_bands(u, dx, spec, drift, e_face, lam), -res)
-        if info != 0:
-            raise failure(f"failed in the tridiagonal solve (gtsv info {info})",
-                          res_l1, iters)
-        step = 1.0
-        for _ in range(12):
-            trial = u + step * delta
-            trial_res, trial_l1 = residual(trial)
-            if trial_l1 < res_l1:
-                u, res, res_l1 = trial, trial_res, trial_l1
-                break
-            step *= 0.5
-            halvings += 1
-        else:
-            # damped fixed-point fallback
-            trial = u - 0.5 * res
-            trial_res, trial_l1 = residual(trial)
-            if not trial_l1 < res_l1:
-                raise failure("stalled", res_l1, iters)
-            u, res, res_l1 = trial, trial_res, trial_l1
-            fallbacks += 1
-        iters += 1
-    if res_l1 > NEWTON_TOL:
-        raise failure(f"did not reach tol {NEWTON_TOL:.1e}", res_l1, iters)
-    if u.size < full.size:   # the cells outside the window are still 0
-        full[lo:hi] = u
-        u = full
-
-    clipped = float(np.sum(np.maximum(-u, 0.0)) * dx)
-    preclip_min = float(u.min())
-    u = np.maximum(u, 0.0, out=out)
-    return ResolventSolution(field=GridField(lo=f.lo, hi=f.hi, values=u),
-                             residual_l1=res_l1, newton_iters=iters,
-                             clipped_mass=clipped, preclip_min=preclip_min,
-                             halvings=halvings, fallbacks=fallbacks)
+    adv = _Advection(drift, f.edges) if drift.sup_norm_E > 0 else None
+    begin = f.values if start is None else np.asarray(start, dtype=float)
+    out = np.empty(f.n_cells) if out is None else out
+    return _newton_stack(f, (f.values,), (begin,), lam, spec, adv, (out,))[0]
 
 
-def step_chain(nu: GridField, T: float, config: SolverConfig,
-               spec: NonlinearitySpec, drift: DriftSpec) -> Trajectory:
+def _iterate_block(n_rows: int, n_cols: int) -> np.ndarray:
+    """An empty (n_rows, n_cols) float array for a chain's iterates.
+
+    A block of 4 MiB or more gets an anonymous mapping of its own, which goes
+    back to the system with the array.  On the heap, the next chain reuses a
+    freed block only while nothing else has taken part of it; otherwise its
+    block lands beyond the old one and the process keeps both.  The
+    fpe-barenblatt benchmark (28.8 MB of iterates per chain) then peaked at
+    118 instead of 91 MB RSS in 7 of 26 processes.  Huge pages are advised
+    as numpy advises its own blocks of this size: the page faults of a
+    28.8 MB block took about 16 ms without them and 4 ms with them.
+    """
+    nbytes = 8 * n_rows * n_cols
+    if nbytes < 1 << 22:
+        return np.empty((n_rows, n_cols))
+    import mmap   # imported by the first chain this large, as scipy by the first solve
+    block = mmap.mmap(-1, nbytes, access=mmap.ACCESS_COPY)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        block.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(block, dtype=float).reshape(n_rows, n_cols)
+
+
+def step_chain(nu, T: float, config: SolverConfig, spec: NonlinearitySpec,
+               drift: DriftSpec):
     """Run the implicit chain u^(i+1) + h A(u^(i+1)) = u^i from nu up to time T.
+
+    nu is one GridField, or a tuple of GridFields on one grid; the chains
+    then run as a stack, and a tuple of Trajectory is returned, one per
+    field.  All rows of a stack go through one Newton loop per step (see
+    _newton_stack), and each row equals its own chain bit for bit, with the
+    same Newton counts.
 
     N = ceil(T/h) steps of size h, the last one shortened to land on T.
     When rounding leaves a last step of at most 1e-9 h (T = 0.14 - 0.1 with
@@ -414,21 +593,33 @@ def step_chain(nu: GridField, T: float, config: SolverConfig,
     chain ends after N - 1 full steps.  From the second step on, Newton
     starts at the linear predictor max(2u^i - u^(i-1), 0) rather than at
     u^i; on a 4000-cell, 900-step Barenblatt chain this took 2365 iterations
-    instead of 2825.  The initial mass must be 1 to within 1e-8 and the run
-    aborts if the accumulated undershoot clipping exceeds MAX_CLIPPED_MASS.
+    instead of 2825.  The initial mass must be 1 to within 1e-8 and a chain
+    aborts if its accumulated undershoot clipping exceeds MAX_CLIPPED_MASS.
+    E is evaluated at the faces once per chain.
 
-    The iterates are the rows of one (N, n_cells) array.  As N separate
-    arrays they would sit between the solver's temporaries on the allocator's
-    heap, whose fragmentation then varies from process to process: a
-    4000-cell, 900-step chain peaked at 114 MB RSS in some processes and at
-    128 MB in others.
+    The iterates of a chain are the rows of one (N, n_cells) array (see
+    _iterate_block).  As N separate arrays they would sit between the
+    solver's temporaries on the allocator's heap, whose fragmentation then
+    varies from process to process: a 4000-cell, 900-step chain peaked at
+    114 MB RSS in some processes and at 128 MB in others.
 
-    Raises ValueError when T is not positive.
+    Raises ValueError when T is not positive or the fields' grids differ,
+    and SolverError, carrying the step and the failing row of the stack,
+    when a solve fails or a chain's clipping exceeds its budget.
     """
+    stacked = isinstance(nu, tuple)
+    fields = nu if stacked else (nu,)
+    if not fields:
+        raise ValueError("step_chain needs at least one field")
+    grid = fields[0]
+    if any((f.lo, f.hi, f.n_cells) != (grid.lo, grid.hi, grid.n_cells)
+           for f in fields):
+        raise ValueError("fields live on different grids")
     if not T > 0:
         raise ValueError(f"chain horizon T must be positive, got T = {T!r}")
-    if abs(nu.mass() - 1.0) > 1e-8:
-        raise ValueError(f"initial mass must be 1 +- 1e-8, got {nu.mass()}")
+    for f in fields:
+        if abs(f.mass() - 1.0) > 1e-8:
+            raise ValueError(f"initial mass must be 1 +- 1e-8, got {f.mass()}")
     lam0 = lambda_zero(drift)
     if math.isfinite(lam0) and not config.lambda_step < lam0:
         raise ValueError(f"lambda_step {config.lambda_step} violates the "
@@ -439,36 +630,41 @@ def step_chain(nu: GridField, T: float, config: SolverConfig,
     if n_steps > 1 and last <= 1e-9 * h:   # only rounding left it
         n_steps -= 1
         last = h
-    values = np.empty((n_steps, nu.n_cells))
+    adv = _Advection(drift, grid.edges) if drift.sup_norm_E > 0 else None
+    values = [_iterate_block(n_steps, grid.n_cells) for _ in fields]
     times = np.empty(n_steps)
-    infos = []
+    infos = [[] for _ in fields]
 
-    current = nu
-    previous = None   # the iterate before current, from the second step on
+    current = [f.values for f in fields]
+    previous = None   # the iterates before current, from the second step on
     t = 0.0
-    clipped = 0.0   # running total of the steps' clipped mass
+    clipped = [0.0] * len(fields)   # running totals of the steps' clipped mass
     for i in range(n_steps):
         lam = h if i < n_steps - 1 else last
-        start = None if previous is None else \
-            np.maximum(2.0 * current.values - previous, 0.0)
+        starts = current if previous is None else \
+            [np.maximum(2.0 * c - p, 0.0) for c, p in zip(current, previous)]
         try:
-            sol = resolvent_solve(current, lam, spec, drift, out=values[i],
-                                  start=start)
+            sols = _newton_stack(grid, current, starts, lam, spec, adv,
+                                 [v[i] for v in values])
         except SolverError as err:
             err.step = i
             raise
         t += lam
         times[i] = t
-        infos.append(sol)
-        previous = current.values
-        current = sol.field
-        clipped += sol.clipped_mass
-        if clipped > MAX_CLIPPED_MASS:
-            raise SolverError(
-                f"clipped mass {clipped:.3e} exceeded budget "
-                f"{MAX_CLIPPED_MASS:.1e} at step {i}",
-                residual=sol.residual_l1, step=i)
-    return Trajectory(initial=nu, times=times, values=values, infos=infos)
+        previous = current
+        current = [v[i] for v in values]
+        for r, sol in enumerate(sols):
+            infos[r].append(sol)
+            clipped[r] += sol.clipped_mass
+            if clipped[r] > MAX_CLIPPED_MASS:
+                which = f" of chain {r}" if stacked else ""
+                raise SolverError(
+                    f"clipped mass {clipped[r]:.3e} exceeded budget "
+                    f"{MAX_CLIPPED_MASS:.1e} at step {i}{which}",
+                    residual=sol.residual_l1, step=i, row=r)
+    trajs = tuple(Trajectory(initial=f, times=times.copy(), values=v, infos=info)
+                  for f, v, info in zip(fields, values, infos))
+    return trajs if stacked else trajs[0]
 
 
 def semigroup_distance(nu1: GridField, nu2: GridField, T: float,
@@ -476,14 +672,14 @@ def semigroup_distance(nu1: GridField, nu2: GridField, T: float,
                        drift: DriftSpec) -> float:
     """Worst contraction ratio max_t ||S_h(t)nu1 - S_h(t)nu2||_1 / ||nu1 - nu2||_1.
 
-    Returns 0 when the inputs coincide.  The two chains run one after the
-    other, and one reduction over their rows gives every step's ratio.
+    Returns 0 when the inputs coincide.  The two chains run as one stack of
+    two rows through step_chain, so each step's Newton iterations solve both
+    at once; one reduction over their rows gives every step's ratio.
     """
     denom = nu1.l1_distance(nu2)
     if denom == 0.0:
         return 0.0
-    t1 = step_chain(nu1, T, config, spec, drift)
-    t2 = step_chain(nu2, T, config, spec, drift)
+    t1, t2 = step_chain((nu1, nu2), T, config, spec, drift)
     # t1 is not returned, so its rows can hold |u1 - u2| in place
     gap = np.subtract(t1.values, t2.values, out=t1.values)
     np.abs(gap, out=gap)
@@ -544,24 +740,40 @@ def entropy_audit(traj: Trajectory, spec: NonlinearitySpec) -> list[EntropyRecor
     which stays <= 0 (up to solver tolerance) for drift-free runs.
     """
     dx = traj.initial.cell_width
+    n = traj.initial.n_cells
+    # Psi and sqrt(beta) are evaluated on each row's nonzero span only; the
+    # span is scattered into a zero row and the sum runs over the full row,
+    # so the sums are those of full-row evaluations bit for bit, since
+    # Psi(0) = 0 and sqrt(beta(0)) = 0.
+    psi = np.zeros(n)
+    grad2 = np.zeros(n - 1)   # |D_h beta^(1/2)|^2 at the interior faces
 
-    def entropy_of(vals):
-        return float(np.sum(entropy_Psi(spec, vals)) * dx)
-
-    def dissipation_of(vals):
-        root = np.sqrt(np.asarray(spec.beta(vals)))
+    def entropy_and_dissipation(vals):
+        occupied = _span(vals != 0.0)
+        if not occupied:
+            return 0.0, 0.0
+        a, b = occupied
+        psi[a:b] = entropy_Psi(spec, vals[a:b])
+        entropy = float(np.sum(psi) * dx)
+        psi[a:b] = 0.0
+        # the faces with a nonzero difference lie between cells a - 1 and b
+        a, b = max(a - 1, 0), min(b + 1, n)
+        root = np.sqrt(np.asarray(spec.beta(vals[a:b])))
         grad = (root[1:] - root[:-1]) / dx
-        return float(np.sum(grad * grad) * dx)
+        grad2[a:b - 1] = grad * grad
+        dissipation = float(np.sum(grad2) * dx)
+        grad2[a:b - 1] = 0.0
+        return entropy, dissipation
 
-    s0 = entropy_of(traj.initial.values)
+    s0 = entropy_and_dissipation(traj.initial.values)[0]
     records = []
     cumulative = 0.0
     prev_t = 0.0
     for i, (t, row) in enumerate(zip(traj.times.tolist(), traj.values)):
         h = t - prev_t
         prev_t = t
-        cumulative += h * dissipation_of(row)
-        s = entropy_of(row)
+        s, dissipation = entropy_and_dissipation(row)
+        cumulative += h * dissipation
         records.append(EntropyRecord(step=i + 1, t=t, entropy=s,
                                      cumulative_dissipation=cumulative,
                                      audit_value=s + cumulative - s0))

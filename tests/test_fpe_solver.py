@@ -469,16 +469,36 @@ def test_solver_config_rejects_a_non_positive_step(h):
 
 
 def test_step_chain_clipped_mass_budget_aborts(monkeypatch):
-    solve = fpe_solver.resolvent_solve
+    solve = fpe_solver._newton_stack
 
     def clipping(*args, **kwargs):
-        return replace(solve(*args, **kwargs), clipped_mass=6e-7)
+        return [replace(sol, clipped_mass=6e-7) for sol in solve(*args, **kwargs)]
 
-    monkeypatch.setattr(fpe_solver, "resolvent_solve", clipping)
+    monkeypatch.setattr(fpe_solver, "_newton_stack", clipping)
     nu = barenblatt_field(0.1, n=64, lo=-3, hi=3)
     with pytest.raises(SolverError, match="budget 1.0e-06") as err:
         step_chain(nu, 0.05, SolverConfig(lambda_step=1e-2), SPEC, ZERO_DRIFT)
     assert err.value.step == 1
+
+
+def test_large_iterate_blocks_get_a_mapping_of_their_own():
+    # a 4 MiB block or more is mapped, so it goes back to the system with the
+    # trajectory and later chains cannot strand it on the heap
+    import mmap
+    def owner(block):
+        while isinstance(block, np.ndarray) and block.base is not None:
+            block = block.base
+        return block.obj if isinstance(block, memoryview) else block
+
+    big = fpe_solver._iterate_block(512, 1024)
+    small = fpe_solver._iterate_block(10, 200)
+    assert isinstance(owner(big), mmap.mmap)
+    assert isinstance(owner(small), np.ndarray)
+    for block, shape in ((big, (512, 1024)), (small, (10, 200))):
+        assert block.shape == shape and block.dtype == np.float64
+        assert block.flags.c_contiguous and block.flags.writeable
+        block[-1, -1] = 1.5
+        assert block[-1, -1] == 1.5
 
 
 def test_barenblatt_chain_newton_telemetry():
@@ -528,17 +548,17 @@ def test_jacobian_bands_match_finite_differences_with_saturating_b(amp):
     f = random_smooth_field(3, n=64)
     u = f.values * (1.0 + 0.3 * np.random.default_rng(0).uniform(size=64))
     lam, dx = 0.5 * lambda_zero(drift), f.cell_width
-    e_face = drift.E(f.edges)
+    adv = fpe_solver._Advection(drift, f.edges)
 
     def operator(v):
-        return v + lam * _apply_operator(v, dx, SPEC, drift, e_face)
+        return v + lam * _apply_operator(v, dx, SPEC, adv)
 
     fd = np.empty((u.size, u.size))
     for j in range(u.size):
         e = np.zeros(u.size)
         e[j] = 1e-6 * max(1.0, u[j])
         fd[:, j] = (operator(u + e) - operator(u - e)) / (2.0 * e[j])
-    dl, d, du = _jacobian_bands(u, dx, SPEC, drift, e_face.copy(), lam)
+    dl, d, du = _jacobian_bands(u, SPEC, fpe_solver._Jacobian(lam, dx, u.size, adv))
     bands = np.diag(d) + np.diag(du, 1) + np.diag(dl, -1)
     assert np.max(np.abs(bands - fd)) <= 1e-9 * np.max(np.abs(bands))
 
@@ -602,18 +622,116 @@ def test_semigroup_distance_reads_every_step(monkeypatch):
     nu1, nu2 = random_smooth_field(7), random_smooth_field(8)
     weights = np.array([0.1, 0.4, 0.2, 0.9, 0.3])
 
-    def fake_chain(nu, T, config, spec, drift):
+    def fake_one(nu):
         s = weights[:, None] if nu is nu2 else np.zeros((weights.size, 1))
         values = (1.0 - s) * nu1.values + s * nu2.values
         return Trajectory(initial=nu, times=np.arange(1.0, 6.0), values=values,
                           infos=[])
 
-    ratios = _step_ratios(fake_chain(nu1, 0, 0, 0, 0), fake_chain(nu2, 0, 0, 0, 0),
+    def fake_chain(nus, T, config, spec, drift):
+        return tuple(fake_one(nu) for nu in nus)
+
+    ratios = _step_ratios(*fake_chain((nu1, nu2), 0, 0, 0, 0),
                           nu1.l1_distance(nu2))
     monkeypatch.setattr(fpe_solver, "step_chain", fake_chain)
     got = semigroup_distance(nu1, nu2, 1.0, SolverConfig(lambda_step=1e-2),
                              SPEC, ZERO_DRIFT)
     assert got == max(ratios) == ratios[3]
+
+
+# -- stacks of chains ------------------------------------------------------------
+
+TELEMETRY = ("residual_l1", "clipped_mass", "preclip_min")
+COUNTS = ("newton_iters", "halvings", "fallbacks")
+
+
+def assert_stack_matches_standalone(fields, T, config, drift):
+    """Every step of every row of a stack equals its standalone chain bit for bit."""
+    stacked = step_chain(tuple(fields), T, config, SPEC, drift)
+    assert isinstance(stacked, tuple) and len(stacked) == len(fields)
+    for nu, row in zip(fields, stacked):
+        alone = step_chain(nu, T, config, SPEC, drift)
+        assert row.initial is nu
+        assert np.array_equal(row.times, alone.times)
+        assert np.array_equal(row.values.view(np.int64), alone.values.view(np.int64))
+        assert len(row.infos) == len(alone.infos) == len(row.times)
+        for got, want in zip(row.infos, alone.infos):
+            assert [getattr(got, c) for c in COUNTS] == [getattr(want, c) for c in COUNTS]
+            assert np.array_equal(
+                np.array([getattr(got, t) for t in TELEMETRY]).view(np.int64),
+                np.array([getattr(want, t) for t in TELEMETRY]).view(np.int64))
+            assert got.field.values is not want.field.values
+    return stacked
+
+
+def newton_counts(traj):
+    return [info.newton_iters for info in traj.infos]
+
+
+@pytest.mark.parametrize("drift", [tanh_drift(0.25), saturating_drift(0.25)],
+                         ids=["tanh", "saturating_b"])
+def test_stacked_rows_equal_their_standalone_chains(drift):
+    # the rows' Newton counts differ from step 5 on (3 against 2), so one row
+    # iterates alone while the other is left untouched
+    t1, t2 = assert_stack_matches_standalone(
+        (random_smooth_field(7), random_smooth_field(8)), 0.02,
+        SolverConfig(lambda_step=2e-3), drift)
+    assert newton_counts(t1) != newton_counts(t2)
+
+
+def test_stacked_drift_free_rows_with_disjoint_supports():
+    # windows [0, 181) and [228, 359) of 400 cells: the stack solves their
+    # union, and each row sums its residual over its own window (summed over
+    # the union, 6 of the 20 residuals differ in their last bits); the narrow
+    # block halves its first step 5 times, the wide one never
+    va, vb = np.zeros(400), np.zeros(400)
+    va[57:119] = 1.0
+    vb[290:297] = 1.0
+    a, b = (GridField(-6.0, 6.0, v).normalized() for v in (va, vb))
+    t1, t2 = assert_stack_matches_standalone((a, b), 0.02,
+                                             SolverConfig(lambda_step=2e-3),
+                                             ZERO_DRIFT)
+    assert newton_counts(t1) != newton_counts(t2)
+    assert t1.infos[0].halvings != t2.infos[0].halvings
+
+
+def test_stack_failure_names_the_step_and_row(monkeypatch):
+    # gtsv info 207 on a stack of two 200-cell rows falls in row 1
+    nu1, nu2 = random_smooth_field(7, n=200), random_smooth_field(8, n=200)
+    drift, lam = tanh_drift(0.25), 2e-3
+    monkeypatch.setattr(fpe_solver, "_tridiagonal_solve",
+                        lambda bands, rhs: (rhs, 207))
+    with pytest.raises(SolverError, match="gtsv info 207") as err:
+        step_chain((nu1, nu2), 0.02, SolverConfig(lambda_step=lam), SPEC, drift)
+    adv = fpe_solver._Advection(drift, nu2.edges)
+    start = nu2.values + lam * _apply_operator(nu2.values, nu2.cell_width, SPEC, adv) \
+        - nu2.values
+    assert err.value.residual == float(np.sum(np.abs(start)) * nu2.cell_width)
+    assert (err.value.step, err.value.row) == (0, 1)
+    message = str(err.value)
+    assert "row 1" in message and "lam=0.002" in message
+    assert "after 0 iterations" in message
+    assert f"residual {err.value.residual:.3e}" in message
+
+
+def test_stack_rejects_fields_on_different_grids():
+    with pytest.raises(ValueError, match="different grids"):
+        step_chain((random_smooth_field(1), random_smooth_field(2, n=128)), 0.01,
+                   SolverConfig(lambda_step=1e-3), SPEC, ZERO_DRIFT)
+
+
+def test_step_chain_does_not_revalidate_its_iterates(monkeypatch):
+    # the solver's fields are clipped from a finite residual; scanning them
+    # again for finiteness and sign costs a full-grid pass per step
+    nu = barenblatt_field(0.1, n=200, lo=-4, hi=4)
+
+    def forbidden(self):
+        raise AssertionError("a solver-built field was validated again")
+
+    monkeypatch.setattr(GridField, "__post_init__", forbidden)
+    traj = step_chain(nu, 0.02, SolverConfig(lambda_step=1e-3), SPEC,
+                      tanh_drift(0.25))
+    assert np.shares_memory(traj.infos[-1].field.values, traj.values[-1])
 
 
 # -- entropy audit -------------------------------------------------------------
@@ -634,6 +752,32 @@ def test_entropy_audit_driftless_descends():
     records = entropy_audit(traj, SPEC)
     assert all(r.audit_value <= 1e-6 for r in records)
     assert all(r.cumulative_dissipation >= 0.0 for r in records)
+
+
+@pytest.mark.parametrize("nu", [
+    barenblatt_field(0.1, n=1000),
+    source_field(2.0, 0.1, 400, lo=-0.5, hi=3.0),   # support at the wall
+    GridField(-3.0, 3.0, np.r_[np.zeros(40), np.ones(30), np.zeros(60),
+                               np.ones(20), np.zeros(50)]).normalized(),
+], ids=["barenblatt", "wall", "two_blocks"])
+def test_entropy_audit_is_the_full_row_sum_bit_for_bit(nu):
+    # the audit evaluates Psi and sqrt(beta) on the support only; its sums
+    # must be those over every cell
+    traj = step_chain(nu, 0.02, SolverConfig(lambda_step=2e-3), SPEC, ZERO_DRIFT)
+    dx = nu.cell_width
+
+    def entropy(vals):
+        return float(np.sum(entropy_Psi(SPEC, vals)) * dx)
+
+    cumulative, prev_t = 0.0, 0.0
+    for rec, t, row in zip(entropy_audit(traj, SPEC), traj.times.tolist(), traj.values):
+        root = np.sqrt(SPEC.beta(row))
+        grad = (root[1:] - root[:-1]) / dx
+        cumulative += (t - prev_t) * float(np.sum(grad * grad) * dx)
+        prev_t = t
+        assert rec.entropy == entropy(row)
+        assert rec.cumulative_dissipation == cumulative
+        assert rec.audit_value == rec.entropy + cumulative - entropy(nu.values)
 
 
 def test_trajectory_binary_roundtrip(tmp_path):
