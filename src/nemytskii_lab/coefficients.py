@@ -70,14 +70,20 @@ class NonlinearitySpec:
     def power_law(cls, m: float, zeta: float = 0.0) -> "NonlinearitySpec":
         return cls(m=float(m), zeta=float(zeta))
 
+    # |r| is bound to a name before the power, so numpy cannot elide it as a
+    # temporary (it does so from 32768 elements on) and ** takes the same
+    # path, with numpy's shortcuts for exponents 1, 2 and 0.5, at every size.
+
     def beta(self, r):
         """beta(r); accepts scalars or arrays."""
         r = np.asarray(r, dtype=float)
-        return _scalar_or_array(np.abs(r) ** (self.m - 1.0) * r)
+        mag = np.abs(r)
+        return _scalar_or_array(mag ** (self.m - 1.0) * r)
 
     def beta_prime(self, r):
         r = np.asarray(r, dtype=float)
-        return _scalar_or_array(self.m * np.abs(r) ** (self.m - 1.0))
+        mag = np.abs(r)
+        return _scalar_or_array(self.m * mag ** (self.m - 1.0))
 
 
 @dataclass(frozen=True)
@@ -157,7 +163,9 @@ def sigma_squared(spec: NonlinearitySpec, r) -> float:
     if np.any(arr < 0):
         raise ValueError("sigma_squared is defined for r >= 0 only")
     out = np.full_like(arr, 2.0 * spec.beta_prime(0.0))
-    np.divide(2.0 * np.asarray(spec.beta(arr)), arr, out=out, where=arr > 0)
+    twice_beta = np.asarray(spec.beta(arr))   # a fresh array: doubled in place
+    twice_beta *= 2.0
+    np.divide(twice_beta, arr, out=out, where=arr > 0)
     return _scalar_or_array(out)
 
 
@@ -334,11 +342,13 @@ def entropy_Psi(spec: NonlinearitySpec, r):
     Accepts scalars or arrays (the entropy audit sums it over a field).
     """
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError("Psi is defined for r >= 0")
-    out = np.zeros_like(arr)
     pos = arr > 0
-    out[pos] = spec.m * arr[pos] * (np.log(arr[pos]) - 1.0)
+    # (m r)(ln r - 1) where r > 0; +0.0 elsewhere, from zeros_like
+    out = np.log(arr, out=np.zeros_like(arr), where=pos)
+    np.subtract(out, 1.0, out=out, where=pos)
+    np.multiply(out, spec.m * arr, out=out, where=pos)
     return _scalar_or_array(out)
 
 

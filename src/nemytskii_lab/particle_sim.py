@@ -10,14 +10,21 @@ coupling).  Noise comes from counter-based streams keyed by (seed, step), so
 runs are bit-reproducible, and same-noise coupled pairs of runs are exact.
 A run and a coupled pair step through the same loop.
 
-The module runs in the calling thread and starts no threads or processes;
-each step is a fixed sequence of whole-array numpy operations and
-reductions, so the same config and seed give the same bytes.
+A step's noise depends on nothing the step computes, so the loop starts one
+worker thread per run, which draws step s + 1's noise blocks while the
+calling thread runs step s.  The worker writes into one of two buffers per
+ensemble, and the calling thread reads a buffer only after the worker has
+returned it and never while the worker is filling it.  Everything else is a
+fixed sequence of whole-array numpy operations and reductions in the calling
+thread, so the same config and seed give the same bytes however the two
+threads are scheduled.  The worker is joined when the run ends, fails or is
+closed early.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -119,12 +126,16 @@ class ParticleEnsemble:
         return self.positions.size
 
 
-def _noise_block(seed: int, step: int, n: int, kind: str = "normal") -> np.ndarray:
-    """Deterministic block of n variates from the (seed, step) Philox stream."""
+def _noise_block(seed: int, step: int, n: int, kind: str = "normal",
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Deterministic block of n variates from the (seed, step) Philox stream.
+
+    Normals are written into out when it is given; the bytes are the same.
+    """
     key = [np.uint64(int(seed) % 2**64), np.uint64(int(step) % 2**64)]
     gen = np.random.Generator(np.random.Philox(key=key))
     if kind == "normal":
-        return gen.standard_normal(n)
+        return gen.standard_normal(n, out=out)
     return gen.random(n)
 
 
@@ -154,13 +165,24 @@ def seed_from_density(density, n: int, seed: int, lo: float, hi: float,
         hi = min(hi, float(probe[live[-1]]) + pad)
     x = np.linspace(lo, hi, 200001)
     dens = np.maximum(np.asarray(density(x), dtype=float), 0.0)
-    widths = np.diff(x)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * widths)])
+    # cdf[i] integrates up to x[i]; the cell widths, then the running sum of
+    # the trapezoids 0.5 * (dens[i] + dens[i+1]) * width, go into cdf[1:].
+    # Each array is freed once used: seeding sets a particle run's peak memory.
+    cdf = np.empty_like(x)
+    cdf[0] = 0.0
+    widths = np.subtract(x[1:], x[:-1], out=cdf[1:])
+    trapezoids = dens[1:] + dens[:-1]
+    del dens
+    trapezoids *= 0.5
+    trapezoids *= widths
+    np.cumsum(trapezoids, out=cdf[1:])
+    del trapezoids
     mass = float(cdf[-1])
     if abs(mass - 1.0) > 1e-6:
         raise ValueError(f"density mass {mass} deviates from 1 by more than 1e-6")
     uni = _noise_block(seed, 0, n, kind="uniform")
-    positions = np.interp(uni * mass, cdf, x)
+    uni *= mass
+    positions = np.interp(uni, cdf, x)
     return ParticleEnsemble(positions=positions, t=t0, seed=seed, step_index=0)
 
 
@@ -202,48 +224,81 @@ def frozen_density(ensemble: ParticleEnsemble, bandwidth: float,
     kernel sum inside the step loop, with binning error O((grid/h)^2).
     Deterministic given positions.
 
-    The grid is uniform, so the evaluator finds each query's cell directly
-    from (x - lo)/step and corrects that guess by one node comparison on
-    each side, instead of a binary search.  Cell choice, slopes and the
-    final slope*(x - node) + value match numpy's interp loop operation for
-    operation, so the result is bit-identical to
+    The grid is uniform, so each point's cell comes directly from
+    (x - lo)/step, corrected by one node comparison on each side instead of
+    a binary search.  Cell choice, slopes and the final
+    slope*(x - node) + value match numpy's interp loop operation for
+    operation, so the evaluator is bit-identical to
     np.interp(x, grid, dens, left=0, right=0) at every finite x and NaN.
+
+    Each particle's cell is found once and serves twice.  The histogram's
+    bins are centred on the nodes, so a particle in cell k - 1 falls in bin
+    k - 1, or in bin k once it reaches the edge between the two; np.bincount
+    of those bins gives np.histogram's counts exactly.  And when the
+    evaluator is called on this ensemble's own positions array (the same
+    object, not changed in place since), it reuses the cells.  The grid must
+    resolve the positions: a step of at most 64 ulp of the grid's ends, or a
+    last node left of the rightmost particle, is a ValueError.
     """
+    return _binned_kde(ensemble, bandwidth, n_grid_cells)[2]
+
+
+def _binned_kde(ensemble: ParticleEnsemble, bandwidth: float, n_grid_cells: int):
+    """frozen_density's grid, its histogram counts and its evaluator."""
     h = bandwidth
     pos = ensemble.positions
+    pos_max = float(pos.max())
     lo = float(pos.min()) - 2.0 * h
-    hi = float(pos.max()) + 2.0 * h
-    step = (hi - lo) / n_grid_cells
-    grid = lo + (np.arange(n_grid_cells + 1)) * step
-    counts, _ = np.histogram(pos, bins=n_grid_cells + 1,
-                             range=(lo - 0.5 * step, hi + 0.5 * step))
-    reach = int(math.ceil(h / step))
-    offsets = np.arange(-reach, reach + 1) * step
-    kern = _kernel_profile(offsets / h) / h
-    dens = np.convolve(counts, kern, mode="same") / pos.size
+    hi = pos_max + 2.0 * h
+    n = n_grid_cells
+    step = (hi - lo) / n
+    grid = lo + np.arange(n + 1) * step
+    last = grid[-1]
+    if not (step > 64.0 * np.spacing(max(abs(lo), abs(hi))) and pos_max <= last):
+        raise ValueError(f"bandwidth {h!r} and {n} cells give a grid step of "
+                         f"{step!r}, which does not resolve particles near "
+                         f"{pos_max!r}")
 
     # Row k of the tables is cell k - 1 of the grid.  Row 0 (left of the
     # grid) and row n + 2 (right of it) have slope and value 0; row n + 1
     # holds the last node, where np.interp returns dens[-1].
-    n = n_grid_cells
-    slopes = (dens[1:] - dens[:-1]) / (grid[1:] - grid[:-1])
-    row_slope = np.concatenate([[0.0], slopes, [0.0, 0.0]])
-    row_value = np.concatenate([[0.0], dens, [0.0]])
     row_node = np.concatenate([grid[:1], grid, grid[-1:]])
     origin = lo - step   # (x - origin)/step is row k + fraction
     inv_step = 1.0 / step
-    last = grid[-1]
 
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
+    def rows(x):
         # fmax/fmin send NaN to row 1, where the arithmetic returns NaN
         k = np.fmin(np.fmax((x - origin) * inv_step, 1.0), float(n)).astype(np.intp)
         k -= x < row_node[k]
         k += x >= row_node[k + 1]
         k += x > last
+        return k
+
+    # the particles lie in rows 1 to n + 1; np.histogram's edges sit
+    # half a step either side of the nodes
+    own = rows(pos)
+    edges = np.linspace(lo - 0.5 * step, hi + 0.5 * step, n + 2)
+    bins = own - 1
+    bins += pos >= edges[own]
+    counts = np.bincount(bins, minlength=n + 1)
+    reach = int(math.ceil(h / step))
+    offsets = np.arange(-reach, reach + 1) * step
+    kern = _kernel_profile(offsets / h) / h
+    dens = np.convolve(counts, kern, mode="same") / pos.size
+
+    slopes = (dens[1:] - dens[:-1]) / (grid[1:] - grid[:-1])
+    row_slope = np.concatenate([[0.0], slopes, [0.0, 0.0]])
+    row_value = np.concatenate([[0.0], dens, [0.0]])
+
+    def evaluate(x):
+        if x is pos:
+            k = own
+        else:
+            x = np.asarray(x, dtype=float)
+            k = rows(x)
         return row_slope[k] * (x - row_node[k]) + row_value[k]
 
-    return evaluate
+    return grid, counts, evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -251,26 +306,36 @@ def frozen_density(ensemble: ParticleEnsemble, bandwidth: float,
 # ---------------------------------------------------------------------------
 
 def em_step(ensemble: ParticleEnsemble, dt: float, spec: NonlinearitySpec,
-            drift: DriftSpec, density, clamp: float) -> ParticleEnsemble:
+            drift: DriftSpec, density, clamp: float,
+            noise: np.ndarray) -> ParticleEnsemble:
     """One explicit Euler-Maruyama step with the density frozen at step start.
 
     density is the caller's frozen estimate, an evaluator x -> u_hat(x) such
     as frozen_density returns; coupled twins pass the same one.  It is looked
     up once at the particles; the diffusion coefficient sees it capped at
     clamp, the drift uncapped.  Vacuum regions (u_hat = 0) produce exactly
-    zero diffusion, preserving the degeneracy.
+    zero diffusion, preserving the degeneracy.  noise is the step's block of
+    standard normals, one per particle: the (seed, step_index + 1) block of
+    _noise_block, which the step loop draws ahead on its worker thread.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     pos = ensemble.positions
+    if np.shape(noise) != pos.shape:
+        raise ValueError(f"noise block of shape {np.shape(noise)} for "
+                         f"positions of shape {pos.shape}")
     dens = np.maximum(np.asarray(density(pos), dtype=float), 0.0)
     sig2 = np.asarray(sigma_squared(spec, np.minimum(dens, clamp)))
-    xi = _noise_block(ensemble.seed, ensemble.step_index + 1, pos.size)
     drift_term = 0.0
     if drift.sup_norm_E > 0 and drift.sup_norm_b > 0:
         drift_term = np.asarray(drift.E(pos), dtype=float) \
             * np.asarray(drift.b(dens), dtype=float) * dt
-    new_pos = pos + drift_term + np.sqrt(sig2 * dt) * xi
+    # sqrt(sig2 * dt) * noise, in place in sigma_squared's fresh array
+    sig2 *= dt
+    np.sqrt(sig2, out=sig2)
+    sig2 *= noise
+    new_pos = pos + drift_term
+    new_pos += sig2
     # replace checks the new positions (SimulationError with the index)
     return replace(ensemble, positions=new_pos, t=ensemble.t + dt,
                    step_index=ensemble.step_index + 1)
@@ -307,21 +372,43 @@ def _steps(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
     one Epanechnikov density of it, which every ensemble's em_step looks up:
     one ensemble is a run, a same-noise pair is the coupled twin.  A watchdog
     aborts if any particle of any ensemble leaves 10 * DOMAIN_BOUND.
+
+    One worker thread draws the noise: while step s runs here, it fills step
+    s + 1's blocks, keyed by each ensemble's seed and step index, into the
+    other of two buffers per ensemble.  A buffer is read only after the
+    worker's future for it has returned, and refilled only once the step that
+    read it is done, so the bytes are those of drawing the blocks here.  The
+    worker is joined when the loop ends, raises or is closed early.
     """
     bound = 10.0 * DOMAIN_BOUND
-    for _ in range(config.n_steps):
-        density = frozen_density(
-            ensembles[0], _silverman_bandwidth(ensembles[0].positions))
-        ensembles = tuple(em_step(e, config.dt, spec, drift, density,
-                                  config.linf_clamp) for e in ensembles)
-        for e in ensembles:
-            dist = np.abs(e.positions)
-            if float(np.max(dist)) > bound:
-                raise SimulationError(
-                    f"particle blow-up beyond the watchdog bound {bound:g} "
-                    f"at step {e.step_index} (t = {e.t:g})",
-                    particle_index=int(np.argmax(dist)))
-        yield ensembles
+    n_steps = config.n_steps
+    keys = [(e.seed, e.step_index) for e in ensembles]
+    buffers = [[np.empty(e.n) for e in ensembles] for _ in range(2)]
+
+    def draw(s: int):
+        """Step s's blocks (s counts from 0) into buffers[s % 2]."""
+        for (seed, first), out in zip(keys, buffers[s % 2]):
+            _noise_block(seed, first + s + 1, out.size, out=out)
+
+    with ThreadPoolExecutor(max_workers=1,
+                            thread_name_prefix="particle-noise") as worker:
+        pending = worker.submit(draw, 0)
+        for s in range(n_steps):
+            pending.result()
+            if s + 1 < n_steps:
+                pending = worker.submit(draw, s + 1)
+            density = frozen_density(
+                ensembles[0], _silverman_bandwidth(ensembles[0].positions))
+            ensembles = tuple(em_step(e, config.dt, spec, drift, density,
+                                      config.linf_clamp, noise)
+                              for e, noise in zip(ensembles, buffers[s % 2]))
+            for e in ensembles:
+                if max(float(e.positions.max()), -float(e.positions.min())) > bound:
+                    raise SimulationError(
+                        f"particle blow-up beyond the watchdog bound {bound:g} "
+                        f"at step {e.step_index} (t = {e.t:g})",
+                        particle_index=int(np.argmax(np.abs(e.positions))))
+            yield ensembles
 
 
 def run(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,

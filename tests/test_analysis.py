@@ -255,6 +255,36 @@ def test_w1_samples_vs_field_consistency():
     assert w1_distance(samples, flat) < 5e-3
 
 
+def _w1_where_formula(mu, nu):
+    """The former segment sum: both branches in full, chosen by np.where."""
+    from nemytskii_lab.analysis import _cdf_of
+    b1, f1, _ = _cdf_of(mu)
+    b2, f2, _ = _cdf_of(nu)
+    breaks = np.unique(np.concatenate([b1, b2]))
+    a, b = breaks[:-1], breaks[1:]
+    inset = np.minimum(1e-9, 0.25 * (b - a))
+    da = f1(a + inset) - f2(a + inset)
+    db = f1(b - inset) - f2(b - inset)
+    w = b - a
+    seg = np.where(da * db >= 0, 0.5 * (np.abs(da) + np.abs(db)) * w,
+                   0.5 * (da * da + db * db) / np.maximum(np.abs(da) + np.abs(db), 1e-300) * w)
+    return float(np.sum(seg))
+
+
+@pytest.mark.parametrize("kind", ["samples-field", "samples-samples", "field-field"])
+def test_w1_bit_identical_to_where_formula(kind):
+    rng = np.random.default_rng(9)
+    field = GridField.from_function(-1.5, 1.5, 2000,
+                                    lambda x: barenblatt_eval(P2, 1.0, x)).normalized()
+    other = GridField(-2, 2, np.abs(rng.normal(size=64)) + 0.01).normalized()
+    samples = rng.normal(0.0, 0.5, 50_000)
+    mu, nu = {"samples-field": (samples, field),
+              "samples-samples": (samples, rng.normal(0.1, 0.4, 30_000)),
+              "field-field": (field, other)}[kind]
+    assert np.float64(w1_distance(mu, nu)).view(np.int64) \
+        == np.float64(_w1_where_formula(mu, nu)).view(np.int64)
+
+
 # -- entropy -----------------------------------------------------------------
 
 def entropy_of_field(u: GridField) -> float:

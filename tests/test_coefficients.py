@@ -40,6 +40,18 @@ def test_beta_strictly_increasing_sampled():
     assert np.all(np.diff(M3.beta(r)) > 0)
 
 
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+def test_beta_bits_do_not_depend_on_the_array_size(m):
+    # numpy elides temporaries of 32768 elements or more; beta and beta' of
+    # a 1e5-element array must equal the same on slices below that size
+    spec = NonlinearitySpec.power_law(m)
+    r = np.random.default_rng(8).uniform(-3.0, 3.0, 100_000)
+    r[:4] = (0.0, -0.0, 5e-324, -1e-300)
+    for f in (spec.beta, spec.beta_prime):
+        parts = np.concatenate([f(r[i:i + 20_000]) for i in range(0, r.size, 20_000)])
+        assert np.array_equal(f(r).view(np.int64), parts.view(np.int64))
+
+
 def test_spec_parameter_validation():
     with pytest.raises(ValueError):
         NonlinearitySpec.power_law(1.0)
@@ -286,6 +298,22 @@ def test_entropy_psi_closed_cases():
     assert entropy_Psi(M2, 1.0) == pytest.approx(-2.0, abs=1e-14)
     assert entropy_Psi(M2, 0.0) == 0.0
     assert entropy_Psi(M2, math.e) == pytest.approx(0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("spec", [NonlinearitySpec.power_law(1.5), M2, M3],
+                         ids=["m=1.5", "m=2", "m=3"])
+def test_entropy_psi_bit_identical_to_gathered_formula(spec):
+    rng = np.random.default_rng(6)
+    r = rng.uniform(0.0, 3.0, 4096) * rng.choice([1e-300, 1.0, 1e5], 4096)
+    r[rng.random(r.size) < 0.4] = 0.0   # vacuum cells
+    r[:4] = (5e-324, math.inf, math.nan, 1.0)
+    pos = r > 0
+    expected = np.zeros_like(r)
+    expected[pos] = spec.m * r[pos] * (np.log(r[pos]) - 1.0)
+    assert np.array_equal(entropy_Psi(spec, r).view(np.int64), expected.view(np.int64))
+    # Psi(0) is +0.0, as a scalar and in an array
+    assert math.copysign(1.0, entropy_Psi(spec, 0.0)) == 1.0
+    assert not np.signbit(entropy_Psi(spec, np.zeros(3))).any()
 
 
 def test_entropy_psi_matches_quadrature():

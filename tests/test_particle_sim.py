@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +31,11 @@ P2 = make_barenblatt(2.0)
 T0 = 0.1
 BB_INIT = lambda x: barenblatt_eval(P2, T0, x)
 CLAMP = 2.0 * P2.C_norm * T0 ** (-P2.alpha)
+
+
+TANH_DRIFT = DriftSpec.constant_b(E=lambda x: -0.25 * np.tanh(np.asarray(x, dtype=float)),
+                                  b0=1.0, sup_norm_E=0.25, div_E_minus_sup=0.25,
+                                  sup_div_minus_plus_E=0.3125)
 
 
 def small_config(**kw):
@@ -104,18 +112,22 @@ def test_binned_density_tracks_exact_kernel_sum():
 
 
 def _interp_reference(ens, h, n_grid_cells):
-    """frozen_density's grid and values, evaluated by np.interp's search."""
+    """frozen_density's grid, np.histogram's counts and np.interp's lookup."""
     pos = ens.positions
     lo = float(pos.min()) - 2.0 * h
     hi = float(pos.max()) + 2.0 * h
     step = (hi - lo) / n_grid_cells
     grid = lo + np.arange(n_grid_cells + 1) * step
-    counts, _ = np.histogram(pos, bins=n_grid_cells + 1,
-                             range=(lo - 0.5 * step, hi + 0.5 * step))
+    counts, edges = np.histogram(pos, bins=n_grid_cells + 1,
+                                 range=(lo - 0.5 * step, hi + 0.5 * step))
     reach = int(math.ceil(h / step))
     kern = particle_sim._kernel_profile(np.arange(-reach, reach + 1) * step / h) / h
     dens = np.convolve(counts, kern, mode="same") / pos.size
-    return grid, lambda x: np.interp(x, grid, dens, left=0.0, right=0.0)
+    return grid, edges, counts, lambda x: np.interp(x, grid, dens, left=0.0, right=0.0)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(100, 3000),
@@ -125,10 +137,26 @@ def _interp_reference(ens, h, n_grid_cells):
 def test_frozen_density_lookup_is_np_interp_bit_for_bit(seed, n, scale, center,
                                                         cells):
     rng = np.random.default_rng(seed)
-    pos = center + scale * rng.standard_normal(n)
+    base = center + scale * rng.standard_normal(n)
+    bw = particle_sim._silverman_bandwidth(base)
+    # add particles on every bin edge and node between the extreme particles,
+    # and one ulp either side of each edge; the grid depends only on the
+    # extremes and the bandwidth, so it stays the same
+    grid0, edges, _, _ = _interp_reference(
+        ParticleEnsemble(positions=base, t=0.0, seed=seed, step_index=0), bw, cells)
+    marks = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                            np.nextafter(edges, np.inf), grid0])
+    pos = np.concatenate([base, marks[(marks >= base.min()) & (marks <= base.max())]])
     ens = ParticleEnsemble(positions=pos, t=0.0, seed=seed, step_index=0)
-    bw = particle_sim._silverman_bandwidth(pos)
-    grid, reference = _interp_reference(ens, bw, cells)
+    grid, _, counts, reference = _interp_reference(ens, bw, cells)
+    assert np.array_equal(grid, grid0)
+    got_grid, got_counts, evaluate = particle_sim._binned_kde(ens, bw, cells)
+    assert np.array_equal(got_grid, grid)
+    assert np.array_equal(got_counts, counts)
+
+    # the ensemble's own array reuses the particles' cells; a copy does not
+    assert _same_bits(evaluate(ens.positions), reference(pos))
+    assert _same_bits(evaluate(pos.copy()), reference(pos))
     span = grid[-1] - grid[0]
     queries = np.concatenate([
         pos,                                       # in range
@@ -137,17 +165,41 @@ def test_frozen_density_lookup_is_np_interp_bit_for_bit(seed, n, scale, center,
         np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
         rng.uniform(grid[0] - 0.1 * span, grid[-1] + 0.1 * span, n),
     ])
-    got = frozen_density(ens, bw, cells)(queries)
-    assert np.array_equal(got.view(np.int64), reference(queries).view(np.int64))
+    assert _same_bits(frozen_density(ens, bw, cells)(queries), reference(queries))
+
+
+def test_frozen_density_counts_particles_on_the_extreme_nodes():
+    # a bandwidth far below the spacing puts the grid's ends on the extreme
+    # particles: nodes at the integers 1..4097, bin edges at the half-integers
+    nodes = np.arange(1.0, 4098.0)
+    pos = np.concatenate([nodes, nodes[:-1] + 0.5, [1.0, 4097.0]])
+    ens = ParticleEnsemble(positions=pos, t=0.0, seed=0, step_index=0)
+    grid, _, counts, reference = _interp_reference(ens, 1e-20, 4096)
+    assert np.array_equal(grid, nodes)
+    assert counts[0] == 2 and counts[-1] == 3
+    got_grid, got_counts, evaluate = particle_sim._binned_kde(ens, 1e-20, 4096)
+    assert np.array_equal(got_counts, counts)
+    assert _same_bits(evaluate(ens.positions), reference(pos))
+
+
+def test_frozen_density_rejects_a_grid_that_cannot_resolve_the_particles():
+    ens = ParticleEnsemble(positions=np.full(500, 1e4), t=0.0, seed=0, step_index=0)
+    with pytest.raises(ValueError, match="does not resolve particles near 10000.0"):
+        frozen_density(ens, 1e-12)
 
 
 # -- stepping ---------------------------------------------------------------------
+
+def _noise(ens):
+    """The block em_step takes for the ensemble's next step."""
+    return particle_sim._noise_block(ens.seed, ens.step_index + 1, ens.n)
+
 
 def test_em_step_vacuum_is_frozen():
     ens = seed_from_density(BB_INIT, 1000, 5, -5, 5, t0=T0)
     out = em_step(ens, 1e-3, SPEC2, ZERO_DRIFT,
                   density=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                  clamp=CLAMP)
+                  clamp=CLAMP, noise=_noise(ens))
     assert np.array_equal(out.positions, ens.positions)
 
 
@@ -157,7 +209,7 @@ def test_em_step_increment_scale():
     ens = ParticleEnsemble(positions=pos, t=0.0, seed=9, step_index=0)
     out = em_step(ens, 1e-2, SPEC2, ZERO_DRIFT,
                   density=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5),
-                  clamp=CLAMP)
+                  clamp=CLAMP, noise=_noise(ens))
     # sigma^2 = 2 beta(0.5)/0.5 = 1, so the increment std is sqrt(dt)
     assert np.std(out.positions) == pytest.approx(math.sqrt(1e-2), rel=0.02)
 
@@ -165,8 +217,10 @@ def test_em_step_increment_scale():
 def test_em_step_determinism():
     ens = seed_from_density(BB_INIT, 1000, 6, -5, 5, t0=T0)
     density = frozen_density(ens, particle_sim._silverman_bandwidth(ens.positions))
-    a = em_step(ens, 1e-3, SPEC2, ZERO_DRIFT, density=density, clamp=CLAMP)
-    b = em_step(ens, 1e-3, SPEC2, ZERO_DRIFT, density=density, clamp=CLAMP)
+    a = em_step(ens, 1e-3, SPEC2, ZERO_DRIFT, density=density, clamp=CLAMP,
+                noise=_noise(ens))
+    b = em_step(ens, 1e-3, SPEC2, ZERO_DRIFT, density=density, clamp=CLAMP,
+                noise=_noise(ens))
     assert np.array_equal(a.positions, b.positions)
 
 
@@ -177,7 +231,8 @@ def test_em_step_non_finite_position_names_the_particle():
         sup_norm_E=1.0, div_E_minus_sup=0.0)
     with pytest.raises(SimulationError) as err:
         density = frozen_density(ens, particle_sim._silverman_bandwidth(ens.positions))
-        em_step(ens, 1e-3, SPEC2, nan_right, density=density, clamp=CLAMP)
+        em_step(ens, 1e-3, SPEC2, nan_right, density=density, clamp=CLAMP,
+                noise=_noise(ens))
     assert err.value.particle_index == int(np.flatnonzero(ens.positions > 0)[0])
 
 
@@ -206,6 +261,93 @@ def test_run_looks_up_the_density_once_per_step(monkeypatch):
     cfg = small_config(n_particles=500, T=0.11)
     run(cfg, SPEC2, ZERO_DRIFT, BB_INIT)
     assert lookups == [cfg.n_particles] * 10
+
+
+def _hand_loop(cfg, drift, ensembles):
+    """The ensembles after each step, with every noise block drawn here."""
+    out = []
+    for _ in range(cfg.n_steps):
+        density = frozen_density(
+            ensembles[0], particle_sim._silverman_bandwidth(ensembles[0].positions))
+        ensembles = tuple(em_step(e, cfg.dt, SPEC2, drift, density, cfg.linf_clamp,
+                                  _noise(e)) for e in ensembles)
+        out.append(ensembles)
+    return out
+
+
+@pytest.mark.parametrize("drift", [ZERO_DRIFT, TANH_DRIFT], ids=["zero", "tanh"])
+def test_run_equals_a_loop_that_draws_its_own_noise(drift):
+    cfg = small_config(T=0.15)
+    every_step = T0 + cfg.dt * np.arange(1, cfg.n_steps + 1)
+    res = run(cfg, SPEC2, drift, BB_INIT, snapshot_times=every_step,
+              keep_positions=True)
+    hand = _hand_loop(cfg, drift, (particle_sim._seeded(cfg, BB_INIT),))
+    assert len(res.position_snapshots) == len(hand) == cfg.n_steps
+    for snap, (ens,) in zip(res.position_snapshots, hand):
+        assert _same_bits(snap, ens.positions)
+    assert _same_bits(res.times, [e.t for (e,) in hand])
+    assert _same_bits(res.means, [np.mean(e.positions) for (e,) in hand])
+    assert _same_bits(res.variances, [np.var(e.positions) for (e,) in hand])
+    assert _same_bits(res.final.positions, hand[-1][0].positions)
+
+
+@pytest.mark.parametrize("perturbation", [0.0, 1e-3])
+@pytest.mark.parametrize("drift", [ZERO_DRIFT, TANH_DRIFT], ids=["zero", "tanh"])
+def test_coupling_equals_a_loop_that_draws_its_own_noise(drift, perturbation):
+    cfg = small_config(T=0.15)
+    records = coupling_experiment(cfg, SPEC2, drift, perturbation, BB_INIT)
+    x = particle_sim._seeded(cfg, BB_INIT)
+    hand = _hand_loop(cfg, drift, (x, replace(x, positions=x.positions + perturbation)))
+    assert len(records) == len(hand) == cfg.n_steps
+    for r, (a, b) in zip(records, hand):
+        z = a.positions - b.positions
+        expected = (a.t, np.max(np.abs(z)),
+                    np.mean(np.log(z * z / particle_sim.COUPLING_DELTA**2 + 1.0)))
+        assert _same_bits([r.t, r.sup_distance, r.f_delta_mean], expected)
+
+
+def test_the_step_loop_joins_its_one_worker_on_every_exit():
+    start = threading.active_count()
+    run(small_config(n_particles=500, T=0.11), SPEC2, ZERO_DRIFT, BB_INIT)
+    assert threading.active_count() == start
+
+    blowup = DriftSpec.constant_b(E=lambda x: np.full_like(np.asarray(x, dtype=float), 1e7),
+                                  b0=1.0, sup_norm_E=1e7, div_E_minus_sup=0.0)
+    with pytest.raises(SimulationError, match="watchdog"):
+        run(small_config(n_particles=200, dt=0.05, T=0.3), SPEC2, blowup, BB_INIT)
+    assert threading.active_count() == start
+
+    cfg = small_config(n_particles=500)
+    steps = particle_sim._steps(cfg, SPEC2, ZERO_DRIFT,
+                                (particle_sim._seeded(cfg, BB_INIT),))
+    next(steps)
+    assert threading.active_count() == start + 1
+    steps.close()
+    assert threading.active_count() == start
+
+
+def test_concurrent_runs_under_a_short_switch_interval_keep_their_bytes():
+    # four runs at once: eight threads on the host's cores, switching often
+    cfg = small_config(n_particles=500, T=0.13)
+    expected = _hand_loop(cfg, ZERO_DRIFT, (particle_sim._seeded(cfg, BB_INIT),))
+    finals = [None] * 4
+
+    def work(i):
+        finals[i] = run(cfg, SPEC2, ZERO_DRIFT, BB_INIT).final.positions
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for final in finals:
+        assert _same_bits(final, expected[-1][0].positions)
 
 
 def test_run_mean_stays_centered():
