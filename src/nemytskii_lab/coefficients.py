@@ -153,7 +153,7 @@ class DriftSpec:
 # ---------------------------------------------------------------------------
 
 def sigma_squared(spec: NonlinearitySpec, r) -> float:
-    """Squared diffusion coefficient 2*beta(r)/r, with 2*beta'(0) at r = 0.
+    """Squared diffusion coefficient 2*beta(r)/r, with 2*beta'(0) = 0 at r = 0.
 
     Densities are nonnegative, so r < 0 is a domain error.  For m > 1 the
     value is continuous at 0 (beta'(0) = 0), which is what makes the
@@ -162,7 +162,7 @@ def sigma_squared(spec: NonlinearitySpec, r) -> float:
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0):
         raise ValueError("sigma_squared is defined for r >= 0 only")
-    out = np.full_like(arr, 2.0 * spec.beta_prime(0.0))
+    out = np.zeros_like(arr)
     twice_beta = np.asarray(spec.beta(arr))   # a fresh array: doubled in place
     twice_beta *= 2.0
     np.divide(twice_beta, arr, out=out, where=arr > 0)

@@ -26,12 +26,12 @@ through b(0), and the window is the whole grid.
 
 A chain is strictly sequential and runs in the calling thread; its iterates
 are the rows of one writable (N, n_cells) array.  step_chain also takes a
-tuple of fields on one grid and runs their chains as a stack: one Newton
-loop per step works on a (k, n) array, with one gtsv call for the
-block-diagonal system of all k rows, while each row keeps its own line
-search and its own stop.  Each row equals its standalone chain bit for bit,
-and semigroup_distance runs its pair this way.  The rows of a stack without
-drift share the union of their windows.
+tuple of fields on one grid and runs their chains as a stack: each Newton
+iteration solves all k rows of a (k, n) array with one gtsv call for their
+block-diagonal system, and only a row still above NEWTON_TOL takes its
+trial, so each row keeps its own line search and its own stop.  Each row
+equals its standalone chain bit for bit, and semigroup_distance runs its
+pair this way.  The rows of a stack without drift share their windows' union.
 
 scipy is imported only when a chain first solves: the first
 _tridiagonal_solve loads LAPACK gtsv from scipy.linalg and keeps it.  A
@@ -382,10 +382,11 @@ def _newton_stack(grid: GridField, fs, starts, lam: float,
     """Solve u + lam*A(u) = f for each row f of fs by one damped Newton loop.
 
     fs, starts and outs hold one array of grid's size per row: the right-hand
-    side, the Newton start and the output.  The rows are solved together as
-    one block-diagonal tridiagonal system, but each keeps its own line search
-    and its own stop, and a row that has converged or accepted its step is
-    left alone; so every row equals its own solve bit for bit.  Without drift
+    side, the Newton start and the output.  Each iteration solves the whole
+    (k, width) stack as one block-diagonal system and forms every trial for
+    all rows, but only a row still above NEWTON_TOL and still searching takes
+    its trial.  The blocks do not couple and all else works row by row, so
+    every row equals its own solve bit for bit.  Without drift
     each row's window is its occupied cells widened by NEWTON_MAX_ITER + 2
     per side, and the rows share the union of these windows.  The cells of
     the union outside a row's own window stay 0 in that row, and the row's
@@ -415,21 +416,14 @@ def _newton_stack(grid: GridField, fs, starts, lam: float,
     for r in range(k):
         target[r], u[r] = fs[r][lo:hi], starts[r][lo:hi]
     jac = _Jacobian(lam, dx, width, adv)
-    everyone = list(range(k))
 
-    def rows_of(idx):
-        return slice(None) if len(idx) == k else idx
-
-    def residual(v, rows):
-        """The residual of rows (a list of row indices) at v, and its L1
-        norm per row as a list."""
-        res = v + lam * _apply_operator(v, dx, spec, adv) \
-            - (target if len(rows) == k else target[rows])
+    def residual(v):
+        """The residual at v, and its L1 norm per row as a list."""
+        res = v + lam * _apply_operator(v, dx, spec, adv) - target
         size = np.abs(res)
         if uniform:
             return res, (size.sum(axis=1) * dx).tolist()
-        return res, [float(size[j, own[r][0]:own[r][1]].sum() * dx)
-                     for j, r in enumerate(rows)]
+        return res, [float(size[r, a:b].sum() * dx) for r, (a, b) in enumerate(own)]
 
     def failure(what, row, iters):
         which = f" of row {row}" if k > 1 else ""
@@ -437,64 +431,56 @@ def _newton_stack(grid: GridField, fs, starts, lam: float,
                            f"{iters} iterations (residual {l1[row]:.3e})",
                            residual=l1[row], row=row)
 
-    def accept(rows, ok, trial, trial_res, trial_l1):
-        """Take the trial of each of rows whose flag in ok is set."""
+    def accept(rows, trial, trial_res, trial_l1):
+        """Take the rows (a list of row indices) of the trial."""
         nonlocal u, res, l1
-        if len(rows) == k and all(ok):
+        if len(rows) == k:
             u, res, l1 = trial, trial_res, trial_l1
             return
-        took = [j for j, good in enumerate(ok) if good]
-        into = [rows[j] for j in took]
-        u[into], res[into] = trial[took], trial_res[took]
-        for j, r in zip(took, into):
-            l1[r] = trial_l1[j]
+        u[rows], res[rows] = trial[rows], trial_res[rows]
+        for r in rows:
+            l1[r] = trial_l1[r]
 
-    res, l1 = residual(u, everyone)
-    for r in everyone:
+    res, l1 = residual(u)
+    for r in range(k):
         if not math.isfinite(l1[r]):
             raise failure("has a non-finite residual", r, 0)
     iters, halvings, fallbacks = [0] * k, [0] * k, [0] * k
     for it in range(NEWTON_MAX_ITER):
-        active = [r for r in everyone if l1[r] > NEWTON_TOL]
-        if not active:
+        pending = [r for r in range(k) if l1[r] > NEWTON_TOL]
+        if not pending:
             break
-        rows = rows_of(active)
-        delta, info = _tridiagonal_solve(_jacobian_bands(u[rows], spec, jac),
-                                         -res[rows].ravel())
+        for r in pending:
+            iters[r] += 1
+        delta, info = _tridiagonal_solve(_jacobian_bands(u, spec, jac), -res.ravel())
         if info != 0:
             raise failure(f"failed in the tridiagonal solve (gtsv info {info})",
-                          active[(info - 1) // width], it)
-        delta = delta.reshape(len(active), width)
-        # each row halves its step until its residual falls; the rows still
-        # searching share the step, since they started together
-        pending, at = active, None   # at: their places in active, if not all
+                          (info - 1) // width, it)
+        delta = delta.reshape(k, width)
+        # each pending row halves its step until its residual falls; the rows
+        # still searching share the step, since they started together
         step = 1.0
         for _ in range(12):
-            trial = u[rows_of(pending)] + step * (delta if at is None else delta[at])
-            trial_res, trial_l1 = residual(trial, pending)
-            ok = [t < l1[r] for t, r in zip(trial_l1, pending)]
-            accept(pending, ok, trial, trial_res, trial_l1)
-            if all(ok):
+            trial = u + step * delta
+            trial_res, trial_l1 = residual(trial)
+            fell = [r for r in pending if trial_l1[r] < l1[r]]
+            accept(fell, trial, trial_res, trial_l1)
+            if len(fell) == len(pending):
                 break
-            left = [j for j, good in enumerate(ok) if not good]
-            pending = [pending[j] for j in left]
-            at = left if at is None else [at[j] for j in left]
+            pending = [r for r in pending if r not in fell]
             step *= 0.5
             for r in pending:
                 halvings[r] += 1
         else:
             # damped fixed-point fallback
-            rows = rows_of(pending)
-            trial = u[rows] - 0.5 * res[rows]
-            trial_res, trial_l1 = residual(trial, pending)
-            for t, r in zip(trial_l1, pending):
-                if not t < l1[r]:
+            trial = u - 0.5 * res
+            trial_res, trial_l1 = residual(trial)
+            for r in pending:
+                if not trial_l1[r] < l1[r]:
                     raise failure("stalled", r, it)
                 fallbacks[r] += 1
-            accept(pending, [True] * len(pending), trial, trial_res, trial_l1)
-        for r in active:
-            iters[r] += 1
-    for r in everyone:
+            accept(pending, trial, trial_res, trial_l1)
+    for r in range(k):
         if l1[r] > NEWTON_TOL:
             raise failure(f"did not reach tol {NEWTON_TOL:.1e}", r, NEWTON_MAX_ITER)
 
@@ -517,7 +503,7 @@ def _newton_stack(grid: GridField, fs, starts, lam: float,
 
 
 def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
-                    drift: DriftSpec, out: np.ndarray | None = None,
+                    drift: DriftSpec,
                     start: np.ndarray | None = None) -> ResolventSolution:
     """One implicit step: solve u + lam*A(u) = f on the grid of f.
 
@@ -529,9 +515,9 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
     to 12 times; when every trial fails, a damped fixed-point step is tried
     instead.  The solution reports the halvings and fixed-point fallbacks.
     Convergence is measured in discrete L1: Newton stops at NEWTON_TOL.
-    Negative undershoot is clipped at 0 and its mass reported.  The clipped
-    solution is written into out (a float array of f's size) when given.
-    This is step_chain's Newton loop on a stack of one row.
+    Negative undershoot is clipped at 0 and its mass reported.  This is
+    step_chain's Newton loop on a stack of one row, whose every iteration
+    makes one gtsv call over the row.
 
     Without drift (drift.sup_norm_E == 0), Newton runs on the window of the
     module docstring, and the values are those of a full-grid solve bit for
@@ -551,8 +537,8 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
         raise ValueError(f"lambda must lie in (0, {lam0}), got {lam}")
     adv = _Advection(drift, f.edges) if drift.sup_norm_E > 0 else None
     begin = f.values if start is None else np.asarray(start, dtype=float)
-    out = np.empty(f.n_cells) if out is None else out
-    return _newton_stack(f, (f.values,), (begin,), lam, spec, adv, (out,))[0]
+    return _newton_stack(f, (f.values,), (begin,), lam, spec, adv,
+                         (np.empty(f.n_cells),))[0]
 
 
 def _iterate_block(n_rows: int, n_cols: int) -> np.ndarray:

@@ -420,12 +420,15 @@ def run(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
     Each step refreshes the Silverman bandwidth, freezes one Epanechnikov
     density and leaves its one lookup at the particles to em_step.
     Snapshots record empirical mean and variance; with keep_positions the
-    particle positions at each snapshot are retained for dumps.  A watchdog
-    aborts if any particle leaves 10 * DOMAIN_BOUND.
+    particle positions at each snapshot are retained for dumps.  The default
+    snapshots split the time the steps reach, t0 + n_steps * dt, into ten,
+    so the last is the final ensemble even when n_steps rounds (T - t0)/dt
+    down.  A watchdog aborts if any particle leaves 10 * DOMAIN_BOUND.
     """
     ens = _seeded(config, initial_density)
     if snapshot_times is None:
-        snapshot_times = np.linspace(config.t0, config.T, 11)[1:]
+        end = config.t0 + config.n_steps * config.dt
+        snapshot_times = np.linspace(config.t0, end, 11)[1:]
     snapshot_times = sorted(float(t) for t in snapshot_times)
 
     result = RunResult()

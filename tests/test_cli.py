@@ -8,9 +8,10 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nemytskii_lab import analysis, cli, particle_sim
+from nemytskii_lab import analysis, cli, closed_form, particle_sim
 from nemytskii_lab.cli import (
     ConfigError,
     Scenario,
@@ -450,6 +451,28 @@ def test_particle_run_w1_reference_spans_the_support(tmp_path):
             if "check_id" in r}
     assert rows["w1_vs_closed_form"]["achieved"] <= 0.05
     assert rows["variance_rel_error"]["achieved"] <= 0.05
+
+
+def test_particle_run_gates_its_rows_at_the_final_time(tmp_path):
+    # (T - t0)/dt = 188.5 rounds down to 188 steps, so the particles stop at
+    # t = 1.04, short of T
+    params = {"m": 2.0, "t0": 0.1, "T": 1.0425, "n_particles": 20_000,
+              "dt": 0.005, "seed": 2}
+    assert run_scenario(Scenario("particle-run", dict(params), tmp_path)) == 0
+    rows = {r["check_id"]: r for r in read_report(tmp_path / "report.ndjson")
+            if "check_id" in r}
+    problem = cli._build_problem(params)
+    config = cli._sim_config(params, problem)
+    final = particle_sim.run(config, problem.spec, problem.drift,
+                             initial_density=problem.density(config.t0)).final
+    assert final.t == pytest.approx(1.04, abs=1e-12)
+    target = closed_form.barenblatt_moment2(problem.source, final.t)
+    assert rows["variance_rel_error"]["achieved"] == \
+        abs(float(np.var(final.positions)) - target) / target
+    # ten snapshots, the last at the final time
+    times = [float(line.split(",")[0]) for line in
+             (tmp_path / "particles.csv").read_text().splitlines()[1::2]]
+    assert len(times) == 10 and times[-1] == final.t
 
 
 def test_particle_run_scenario_with_dump(tmp_path):

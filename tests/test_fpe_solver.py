@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
@@ -712,6 +712,108 @@ def test_stack_failure_names_the_step_and_row(monkeypatch):
     assert "row 1" in message and "lam=0.002" in message
     assert "after 0 iterations" in message
     assert f"residual {err.value.residual:.3e}" in message
+
+
+def box_field(first, cells, n=256, lo=-3.0, hi=3.0):
+    """The normalized indicator of cells first, ..., first + cells - 1."""
+    values = np.zeros(n)
+    values[first:first + cells] = 1.0
+    return GridField(lo, hi, values).normalized()
+
+
+STACK_DRIFTS = {"zero": ZERO_DRIFT, "tanh_inward": tanh_drift(0.25),
+                "saturating_b": saturating_drift(0.25)}
+# a row is a smooth field of full support (a seed) or a box of compact
+# support (first cell, width); without drift a box's window is 62 cells wider
+# per side, so on 256 cells a row's own window can be narrower than the union
+STACK_ROWS = st.lists(st.one_of(
+    st.integers(0, 2**31),
+    st.tuples(st.integers(0, 240), st.integers(2, 16))), min_size=1, max_size=4)
+
+
+@given(rows=STACK_ROWS, drift=st.sampled_from(sorted(STACK_DRIFTS)))
+@example(rows=[(10, 8), (230, 4)], drift="zero")   # disjoint windows
+@example(rows=[(10, 8), (120, 3), (230, 4), 7], drift="zero")
+@example(rows=[(10, 8), (230, 4), 7], drift="saturating_b")
+@settings(max_examples=25, deadline=None)
+def test_every_stack_row_equals_its_standalone_chain(rows, drift):
+    fields = [random_smooth_field(row) if isinstance(row, int) else box_field(*row)
+              for row in rows]
+    assert_stack_matches_standalone(fields, 0.01, SolverConfig(lambda_step=2e-3),
+                                    STACK_DRIFTS[drift])
+
+
+def test_every_newton_iteration_solves_the_whole_stack(monkeypatch):
+    # the rows' Newton counts differ, yet each gtsv call takes both rows
+    sizes = []
+    solve = fpe_solver._tridiagonal_solve
+
+    def recorded(bands, rhs):
+        sizes.append(rhs.size)
+        return solve(bands, rhs)
+
+    monkeypatch.setattr(fpe_solver, "_tridiagonal_solve", recorded)
+    nu1, nu2 = random_smooth_field(7), random_smooth_field(8)
+    t1, t2 = step_chain((nu1, nu2), 0.02, SolverConfig(lambda_step=2e-3), SPEC,
+                        tanh_drift(0.25))
+    assert newton_counts(t1) != newton_counts(t2)
+    assert len(sizes) == sum(map(max, newton_counts(t1), newton_counts(t2)))
+    assert set(sizes) == {2 * nu1.n_cells}
+
+
+def _fail_in_last_block(monkeypatch, n_rows, n, passes=0):
+    """Let the first `passes` gtsv calls solve, and make every later one
+    report a zero pivot in the last cell of an n_rows-by-n stack."""
+    solve, calls = fpe_solver._tridiagonal_solve, []
+
+    def failing(bands, rhs):
+        calls.append(rhs.size)
+        if len(calls) <= passes:
+            return solve(bands, rhs)
+        return rhs, n_rows * n
+
+    monkeypatch.setattr(fpe_solver, "_tridiagonal_solve", failing)
+    return calls
+
+
+def test_stack_gtsv_failure_in_the_last_block_names_the_last_row(monkeypatch):
+    # row 0 is empty and converged, yet the solve covers all three rows, so
+    # gtsv info 3n falls in row 2 = (3n - 1) // n
+    drift, lam = tanh_drift(0.25), 2e-3
+    nu1, nu2 = random_smooth_field(7, n=200), random_smooth_field(8, n=200)
+    n, dx = nu2.n_cells, nu2.cell_width
+    adv = fpe_solver._Advection(drift, nu2.edges)
+    # the chain of three rows below: its rows' Newton counts at step 0, and
+    # row 2's first iterate
+    fields = (random_smooth_field(6, n=200), nu1, nu2)
+    config = SolverConfig(lambda_step=lam)
+    first = [step_chain(nu, lam, config, SPEC, drift).infos[0].newton_iters
+             for nu in fields]
+    u1 = step_chain(nu2, lam, config, SPEC, drift).values[0]
+
+    fs = (np.zeros(n), nu1.values, nu2.values)
+    calls = _fail_in_last_block(monkeypatch, 3, n)
+    with pytest.raises(SolverError, match=f"gtsv info {3 * n}") as err:
+        fpe_solver._newton_stack(nu2, fs, fs, lam, SPEC, adv,
+                                 [np.empty(n) for _ in fs])
+    assert calls == [3 * n]
+    start = nu2.values + lam * _apply_operator(nu2.values, dx, SPEC, adv) - nu2.values
+    assert err.value.residual == float(np.sum(np.abs(start)) * dx)
+    assert err.value.row == 2
+    message = str(err.value)
+    assert "row 2" in message and "after 0 iterations" in message
+    assert f"residual {err.value.residual:.3e}" in message
+
+    # the same failure at step 1 of the chain carries the step and the
+    # residual of row 2 at its predictor start
+    monkeypatch.undo()   # the first steps solve with gtsv itself
+    _fail_in_last_block(monkeypatch, 3, n, passes=max(first))
+    with pytest.raises(SolverError, match=f"gtsv info {3 * n}") as err:
+        step_chain(fields, 0.02, config, SPEC, drift)
+    predictor = np.maximum(2.0 * u1 - nu2.values, 0.0)
+    res = predictor + lam * _apply_operator(predictor, dx, SPEC, adv) - u1
+    assert (err.value.step, err.value.row) == (1, 2)
+    assert err.value.residual == float(np.sum(np.abs(res)) * dx)
 
 
 def test_stack_rejects_fields_on_different_grids():
