@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _RESOLVENT_TOL = 1e-12
+_INF_BITS = np.float64(np.inf).view(np.uint64)
 
 
 def _scalar_or_array(out):
@@ -157,15 +158,21 @@ def sigma_squared(spec: NonlinearitySpec, r) -> float:
 
     Densities are nonnegative, so r < 0 is a domain error.  For m > 1 the
     value is continuous at 0 (beta'(0) = 0), which is what makes the
-    dynamics degenerate in vacuum.
+    dynamics degenerate in vacuum.  The quotient is formed in place in
+    beta's fresh array, where r > 0.  beta is odd with beta(+0.0) = +0.0, so
+    an entry left undivided is +0.0 at r = +0.0, carries the sign bit at
+    r < 0 and r = -0.0, and is NaN at NaN.  Read as unsigned integers, those
+    exceed the bits of +inf, so r is scanned only when the largest result
+    does: r < 0 raises, and -0.0 and NaN give +0.0.
     """
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("sigma_squared is defined for r >= 0 only")
-    out = np.zeros_like(arr)
-    twice_beta = np.asarray(spec.beta(arr))   # a fresh array: doubled in place
-    twice_beta *= 2.0
-    np.divide(twice_beta, arr, out=out, where=arr > 0)
+    out = np.asarray(spec.beta(arr))   # a fresh array: doubled and divided in place
+    out *= 2.0
+    np.divide(out, arr, out=out, where=arr > 0)
+    if out.size and out.view(np.uint64).max() > _INF_BITS:
+        if np.any(arr < 0):
+            raise ValueError("sigma_squared is defined for r >= 0 only")
+        out[~(arr > 0)] = 0.0
     return _scalar_or_array(out)
 
 

@@ -19,6 +19,13 @@ fixed sequence of whole-array numpy operations and reductions in the calling
 thread, so the same config and seed give the same bytes however the two
 threads are scheduled.  The worker is joined when the run ends, fails or is
 closed early.
+
+The density snapshot finds each particle's cell by floor arithmetic and
+sends only the particles that lie within a rounding margin of a node or bin
+edge through exact comparisons (see frozen_density).  Which particles take
+that fallback depends on the positions alone, and both paths give the same
+cell, so the step stays deterministic and bit-identical to np.histogram and
+np.interp.
 """
 
 from __future__ import annotations
@@ -103,23 +110,29 @@ class ParticleEnsemble:
 
     Particle i's noise at step s is entry i of the counter-based block keyed
     by (seed, s); the ensemble therefore only needs the seed and the step
-    index to identify every per-particle stream state.
+    index to identify every per-particle stream state.  bounds is the
+    positions' (min, max), found once here and read by the watchdog,
+    Silverman's spread and the KDE grid.
     """
 
     positions: np.ndarray
     t: float
     seed: int
     step_index: int
+    bounds: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
         object.__setattr__(self, "positions", pos)
         if pos.size < 100:
             raise ValueError("need at least 100 particles")
-        if not np.all(np.isfinite(pos)):
+        # min and max are NaN if any position is, and infinite if any is
+        bounds = (float(pos.min()), float(pos.max()))
+        if not (math.isfinite(bounds[0]) and math.isfinite(bounds[1])):
             raise SimulationError(
                 "non-finite particle position",
                 particle_index=int(np.flatnonzero(~np.isfinite(pos))[0]))
+        object.__setattr__(self, "bounds", bounds)
 
     @property
     def n(self) -> int:
@@ -139,11 +152,12 @@ def _noise_block(seed: int, step: int, n: int, kind: str = "normal",
     return gen.random(n)
 
 
-def _silverman_bandwidth(positions: np.ndarray) -> float:
-    n = positions.size
-    sigma = float(np.std(positions))
+def _silverman_bandwidth(ensemble: ParticleEnsemble) -> float:
+    n = ensemble.n
+    sigma = float(np.std(ensemble.positions))
     h = 1.06 * sigma * n ** (-0.2)
-    spread = float(positions.max() - positions.min())
+    lo, hi = ensemble.bounds
+    spread = hi - lo
     floor = 2.0 * spread / max(n - 1, 1)
     return max(h, floor, 1e-12)
 
@@ -222,23 +236,42 @@ def frozen_density(ensemble: ParticleEnsemble, bandwidth: float,
     bandwidth h on an auxiliary grid much finer than h and evaluated by
     linear interpolation; this is the O(N + grid) stand-in for the exact
     kernel sum inside the step loop, with binning error O((grid/h)^2).
-    Deterministic given positions.
+    Deterministic given positions.  The grid spans the ensemble's bounds
+    widened by 2h and must resolve the positions: a step of at most 64 ulp
+    of the grid's ends, or a last node left of the rightmost particle, is a
+    ValueError.
 
-    The grid is uniform, so each point's cell comes directly from
-    (x - lo)/step, corrected by one node comparison on each side instead of
-    a binary search.  Cell choice, slopes and the final
-    slope*(x - node) + value match numpy's interp loop operation for
-    operation, so the evaluator is bit-identical to
-    np.interp(x, grid, dens, left=0, right=0) at every finite x and NaN.
+    Cells come from floor arithmetic, with an exact fallback.  The grid is
+    uniform, so u = (x - origin) * (2/step), origin = lo - step, puts the
+    left node of row k (cell k - 1) at u = 2k and the histogram's bin edge
+    inside that cell at u = 2k + 1: j = floor(u) gives the row j >> 1 and
+    the bin (j - 1) >> 1 at once.  Rounding moves the computed u, each node
+    lo + i*step and each edge of np.histogram's linspace from where exact
+    arithmetic puts them.  With M = max(|lo|, |hi|), a rounding of a number
+    below (n + 2) * step is worth at most eps * (n + 2) / 2 steps, and one
+    of a number below M + 2 * step at most spacing(M)/step + eps steps.
+    Counting the roundings (origin, the difference, 1/step and the product
+    for u; two per node; start, stop, width and product for an edge, whose
+    width also carries hi - lo's rounding into step) bounds the sum of u's
+    error and an edge's by 5 spacing(M)/step + 6.5 eps (n + 2) steps,
+    and u's and a node's by less.  So only points whose u lies within
+    2 * margin of an integer, margin = 8 eps (n + 2) + 8 spacing(M)/step,
+    can be ordered wrongly against a node or edge; they take np.interp's
+    node comparisons and np.histogram's edge comparison instead, and so do
+    points out of range, infinite or NaN, which are clamped onto an integer
+    u first.  At the step loop's 4096 cells that leaves about one point in
+    1e10 to the fallback, at the coarsest grid allowed about half.  Which
+    points fall back depends on the data only, so the result is the same
+    bytes every time.
 
-    Each particle's cell is found once and serves twice.  The histogram's
-    bins are centred on the nodes, so a particle in cell k - 1 falls in bin
-    k - 1, or in bin k once it reaches the edge between the two; np.bincount
-    of those bins gives np.histogram's counts exactly.  And when the
-    evaluator is called on this ensemble's own positions array (the same
-    object, not changed in place since), it reuses the cells.  The grid must
-    resolve the positions: a step of at most 64 ulp of the grid's ends, or a
-    last node left of the rightmost particle, is a ValueError.
+    Cell choice, slopes and the final slope*(x - node) + value match
+    numpy's interp loop operation for operation, so the evaluator is
+    bit-identical to np.interp(x, grid, dens, left=0, right=0) at every x
+    (at -inf and inf the outer rows are read at a finite stand-in, which
+    gives their 0), and np.bincount of the bins gives np.histogram's counts
+    exactly.  Each particle's cell is found once and serves twice:
+    when the evaluator is called on this ensemble's own positions array
+    (the same object, not changed in place since), it reuses the cells.
     """
     return _binned_kde(ensemble, bandwidth, n_grid_cells)[2]
 
@@ -247,14 +280,15 @@ def _binned_kde(ensemble: ParticleEnsemble, bandwidth: float, n_grid_cells: int)
     """frozen_density's grid, its histogram counts and its evaluator."""
     h = bandwidth
     pos = ensemble.positions
-    pos_max = float(pos.max())
-    lo = float(pos.min()) - 2.0 * h
+    pos_min, pos_max = ensemble.bounds
+    lo = pos_min - 2.0 * h
     hi = pos_max + 2.0 * h
     n = n_grid_cells
     step = (hi - lo) / n
     grid = lo + np.arange(n + 1) * step
     last = grid[-1]
-    if not (step > 64.0 * np.spacing(max(abs(lo), abs(hi))) and pos_max <= last):
+    ulp = np.spacing(max(abs(lo), abs(hi)))
+    if not (step > 64.0 * ulp and pos_max <= last):
         raise ValueError(f"bandwidth {h!r} and {n} cells give a grid step of "
                          f"{step!r}, which does not resolve particles near "
                          f"{pos_max!r}")
@@ -265,8 +299,11 @@ def _binned_kde(ensemble: ParticleEnsemble, bandwidth: float, n_grid_cells: int)
     row_node = np.concatenate([grid[:1], grid, grid[-1:]])
     origin = lo - step   # (x - origin)/step is row k + fraction
     inv_step = 1.0 / step
+    # np.histogram's edges sit half a step either side of the nodes
+    edges = np.linspace(lo - 0.5 * step, hi + 0.5 * step, n + 2)
+    near_node = 0.5 - 2.0 * (8.0 * np.finfo(float).eps * (n + 2) + 8.0 * ulp / step)
 
-    def rows(x):
+    def exact_rows(x):
         # fmax/fmin send NaN to row 1, where the arithmetic returns NaN
         k = np.fmin(np.fmax((x - origin) * inv_step, 1.0), float(n)).astype(np.intp)
         k -= x < row_node[k]
@@ -274,12 +311,28 @@ def _binned_kde(ensemble: ParticleEnsemble, bandwidth: float, n_grid_cells: int)
         k += x > last
         return k
 
-    # the particles lie in rows 1 to n + 1; np.histogram's edges sit
-    # half a step either side of the nodes
-    own = rows(pos)
-    edges = np.linspace(lo - 0.5 * step, hi + 0.5 * step, n + 2)
-    bins = own - 1
-    bins += pos >= edges[own]
+    def cells(x):
+        """Rows of the 1-d x, its floor(u), and the points placed exactly."""
+        u = x - origin
+        u *= 2.0 * inv_step
+        # out of range, infinite and NaN (fmax takes it to 2) land on an integer
+        np.fmax(u, 2.0, out=u)
+        np.fmin(u, 2.0 * n + 2.0, out=u)
+        j = u.astype(np.intp)
+        u -= j
+        u -= 0.5
+        np.abs(u, out=u)   # |frac(u) - 1/2|, 1/2 on a node or an edge
+        near = np.flatnonzero(u > near_node)
+        k = j >> 1
+        k[near] = exact_rows(x[near])
+        return k, j, near
+
+    # the particles lie in rows 1 to n + 1
+    own, bins, near = cells(pos)
+    bins -= 1
+    bins >>= 1
+    k_near = own[near]
+    bins[near] = k_near - 1 + (pos[near] >= edges[k_near])
     counts = np.bincount(bins, minlength=n + 1)
     reach = int(math.ceil(h / step))
     offsets = np.arange(-reach, reach + 1) * step
@@ -291,12 +344,21 @@ def _binned_kde(ensemble: ParticleEnsemble, bandwidth: float, n_grid_cells: int)
     row_value = np.concatenate([[0.0], dens, [0.0]])
 
     def evaluate(x):
+        shape = np.shape(x)
         if x is pos:
             k = own
         else:
-            x = np.asarray(x, dtype=float)
-            k = rows(x)
-        return row_slope[k] * (x - row_node[k]) + row_value[k]
+            x = np.asarray(x, dtype=float).reshape(-1)
+            # u overflows far out of range, where the clamps catch it
+            with np.errstate(over="ignore"):
+                k, _, near = cells(x)
+            infinite = near[np.isinf(x[near])]
+            if infinite.size:
+                # rows 0 and n + 2 read 0 at any finite x, as np.interp
+                # does at -inf and inf
+                x = x.copy()
+                x[infinite] = origin
+        return (row_slope[k] * (x - row_node[k]) + row_value[k]).reshape(shape)
 
     return grid, counts, evaluate
 
@@ -312,11 +374,13 @@ def em_step(ensemble: ParticleEnsemble, dt: float, spec: NonlinearitySpec,
 
     density is the caller's frozen estimate, an evaluator x -> u_hat(x) such
     as frozen_density returns; coupled twins pass the same one.  It is looked
-    up once at the particles; the diffusion coefficient sees it capped at
-    clamp, the drift uncapped.  Vacuum regions (u_hat = 0) produce exactly
-    zero diffusion, preserving the degeneracy.  noise is the step's block of
-    standard normals, one per particle: the (seed, step_index + 1) block of
-    _noise_block, which the step loop draws ahead on its worker thread.
+    up once at the particles and must return a fresh array, which em_step
+    clips in place and then fills with the new positions: the drift reads
+    it clipped at 0, the diffusion coefficient capped at clamp as well.  Vacuum regions (u_hat = 0) produce
+    exactly zero diffusion, preserving the degeneracy.  noise is the step's
+    block of standard normals, one per particle: the (seed, step_index + 1)
+    block of _noise_block, which the step loop draws ahead on its worker
+    thread.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -324,17 +388,20 @@ def em_step(ensemble: ParticleEnsemble, dt: float, spec: NonlinearitySpec,
     if np.shape(noise) != pos.shape:
         raise ValueError(f"noise block of shape {np.shape(noise)} for "
                          f"positions of shape {pos.shape}")
-    dens = np.maximum(np.asarray(density(pos), dtype=float), 0.0)
-    sig2 = np.asarray(sigma_squared(spec, np.minimum(dens, clamp)))
+    dens = np.asarray(density(pos), dtype=float)
+    np.maximum(dens, 0.0, out=dens)
     drift_term = 0.0
     if drift.sup_norm_E > 0 and drift.sup_norm_b > 0:
         drift_term = np.asarray(drift.E(pos), dtype=float) \
             * np.asarray(drift.b(dens), dtype=float) * dt
+    np.minimum(dens, clamp, out=dens)
+    sig2 = np.asarray(sigma_squared(spec, dens))
     # sqrt(sig2 * dt) * noise, in place in sigma_squared's fresh array
     sig2 *= dt
     np.sqrt(sig2, out=sig2)
     sig2 *= noise
-    new_pos = pos + drift_term
+    # the lookup's array, read for the last time above, takes the new positions
+    new_pos = np.add(pos, drift_term, out=dens)
     new_pos += sig2
     # replace checks the new positions (SimulationError with the index)
     return replace(ensemble, positions=new_pos, t=ensemble.t + dt,
@@ -397,13 +464,13 @@ def _steps(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
             pending.result()
             if s + 1 < n_steps:
                 pending = worker.submit(draw, s + 1)
-            density = frozen_density(
-                ensembles[0], _silverman_bandwidth(ensembles[0].positions))
+            density = frozen_density(ensembles[0],
+                                     _silverman_bandwidth(ensembles[0]))
             ensembles = tuple(em_step(e, config.dt, spec, drift, density,
                                       config.linf_clamp, noise)
                               for e, noise in zip(ensembles, buffers[s % 2]))
             for e in ensembles:
-                if max(float(e.positions.max()), -float(e.positions.min())) > bound:
+                if max(e.bounds[1], -e.bounds[0]) > bound:
                     raise SimulationError(
                         f"particle blow-up beyond the watchdog bound {bound:g} "
                         f"at step {e.step_index} (t = {e.t:g})",

@@ -89,10 +89,11 @@ def test_sigma_squared_bit_identical_to_gathered_formula(spec):
     rng = np.random.default_rng(5)
     r = rng.uniform(0.0, 3.0, 4096)
     r[rng.random(r.size) < 0.4] = 0.0   # vacuum cells
-    r[:3] = (0.0, 5e-324, 1e-300)
+    r[:4] = (0.0, 5e-324, 1e-300, -0.0)
     got = sigma_squared(spec, r)
     assert np.array_equal(got.view(np.int64),
                           _sigma_squared_gathered(spec, r).view(np.int64))
+    assert not np.signbit(got[3])   # +0.0 at r = -0.0, as the zero fill gave
 
 
 def test_sigma_squared_degenerate_envelope():

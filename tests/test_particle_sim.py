@@ -98,13 +98,13 @@ def test_kde_rejects_a_nan_bandwidth():
 def test_kde_consistency_at_center():
     ens = seed_from_density(lambda x: barenblatt_eval(P2, 1.0, x), 100_000, 3,
                             -5, 5, t0=1.0)
-    val = kde_density(ens, particle_sim._silverman_bandwidth(ens.positions), 0.0)
+    val = kde_density(ens, particle_sim._silverman_bandwidth(ens), 0.0)
     assert val == pytest.approx(P2.C_norm, rel=0.05)
 
 
 def test_binned_density_tracks_exact_kernel_sum():
     ens = seed_from_density(BB_INIT, 20_000, 4, -5, 5, t0=T0)
-    bw = particle_sim._silverman_bandwidth(ens.positions)
+    bw = particle_sim._silverman_bandwidth(ens)
     approx = frozen_density(ens, bw)
     xs = np.linspace(-1.2, 1.2, 41)
     exact = kde_density(ens, bw, xs)
@@ -138,12 +138,12 @@ def test_frozen_density_lookup_is_np_interp_bit_for_bit(seed, n, scale, center,
                                                         cells):
     rng = np.random.default_rng(seed)
     base = center + scale * rng.standard_normal(n)
-    bw = particle_sim._silverman_bandwidth(base)
+    base_ens = ParticleEnsemble(positions=base, t=0.0, seed=seed, step_index=0)
+    bw = particle_sim._silverman_bandwidth(base_ens)
     # add particles on every bin edge and node between the extreme particles,
     # and one ulp either side of each edge; the grid depends only on the
     # extremes and the bandwidth, so it stays the same
-    grid0, edges, _, _ = _interp_reference(
-        ParticleEnsemble(positions=base, t=0.0, seed=seed, step_index=0), bw, cells)
+    grid0, edges, _, _ = _interp_reference(base_ens, bw, cells)
     marks = np.concatenate([edges, np.nextafter(edges, -np.inf),
                             np.nextafter(edges, np.inf), grid0])
     pos = np.concatenate([base, marks[(marks >= base.min()) & (marks <= base.max())]])
@@ -182,6 +182,43 @@ def test_frozen_density_counts_particles_on_the_extreme_nodes():
     assert _same_bits(evaluate(ens.positions), reference(pos))
 
 
+@pytest.mark.parametrize("ulps", [65, 100, 300, 1e3, 1e4, 1e6, 1e9])
+@pytest.mark.parametrize("center", [0.0, 1.0, 1e3, -3e5])
+def test_frozen_density_is_exact_on_coarse_grids(center, ulps):
+    # 64 cells of ulps * unit, unit the spacing of the grid's ends: the floor
+    # arithmetic's rounding is then a large part of a step.  Around 0 the
+    # ends are 32 steps out, so unit = 1 and the steps are 1e14 ulp or more.
+    unit = float(np.spacing(abs(center))) if center else 1.0
+    step = ulps * unit
+    h = 4.0 * step
+    # extreme particles 24 steps either side of the centre, so the grid's
+    # ends (2h further out) and its nodes are exact multiples of unit
+    lo_p, hi_p = center - 24.0 * step, center + 24.0 * step
+    extremes = ParticleEnsemble(positions=np.repeat([lo_p, hi_p], 50), t=0.0,
+                                seed=0, step_index=0)
+    grid, edges, _, _ = _interp_reference(extremes, h, 64)
+    assert np.array_equal(np.diff(grid), np.full(64, step))
+    # particles on every node and edge between the extremes, and one ulp
+    # either side of each
+    marks = np.concatenate([grid, edges])
+    marks = np.concatenate([marks, np.nextafter(marks, -np.inf),
+                            np.nextafter(marks, np.inf)])
+    pos = np.concatenate([[lo_p, hi_p], marks[(marks >= lo_p) & (marks <= hi_p)]])
+    ens = ParticleEnsemble(positions=pos, t=0.0, seed=0, step_index=0)
+    ref_grid, _, counts, reference = _interp_reference(ens, h, 64)
+    assert np.array_equal(ref_grid, grid)
+    got_grid, got_counts, evaluate = particle_sim._binned_kde(ens, h, 64)
+    assert np.array_equal(got_grid, grid)
+    assert np.array_equal(got_counts, counts)
+
+    assert _same_bits(evaluate(ens.positions), reference(pos))
+    assert _same_bits(evaluate(pos.copy()), reference(pos))
+    span = grid[-1] - grid[0]
+    queries = np.concatenate([marks, grid - span, grid + span,
+                              [-np.inf, np.inf, np.nan, -1e300, 1e300]])
+    assert _same_bits(evaluate(queries), reference(queries))
+
+
 def test_frozen_density_rejects_a_grid_that_cannot_resolve_the_particles():
     ens = ParticleEnsemble(positions=np.full(500, 1e4), t=0.0, seed=0, step_index=0)
     with pytest.raises(ValueError, match="does not resolve particles near 10000.0"):
@@ -216,7 +253,7 @@ def test_em_step_increment_scale():
 
 def test_em_step_determinism():
     ens = seed_from_density(BB_INIT, 1000, 6, -5, 5, t0=T0)
-    density = frozen_density(ens, particle_sim._silverman_bandwidth(ens.positions))
+    density = frozen_density(ens, particle_sim._silverman_bandwidth(ens))
     a = em_step(ens, 1e-3, SPEC2, ZERO_DRIFT, density=density, clamp=CLAMP,
                 noise=_noise(ens))
     b = em_step(ens, 1e-3, SPEC2, ZERO_DRIFT, density=density, clamp=CLAMP,
@@ -230,10 +267,27 @@ def test_em_step_non_finite_position_names_the_particle():
         E=lambda x: np.where(np.asarray(x) > 0, np.nan, 0.0), b0=1.0,
         sup_norm_E=1.0, div_E_minus_sup=0.0)
     with pytest.raises(SimulationError) as err:
-        density = frozen_density(ens, particle_sim._silverman_bandwidth(ens.positions))
+        density = frozen_density(ens, particle_sim._silverman_bandwidth(ens))
         em_step(ens, 1e-3, SPEC2, nan_right, density=density, clamp=CLAMP,
                 noise=_noise(ens))
     assert err.value.particle_index == int(np.flatnonzero(ens.positions > 0)[0])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_ensemble_names_the_first_non_finite_particle(bad):
+    pos = np.linspace(-1.0, 1.0, 500)
+    pos[[137, 300]] = bad
+    with pytest.raises(SimulationError, match="non-finite") as err:
+        ParticleEnsemble(positions=pos, t=0.0, seed=0, step_index=0)
+    assert err.value.particle_index == 137
+
+
+def test_ensemble_bounds_are_the_positions_min_and_max():
+    pos = np.random.default_rng(3).standard_normal(500)
+    ens = ParticleEnsemble(positions=pos, t=0.0, seed=0, step_index=0)
+    assert ens.bounds == (pos.min(), pos.max())
+    moved = replace(ens, positions=pos + 1.0)
+    assert moved.bounds == ((pos + 1.0).min(), (pos + 1.0).max())
 
 
 def test_run_determinism_bit_identical():
@@ -263,12 +317,31 @@ def test_run_looks_up_the_density_once_per_step(monkeypatch):
     assert lookups == [cfg.n_particles] * 10
 
 
+@pytest.mark.parametrize("twins", [False, True], ids=["run", "coupling"])
+def test_each_step_calls_sigma_squared_once_per_ensemble(monkeypatch, twins):
+    # the traced benchmark counts sigma_squared through this module attribute
+    calls = []
+    original = particle_sim.sigma_squared
+
+    def counted(spec, r):
+        calls.append(np.size(r))
+        return original(spec, r)
+
+    monkeypatch.setattr(particle_sim, "sigma_squared", counted)
+    cfg = small_config(n_particles=500, T=0.11)
+    if twins:
+        coupling_experiment(cfg, SPEC2, ZERO_DRIFT, 1e-3, BB_INIT)
+    else:
+        run(cfg, SPEC2, ZERO_DRIFT, BB_INIT)
+    assert calls == [cfg.n_particles] * (cfg.n_steps * (2 if twins else 1))
+
+
 def _hand_loop(cfg, drift, ensembles):
     """The ensembles after each step, with every noise block drawn here."""
     out = []
     for _ in range(cfg.n_steps):
         density = frozen_density(
-            ensembles[0], particle_sim._silverman_bandwidth(ensembles[0].positions))
+            ensembles[0], particle_sim._silverman_bandwidth(ensembles[0]))
         ensembles = tuple(em_step(e, cfg.dt, SPEC2, drift, density, cfg.linf_clamp,
                                   _noise(e)) for e in ensembles)
         out.append(ensembles)
