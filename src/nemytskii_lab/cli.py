@@ -223,7 +223,7 @@ class Problem:
     @property
     def drift_free(self) -> bool:
         """Only then is the source-type solution the oracle for the chain and the particles."""
-        return self.drift.sup_norm_E == 0
+        return self.drift.vanishes
 
     def density(self, t: float):
         """x -> the source-type solution at time t."""
@@ -265,7 +265,7 @@ def _grid(params) -> tuple[float, float, int]:
 def _hypothesis_rows(problem: Problem, gated: bool) -> list[Check]:
     """One row per coefficient condition; ungated rows are advisory."""
     prefix = "hypothesis_" if gated else "advisory_hypothesis_"
-    clauses = check_hypotheses(problem.spec, problem.drift).clauses
+    clauses = check_hypotheses(problem.spec, problem.drift)
     return [_flag_check(prefix + name, clause["pass"], gated)
             for name, clause in sorted(clauses.items())]
 

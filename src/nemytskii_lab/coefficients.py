@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "NonlinearitySpec",
     "DriftSpec",
-    "HypothesesReport",
     "sigma_squared",
     "yosida_resolvent",
     "beta_tilde_epsilon",
@@ -141,6 +140,16 @@ class DriftSpec:
                    sup_div_minus_plus_E=sup_div_minus_plus_E,
                    b_is_constant=True, e_square_integrable=e_square_integrable,
                    iota=iota)
+
+    @property
+    def vanishes(self) -> bool:
+        """E b = 0 everywhere, by the stored sup norms: the porous-medium case.
+
+        The one test of "no drift": the chain then has no advection and runs
+        Newton on the support window, em_step moves no particle by drift,
+        and the CLI checks against the source-type solution.
+        """
+        return self.sup_norm_E == 0 or self.sup_norm_b == 0
 
     def combined_sup(self) -> float:
         """sup of (div E)^- + |E|, exact when stored, else the sum bound."""
@@ -374,21 +383,10 @@ def lambda_zero(drift: DriftSpec) -> float:
 # hypotheses checker
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HypothesesReport:
-    """Pass/fail per sampled clause, with numeric witnesses."""
-
-    clauses: dict
-
-    def passed(self, name: str) -> bool:
-        return self.clauses[name]["pass"]
-
-    def all_passed(self) -> bool:
-        return all(c["pass"] for c in self.clauses.values())
-
-
-def check_hypotheses(spec: NonlinearitySpec, drift: DriftSpec) -> HypothesesReport:
+def check_hypotheses(spec: NonlinearitySpec, drift: DriftSpec) -> dict:
     """Sample the drift's positivity/growth/compatibility clauses and report witnesses.
+
+    Returns {clause name: {"pass": bool, and the clause's numeric witnesses}}.
 
     beta's growth envelope a_K r^(m-1) <= beta'(r), beta(r) <= C_K r^m needs
     no clause: the power law meets it with a_K = m and C_K = 1 on every
@@ -444,4 +442,4 @@ def check_hypotheses(spec: NonlinearitySpec, drift: DriftSpec) -> HypothesesRepo
             "max_excess": float(np.max(lhs - rhs)),
         }
 
-    return HypothesesReport(clauses=clauses)
+    return clauses

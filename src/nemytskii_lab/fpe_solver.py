@@ -14,15 +14,18 @@ line-search halvings and fixed-point fallbacks.  Fluxes are written in
 conservation form (3-point diffusive flux, donor-cell upwind advection), so
 the zero-flux boundary conserves mass to roundoff.
 
-Without drift, Newton runs on a window: the cells where f or the start is
-nonzero, widened by NEWTON_MAX_ITER + 2 cells per side and clipped to the
-grid.  The result is the full-grid one bit for bit.  beta'(0) = 0 makes each
-vacuum column of the Jacobian an identity column, so each Newton step,
-line-search trial or fixed-point step widens the support by at most one cell
-per side; the cells outside the window keep u = 0, a zero residual and zero
-flux at the window's faces, and gtsv eliminates each block of the
-block-diagonal system on its own.  With drift, advection couples vacuum cells
-through b(0), and the window is the whole grid.
+One _Operator per chain decides how the drift enters: it holds the flux,
+the Jacobian bands and the cells Newton solves on.  When the drift vanishes
+(DriftSpec.vanishes: E b = 0, as for E = 0 or b = 0), there is no advection
+and Newton runs on a window: the cells where f or the start is nonzero,
+widened by NEWTON_MAX_ITER + 2 cells per side and clipped to the grid.  The
+result is the full-grid one bit for bit.  beta'(0) = 0 makes each vacuum
+column of the Jacobian an identity column, so each Newton step, line-search
+trial or fixed-point step widens the support by at most one cell per side;
+the cells outside the window keep u = 0, a zero residual and zero flux at
+the window's faces, and gtsv eliminates each block of the block-diagonal
+system on its own.  With drift, advection couples vacuum cells through b(0),
+and the window is the whole grid.
 
 A chain is strictly sequential and runs in the calling thread; its iterates
 are the rows of one writable (N, n_cells) array.  step_chain also takes a
@@ -31,7 +34,7 @@ iteration solves all k rows of a (k, n) array with one gtsv call for their
 block-diagonal system, and only a row still above NEWTON_TOL takes its
 trial, so each row keeps its own line search and its own stop.  Each row
 equals its standalone chain bit for bit, and semigroup_distance runs its
-pair this way.  The rows of a stack without drift share their windows' union.
+pair this way.  The rows of a stack share their windows' union.
 
 scipy is imported only when a chain first solves: the first
 _tridiagonal_solve loads LAPACK gtsv from scipy.linalg and keeps it.  A
@@ -235,117 +238,126 @@ class Trajectory:
     def final(self) -> GridField:
         return self.field_at(math.inf)
 
-    def total_clipped_mass(self) -> float:
-        return sum(info.clipped_mass for info in self.infos)
-
 
 # ---------------------------------------------------------------------------
-# discrete operator pieces
+# the discrete operator
 # ---------------------------------------------------------------------------
 
-class _Advection:
-    """Donor-cell advection E * b(u) * u of one chain, fixed over its steps.
+class _Operator:
+    """A(u) = -Lap_h beta(u) + div_h(E b(u) u) of one chain, with what Newton
+    needs of it: the cells it solves on and the Jacobian bands.
 
-    Holds the splits of E at the interior faces, the outflow E+ - E- of each
+    Both fluxes are in conservation form with zero flux through the boundary,
+    so telescoping conserves mass: the 3-point diffusive flux, and the
+    donor-cell advective flux of E b(u) u.  The advection is built once per
+    chain: the splits of E at the interior faces, the outflow E+ - E- of each
     cell (the boundary faces carry no flux), b, and b's value b0 when b is
-    constant.
+    constant.  When the drift vanishes there is none, and Newton runs on the
+    window of the module docstring; otherwise on the whole grid.
     """
 
-    def __init__(self, drift: DriftSpec, edges: np.ndarray):
-        e_face = np.asarray(drift.E(edges), dtype=float)
-        self.ep = np.maximum(e_face[1:-1], 0.0)
-        self.em = np.minimum(e_face[1:-1], 0.0)
-        epf = np.maximum(e_face, 0.0)
-        emf = np.minimum(e_face, 0.0)
-        epf[0] = emf[0] = epf[-1] = emf[-1] = 0.0
-        self.outflow = epf[1:] - emf[:-1]
-        self.b = drift.b
-        self.b0 = float(np.asarray(drift.b(0.0))) if drift.b_is_constant else None
+    def __init__(self, grid: GridField, spec: NonlinearitySpec, drift: DriftSpec):
+        self.grid, self.spec, self.dx = grid, spec, grid.cell_width
+        self.drifted = not drift.vanishes
+        if self.drifted:
+            e_face = np.asarray(drift.E(grid.edges), dtype=float)
+            self.ep = np.maximum(e_face[1:-1], 0.0)
+            self.em = np.minimum(e_face[1:-1], 0.0)
+            epf = np.maximum(e_face, 0.0)
+            emf = np.minimum(e_face, 0.0)
+            epf[0] = emf[0] = epf[-1] = emf[-1] = 0.0
+            self.outflow = epf[1:] - emf[:-1]
+            self.b = drift.b
+            self.b0 = float(np.asarray(drift.b(0.0))) if drift.b_is_constant else None
 
-    def carried(self, u: np.ndarray) -> np.ndarray:
-        return (self.b0 if self.b0 is not None else np.asarray(self.b(u))) * u
+    def windows(self, fs, starts) -> list[tuple[int, int]]:
+        """The cells (first, one past the last) Newton solves on for each row
+        f, start of fs and starts: its occupied cells widened by
+        NEWTON_MAX_ITER + 2 per side (one cell per Newton iteration, and one
+        more each for the residual's stencil and the window's face), or the
+        whole grid when advection couples vacuum cells through b(0)."""
+        n = self.grid.n_cells
+        if self.drifted:
+            return [(0, n)] * len(fs)
+        margin = NEWTON_MAX_ITER + 2
+        spans = []
+        for f, start in zip(fs, starts):
+            occupied = _span((f != 0.0) | (start != 0.0))
+            # an empty row does not move, and one residual shows it
+            spans.append((max(occupied[0] - margin, 0), min(occupied[1] + margin, n))
+                         if occupied else (0, n))
+        return spans
 
-    def slope(self, u: np.ndarray):
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """A(u) on each row of u, which spans a window of the grid."""
+        dx = self.dx
+        bt = np.asarray(self.spec.beta(u))
+        faces = u.shape[:-1] + (u.shape[-1] + 1,)
+
+        # diffusive flux -D(beta)/dx at interior interfaces
+        dif_flux = np.zeros(faces)
+        dif_flux[..., 1:-1] = -(bt[..., 1:] - bt[..., :-1]) / dx
+
+        if not self.drifted:
+            # the zero advective flux, added as 0.0 to give the bits of the
+            # sum below with a zero array
+            return (dif_flux[..., 1:] + 0.0 - dif_flux[..., :-1]) / dx
+
+        # donor-cell advective flux of E * b(u) * u
+        adv_flux = np.zeros(faces)
+        carried = (self.b0 if self.b0 is not None else np.asarray(self.b(u))) * u
+        adv_flux[..., 1:-1] = self.ep * carried[..., :-1] + self.em * carried[..., 1:]
+        return (dif_flux[..., 1:] + adv_flux[..., 1:]
+                - dif_flux[..., :-1] - adv_flux[..., :-1]) / dx
+
+    def jacobian(self, lam: float, width: int):
+        """bands(u): the diagonals (dl, d, du) of the Jacobian of u + lam*A(u)
+        at u, one row or a (k, width) stack of rows of a window.
+
+        The bands are those of the block-diagonal (k*width) system, whose
+        entries coupling one row to the next are 0.  dl[j] holds J[j+1, j]
+        and du[j] holds J[j, j+1].  With beta' >= 0 and (b(r) r)' >= 0 every
+        column is diagonally dominant with a diagonal of at least 1, so J is
+        nonsingular.  What stays fixed over one solve is computed here once:
+        lam * lap_diag / dx**2, and the advective terms when b is constant,
+        since (b(u) u)' is then b0.
+        """
+        dx, dx2 = self.dx, self.dx**2
+        # lam * lap_diag / dx**2, with lap_diag 2 inside and 1 at the ends
+        lap = np.full(width, lam * 2.0 / dx2)
+        lap[0] = lap[-1] = lam / dx2
+        if self.drifted:
+            diag, upper, lower = lam * self.outflow, lam * self.em, -lam * self.ep
+
+            def advective(gp):
+                """The advective parts of (d, du, dl) for the slope gp = (b(u) u)'."""
+                return (diag * gp / dx, upper * gp[..., 1:] / dx,
+                        lower * gp[..., :-1] / dx)
+
+            fixed = None if self.b0 is None else advective(np.full(width, self.b0))
+
+        def bands(u):
+            btp = np.asarray(self.spec.beta_prime(u))
+            d = 1.0 + lap * btp
+            off = -lam * btp / dx2   # -lam*beta'/dx^2 gives both off-diagonals
+            du = np.empty(off.size)
+            du[:-1] = off.ravel()[1:]
+            dl = off.reshape(-1)
+            # a row's last entries would couple it to the next row
+            du[width - 1::width] = dl[width - 1::width] = 0.0
+            if self.drifted:
+                add_d, add_du, add_dl = fixed or advective(self.slope(u))
+                d += add_d
+                du.reshape(-1, width)[:, :-1] += add_du
+                dl.reshape(-1, width)[:, :-1] += add_dl
+            return dl[:-1], d.reshape(-1), du[:-1]
+
+        return bands
+
+    def slope(self, u: np.ndarray) -> np.ndarray:
         """(b(u) u)' = b(u) + b'(u) u, with b' by one central difference."""
-        if self.b0 is not None:   # b' = 0
-            return self.b0
         return np.asarray(self.b(u)) + (np.asarray(self.b(u + 1e-6))
                                         - np.asarray(self.b(u - 1e-6))) / 2e-6 * u
-
-
-def _apply_operator(u: np.ndarray, dx: float, spec: NonlinearitySpec,
-                    adv: _Advection | None) -> np.ndarray:
-    """Discrete operator in flux form on each row of u; zero boundary flux,
-    so telescoping conserves mass."""
-    bt = np.asarray(spec.beta(u))
-    faces = u.shape[:-1] + (u.shape[-1] + 1,)
-
-    # diffusive flux -D(beta)/dx at interior interfaces
-    dif_flux = np.zeros(faces)
-    dif_flux[..., 1:-1] = -(bt[..., 1:] - bt[..., :-1]) / dx
-
-    if adv is None:
-        # the zero advective flux, added as 0.0 to give the bits of the sum
-        # below with a zero array
-        return (dif_flux[..., 1:] + 0.0 - dif_flux[..., :-1]) / dx
-
-    # donor-cell advective flux of E * b(u) * u
-    adv_flux = np.zeros(faces)
-    carried = adv.carried(u)
-    adv_flux[..., 1:-1] = adv.ep * carried[..., :-1] + adv.em * carried[..., 1:]
-    return (dif_flux[..., 1:] + adv_flux[..., 1:]
-            - dif_flux[..., :-1] - adv_flux[..., :-1]) / dx
-
-
-class _Jacobian:
-    """What the Jacobian of u + lam*A(u) keeps over one solve on a window of
-    the given width: the Laplacian coefficient lam * lap_diag / dx**2 and the
-    advective face terms times lam, multiplied out by b0 when b is constant."""
-
-    def __init__(self, lam: float, dx: float, width: int, adv: _Advection | None):
-        # lam * lap_diag / dx**2, with lap_diag 2 inside and 1 at the ends
-        self.lap = np.full(width, lam * 2.0 / dx**2)
-        self.lap[0] = self.lap[-1] = lam / dx**2
-        self.lam, self.dx2 = lam, dx**2
-        self.adv = adv
-        if adv is not None:
-            self.dx = dx
-            self.face_terms = (lam * adv.outflow, lam * adv.em, -lam * adv.ep)
-            self.fixed = None if adv.b0 is None else self.advective(adv.b0)
-
-    def advective(self, gp):
-        """The advective parts of (d, du, dl) for the slope gp = (b(u) u)'."""
-        lo = gp if np.ndim(gp) == 0 else gp[..., :-1]
-        hi = gp if np.ndim(gp) == 0 else gp[..., 1:]
-        diag, upper, lower = self.face_terms
-        return diag * gp / self.dx, upper * hi / self.dx, lower * lo / self.dx
-
-
-def _jacobian_bands(u: np.ndarray, spec: NonlinearitySpec,
-                    jac: _Jacobian) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonals (dl, d, du) of the Jacobian of u + lam*A(u), row by row.
-
-    u is one row or a (k, w) stack of rows; the bands are those of the
-    block-diagonal (k*w) system, whose entries coupling one row to the next
-    are 0.  dl[j] holds J[j+1, j] and du[j] holds J[j, j+1].  With
-    beta' >= 0 and (b(r) r)' >= 0 every column is diagonally dominant with a
-    diagonal of at least 1, so J is nonsingular.
-    """
-    w = u.shape[-1]
-    btp = np.asarray(spec.beta_prime(u))
-    d = 1.0 + jac.lap * btp
-    off = -jac.lam * btp / jac.dx2   # -lam*beta'/dx^2 gives both off-diagonals
-    du = np.empty(off.size)
-    du[:-1] = off.ravel()[1:]
-    dl = off.reshape(-1)
-    # a row's last entries would couple it to the next row
-    du[w - 1::w] = dl[w - 1::w] = 0.0
-    if jac.adv is not None:
-        add_d, add_du, add_dl = jac.fixed or jac.advective(jac.adv.slope(u))
-        d += add_d
-        du.reshape(-1, w)[:, :-1] += add_du
-        dl.reshape(-1, w)[:, :-1] += add_dl
-    return dl[:-1], d.reshape(-1), du[:-1]
 
 
 def _span(mask: np.ndarray) -> tuple[int, int] | None:
@@ -376,50 +388,37 @@ def _tridiagonal_solve(bands, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     return x, info
 
 
-def _newton_stack(grid: GridField, fs, starts, lam: float,
-                  spec: NonlinearitySpec, adv: _Advection | None,
+def _newton_stack(op: _Operator, fs, starts, lam: float,
                   outs) -> list[ResolventSolution]:
     """Solve u + lam*A(u) = f for each row f of fs by one damped Newton loop.
 
-    fs, starts and outs hold one array of grid's size per row: the right-hand
-    side, the Newton start and the output.  Each iteration solves the whole
-    (k, width) stack as one block-diagonal system and forms every trial for
-    all rows, but only a row still above NEWTON_TOL and still searching takes
-    its trial.  The blocks do not couple and all else works row by row, so
-    every row equals its own solve bit for bit.  Without drift
-    each row's window is its occupied cells widened by NEWTON_MAX_ITER + 2
-    per side, and the rows share the union of these windows.  The cells of
-    the union outside a row's own window stay 0 in that row, and the row's
-    residual is summed over its own window only, as its own solve sums it.
+    fs, starts and outs hold one array of the grid's size per row: the
+    right-hand side, the Newton start and the output.  Each iteration solves
+    the whole (k, width) stack as one block-diagonal system and forms every
+    trial for all rows, but only a row still above NEWTON_TOL and still
+    searching takes its trial.  The blocks do not couple and all else works
+    row by row, so every row equals its own solve bit for bit.  The rows
+    share the union of their windows (op.windows).  The cells of the union
+    outside a row's own window stay 0 in that row, and the row's residual is
+    summed over its own window only, as its own solve sums it.
 
     Raises SolverError naming the failing row (its index in fs) and stating
     lam, the iteration count and that row's residual.
     """
-    k, n, dx = len(fs), grid.n_cells, grid.cell_width
-    if adv is None:
-        # one cell per Newton iteration, and one more each for the residual's
-        # stencil and the window's face
-        margin = NEWTON_MAX_ITER + 2
-        spans = []
-        for f, start in zip(fs, starts):
-            occupied = _span((f != 0.0) | (start != 0.0))
-            # an empty row does not move, and one residual shows it
-            spans.append((max(occupied[0] - margin, 0), min(occupied[1] + margin, n))
-                         if occupied else (0, n))
-        lo, hi = min(a for a, _ in spans), max(b for _, b in spans)
-    else:   # advection couples vacuum cells through b(0)
-        spans, lo, hi = [(0, n)] * k, 0, n
+    k, dx = len(fs), op.dx
+    spans = op.windows(fs, starts)
+    lo, hi = min(a for a, _ in spans), max(b for _, b in spans)
     width = hi - lo
     own = [(a - lo, b - lo) for a, b in spans]
     uniform = all(span == (0, width) for span in own)
     target, u = np.empty((k, width)), np.empty((k, width))
     for r in range(k):
         target[r], u[r] = fs[r][lo:hi], starts[r][lo:hi]
-    jac = _Jacobian(lam, dx, width, adv)
+    bands = op.jacobian(lam, width)
 
     def residual(v):
         """The residual at v, and its L1 norm per row as a list."""
-        res = v + lam * _apply_operator(v, dx, spec, adv) - target
+        res = v + lam * op.apply(v) - target
         size = np.abs(res)
         if uniform:
             return res, (size.sum(axis=1) * dx).tolist()
@@ -452,7 +451,7 @@ def _newton_stack(grid: GridField, fs, starts, lam: float,
             break
         for r in pending:
             iters[r] += 1
-        delta, info = _tridiagonal_solve(_jacobian_bands(u, spec, jac), -res.ravel())
+        delta, info = _tridiagonal_solve(bands(u), -res.ravel())
         if info != 0:
             raise failure(f"failed in the tridiagonal solve (gtsv info {info})",
                           (info - 1) // width, it)
@@ -494,7 +493,7 @@ def _newton_stack(grid: GridField, fs, starts, lam: float,
         out[lo + b:] = 0.0
         np.maximum(row, 0.0, out=out[lo + a:lo + b])
         # clipped at 0 from a finite residual, so finite and nonnegative
-        field = GridField._trusted(grid.lo, grid.hi, out)
+        field = GridField._trusted(op.grid.lo, op.grid.hi, out)
         solutions.append(ResolventSolution(
             field=field, residual_l1=l1[r], newton_iters=iters[r],
             clipped_mass=clipped, preclip_min=preclip_min,
@@ -519,8 +518,8 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
     step_chain's Newton loop on a stack of one row, whose every iteration
     makes one gtsv call over the row.
 
-    Without drift (drift.sup_norm_E == 0), Newton runs on the window of the
-    module docstring, and the values are those of a full-grid solve bit for
+    When the drift vanishes (drift.vanishes), Newton runs on the window of
+    the module docstring, and the values are those of a full-grid solve bit for
     bit; residual_l1 and clipped_mass are summed over the window, so only
     their last bits may differ from a full-grid solve's.
 
@@ -535,9 +534,8 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
     lam0 = lambda_zero(drift)
     if not 0.0 < lam < lam0:
         raise ValueError(f"lambda must lie in (0, {lam0}), got {lam}")
-    adv = _Advection(drift, f.edges) if drift.sup_norm_E > 0 else None
     begin = f.values if start is None else np.asarray(start, dtype=float)
-    return _newton_stack(f, (f.values,), (begin,), lam, spec, adv,
+    return _newton_stack(_Operator(f, spec, drift), (f.values,), (begin,), lam,
                          (np.empty(f.n_cells),))[0]
 
 
@@ -616,7 +614,7 @@ def step_chain(nu, T: float, config: SolverConfig, spec: NonlinearitySpec,
     if n_steps > 1 and last <= 1e-9 * h:   # only rounding left it
         n_steps -= 1
         last = h
-    adv = _Advection(drift, grid.edges) if drift.sup_norm_E > 0 else None
+    op = _Operator(grid, spec, drift)
     values = [_iterate_block(n_steps, grid.n_cells) for _ in fields]
     times = np.empty(n_steps)
     infos = [[] for _ in fields]
@@ -630,8 +628,7 @@ def step_chain(nu, T: float, config: SolverConfig, spec: NonlinearitySpec,
         starts = current if previous is None else \
             [np.maximum(2.0 * c - p, 0.0) for c, p in zip(current, previous)]
         try:
-            sols = _newton_stack(grid, current, starts, lam, spec, adv,
-                                 [v[i] for v in values])
+            sols = _newton_stack(op, current, starts, lam, [v[i] for v in values])
         except SolverError as err:
             err.step = i
             raise

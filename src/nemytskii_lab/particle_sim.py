@@ -48,7 +48,6 @@ __all__ = [
     "RunResult",
     "CouplingRecord",
     "seed_from_density",
-    "kde_density",
     "frozen_density",
     "em_step",
     "run",
@@ -209,25 +208,6 @@ def _kernel_profile(z: np.ndarray) -> np.ndarray:
     return 0.75 * np.maximum(1.0 - z * z, 0.0)
 
 
-def kde_density(ensemble: ParticleEnsemble, bandwidth: float, x):
-    """Exact Epanechnikov kernel sum (1/N) sum_i K_h(x - X_i) at the queries.
-
-    Nonnegative by construction, integrates to 1 and vanishes farther than
-    one bandwidth from every particle.  Meant for point queries and
-    verification; the step loop uses the binned estimator below.
-    """
-    h = bandwidth
-    if not h > 0:
-        raise ValueError(f"bandwidth must be positive, got {h!r}")
-    xq = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(xq)
-    chunk = max(1, int(2e6 / max(ensemble.n, 1)))
-    for start in range(0, xq.size, chunk):
-        block = xq[start:start + chunk, None] - ensemble.positions[None, :]
-        out[start:start + chunk] = np.mean(_kernel_profile(block / h), axis=1) / h
-    return out if np.ndim(x) else float(out[0])
-
-
 def frozen_density(ensemble: ParticleEnsemble, bandwidth: float,
                    n_grid_cells: int = 4096):
     """Binned KDE snapshot: returns an evaluator x -> u_hat(x).
@@ -304,12 +284,9 @@ def _binned_kde(ensemble: ParticleEnsemble, bandwidth: float, n_grid_cells: int)
     near_node = 0.5 - 2.0 * (8.0 * np.finfo(float).eps * (n + 2) + 8.0 * ulp / step)
 
     def exact_rows(x):
-        # fmax/fmin send NaN to row 1, where the arithmetic returns NaN
-        k = np.fmin(np.fmax((x - origin) * inv_step, 1.0), float(n)).astype(np.intp)
-        k -= x < row_node[k]
-        k += x >= row_node[k + 1]
-        k += x > last
-        return k
+        # the nodes at or left of x; NaN sorts last, to row n + 1, whose
+        # arithmetic returns NaN
+        return np.searchsorted(grid, x, side="right") + (x > last)
 
     def cells(x):
         """Rows of the 1-d x, its floor(u), and the points placed exactly."""
@@ -391,7 +368,7 @@ def em_step(ensemble: ParticleEnsemble, dt: float, spec: NonlinearitySpec,
     dens = np.asarray(density(pos), dtype=float)
     np.maximum(dens, 0.0, out=dens)
     drift_term = 0.0
-    if drift.sup_norm_E > 0 and drift.sup_norm_b > 0:
+    if not drift.vanishes:
         drift_term = np.asarray(drift.E(pos), dtype=float) \
             * np.asarray(drift.b(dens), dtype=float) * dt
     np.minimum(dens, clamp, out=dens)
@@ -417,12 +394,6 @@ class RunResult:
     variances: list[float] = field(default_factory=list)
     position_snapshots: list[np.ndarray] = field(default_factory=list)
     final: ParticleEnsemble | None = None
-
-    def loglog_variance_slope(self) -> float:
-        """Least-squares slope of ln(variance) against ln(t)."""
-        t = np.log(np.asarray(self.times))
-        v = np.log(np.asarray(self.variances))
-        return float(np.polyfit(t, v, 1)[0])
 
 
 def _seeded(config: SimConfig, initial_density) -> ParticleEnsemble:

@@ -344,14 +344,14 @@ def _monomial_drift(l: float) -> DriftSpec:
 
 def test_hypotheses_monomial_criterion():
     ok = check_hypotheses(NonlinearitySpec.power_law(2.0), _monomial_drift(1.0))
-    assert ok.passed("b_monomial_degree")
+    assert ok["b_monomial_degree"]["pass"]
     bad = check_hypotheses(NonlinearitySpec.power_law(4.0), _monomial_drift(1.0))
-    assert not bad.passed("b_monomial_degree")
+    assert not bad["b_monomial_degree"]["pass"]
 
 
 def test_hypotheses_zero_drift_all_pass():
-    report = check_hypotheses(M2, DriftSpec.zero())
-    assert report.all_passed()
+    clauses = check_hypotheses(M2, DriftSpec.zero())
+    assert all(clause["pass"] for clause in clauses.values())
 
 
 def test_hypotheses_iota_surrogate():
@@ -359,8 +359,17 @@ def test_hypotheses_iota_surrogate():
     drift = DriftSpec.constant_b(E=lambda x: np.sin(np.asarray(x, dtype=float)),
                                  b0=1.0, sup_norm_E=1.0, div_E_minus_sup=1.0,
                                  iota=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5))
-    report = check_hypotheses(M2, drift)
-    assert report.passed("E_monotonicity_surrogate")
+    assert check_hypotheses(M2, drift)["E_monotonicity_surrogate"]["pass"]
+
+
+def test_drift_vanishes_when_E_or_b_is_zero():
+    assert DriftSpec.zero().vanishes
+    assert DriftSpec.constant_b(E=np.tanh, b0=0.0, sup_norm_E=1.0,
+                                div_E_minus_sup=1.0).vanishes
+    assert DriftSpec.constant_b(E=np.zeros_like, b0=1.0, sup_norm_E=0.0,
+                                div_E_minus_sup=0.0).vanishes
+    assert not DriftSpec.constant_b(E=np.tanh, b0=1.0, sup_norm_E=1.0,
+                                    div_E_minus_sup=1.0).vanishes
 
 
 # -- guards that NaN fails ------------------------------------------------------

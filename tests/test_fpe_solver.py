@@ -20,8 +20,7 @@ from nemytskii_lab.fpe_solver import (
     SolverConfig,
     SolverError,
     Trajectory,
-    _apply_operator,
-    _jacobian_bands,
+    _Operator,
     entropy_audit,
     resolvent_solve,
     semigroup_distance,
@@ -170,14 +169,14 @@ def test_resolvent_non_finite_residual_raises():
                          ids=["zero", "tanh"])
 def test_resolvent_one_operator_evaluation_per_residual(monkeypatch, drift):
     calls = 0
-    apply_operator = fpe_solver._apply_operator
+    apply_operator = _Operator.apply
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return apply_operator(*args, **kwargs)
 
-    monkeypatch.setattr(fpe_solver, "_apply_operator", counted)
+    monkeypatch.setattr(_Operator, "apply", counted)
     sol = resolvent_solve(barenblatt_field(0.1), 1e-2, SPEC, drift)
     assert sol.newton_iters > 0
     # one initial residual, one accepted trial per iteration, one per halving
@@ -229,6 +228,12 @@ NULL_DRIFT = DriftSpec.constant_b(
     sup_norm_E=1e-9, div_E_minus_sup=0.0)
 
 
+# E = -0.25 tanh(x) with b = 0: E b vanishes, so the chain has no advection
+B_ZERO_DRIFT = DriftSpec.constant_b(
+    E=lambda x: -0.25 * np.tanh(np.asarray(x, dtype=float)), b0=0.0,
+    sup_norm_E=0.25, div_E_minus_sup=0.25, sup_div_minus_plus_E=0.3125)
+
+
 def source_field(m, t, n, lo=-6.0, hi=6.0):
     profile = make_barenblatt(m)
     return GridField.from_function(lo, hi, n,
@@ -273,6 +278,24 @@ def test_drift_free_window_covers_the_start():
                           full.field.values.view(np.int64))
     assert (window.clipped_mass, window.preclip_min) == \
         (full.clipped_mass, full.preclip_min)
+
+
+def test_a_vanishing_drift_runs_the_drift_free_chain(monkeypatch):
+    # 800 cells, h = 5e-3 from t0 = 0.1 to 0.5: the same bits and Newton
+    # counts as without drift, and every solve on the support window
+    nu = source_field(2.0, 0.1, 800)
+    config = SolverConfig(lambda_step=5e-3)
+    expected = step_chain(nu, 0.4, config, SPEC, ZERO_DRIFT)
+    sizes = []
+    solve = fpe_solver._tridiagonal_solve
+
+    def recorded(bands, rhs):
+        sizes.append(rhs.size)
+        return solve(bands, rhs)
+
+    monkeypatch.setattr(fpe_solver, "_tridiagonal_solve", recorded)
+    assert_same_chain(step_chain(nu, 0.4, config, SPEC, B_ZERO_DRIFT), expected)
+    assert sizes and max(sizes) < nu.n_cells
 
 
 def test_drift_free_newton_solves_the_support_window_only(monkeypatch):
@@ -390,7 +413,7 @@ def test_step_chain_mass_and_positivity():
     masses = traj.values.sum(axis=1) * nu.cell_width
     assert np.max(np.abs(masses - 1.0)) <= 1e-8
     assert traj.values.min() >= 0.0
-    assert traj.total_clipped_mass() <= 1e-6
+    assert sum(info.clipped_mass for info in traj.infos) <= 1e-6
 
 
 @pytest.mark.parametrize("drift", [ZERO_DRIFT, tanh_drift(0.25),
@@ -402,7 +425,7 @@ def test_step_chain_conserves_mass_to_roundoff(drift):
     nu = barenblatt_field(0.1, n=400)
     traj = step_chain(nu, 0.1, SolverConfig(lambda_step=1e-3), SPEC, drift)
     masses = traj.values.sum(axis=1) * nu.cell_width
-    assert traj.total_clipped_mass() == 0.0
+    assert sum(info.clipped_mass for info in traj.infos) == 0.0
     assert np.max(np.abs(masses - nu.mass())) <= 16 * 2.22e-16
 
 
@@ -547,18 +570,18 @@ def test_jacobian_bands_match_finite_differences_with_saturating_b(amp):
     drift = saturating_drift(amp)
     f = random_smooth_field(3, n=64)
     u = f.values * (1.0 + 0.3 * np.random.default_rng(0).uniform(size=64))
-    lam, dx = 0.5 * lambda_zero(drift), f.cell_width
-    adv = fpe_solver._Advection(drift, f.edges)
+    lam = 0.5 * lambda_zero(drift)
+    op = _Operator(f, SPEC, drift)
 
     def operator(v):
-        return v + lam * _apply_operator(v, dx, SPEC, adv)
+        return v + lam * op.apply(v)
 
     fd = np.empty((u.size, u.size))
     for j in range(u.size):
         e = np.zeros(u.size)
         e[j] = 1e-6 * max(1.0, u[j])
         fd[:, j] = (operator(u + e) - operator(u - e)) / (2.0 * e[j])
-    dl, d, du = _jacobian_bands(u, SPEC, fpe_solver._Jacobian(lam, dx, u.size, adv))
+    dl, d, du = op.jacobian(lam, u.size)(u)
     bands = np.diag(d) + np.diag(du, 1) + np.diag(dl, -1)
     assert np.max(np.abs(bands - fd)) <= 1e-9 * np.max(np.abs(bands))
 
@@ -703,8 +726,7 @@ def test_stack_failure_names_the_step_and_row(monkeypatch):
                         lambda bands, rhs: (rhs, 207))
     with pytest.raises(SolverError, match="gtsv info 207") as err:
         step_chain((nu1, nu2), 0.02, SolverConfig(lambda_step=lam), SPEC, drift)
-    adv = fpe_solver._Advection(drift, nu2.edges)
-    start = nu2.values + lam * _apply_operator(nu2.values, nu2.cell_width, SPEC, adv) \
+    start = nu2.values + lam * _Operator(nu2, SPEC, drift).apply(nu2.values) \
         - nu2.values
     assert err.value.residual == float(np.sum(np.abs(start)) * nu2.cell_width)
     assert (err.value.step, err.value.row) == (0, 1)
@@ -782,7 +804,7 @@ def test_stack_gtsv_failure_in_the_last_block_names_the_last_row(monkeypatch):
     drift, lam = tanh_drift(0.25), 2e-3
     nu1, nu2 = random_smooth_field(7, n=200), random_smooth_field(8, n=200)
     n, dx = nu2.n_cells, nu2.cell_width
-    adv = fpe_solver._Advection(drift, nu2.edges)
+    op = _Operator(nu2, SPEC, drift)
     # the chain of three rows below: its rows' Newton counts at step 0, and
     # row 2's first iterate
     fields = (random_smooth_field(6, n=200), nu1, nu2)
@@ -794,10 +816,9 @@ def test_stack_gtsv_failure_in_the_last_block_names_the_last_row(monkeypatch):
     fs = (np.zeros(n), nu1.values, nu2.values)
     calls = _fail_in_last_block(monkeypatch, 3, n)
     with pytest.raises(SolverError, match=f"gtsv info {3 * n}") as err:
-        fpe_solver._newton_stack(nu2, fs, fs, lam, SPEC, adv,
-                                 [np.empty(n) for _ in fs])
+        fpe_solver._newton_stack(op, fs, fs, lam, [np.empty(n) for _ in fs])
     assert calls == [3 * n]
-    start = nu2.values + lam * _apply_operator(nu2.values, dx, SPEC, adv) - nu2.values
+    start = nu2.values + lam * op.apply(nu2.values) - nu2.values
     assert err.value.residual == float(np.sum(np.abs(start)) * dx)
     assert err.value.row == 2
     message = str(err.value)
@@ -811,7 +832,7 @@ def test_stack_gtsv_failure_in_the_last_block_names_the_last_row(monkeypatch):
     with pytest.raises(SolverError, match=f"gtsv info {3 * n}") as err:
         step_chain(fields, 0.02, config, SPEC, drift)
     predictor = np.maximum(2.0 * u1 - nu2.values, 0.0)
-    res = predictor + lam * _apply_operator(predictor, dx, SPEC, adv) - u1
+    res = predictor + lam * op.apply(predictor) - u1
     assert (err.value.step, err.value.row) == (1, 2)
     assert err.value.residual == float(np.sum(np.abs(res)) * dx)
 

@@ -1,0 +1,98 @@
+"""The bytes of small CLI runs, pinned.
+
+Each config runs through ``cli.main``, and every file it writes must have
+its pinned sha256; the report is hashed without its trailing wall_time
+record.  A change to the chain, the particle step or a writer that moves
+one bit of output fails here, including the steps of a drifted chain past
+the first, which ``trajectory.bin`` holds in full.
+
+The pins hold for numpy 2.4.6 and scipy 1.17.1.  Another numpy or LAPACK
+may round differently: re-pin only after checking that the move comes from
+the libraries and not from the program.
+"""
+
+import hashlib
+
+import pytest
+
+from nemytskii_lab.cli import main
+
+_CHAIN = "m = 2.0\nt0 = 0.1\nT = 0.2\nn_cells = 200\nh = 5e-3\nlo = -4.0\nhi = 4.0\n"
+
+CONFIGS = {
+    "fpe-run": f"scenario = fpe-run\n{_CHAIN}",
+    "fpe-run-drift-binary": f"scenario = fpe-run\n{_CHAIN}drift = tanh_inward\n"
+                            "drift_amplitude = 0.25\ntrajectory_format = binary\n",
+    # E = -0.25 tanh(x) with b = 0: the drift E b vanishes
+    "fpe-run-b-zero": f"scenario = fpe-run\n{_CHAIN}drift = tanh_inward\n"
+                      "b_constant = 0.0\n",
+    "particle-run-dump": "scenario = particle-run\nm = 2.0\nt0 = 0.1\nT = 0.13\n"
+                         "n_particles = 2000\ndt = 1e-3\nseed = 4\ndump_stride = 10\n",
+    "compare": f"scenario = compare\n{_CHAIN}n_particles = 2000\ndt = 1e-3\nseed = 4\n",
+    "coupling-perturbed": "scenario = coupling\nm = 2.0\nt0 = 0.1\nT = 0.13\n"
+                          "n_particles = 1000\ndt = 1e-3\nperturbation = 1e-3\n"
+                          "seed = 5\n",
+}
+
+PINS = {
+    "compare": {
+        "report.ndjson":
+            "e9c8437ce288fc10d4826d1f851ac1c7d557dd9c833fc208e99b424759425d2e",
+        "trajectory.csv":
+            "b81e6cb4c2c2989be1c858acd362cbc157befc550a2f5f59e4b7df410f3e558d",
+    },
+    "coupling-perturbed": {
+        "coupling.ndjson":
+            "a695269d7626ed9393479c2433459b071d4d63ce44d83b96832c4d8353bfea47",
+        "report.ndjson":
+            "8718cf5a457d46db38376537bc0a5bbbada4238635bd34baf934e476928fcb85",
+    },
+    "fpe-run": {
+        "report.ndjson":
+            "bdacd358c893b58cc0e2d4f3337265d4fc62abf0f9630b89b734d7dfae0150da",
+        "trajectory.csv":
+            "b81e6cb4c2c2989be1c858acd362cbc157befc550a2f5f59e4b7df410f3e558d",
+    },
+    "fpe-run-b-zero": {
+        "report.ndjson":
+            "1b8a142754da1cfc3598b13062301a1eec6604006f04797c12b6b621301eb4db",
+        "trajectory.csv":
+            "b81e6cb4c2c2989be1c858acd362cbc157befc550a2f5f59e4b7df410f3e558d",
+    },
+    "fpe-run-drift-binary": {
+        "report.ndjson":
+            "1cca0efd08c5bd15a8f823b2278ac90a84e8ecb0fa284d2279d563b7d19c004b",
+        "trajectory.bin":
+            "6c0abc0864fd9938f19b2cb9fe0a29114821c6bb08eb7d90a54bcb820a274cec",
+    },
+    "particle-run-dump": {
+        "particles.csv":
+            "edb33ccd871516c34586160d979fec061995293d457ba1165d7a3f00f33a56d5",
+        "particles_dump.csv":
+            "0eebb42db747286ddc531bbe8f549c7bca3b12ff4b8f89421892160f62de59ea",
+        "report.ndjson":
+            "2dee6caf16d4fe1393e3e03871d79e08a6aa626e721d837e148350d8f87aad94",
+    },
+}
+
+
+def digest(path) -> str:
+    data = path.read_bytes()
+    if path.name == "report.ndjson":
+        data = b"".join(line for line in data.splitlines(keepends=True)
+                        if b'"wall_time"' not in line)
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_outputs(tmp_path, name) -> dict:
+    """{file name: digest} of everything config `name` writes."""
+    cfg = tmp_path / f"{name}.conf"
+    cfg.write_text(CONFIGS[name])
+    out = tmp_path / name
+    assert main(["run", str(cfg), "--output-dir", str(out)]) == 0
+    return {path.name: digest(path) for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_cli_output_bytes_are_pinned(tmp_path, name):
+    assert run_outputs(tmp_path, name) == PINS[name]
