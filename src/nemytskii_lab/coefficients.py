@@ -372,8 +372,11 @@ def lambda_zero(drift: DriftSpec) -> float:
     """Largest admissible resolvent step for the drifted problem.
 
     lambda_0 = (||(div E)^- + |E||| + ||(div E)^- + |E|||^{1/2} * ||b||)^{-1},
-    +inf when the denominator vanishes (no step restriction without drift).
+    +inf when the drift vanishes (no step restriction without advection;
+    E's norms do not enter when b = 0) or the denominator does.
     """
+    if drift.vanishes:
+        return math.inf
     c = drift.combined_sup()
     denom = c + math.sqrt(c) * drift.sup_norm_b
     return math.inf if denom == 0.0 else 1.0 / denom

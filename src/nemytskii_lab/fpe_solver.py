@@ -29,12 +29,16 @@ and the window is the whole grid.
 
 A chain is strictly sequential and runs in the calling thread; its iterates
 are the rows of one writable (N, n_cells) array.  step_chain also takes a
-tuple of fields on one grid and runs their chains as a stack: each Newton
-iteration solves all k rows of a (k, n) array with one gtsv call for their
-block-diagonal system, and only a row still above NEWTON_TOL takes its
-trial, so each row keeps its own line search and its own stop.  Each row
-equals its standalone chain bit for bit, and semigroup_distance runs its
-pair this way.  The rows of a stack share their windows' union.
+tuple of fields on one grid and runs their chains as a stack.  The k rows of
+a stack share their windows' union and lie end to end in one flat array,
+the layout of the gtsv bands; the faces between two rows (the seams) carry
+exactly zero flux and the bands couple no two rows.  Each Newton iteration
+solves all k rows with one gtsv call for their block-diagonal system, and
+only a row still above NEWTON_TOL takes its trial, so each row keeps its own
+line search and its own stop.  Each row equals its standalone chain bit for
+bit, and semigroup_distance runs its pair this way.  The arrays Newton
+writes (fluxes, bands, iterates, residuals) live in a workspace that the
+chain's _Operator allocates once and reuses at every step.
 
 scipy is imported only when a chain first solves: the first
 _tridiagonal_solve loads LAPACK gtsv from scipy.linalg and keeps it.  A
@@ -245,7 +249,7 @@ class Trajectory:
 
 class _Operator:
     """A(u) = -Lap_h beta(u) + div_h(E b(u) u) of one chain, with what Newton
-    needs of it: the cells it solves on and the Jacobian bands.
+    needs of it: the cells it solves on, the Jacobian bands and a workspace.
 
     Both fluxes are in conservation form with zero flux through the boundary,
     so telescoping conserves mass: the 3-point diffusive flux, and the
@@ -254,6 +258,19 @@ class _Operator:
     cell (the boundary faces carry no flux), b, and b's value b0 when b is
     constant.  When the drift vanishes there is none, and Newton runs on the
     window of the module docstring; otherwise on the whole grid.
+
+    A stack of k rows of width cells lies end to end in one flat array of
+    k*width cells, the layout of gtsv's bands.  The k - 1 faces between two
+    rows (the seams) carry exactly zero flux, as a row's boundary faces do,
+    and the band entries coupling two rows are 0, so each row's operator and
+    bands are those of the row alone.  The workspace holds every array the
+    Newton loop writes: the face fluxes, the bands, the right-hand side,
+    |res|, and the iterate, trial, residual and target buffers.  It is
+    allocated once, for k rows of the whole grid, and a stack uses views of
+    its first k*width cells.  The bands that depend only on the stack's shape
+    and lam (lam * lap_diag / dx**2 and, for a constant b, the advective
+    parts) are built when either changes, so a drifted chain builds them once
+    per distinct lam.
     """
 
     def __init__(self, grid: GridField, spec: NonlinearitySpec, drift: DriftSpec):
@@ -261,14 +278,21 @@ class _Operator:
         self.drifted = not drift.vanishes
         if self.drifted:
             e_face = np.asarray(drift.E(grid.edges), dtype=float)
-            self.ep = np.maximum(e_face[1:-1], 0.0)
-            self.em = np.minimum(e_face[1:-1], 0.0)
+            # the splits at the face after each cell of a row: its interior
+            # faces, then the seam to the next row, which carries no flux
+            self.ep = np.maximum(e_face[1:], 0.0)
+            self.em = np.minimum(e_face[1:], 0.0)
+            self.ep[-1] = self.em[-1] = 0.0
             epf = np.maximum(e_face, 0.0)
             emf = np.minimum(e_face, 0.0)
             epf[0] = emf[0] = epf[-1] = emf[-1] = 0.0
             self.outflow = epf[1:] - emf[:-1]
             self.b = drift.b
             self.b0 = float(np.asarray(drift.b(0.0))) if drift.b_is_constant else None
+        self._rows = 0       # rows of the whole grid the workspace holds
+        self._shape = None   # (k, width) of the stack its views span
+        self.cells = 0       # k * width
+        self._lam = None     # the lam of the constant bands
 
     def windows(self, fs, starts) -> list[tuple[int, int]]:
         """The cells (first, one past the last) Newton solves on for each row
@@ -288,71 +312,131 @@ class _Operator:
                          if occupied else (0, n))
         return spans
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """A(u) on each row of u, which spans a window of the grid."""
+    def _lay_out(self, k: int, width: int) -> None:
+        """Point the workspace's views at a stack of k rows of width cells,
+        width at most the grid's, allocating the workspace first if it holds
+        fewer than k rows of the grid."""
+        if (k, width) == self._shape:
+            return
+        if k > self._rows:
+            size = k * self.grid.n_cells
+            self._rows = k
+            # the diffusive and advective face fluxes; face 0 is never
+            # written and stays 0
+            self._faces = np.zeros((2, size + 1))
+            self._space = np.empty((12, size))
+            if self.drifted:
+                self._splits = np.tile(np.stack((self.ep, self.em, self.outflow)), k)
+        cells = k * width
+        self._shape, self.cells, self._lam = (k, width), cells, None
+        (self.u, self.trial, self.res, self.trial_res, self.target, self.rhs,
+         self.abs_res, dl, self._d, du, carried, product) = self._space[:, :cells]
+        self.abs_rows = self.abs_res.reshape(k, width)
+        # each flux at the faces inside the rows, after each cell, before
+        # each cell, and at the seams and the last boundary face
+        self._dif, self._adv = ((f[1:cells], f[1:cells + 1], f[:cells],
+                                 f[width:cells + 1:width]) for f in self._faces)
+        self._off, self._off_next = dl, dl[1:]
+        self._dl, self._du = dl[:-1], du[:-1]
+        # a row's last entries of dl and du would couple it to the next row
+        self._band_seams = (self._dl[width - 1::width], self._du[width - 1::width])
+        if self.drifted:
+            ep, em, self._outflow = self._splits[:, :cells]
+            self._ep, self._em = ep[:-1], em[:-1]
+            self._carried = (carried, carried[:-1], carried[1:])
+            self._product = product[:-1]
+
+    def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A(u) on each row of u, into out when given.  u holds the rows of
+        the stack last laid out (by jacobian); a u of another size is one row.
+        """
+        if u.size != self.cells:
+            self._lay_out(1, u.size)
+        if out is None:
+            out = np.empty(u.size)
         dx = self.dx
         bt = np.asarray(self.spec.beta(u))
-        faces = u.shape[:-1] + (u.shape[-1] + 1,)
 
-        # diffusive flux -D(beta)/dx at interior interfaces
-        dif_flux = np.zeros(faces)
-        dif_flux[..., 1:-1] = -(bt[..., 1:] - bt[..., :-1]) / dx
+        # diffusive flux -D(beta)/dx at the faces inside the rows
+        inner, after, before, seams = self._dif
+        np.subtract(bt[1:], bt[:-1], out=inner)
+        np.negative(inner, out=inner)
+        inner /= dx
+        seams[...] = 0.0
 
         if not self.drifted:
             # the zero advective flux, added as 0.0 to give the bits of the
             # sum below with a zero array
-            return (dif_flux[..., 1:] + 0.0 - dif_flux[..., :-1]) / dx
+            np.add(after, 0.0, out=out)
+            out -= before
+            out /= dx
+            return out
 
         # donor-cell advective flux of E * b(u) * u
-        adv_flux = np.zeros(faces)
-        carried = (self.b0 if self.b0 is not None else np.asarray(self.b(u))) * u
-        adv_flux[..., 1:-1] = self.ep * carried[..., :-1] + self.em * carried[..., 1:]
-        return (dif_flux[..., 1:] + adv_flux[..., 1:]
-                - dif_flux[..., :-1] - adv_flux[..., :-1]) / dx
+        carried, carried_lo, carried_hi = self._carried
+        np.multiply(self.b0 if self.b0 is not None else np.asarray(self.b(u)), u,
+                    out=carried)
+        adv_inner, adv_after, adv_before, adv_seams = self._adv
+        np.multiply(self._ep, carried_lo, out=adv_inner)
+        adv_inner += np.multiply(self._em, carried_hi, out=self._product)
+        adv_seams[...] = 0.0
+        np.add(after, adv_after, out=out)
+        out -= before
+        out -= adv_before
+        out /= dx
+        return out
 
-    def jacobian(self, lam: float, width: int):
-        """bands(u): the diagonals (dl, d, du) of the Jacobian of u + lam*A(u)
-        at u, one row or a (k, width) stack of rows of a window.
+    def jacobian(self, lam: float, width: int, k: int = 1):
+        """Lay out the workspace for a stack of k rows of width cells and
+        return bands(u): the diagonals (dl, d, du) of the Jacobian of
+        u + lam*A(u) at u, the rows of such a stack end to end.
 
         The bands are those of the block-diagonal (k*width) system, whose
         entries coupling one row to the next are 0.  dl[j] holds J[j+1, j]
         and du[j] holds J[j, j+1].  With beta' >= 0 and (b(r) r)' >= 0 every
         column is diagonally dominant with a diagonal of at least 1, so J is
-        nonsingular.  What stays fixed over one solve is computed here once:
-        lam * lap_diag / dx**2, and the advective terms when b is constant,
-        since (b(u) u)' is then b0.
+        nonsingular.  What stays fixed for this shape and lam is built here,
+        unless the last call built it: lam * lap_diag / dx**2, and the
+        advective terms when b is constant, since (b(u) u)' is then b0.  The
+        bands are views of the workspace, overwritten by the next bands(u).
         """
-        dx, dx2 = self.dx, self.dx**2
-        # lam * lap_diag / dx**2, with lap_diag 2 inside and 1 at the ends
-        lap = np.full(width, lam * 2.0 / dx2)
-        lap[0] = lap[-1] = lam / dx2
-        if self.drifted:
-            diag, upper, lower = lam * self.outflow, lam * self.em, -lam * self.ep
-
-            def advective(gp):
-                """The advective parts of (d, du, dl) for the slope gp = (b(u) u)'."""
-                return (diag * gp / dx, upper * gp[..., 1:] / dx,
-                        lower * gp[..., :-1] / dx)
-
-            fixed = None if self.b0 is None else advective(np.full(width, self.b0))
-
-        def bands(u):
-            btp = np.asarray(self.spec.beta_prime(u))
-            d = 1.0 + lap * btp
-            off = -lam * btp / dx2   # -lam*beta'/dx^2 gives both off-diagonals
-            du = np.empty(off.size)
-            du[:-1] = off.ravel()[1:]
-            dl = off.reshape(-1)
-            # a row's last entries would couple it to the next row
-            du[width - 1::width] = dl[width - 1::width] = 0.0
+        self._lay_out(k, width)
+        if lam != self._lam:
+            self._lam, dx, dx2 = lam, self.dx, self.dx**2
+            # lam * lap_diag / dx**2, with lap_diag 2 inside a row and 1 at its ends
+            self._lap = np.full(self.cells, lam * 2.0 / dx2)
+            self._lap[::width] = self._lap[width - 1::width] = lam / dx2
             if self.drifted:
-                add_d, add_du, add_dl = fixed or advective(self.slope(u))
-                d += add_d
-                du.reshape(-1, width)[:, :-1] += add_du
-                dl.reshape(-1, width)[:, :-1] += add_dl
-            return dl[:-1], d.reshape(-1), du[:-1]
+                # the advective parts of (d, du, dl) are these times (b(u) u)' / dx
+                self._advective = (lam * self._outflow, lam * self._em, -lam * self._ep)
+                self._fixed = None if self.b0 is None else tuple(
+                    part * self.b0 / dx for part in self._advective)
+        return self._bands
 
-        return bands
+    def _bands(self, u: np.ndarray):
+        lam, dx = self._lam, self.dx
+        btp = np.asarray(self.spec.beta_prime(u))
+        d = np.multiply(self._lap, btp, out=self._d)
+        d += 1.0
+        # -lam*beta'/dx^2 gives both off-diagonals
+        off = np.multiply(-lam, btp, out=self._off)
+        off /= dx**2
+        dl, du = self._dl, self._du
+        du[...] = self._off_next
+        if self.drifted:
+            if self._fixed is not None:
+                add_d, add_du, add_dl = self._fixed
+            else:
+                gp = self.slope(u)
+                diag, upper, lower = self._advective
+                add_d, add_du, add_dl = (diag * gp / dx, upper * gp[1:] / dx,
+                                         lower * gp[:-1] / dx)
+            d += add_d
+            du += add_du
+            dl += add_dl
+        for seams in self._band_seams:
+            seams[...] = 0.0
+        return dl, d, du
 
     def slope(self, u: np.ndarray) -> np.ndarray:
         """(b(u) u)' = b(u) + b'(u) u, with b' by one central difference."""
@@ -393,14 +477,15 @@ def _newton_stack(op: _Operator, fs, starts, lam: float,
     """Solve u + lam*A(u) = f for each row f of fs by one damped Newton loop.
 
     fs, starts and outs hold one array of the grid's size per row: the
-    right-hand side, the Newton start and the output.  Each iteration solves
-    the whole (k, width) stack as one block-diagonal system and forms every
-    trial for all rows, but only a row still above NEWTON_TOL and still
-    searching takes its trial.  The blocks do not couple and all else works
-    row by row, so every row equals its own solve bit for bit.  The rows
-    share the union of their windows (op.windows).  The cells of the union
-    outside a row's own window stay 0 in that row, and the row's residual is
-    summed over its own window only, as its own solve sums it.
+    right-hand side, the Newton start and the output.  The rows share the
+    union of their windows (op.windows) and lie end to end in op's
+    workspace (see _Operator).  Each iteration solves the whole stack as one
+    block-diagonal system and forms every trial for all rows, but only a row
+    still above NEWTON_TOL and still searching takes its trial.  The blocks
+    do not couple and all else works row by row, so every row equals its
+    own solve bit for bit.  The cells of the union outside a row's own
+    window stay 0 in that row, and the row's residual is summed over its own
+    window only, as its own solve sums it.
 
     Raises SolverError naming the failing row (its index in fs) and stating
     lam, the iteration count and that row's residual.
@@ -411,18 +496,23 @@ def _newton_stack(op: _Operator, fs, starts, lam: float,
     width = hi - lo
     own = [(a - lo, b - lo) for a, b in spans]
     uniform = all(span == (0, width) for span in own)
-    target, u = np.empty((k, width)), np.empty((k, width))
-    for r in range(k):
-        target[r], u[r] = fs[r][lo:hi], starts[r][lo:hi]
-    bands = op.jacobian(lam, width)
+    bands = op.jacobian(lam, width, k)
+    u, trial, res, trial_res = op.u, op.trial, op.res, op.trial_res
+    target, rhs, size = op.target, op.rhs, op.abs_rows
+    for f, start, f_row, u_row in zip(fs, starts, target.reshape(k, width),
+                                      u.reshape(k, width)):
+        f_row[...], u_row[...] = f[lo:hi], start[lo:hi]
 
-    def residual(v):
-        """The residual at v, and its L1 norm per row as a list."""
-        res = v + lam * op.apply(v) - target
-        size = np.abs(res)
+    def residual(v, out):
+        """The residual at v into out, and its L1 norm per row as a list."""
+        op.apply(v, out)
+        out *= lam
+        out += v
+        out -= target
+        np.abs(out, out=op.abs_res)
         if uniform:
-            return res, (size.sum(axis=1) * dx).tolist()
-        return res, [float(size[r, a:b].sum() * dx) for r, (a, b) in enumerate(own)]
+            return (size.sum(axis=1) * dx).tolist()
+        return [float(size[r, a:b].sum() * dx) for r, (a, b) in enumerate(own)]
 
     def failure(what, row, iters):
         which = f" of row {row}" if k > 1 else ""
@@ -430,17 +520,18 @@ def _newton_stack(op: _Operator, fs, starts, lam: float,
                            f"{iters} iterations (residual {l1[row]:.3e})",
                            residual=l1[row], row=row)
 
-    def accept(rows, trial, trial_res, trial_l1):
+    def accept(rows, trial_l1):
         """Take the rows (a list of row indices) of the trial."""
-        nonlocal u, res, l1
+        nonlocal u, trial, res, trial_res, l1
         if len(rows) == k:
-            u, res, l1 = trial, trial_res, trial_l1
+            u, trial, res, trial_res, l1 = trial, u, trial_res, res, trial_l1
             return
-        u[rows], res[rows] = trial[rows], trial_res[rows]
+        u.reshape(k, width)[rows] = trial.reshape(k, width)[rows]
+        res.reshape(k, width)[rows] = trial_res.reshape(k, width)[rows]
         for r in rows:
             l1[r] = trial_l1[r]
 
-    res, l1 = residual(u)
+    l1 = residual(u, res)
     for r in range(k):
         if not math.isfinite(l1[r]):
             raise failure("has a non-finite residual", r, 0)
@@ -451,19 +542,18 @@ def _newton_stack(op: _Operator, fs, starts, lam: float,
             break
         for r in pending:
             iters[r] += 1
-        delta, info = _tridiagonal_solve(bands(u), -res.ravel())
+        delta, info = _tridiagonal_solve(bands(u), np.negative(res, out=rhs))
         if info != 0:
             raise failure(f"failed in the tridiagonal solve (gtsv info {info})",
                           (info - 1) // width, it)
-        delta = delta.reshape(k, width)
         # each pending row halves its step until its residual falls; the rows
         # still searching share the step, since they started together
         step = 1.0
         for _ in range(12):
-            trial = u + step * delta
-            trial_res, trial_l1 = residual(trial)
+            np.add(u, np.multiply(step, delta, out=trial), out=trial)
+            trial_l1 = residual(trial, trial_res)
             fell = [r for r in pending if trial_l1[r] < l1[r]]
-            accept(fell, trial, trial_res, trial_l1)
+            accept(fell, trial_l1)
             if len(fell) == len(pending):
                 break
             pending = [r for r in pending if r not in fell]
@@ -472,31 +562,36 @@ def _newton_stack(op: _Operator, fs, starts, lam: float,
                 halvings[r] += 1
         else:
             # damped fixed-point fallback
-            trial = u - 0.5 * res
-            trial_res, trial_l1 = residual(trial)
+            np.subtract(u, np.multiply(0.5, res, out=trial), out=trial)
+            trial_l1 = residual(trial, trial_res)
             for r in pending:
                 if not trial_l1[r] < l1[r]:
                     raise failure("stalled", r, it)
                 fallbacks[r] += 1
-            accept(pending, trial, trial_res, trial_l1)
+            accept(pending, trial_l1)
     for r in range(k):
         if l1[r] > NEWTON_TOL:
             raise failure(f"did not reach tol {NEWTON_TOL:.1e}", r, NEWTON_MAX_ITER)
 
+    rows = u.reshape(k, width)
+    if uniform:
+        clipped = (np.maximum(-rows, 0.0).sum(axis=1) * dx).tolist()
+        lows = rows.min(axis=1).tolist()
+    else:
+        clipped = [float(np.maximum(-rows[r, a:b], 0.0).sum() * dx)
+                   for r, (a, b) in enumerate(own)]
+        lows = [float(rows[r, a:b].min()) for r, (a, b) in enumerate(own)]
     solutions = []
     for r, ((a, b), out) in enumerate(zip(own, outs)):
         # the cells outside the row's window are exactly 0
-        row = u[r, a:b]
-        clipped = float(np.maximum(-row, 0.0).sum() * dx)
-        preclip_min = float(row.min())
         out[:lo + a] = 0.0
         out[lo + b:] = 0.0
-        np.maximum(row, 0.0, out=out[lo + a:lo + b])
+        np.maximum(rows[r, a:b], 0.0, out=out[lo + a:lo + b])
         # clipped at 0 from a finite residual, so finite and nonnegative
         field = GridField._trusted(op.grid.lo, op.grid.hi, out)
         solutions.append(ResolventSolution(
             field=field, residual_l1=l1[r], newton_iters=iters[r],
-            clipped_mass=clipped, preclip_min=preclip_min,
+            clipped_mass=clipped[r], preclip_min=lows[r],
             halvings=halvings[r], fallbacks=fallbacks[r]))
     return solutions
 

@@ -339,20 +339,25 @@ def test_preclip_undershoot_row_reads_before_the_clip(tmp_path, monkeypatch):
 
 def test_fpe_run_zero_amplitude_drift_checks_the_closed_form(tmp_path):
     # a drift of amplitude 0, or with b = 0, leaves the porous-medium
-    # equation, so the run keeps its entropy and closed-form rows
-    for key in ("drift_amplitude", "b_constant"):
-        s = Scenario(name="fpe-run",
-                     params={"m": 2.0, "t0": 0.1, "T": 0.2, "n_cells": 200,
-                             "h": 5e-3, "lo": -4.0, "hi": 4.0,
-                             "drift": "tanh_inward", key: 0.0},
-                     output_dir=tmp_path / key)
-        assert run_scenario(s) == 0
-        rows = [r for r in read_report(tmp_path / key / "report.ndjson")
-                if "check_id" in r]
+    # equation, so the run keeps its entropy and closed-form rows, and E's
+    # norms do not enter its sup-norm bound: its linf_growth_ratio is that
+    # of the run without drift
+    chain = {"m": 2.0, "t0": 0.1, "T": 0.2, "n_cells": 200, "h": 5e-3,
+             "lo": -4.0, "hi": 4.0}
+    ratios = []
+    for key in ("drift_amplitude", "b_constant", None):
+        params = dict(chain) if key is None else \
+            {**chain, "drift": "tanh_inward", key: 0.0}
+        out = tmp_path / str(key)
+        assert run_scenario(Scenario(name="fpe-run", params=params,
+                                     output_dir=out)) == 0
+        rows = [r for r in read_report(out / "report.ndjson") if "check_id" in r]
         ids = [r["check_id"] for r in rows]
         assert ids[-3:] == ["linf_growth_ratio", "entropy_audit_max",
                             "l1_error_vs_closed_form"]
         assert rows[-3]["tolerance"] == 1.0 + 1e-6
+        ratios.append(rows[-3]["achieved"])
+    assert ratios[0] == ratios[1] == ratios[2]
 
 
 def test_fpe_run_with_drift_and_binary_trajectory(tmp_path):

@@ -331,9 +331,12 @@ def test_lambda_zero_cases():
     d1 = DriftSpec(E=lambda x: x, b=lambda r: np.ones_like(r), sup_norm_E=1.0,
                    sup_norm_b=1.0, div_E_minus_sup=0.0, sup_div_minus_plus_E=1.0)
     assert lambda_zero(d1) == pytest.approx(0.5, abs=1e-15)
+    # b = 0: the drift E b vanishes, so E's norms restrict no step
     d2 = DriftSpec(E=lambda x: x, b=lambda r: np.zeros_like(r), sup_norm_E=4.0,
                    sup_norm_b=0.0, div_E_minus_sup=0.0, sup_div_minus_plus_E=4.0)
-    assert lambda_zero(d2) == pytest.approx(0.25, abs=1e-15)
+    assert lambda_zero(d2) == math.inf
+    assert lambda_zero(DriftSpec.constant_b(E=np.tanh, b0=0.0, sup_norm_E=1.0,
+                                            div_E_minus_sup=1.0)) == math.inf
 
 
 def _monomial_drift(l: float) -> DriftSpec:

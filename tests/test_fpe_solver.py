@@ -757,12 +757,47 @@ STACK_ROWS = st.lists(st.one_of(
 @example(rows=[(10, 8), (230, 4)], drift="zero")   # disjoint windows
 @example(rows=[(10, 8), (120, 3), (230, 4), 7], drift="zero")
 @example(rows=[(10, 8), (230, 4), 7], drift="saturating_b")
+@example(rows=[(240, 16), (0, 8)], drift="tanh_inward")   # mass on both sides of a seam
 @settings(max_examples=25, deadline=None)
 def test_every_stack_row_equals_its_standalone_chain(rows, drift):
     fields = [random_smooth_field(row) if isinstance(row, int) else box_field(*row)
               for row in rows]
     assert_stack_matches_standalone(fields, 0.01, SolverConfig(lambda_step=2e-3),
                                     STACK_DRIFTS[drift])
+
+
+@pytest.mark.parametrize("drift", sorted(STACK_DRIFTS))
+def test_flat_stack_operator_and_bands_equal_each_rows(drift):
+    # three rows end to end: mass in the last cells of row 0 and the first
+    # cells of row 1 meets at the seam between them, and row 2 is full; the
+    # seams must carry no flux and the bands no coupling between rows
+    drift = STACK_DRIFTS[drift]
+    n, lam = 256, 2e-3
+    width = n if not drift.vanishes else 150   # a drift-free window of the grid
+    rows = [np.zeros(width), np.zeros(width), random_smooth_field(3, n=width).values]
+    rows[0][-9:] = np.linspace(0.5, 2.0, 9)
+    rows[1][:5] = np.linspace(1.5, 0.3, 5)
+    grid = box_field(0, 16, n=n)
+    alone = []
+    for row in rows:
+        op = _Operator(grid, SPEC, drift)
+        flux = op.apply(row).copy()
+        alone.append((flux, *(band.copy() for band in op.jacobian(lam, width)(row))))
+
+    op = _Operator(grid, SPEC, drift)
+    bands = op.jacobian(lam, width, len(rows))
+    stack = np.concatenate(rows)
+    flux = op.apply(stack)
+    dl, d, du = bands(stack)
+    for r, (row_flux, row_dl, row_d, row_du) in enumerate(alone):
+        cells = slice(r * width, (r + 1) * width)
+        assert np.array_equal(flux[cells].view(np.int64), row_flux.view(np.int64))
+        assert np.array_equal(d[cells].view(np.int64), row_d.view(np.int64))
+        inner = slice(r * width, (r + 1) * width - 1)
+        assert np.array_equal(dl[inner].view(np.int64), row_dl.view(np.int64))
+        assert np.array_equal(du[inner].view(np.int64), row_du.view(np.int64))
+    seams = slice(width - 1, None, width)
+    assert not dl[seams].any() and not du[seams].any()
 
 
 def test_every_newton_iteration_solves_the_whole_stack(monkeypatch):

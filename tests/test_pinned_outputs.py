@@ -55,7 +55,7 @@ PINS = {
     },
     "fpe-run-b-zero": {
         "report.ndjson":
-            "1b8a142754da1cfc3598b13062301a1eec6604006f04797c12b6b621301eb4db",
+            "0ca012baf80573d1217b8dcfdbb6d93e26e561d95a017ceb48df93f940b4320e",
         "trajectory.csv":
             "b81e6cb4c2c2989be1c858acd362cbc157befc550a2f5f59e4b7df410f3e558d",
     },
