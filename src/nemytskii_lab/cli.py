@@ -306,8 +306,7 @@ def _run_fpe(params, problem: Problem, out: Path) -> list[Check]:
     # residual tolerance, below which the values are not resolved.
     undershoot = max(0.0, -min(info.preclip_min for info in traj.infos))
     checks.append(_bound_check("preclip_undershoot", undershoot, NEWTON_TOL, 0.0))
-    # a vanishing drift (E b = 0) adds no growth, whatever E's norms
-    c = 0.0 if problem.drift_free else problem.drift.combined_sup()
+    c = problem.drift.growth_constant()
     nu_linf = nu.linf()
     # the rows are nonnegative, so their maxima are their sup norms
     linf_cap = max(m / (math.exp(math.sqrt(c) * t) * nu_linf)

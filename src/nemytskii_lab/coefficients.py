@@ -157,6 +157,12 @@ class DriftSpec:
             return self.sup_div_minus_plus_E
         return self.div_E_minus_sup + self.sup_norm_E
 
+    def growth_constant(self) -> float:
+        """The c of the step restriction and the sup-norm growth bound
+        exp(sqrt(c) t): combined_sup(), or 0 when the drift vanishes, since
+        E's norms do not enter a problem without advection."""
+        return 0.0 if self.vanishes else self.combined_sup()
+
 
 # ---------------------------------------------------------------------------
 # point evaluations
@@ -371,13 +377,11 @@ def entropy_Psi(spec: NonlinearitySpec, r):
 def lambda_zero(drift: DriftSpec) -> float:
     """Largest admissible resolvent step for the drifted problem.
 
-    lambda_0 = (||(div E)^- + |E||| + ||(div E)^- + |E|||^{1/2} * ||b||)^{-1},
-    +inf when the drift vanishes (no step restriction without advection;
-    E's norms do not enter when b = 0) or the denominator does.
+    lambda_0 = (c + c^{1/2} * ||b||)^{-1} with c = ||(div E)^- + |E|||, read
+    from drift.growth_constant() (0 for a vanishing drift); +inf when the
+    denominator vanishes (no step restriction without advection).
     """
-    if drift.vanishes:
-        return math.inf
-    c = drift.combined_sup()
+    c = drift.growth_constant()
     denom = c + math.sqrt(c) * drift.sup_norm_b
     return math.inf if denom == 0.0 else 1.0 / denom
 

@@ -346,14 +346,9 @@ class _Operator:
             self._carried = (carried, carried[:-1], carried[1:])
             self._product = product[:-1]
 
-    def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """A(u) on each row of u, into out when given.  u holds the rows of
-        the stack last laid out (by jacobian); a u of another size is one row.
-        """
-        if u.size != self.cells:
-            self._lay_out(1, u.size)
-        if out is None:
-            out = np.empty(u.size)
+    def apply(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """A(u) on each row of u, into out.  u and out hold the rows of the
+        stack that jacobian laid out last, end to end."""
         dx = self.dx
         bt = np.asarray(self.spec.beta(u))
 
@@ -386,7 +381,7 @@ class _Operator:
         out /= dx
         return out
 
-    def jacobian(self, lam: float, width: int, k: int = 1):
+    def jacobian(self, lam: float, width: int, k: int):
         """Lay out the workspace for a stack of k rows of width cells and
         return bands(u): the diagonals (dl, d, du) of the Jacobian of
         u + lam*A(u) at u, the rows of such a stack end to end.
@@ -574,24 +569,20 @@ def _newton_stack(op: _Operator, fs, starts, lam: float,
             raise failure(f"did not reach tol {NEWTON_TOL:.1e}", r, NEWTON_MAX_ITER)
 
     rows = u.reshape(k, width)
-    if uniform:
-        clipped = (np.maximum(-rows, 0.0).sum(axis=1) * dx).tolist()
-        lows = rows.min(axis=1).tolist()
-    else:
-        clipped = [float(np.maximum(-rows[r, a:b], 0.0).sum() * dx)
-                   for r, (a, b) in enumerate(own)]
-        lows = [float(rows[r, a:b].min()) for r, (a, b) in enumerate(own)]
     solutions = []
     for r, ((a, b), out) in enumerate(zip(own, outs)):
         # the cells outside the row's window are exactly 0
+        row = rows[r, a:b]
+        clipped = float(np.maximum(-row, 0.0).sum() * dx)
+        preclip_min = float(row.min())
         out[:lo + a] = 0.0
         out[lo + b:] = 0.0
-        np.maximum(rows[r, a:b], 0.0, out=out[lo + a:lo + b])
+        np.maximum(row, 0.0, out=out[lo + a:lo + b])
         # clipped at 0 from a finite residual, so finite and nonnegative
         field = GridField._trusted(op.grid.lo, op.grid.hi, out)
         solutions.append(ResolventSolution(
             field=field, residual_l1=l1[r], newton_iters=iters[r],
-            clipped_mass=clipped[r], preclip_min=lows[r],
+            clipped_mass=clipped, preclip_min=preclip_min,
             halvings=halvings[r], fallbacks=fallbacks[r]))
     return solutions
 

@@ -375,6 +375,14 @@ def test_drift_vanishes_when_E_or_b_is_zero():
                                     div_E_minus_sup=1.0).vanishes
 
 
+def test_a_vanishing_drift_has_no_growth_constant():
+    # E's norms enter only through the drift E b
+    kw = dict(E=np.tanh, sup_norm_E=1.0, div_E_minus_sup=1.0, sup_div_minus_plus_E=1.25)
+    assert DriftSpec.constant_b(b0=0.0, **kw).growth_constant() == 0.0
+    assert DriftSpec.constant_b(b0=1.0, **kw).growth_constant() == 1.25
+    assert DriftSpec.zero().growth_constant() == 0.0
+
+
 # -- guards that NaN fails ------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["sup_norm_E", "sup_norm_b", "div_E_minus_sup",

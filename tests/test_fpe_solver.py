@@ -63,6 +63,12 @@ def saturating_drift(amp):
         sup_div_minus_plus_E=1.25 * amp)
 
 
+def apply_alone(op, u):
+    """A(u) of op on one row u of the whole grid, laid out as a stack of one."""
+    op.jacobian(1e-3, u.size, 1)
+    return op.apply(u, np.empty(u.size))
+
+
 def barenblatt_field(t, n=500, lo=-6.0, hi=6.0):
     return GridField.from_function(lo, hi, n, lambda x: barenblatt_eval(P2, t, x)).normalized()
 
@@ -574,14 +580,14 @@ def test_jacobian_bands_match_finite_differences_with_saturating_b(amp):
     op = _Operator(f, SPEC, drift)
 
     def operator(v):
-        return v + lam * op.apply(v)
+        return v + lam * apply_alone(op, v)
 
     fd = np.empty((u.size, u.size))
     for j in range(u.size):
         e = np.zeros(u.size)
         e[j] = 1e-6 * max(1.0, u[j])
         fd[:, j] = (operator(u + e) - operator(u - e)) / (2.0 * e[j])
-    dl, d, du = op.jacobian(lam, u.size)(u)
+    dl, d, du = op.jacobian(lam, u.size, 1)(u)
     bands = np.diag(d) + np.diag(du, 1) + np.diag(dl, -1)
     assert np.max(np.abs(bands - fd)) <= 1e-9 * np.max(np.abs(bands))
 
@@ -726,7 +732,7 @@ def test_stack_failure_names_the_step_and_row(monkeypatch):
                         lambda bands, rhs: (rhs, 207))
     with pytest.raises(SolverError, match="gtsv info 207") as err:
         step_chain((nu1, nu2), 0.02, SolverConfig(lambda_step=lam), SPEC, drift)
-    start = nu2.values + lam * _Operator(nu2, SPEC, drift).apply(nu2.values) \
+    start = nu2.values + lam * apply_alone(_Operator(nu2, SPEC, drift), nu2.values) \
         - nu2.values
     assert err.value.residual == float(np.sum(np.abs(start)) * nu2.cell_width)
     assert (err.value.step, err.value.row) == (0, 1)
@@ -781,13 +787,14 @@ def test_flat_stack_operator_and_bands_equal_each_rows(drift):
     alone = []
     for row in rows:
         op = _Operator(grid, SPEC, drift)
-        flux = op.apply(row).copy()
-        alone.append((flux, *(band.copy() for band in op.jacobian(lam, width)(row))))
+        bands = op.jacobian(lam, width, 1)
+        flux = op.apply(row, np.empty(width))
+        alone.append((flux, *(band.copy() for band in bands(row))))
 
     op = _Operator(grid, SPEC, drift)
     bands = op.jacobian(lam, width, len(rows))
     stack = np.concatenate(rows)
-    flux = op.apply(stack)
+    flux = op.apply(stack, np.empty(stack.size))
     dl, d, du = bands(stack)
     for r, (row_flux, row_dl, row_d, row_du) in enumerate(alone):
         cells = slice(r * width, (r + 1) * width)
@@ -853,7 +860,7 @@ def test_stack_gtsv_failure_in_the_last_block_names_the_last_row(monkeypatch):
     with pytest.raises(SolverError, match=f"gtsv info {3 * n}") as err:
         fpe_solver._newton_stack(op, fs, fs, lam, [np.empty(n) for _ in fs])
     assert calls == [3 * n]
-    start = nu2.values + lam * op.apply(nu2.values) - nu2.values
+    start = nu2.values + lam * apply_alone(op, nu2.values) - nu2.values
     assert err.value.residual == float(np.sum(np.abs(start)) * dx)
     assert err.value.row == 2
     message = str(err.value)
@@ -867,7 +874,7 @@ def test_stack_gtsv_failure_in_the_last_block_names_the_last_row(monkeypatch):
     with pytest.raises(SolverError, match=f"gtsv info {3 * n}") as err:
         step_chain(fields, 0.02, config, SPEC, drift)
     predictor = np.maximum(2.0 * u1 - nu2.values, 0.0)
-    res = predictor + lam * op.apply(predictor) - u1
+    res = predictor + lam * apply_alone(op, predictor) - u1
     assert (err.value.step, err.value.row) == (1, 2)
     assert err.value.residual == float(np.sum(np.abs(res)) * dx)
 
