@@ -30,6 +30,10 @@ from .fpe_solver import (
     write_trajectory_binary,
 )
 
+# bound of the drift-free chain's l1_error_vs_closed_form row
+L1_TOL = 0.02
+
+
 class ConfigError(ValueError):
     """Carries every validation problem found, not just the first."""
 
@@ -55,7 +59,7 @@ def _value_problem(key: str, value) -> str | None:
     """Why a config value is unusable: not finite, or a count not whole."""
     if isinstance(value, float) and not math.isfinite(value):
         return f"{key} must be finite, got {value!r}"
-    counts = ("n_cells", "n_particles", "dump_stride", "n_grid", "seed")  # read by int()
+    counts = ("n_cells", "n_particles", "dump_stride", "seed")  # read by int()
     if key in counts and (not isinstance(value, (int, float)) or value % 1):
         return f"{key} must be a whole number, got {value!r}"
     return None
@@ -66,12 +70,13 @@ def parse_config(text: str, overrides: dict | None = None) -> Scenario:
 
     Values are typed as int, then float, then bare string.  overrides (the
     command line's values) replace the file's and are checked like them.  A
-    non-finite number, a count that is not whole and a key that neither the
-    scenario nor its drift kind reads are problems; all problems are
-    collected (with line numbers) before raising.
+    non-finite number, a count that is not whole, a key given twice and a key
+    that neither the scenario nor its drift kind reads are problems; all
+    problems are collected (with line numbers) before raising.
     """
     problems: list[str] = []
     params: dict = {}
+    set_on: dict[str, int] = {}   # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -85,6 +90,11 @@ def parse_config(text: str, overrides: dict | None = None) -> Scenario:
         if not key or not value:
             problems.append(f"line {lineno}: empty key or value")
             continue
+        if key in set_on:
+            problems.append(f"line {lineno}: key {key!r} already set on line "
+                            f"{set_on[key]}")
+            continue
+        set_on[key] = lineno
         params[key] = _type_value(value)
         problem = _value_problem(key, params[key])
         if problem:
@@ -220,11 +230,6 @@ class Problem:
     drift: DriftSpec
     source: closed_form.BarenblattParams
 
-    @property
-    def drift_free(self) -> bool:
-        """Only then is the source-type solution the oracle for the chain and the particles."""
-        return self.drift.vanishes
-
     def density(self, t: float):
         """x -> the source-type solution at time t."""
         return lambda x: closed_form.barenblatt_eval(self.source, t, x)
@@ -311,16 +316,15 @@ def _run_fpe(params, problem: Problem, out: Path) -> list[Check]:
     # the rows are nonnegative, so their maxima are their sup norms
     linf_cap = max(m / (math.exp(math.sqrt(c) * t) * nu_linf)
                    for t, m in zip(times, values.max(axis=1).tolist()))
-    linf_tol = 1.0 + 1e-6 if problem.drift_free else 1.001
+    linf_tol = 1.0 + 1e-6 if problem.drift.vanishes else 1.001
     checks.append(_bound_check("linf_growth_ratio", linf_cap, linf_tol, 1.0))
-    if problem.drift_free:
+    if problem.drift.vanishes:
         # only the porous-medium equation has the entropy and closed-form oracles
         audit = entropy_audit(traj, problem.spec)
         checks.append(_bound_check("entropy_audit_max",
                                    max(r.audit_value for r in audit), 1e-6, 0.0))
         err = traj.final.l1_distance(problem.field(T_final, *grid))
-        checks.append(_bound_check("l1_error_vs_closed_form", err,
-                                   float(params.get("l1_tol", 0.02)), 0.0))
+        checks.append(_bound_check("l1_error_vs_closed_form", err, L1_TOL, 0.0))
 
     if trajectory_format == "binary":
         with _Artifact(out / "trajectory.bin") as fh:
@@ -359,7 +363,7 @@ def _run_particles(params, problem: Problem, out: Path) -> list[Check]:
                               keep_positions=dump_stride > 0)
 
     checks = _hypothesis_rows(problem, gated=False)
-    if problem.drift_free:
+    if problem.drift.vanishes:
         t = result.times[-1]
         target_var = closed_form.barenblatt_moment2(problem.source, t)
         achieved = result.variances[-1]
@@ -390,39 +394,13 @@ def _run_compare(params, problem: Problem, out: Path) -> list[Check]:
     solution is their oracle (drift-free); a drifted run has none yet."""
     config = _sim_config(params, problem)   # checked before the chain writes
     checks = _run_fpe(params, problem, out)
-    if problem.drift_free:
+    if problem.drift.vanishes:
         result = particle_sim.run(config, problem.spec, problem.drift,
                                   initial_density=problem.density(config.t0))
         # the particles stop at the step nearest T, as particle-run's do
         checks.append(_w1_row("w1_particle_vs_closed_form", problem,
                               result.final.positions, result.final.t, _grid(params)))
     return checks
-
-
-def _run_regularity(params, problem: Problem, out: Path) -> list[Check]:
-    """profile.csv of seminorm and time exponent per s; gates no row, since
-    integrability (s < 2p/m) is closed_form's exponent algebra, not measured."""
-    bb = problem.source
-    m = bb.m
-    p_exp = float(params["p"])
-    _, condition = closed_form.regularity_threshold(m, p_exp)
-    n_grid = int(params.get("n_grid", 801))
-    if n_grid < 3:   # the refinement flag compares against every other sample
-        raise ValueError(f"n_grid must be at least 3, got {n_grid}")
-    grid = np.linspace(-1.2 * bb.support_radius_t1, 1.2 * bb.support_radius_t1,
-                       n_grid)
-    profile = np.maximum(bb.C_norm - bb.k * grid**2, 0.0) ** (p_exp / (m - 1.0))
-    f = analysis.SampledFunction(grid=grid, values=profile)
-    rows = []
-    for s in np.arange(0.1, 0.96, 0.05):
-        res = analysis.gagliardo_seminorm(f, float(s), m / p_exp)
-        e, integrable = closed_form.time_integrability_exponent(bb, p_exp, float(s))
-        rows.append((float(s), res.value, res.converged, res.divergent, e, integrable))
-    with _Artifact(out / "profile.csv") as fh:
-        fh.write("s,seminorm,converged,divergent,time_exponent,integrable\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    return [_flag_check("density_condition", condition, gated=False)]
 
 
 def _run_coupling(params, problem: Problem, out: Path) -> list[Check]:
@@ -456,7 +434,7 @@ def _run_hypotheses(params, problem: Problem, out: Path) -> list[Check]:
 # optional config keys of every scenario, read by _build_problem and parse_config;
 # each drift kind adds the keys _DRIFT_TABLE lists for it
 _COMMON_KEYS = ("zeta", "drift", "output_dir")
-_FPE_KEYS = ("lo", "hi", "l1_tol", "trajectory_format")
+_FPE_KEYS = ("lo", "hi", "trajectory_format")
 
 # scenario name -> (runner, required keys, optional keys besides _COMMON_KEYS)
 # in list-scenarios order, as the README's scenario table lists them
@@ -468,7 +446,6 @@ _SCENARIO_TABLE = {
     "compare": (_run_compare,
                 ("m", "t0", "T", "n_cells", "h", "n_particles", "dt"),
                 _FPE_KEYS + ("seed",)),
-    "regularity-scan": (_run_regularity, ("m", "p"), ("n_grid",)),
     "coupling": (_run_coupling,
                  ("m", "t0", "T", "n_particles", "dt", "perturbation"),
                  ("seed",)),
@@ -511,10 +488,15 @@ def main(argv=None) -> int:
             print(name)
         return 0
 
+    try:
+        text = args.config.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err
+        print(f"config error: {args.config}: {reason}", file=sys.stderr)
+        return 1
     seed = getattr(args, "seed", None)
     try:
-        scenario = parse_config(args.config.read_text(encoding="utf-8"),
-                                overrides=None if seed is None else {"seed": seed})
+        scenario = parse_config(text, overrides=None if seed is None else {"seed": seed})
     except ConfigError as err:
         for problem in err.problems:
             print(f"config error: {problem}", file=sys.stderr)

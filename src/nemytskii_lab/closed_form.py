@@ -9,8 +9,9 @@ closed form: substituting x = R sin(theta), R = sqrt(C/k), the mass is
 C^(q+1/2) k^(-1/2) B(1/2, q+1), so C = (sqrt(k) / B(1/2, q+1))^(1/(q+1/2)).
 The second moment at t = 1 is R^2 B(3/2, q+1) / B(1/2, q+1) = R^2/(2q+3).
 Only barenblatt_mass is a quadrature: it is the check on C that does not use
-the Beta function.  Also houses the fractional regularity exponent algebra
-used by the regularity scan.
+the Beta function.  Also houses the fractional regularity exponent algebra:
+the ceiling s < 2p/m and the time-integrability exponent, whose flip at that
+ceiling the acceptance battery's regularity dichotomy (criterion 9) checks.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from nemytskii_lab import analysis, cli, closed_form, particle_sim
 from nemytskii_lab.cli import (
     ConfigError,
     Scenario,
-    SCENARIOS,
     _Artifact,
     main,
     parse_config,
@@ -45,17 +44,36 @@ def test_parse_valid_config():
 
 
 def test_parse_comments_and_types():
-    s = parse_config("# header\nscenario = regularity-scan\nm = 2.0  # power\n"
-                     "p = 1.0\nn_grid = 401\ndrift = zero\n")
+    s = parse_config("# header\nscenario = particle-run\nm = 2.0  # power\n"
+                     "t0 = 0.1\nT = 0.2\ndt = 1e-3\nn_particles = 401\n"
+                     "drift = zero\n")
     assert s.params["drift"] == "zero"
-    assert isinstance(s.params["p"], float)
-    assert isinstance(s.params["n_grid"], int)
+    assert isinstance(s.params["dt"], float)
+    assert isinstance(s.params["n_particles"], int)
 
 
 def test_parse_unknown_scenario_lists_names():
+    # regularity-scan was a scenario once
+    for name in ("bogus", "regularity-scan"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"scenario = {name}\nm = 2.0\n")
+        assert err.value.problems == [
+            f"unknown scenario {name!r}; allowed: barenblatt-verify, fpe-run, "
+            "particle-run, compare, coupling, hypotheses-check"]
+
+
+def test_parse_rejects_a_key_given_twice():
     with pytest.raises(ConfigError) as err:
-        parse_config("scenario = bogus\n")
-    assert all(name in str(err.value) for name in SCENARIOS)
+        parse_config("scenario = barenblatt-verify\nm = 2.0\n# again\nm = 3.0\n")
+    assert err.value.problems == ["line 4: key 'm' already set on line 2"]
+    with pytest.raises(ConfigError) as err:
+        parse_config("scenario = barenblatt-verify\nm = 2.0\nscenario = fpe-run\n")
+    assert err.value.problems == ["line 3: key 'scenario' already set on line 1"]
+    # the command line's seed still replaces the file's
+    s = parse_config("scenario = coupling\nm = 2.0\nt0 = 0.1\nT = 0.2\n"
+                     "n_particles = 1000\ndt = 1e-3\nperturbation = 0\nseed = 5\n",
+                     overrides={"seed": 3})
+    assert s.params["seed"] == 3
 
 
 def test_parse_collects_all_errors():
@@ -116,10 +134,9 @@ def test_main_count_that_is_not_whole_is_a_config_error(tmp_path, capsys):
     ("fpe-run", "n_cells", "t0 = 0.1\nT = 0.2\nh = 1e-2\n"),
     ("particle-run", "n_particles", "t0 = 0.1\nT = 0.2\ndt = 1e-3\n"),
     ("particle-run", "dump_stride", "t0 = 0.1\nT = 0.2\nn_particles = 1000\ndt = 1e-3\n"),
-    ("regularity-scan", "n_grid", "p = 1.0\n"),
     ("coupling", "seed", "t0 = 0.1\nT = 0.2\nn_particles = 1000\ndt = 1e-3\n"
                          "perturbation = 0\n"),
-], ids=["n_cells", "n_particles", "dump_stride", "n_grid", "seed"])
+], ids=["n_cells", "n_particles", "dump_stride", "seed"])
 def test_parse_reads_a_count_only_as_a_whole_number(name, key, text):
     head = f"scenario = {name}\nm = 2.0\n{text}"
     for value, shown in (("2.5", "2.5"), ("ten", "'ten'")):
@@ -133,10 +150,10 @@ def test_parse_reads_a_count_only_as_a_whole_number(name, key, text):
 def test_parse_rejects_an_unknown_key_listing_the_known_ones():
     with pytest.raises(ConfigError) as err:
         parse_config("scenario = fpe-run\nm = 2.0\nt0 = 0.1\nT = 0.2\n"
-                     "n_cells = 64\nh = 1e-2\nl1tol = 1e-9\nepsilon_reg = 1e-6\n")
+                     "n_cells = 64\nh = 1e-2\nl1_tol = 1e-9\nepsilon_reg = 1e-6\n")
     (problem,) = err.value.problems
-    assert problem.startswith("scenario fpe-run: unknown key(s) 'l1tol', 'epsilon_reg'; ")
-    assert "l1_tol" in problem and "drift_amplitude" in problem
+    assert problem.startswith("scenario fpe-run: unknown key(s) 'l1_tol', 'epsilon_reg'; ")
+    assert "trajectory_format" in problem and "drift_amplitude" in problem
 
 
 def _readme_keys(text: str) -> tuple:
@@ -299,10 +316,11 @@ def test_fpe_run_with_T_not_after_t0_exits_1_naming_T(tmp_path, capsys):
     assert "horizon T" in capsys.readouterr().err
 
 
-def test_failing_check_exits_2_with_full_report(tmp_path):
+def test_failing_check_exits_2_with_full_report(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "L1_TOL", 1e-12)
     s = Scenario(name="fpe-run",
                  params={"m": 2.0, "t0": 0.1, "T": 0.2, "n_cells": 200,
-                         "h": 5e-3, "lo": -4.0, "hi": 4.0, "l1_tol": 1e-12},
+                         "h": 5e-3, "lo": -4.0, "hi": 4.0},
                  output_dir=tmp_path)
     assert run_scenario(s) == 2
     records = read_report(tmp_path / "report.ndjson")
@@ -580,43 +598,6 @@ def test_drifted_compare_has_no_particle_row(tmp_path):
     assert ids[-1] == "linf_growth_ratio"
 
 
-def test_regularity_scan_scenario(tmp_path):
-    s = Scenario(name="regularity-scan", params={"m": 2.0, "p": 1.0, "n_grid": 401},
-                 output_dir=tmp_path)
-    assert run_scenario(s) == 0
-    rows = (tmp_path / "profile.csv").read_text().splitlines()
-    assert rows[0].startswith("s,seminorm")
-    assert len(rows) > 10
-
-
-@pytest.mark.parametrize("n_grid", [1, 2])
-def test_regularity_scan_rejects_a_grid_below_three_points(tmp_path, capsys, n_grid):
-    s = Scenario(name="regularity-scan",
-                 params={"m": 2.0, "p": 1.0, "n_grid": n_grid}, output_dir=tmp_path)
-    assert run_scenario(s) == 1
-    assert f"n_grid must be at least 3, got {n_grid}" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.ndjson"]
-
-
-def test_regularity_scan_runs_on_three_points(tmp_path):
-    s = Scenario(name="regularity-scan",
-                 params={"m": 2.0, "p": 1.0, "n_grid": 3}, output_dir=tmp_path)
-    assert run_scenario(s) == 0
-    rows = (tmp_path / "profile.csv").read_text().splitlines()
-    assert len(rows) == 1 + 18   # s = 0.1, 0.15, ..., 0.95
-
-
-def test_regularity_scan_at_the_threshold_gates_no_row(tmp_path):
-    # s = 0.1 is s_max = 2p/m here; a row gating the integrability flip
-    # failed on e = -0.9999999999999999
-    s = Scenario(name="regularity-scan", params={"m": 8.0, "p": 0.4},
-                 output_dir=tmp_path)
-    assert run_scenario(s) == 0
-    rows = [r for r in read_report(tmp_path / "report.ndjson") if "check_id" in r]
-    assert [r["check_id"] for r in rows] == ["density_condition"]
-    assert (tmp_path / "profile.csv").read_text().splitlines()[1].startswith("0.1,")
-
-
 def test_hypotheses_scenario(tmp_path):
     s = Scenario(name="hypotheses-check", params={"m": 2.0}, output_dir=tmp_path)
     assert run_scenario(s) == 0
@@ -672,11 +653,33 @@ def test_coupling_scenario_and_determinism(tmp_path, name, params):
 # -- entry point ----------------------------------------------------------------
 
 def test_main_run_and_list(tmp_path, capsys):
-    cfg = tmp_path / "scan.conf"
-    cfg.write_text("scenario = regularity-scan\nm = 2.0\np = 1.0\nn_grid = 201\n")
+    cfg = tmp_path / "verify.conf"
+    cfg.write_text("scenario = barenblatt-verify\nm = 2.0\n")
     assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "report.ndjson").exists()
+    capsys.readouterr()
     assert main(["list-scenarios"]) == 0
-    assert "barenblatt-verify" in capsys.readouterr().out
+    assert capsys.readouterr().out.split() == [
+        "barenblatt-verify", "fpe-run", "particle-run", "compare", "coupling",
+        "hypotheses-check"]
+
+
+@pytest.mark.parametrize("command", ["run", "check-hypotheses"])
+def test_main_missing_config_is_a_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "no" / "such.cfg"
+    assert main([command, str(cfg)]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: {cfg}: No such file or directory\n"
+
+
+def test_main_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("scenario = barenblatt-verify\nm = 2.0  # \u00e9\n".encode("latin-1"))
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: 'utf-8' codec can't decode byte 0xe9")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_bad_config_exits_1(tmp_path, capsys):
@@ -698,19 +701,20 @@ def test_main_check_hypotheses(tmp_path):
     assert (out / "report.ndjson").exists()
 
 
+_FPE_RUN = "scenario = fpe-run\nt0 = 0.1\nT = 0.11\nn_cells = 64\nh = 1e-3\n"
 _SEEDLESS_CONFIGS = {
-    "fpe-run": "t0 = 0.1\nT = 0.11\nn_cells = 64\nh = 1e-3\n",
-    "barenblatt-verify": "",
-    "regularity-scan": "p = 1.0\nn_grid = 201\n",
-    "hypotheses-check": "",
+    "fpe-run": _FPE_RUN,
+    "fpe-run-drift": _FPE_RUN + "drift = tanh_inward\ndrift_amplitude = 0.5\n",
+    "barenblatt-verify": "scenario = barenblatt-verify\n",
+    "hypotheses-check": "scenario = hypotheses-check\n",
 }
 
 
 @pytest.mark.parametrize("name", sorted(_SEEDLESS_CONFIGS))
 def test_main_seed_of_a_scenario_without_one_is_a_config_error(tmp_path, capsys, name):
-    # --seed is checked like a seed line in the file
+    # --seed is checked like a seed line in the file, whatever the drift reads
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"scenario = {name}\nm = 2.0\n{_SEEDLESS_CONFIGS[name]}")
+    cfg.write_text(f"m = 2.0\n{_SEEDLESS_CONFIGS[name]}")
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--output-dir", str(out), "--seed", "5"]) == 1
     err = capsys.readouterr().err

@@ -602,6 +602,53 @@ def test_step_chain_drift_linf_bound():
         assert abs(row.sum() * nu.cell_width - 1.0) <= 1e-8
 
 
+
+@pytest.mark.parametrize("m", [2.0, 3.0])
+def test_chain_support_edge_tracks_the_free_boundary(m):
+    """Finite propagation: the chain's support ends just past R(t).
+
+    The porous medium equation moves its free boundary at finite speed
+    (Vazquez 2007, The Porous Medium Equation, Oxford); the discrete chain
+    must keep its support within a few cells of it.
+
+    From the source-type solution at t0 = 0.1 on [-6, 6], on 1000 and 2000
+    cells with h = 4/n_cells, the outermost cell above 1e-12 on each side
+    must end within [0, 5] cells beyond R(t) = support_radius(t) at t = 0.4
+    and 1.0.  Measured: +2.2 to +3.6 cells, equal on both sides; the bound 5
+    leaves one cell for the threshold (below) and 0.4 more.  A chain that
+    leaks mass into the vacuum, such as a 1e-10 floor on the iterate, puts
+    the edge at the wall.
+
+    Why 1e-12.  Past the front the discrete equation u_j + lam (2 beta(u_j)
+    - beta(u_(j-1)) - beta(u_(j+1))) / dx^2 = f_j gives u_j ~ f_j +
+    (lam/dx^2) u_(j-1)^m > 0: the scheme's solution is positive in every
+    cell, so an edge needs a threshold.  That tail falls doubly
+    exponentially: lam/dx^2 = n_cells/36 <= 56 here, so, f aside, a cell at
+    1e-6 is followed by one near 6e-11 and then by one near 2e-19 (m = 2).  Any
+    threshold from 1e-12 to 1e-6 thus moves the edge by at most one cell
+    (measured: the 1e-6 edge lies 0 or 1 cell inside).  Newton stops at an
+    L1 residual of NEWTON_TOL = 1e-12, to which a cell contributes about
+    dx u_j, so a cell below NEWTON_TOL/dx (1e-10 here) may read exactly 0
+    or not; by the same fall that too moves the edge by at most one cell.
+    The last nonzero cell (measured +5.2 to +8.6 cells out, at values down
+    to 1e-306) is where Newton stopped, not where the scheme's support
+    ends, and is not gated.
+    """
+    source = make_barenblatt(m)
+    spec = NonlinearitySpec.power_law(m)
+    for n in (1000, 2000):
+        nu = GridField.from_function(
+            -6.0, 6.0, n, lambda x: barenblatt_eval(source, 0.1, x)).normalized()
+        traj = step_chain(nu, 0.9, SolverConfig(lambda_step=4.0 / n), spec, ZERO_DRIFT)
+        for t in (0.4, 1.0):
+            u = traj.values[np.argmin(np.abs(traj.times - (t - 0.1)))]
+            above = np.flatnonzero(u > 1e-12)
+            radius = source.support_radius(t)
+            beyond = ((nu.edges[above[-1] + 1] - radius) / nu.cell_width,
+                      (-radius - nu.edges[above[0]]) / nu.cell_width)
+            assert all(0.0 <= b <= 5.0 for b in beyond), (n, t, beyond)
+
+
 # -- semigroup distance -------------------------------------------------------
 
 def test_semigroup_distance_identical_inputs():

@@ -484,6 +484,22 @@ def test_marginal_agreement_improves_with_n():
     assert w1s[0] > w1s[1] > w1s[2]
 
 
+
+def test_particles_stay_inside_the_free_boundary():
+    """Finite propagation: max |X| / R(t) at t = 0.4 and 1.0 lies in [0.97, 1.05].
+
+    From the source-type solution at t0 = 0.1, N = 5e3, dt = 1e-3, seed 7:
+    measured 0.9998 and 1.0052.  Seeds 1 to 8 gave 0.988 to 1.012, and N =
+    5e3 to 1e5 gave at most 1.029; the band leaves about 0.02 on each side.
+    """
+    cfg = small_config(n_particles=5000, T=1.0, seed=7)
+    res = run(cfg, SPEC2, ZERO_DRIFT, BB_INIT, snapshot_times=[0.4, 1.0],
+              keep_positions=True)
+    ratios = [float(np.max(np.abs(x))) / P2.support_radius(t)
+              for t, x in zip(res.times, res.position_snapshots)]
+    assert len(ratios) == 2 and all(0.97 <= r <= 1.05 for r in ratios), ratios
+
+
 # -- coupling ----------------------------------------------------------------------
 
 def test_coupling_zero_perturbation_exact():
