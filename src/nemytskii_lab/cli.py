@@ -171,12 +171,6 @@ class _Artifact:
         return False
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 @dataclass
 class Check:
     check_id: str
@@ -333,9 +327,9 @@ def _run_fpe(params, problem: Problem, out: Path) -> list[Check]:
         stride = max(1, len(times) // 10)
         with _Artifact(out / "trajectory.csv") as fh:
             fh.write("step,t,cell_center,value\n")
-            centers = [_fmt(x) for x in nu.centers.tolist()]
+            centers = [repr(x) for x in nu.centers.tolist()]
             for i in range(0, len(times), stride):
-                head = f"{i + 1},{_fmt(times[i])},"
+                head = f"{i + 1},{times[i]!r},"
                 fh.write("".join([f"{head}{x},{v!r}\n" for x, v in
                                   zip(centers, values[i].tolist())]))
     return checks
@@ -377,13 +371,13 @@ def _run_particles(params, problem: Problem, out: Path) -> list[Check]:
     with _Artifact(out / "particles.csv") as fh:
         fh.write("t,statistic,value\n")
         for t, mean, var in zip(result.times, result.means, result.variances):
-            fh.write(f"{_fmt(t)},mean,{_fmt(mean)}\n")
-            fh.write(f"{_fmt(t)},variance,{_fmt(var)}\n")
+            fh.write(f"{t!r},mean,{mean!r}\n")
+            fh.write(f"{t!r},variance,{var!r}\n")
     if dump_stride > 0:
         with _Artifact(out / "particles_dump.csv") as fh:
             fh.write("t,particle,position\n")
             for idx in range(0, len(result.position_snapshots), dump_stride):
-                head = f"{_fmt(result.times[idx])},"
+                head = f"{result.times[idx]!r},"
                 fh.write("".join([f"{head}{j},{x!r}\n" for j, x in enumerate(
                     result.position_snapshots[idx].tolist())]))
     return checks
@@ -489,7 +483,8 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        text = args.config.read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, which some editors write
+        text = args.config.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as err:
         reason = getattr(err, "strerror", None) or err
         print(f"config error: {args.config}: {reason}", file=sys.stderr)

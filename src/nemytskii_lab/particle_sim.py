@@ -6,18 +6,19 @@ Each particle moves by
 
 where u_hat is an Epanechnikov kernel-density estimate of the empirical law
 at Silverman's bandwidth, frozen at the start of the step (explicit
-coupling).  Noise comes from counter-based streams keyed by (seed, step), so
-runs are bit-reproducible, and same-noise coupled pairs of runs are exact.
+coupling).  The run owns the Brownian path: every ensemble of a run takes
+step s's normals from block (seed, s) of one counter-based stream, so runs
+are bit-reproducible and same-noise coupled pairs are exact by construction.
 A run and a coupled pair step through the same loop.
 
 A step's noise depends on nothing the step computes, so the loop starts one
-worker thread per run, which draws step s + 1's noise blocks while the
-calling thread runs step s.  The worker writes into one of two buffers per
-ensemble, and the calling thread reads a buffer only after the worker has
-returned it and never while the worker is filling it.  Everything else is a
-fixed sequence of whole-array numpy operations and reductions in the calling
-thread, so the same config and seed give the same bytes however the two
-threads are scheduled.  The worker is joined when the run ends, fails or is
+worker thread per run, which draws step s + 1's block while the calling
+thread runs step s.  The worker fills one of two buffers per ensemble, and
+the calling thread reads a buffer only after the worker has returned it and
+never while the worker is filling it.  Everything else is a fixed sequence
+of whole-array numpy operations and reductions in the calling thread, so
+the same config and seed give the same bytes however the two threads are
+scheduled.  The worker is joined when the run ends, fails or is
 closed early.
 
 The density snapshot finds each particle's cell by floor arithmetic and
@@ -105,19 +106,15 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """Positions plus the stream bookkeeping needed to reproduce the run.
+    """The particle positions at time t.
 
-    Particle i's noise at step s is entry i of the counter-based block keyed
-    by (seed, s); the ensemble therefore only needs the seed and the step
-    index to identify every per-particle stream state.  bounds is the
-    positions' (min, max), found once here and read by the watchdog,
-    Silverman's spread and the KDE grid.
+    The noise that moves them belongs to the run (see _steps), not to the
+    ensemble.  bounds is the positions' (min, max), found once here and read
+    by the watchdog, Silverman's spread and the KDE grid.
     """
 
     positions: np.ndarray
     t: float
-    seed: int
-    step_index: int
     bounds: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -196,7 +193,7 @@ def seed_from_density(density, n: int, seed: int, lo: float, hi: float,
     uni = _noise_block(seed, 0, n, kind="uniform")
     uni *= mass
     positions = np.interp(uni, cdf, x)
-    return ParticleEnsemble(positions=positions, t=t0, seed=seed, step_index=0)
+    return ParticleEnsemble(positions=positions, t=t0)
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +350,10 @@ def em_step(ensemble: ParticleEnsemble, dt: float, spec: NonlinearitySpec,
     as frozen_density returns; coupled twins pass the same one.  It is looked
     up once at the particles and must return a fresh array, which em_step
     clips in place and then fills with the new positions: the drift reads
-    it clipped at 0, the diffusion coefficient capped at clamp as well.  Vacuum regions (u_hat = 0) produce
-    exactly zero diffusion, preserving the degeneracy.  noise is the step's
-    block of standard normals, one per particle: the (seed, step_index + 1)
-    block of _noise_block, which the step loop draws ahead on its worker
-    thread.
+    it clipped at 0, the diffusion coefficient capped at clamp as well.
+    Vacuum regions (u_hat = 0) produce exactly zero diffusion, preserving the
+    degeneracy.  noise is the step's block of standard normals, one per
+    particle, which the step loop draws ahead on its worker thread.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -381,8 +377,7 @@ def em_step(ensemble: ParticleEnsemble, dt: float, spec: NonlinearitySpec,
     new_pos = np.add(pos, drift_term, out=dens)
     new_pos += sig2
     # replace checks the new positions (SimulationError with the index)
-    return replace(ensemble, positions=new_pos, t=ensemble.t + dt,
-                   step_index=ensemble.step_index + 1)
+    return replace(ensemble, positions=new_pos, t=ensemble.t + dt)
 
 
 @dataclass
@@ -411,22 +406,24 @@ def _steps(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
     one ensemble is a run, a same-noise pair is the coupled twin.  A watchdog
     aborts if any particle of any ensemble leaves 10 * DOMAIN_BOUND.
 
-    One worker thread draws the noise: while step s runs here, it fills step
-    s + 1's blocks, keyed by each ensemble's seed and step index, into the
-    other of two buffers per ensemble.  A buffer is read only after the
-    worker's future for it has returned, and refilled only once the step that
-    read it is done, so the bytes are those of drawing the blocks here.  The
-    worker is joined when the loop ends, raises or is closed early.
+    Step s (from 0) is driven by block (config.seed, s + 1); seeding drew
+    block 0.  While step s runs here, one worker thread draws step s + 1's
+    block into the first ensemble's buffer and copies it into the others',
+    the other of two buffers per ensemble.  A buffer is read only after the
+    worker's future for it has returned, and refilled only once the step
+    that read it is done, so the bytes are those of drawing the block here.
+    The worker is joined when the loop ends, raises or is closed early.
     """
     bound = 10.0 * DOMAIN_BOUND
     n_steps = config.n_steps
-    keys = [(e.seed, e.step_index) for e in ensembles]
     buffers = [[np.empty(e.n) for e in ensembles] for _ in range(2)]
 
     def draw(s: int):
-        """Step s's blocks (s counts from 0) into buffers[s % 2]."""
-        for (seed, first), out in zip(keys, buffers[s % 2]):
-            _noise_block(seed, first + s + 1, out.size, out=out)
+        """Step s's block into buffers[s % 2]."""
+        first, *rest = buffers[s % 2]
+        _noise_block(config.seed, s + 1, first.size, out=first)
+        for out in rest:
+            np.copyto(out, first)
 
     with ThreadPoolExecutor(max_workers=1,
                             thread_name_prefix="particle-noise") as worker:
@@ -444,7 +441,7 @@ def _steps(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
                 if max(e.bounds[1], -e.bounds[0]) > bound:
                     raise SimulationError(
                         f"particle blow-up beyond the watchdog bound {bound:g} "
-                        f"at step {e.step_index} (t = {e.t:g})",
+                        f"at step {s + 1} (t = {e.t:g})",
                         particle_index=int(np.argmax(np.abs(e.positions))))
             yield ensembles
 
@@ -501,12 +498,12 @@ def coupling_experiment(config: SimConfig, spec: NonlinearitySpec,
     """Same-noise twin runs sharing one frozen density per step.
 
     The second ensemble starts shifted by the perturbation; both are driven
-    by identical noise blocks and see the reference ensemble's KDE, mirroring
-    two solutions with identical time marginals.  Records the sup separation
-    and the Lyapunov statistic mean_i ln(|Z_i|^2/delta^2 + 1) per step, with
-    delta = COUPLING_DELTA.
-    Perturbation 0 reproduces bit-identical trajectories, hence exactly zero
-    separation.  The twins step through run's loop, watchdog included.
+    by the run's one Brownian path and see the reference ensemble's KDE,
+    mirroring two solutions with identical time marginals.  Records the sup
+    separation and the Lyapunov statistic mean_i ln(|Z_i|^2/delta^2 + 1) per
+    step, with delta = COUPLING_DELTA.  Perturbation 0 reproduces
+    bit-identical trajectories, hence exactly zero separation.  The twins
+    step through run's loop, watchdog included.
     """
     if not perturbation >= 0:
         raise ValueError(f"perturbation must be nonnegative, got {perturbation!r}")

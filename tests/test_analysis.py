@@ -39,6 +39,29 @@ def test_sampled_function_validation():
         SampledFunction(grid=np.array([0.0, 0.0, 1.0]), values=np.zeros(3))
 
 
+_UNIT = SampledFunction(grid=np.linspace(0.0, 1.0, 11), values=np.ones(11))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SampledFunction(grid=np.linspace(0.0, 1.0, 5), values=np.ones(4)),
+     "grid and values must be matching 1-D arrays"),
+    (lambda: SampledFunction(grid=np.linspace(0.0, 1.0, 5), values=np.ones((5, 1))),
+     "grid and values must be matching 1-D arrays"),
+    (lambda: SampledFunction(grid=np.linspace(0.0, 1.0, 5), values=np.ones(5),
+                             derivative_values=np.ones(4)),
+     "derivative samples must match the grid"),
+    (lambda: maximal_function(_UNIT, 0.0, 0.5), "R must be positive"),
+    (lambda: maximal_function(_UNIT, -1.0, 0.5), "R must be positive"),
+    (lambda: maximal_function(_UNIT, 0.1, 1.2), "x outside the sampled range"),
+    (lambda: maximal_function(_UNIT, 0.1, -0.2), "x outside the sampled range"),
+    (lambda: w1_distance(np.array([]), np.array([0.5])), "empty sample set"),
+], ids=["values-length", "values-2d", "derivative-length", "R-zero", "R-negative",
+        "x-right", "x-left", "w1-empty"])
+def test_analysis_input_guards_raise_with_their_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # -- maximal function ---------------------------------------------------------
 
 def test_maximal_constant():

@@ -262,6 +262,14 @@ def test_parse_missing_scenario():
         parse_config("m = 2.0\n")
 
 
+@pytest.mark.parametrize("line", ["= 2.0", "m =", "  =  # nothing"],
+                         ids=["empty-key", "empty-value", "both-empty"])
+def test_parse_rejects_a_line_with_an_empty_key_or_value(line):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"scenario = hypotheses-check\n{line}\n")
+    assert "line 2: empty key or value" in err.value.problems
+
+
 # -- scenarios ----------------------------------------------------------------
 
 def test_barenblatt_verify_scenario(tmp_path):
@@ -680,6 +688,17 @@ def test_main_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert err.startswith(f"config error: {cfg}: 'utf-8' codec can't decode byte 0xe9")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_main_config_with_a_byte_order_mark_runs(tmp_path):
+    text = b"scenario = barenblatt-verify\nm = 2.0\n"
+    reports = []
+    for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+        cfg = tmp_path / f"{name}.conf"
+        cfg.write_bytes(data)
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / name)]) == 0
+        reports.append(strip_wall_time((tmp_path / name / "report.ndjson").read_text()))
+    assert reports[0] == reports[1]
 
 
 def test_main_bad_config_exits_1(tmp_path, capsys):

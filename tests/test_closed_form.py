@@ -190,3 +190,19 @@ def test_threshold_consistent_with_time_exponent():
 def test_time_guard_rejects_nan(fn):
     with pytest.raises(ValueError, match="got nan"):
         fn(math.nan)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: regularity_threshold(1.0, 0.5), "m must exceed 1, got 1.0"),
+    (lambda: regularity_threshold(2.0, 0.0), r"p must lie in \(0, m\], got 0.0"),
+    (lambda: regularity_threshold(2.0, 2.5), r"p must lie in \(0, m\], got 2.5"),
+    (lambda: time_integrability_exponent(P2, 0.0, 0.5),
+     r"pw must lie in \(0, m\], got 0.0"),
+    (lambda: time_integrability_exponent(P2, 2.5, 0.5),
+     r"pw must lie in \(0, m\], got 2.5"),
+    (lambda: time_integrability_exponent(P2, 1.0, -0.1), "s must be nonnegative"),
+], ids=["threshold-m", "threshold-p-zero", "threshold-p-above-m", "exponent-pw-zero",
+        "exponent-pw-above-m", "exponent-negative-s"])
+def test_closed_form_input_guards_raise_with_their_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -408,3 +408,19 @@ def test_constant_b_rejects_a_nan_b0():
 def test_epsilon_guard_rejects_nan(fn, owner):
     with pytest.raises(ValueError, match="epsilon must be positive, got nan"):
         fn(owner, math.nan, np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: NonlinearitySpec.power_law(2.0, zeta=-0.1),
+     r"zeta must lie in \[0, 1\], got -0.1"),
+    (lambda: NonlinearitySpec.power_law(3.0, zeta=1.2),
+     r"zeta must lie in \[0, 1\], got 1.2"),
+    (lambda: capital_G(M2, -1e-3), r"G is defined for r >= 0"),
+    (lambda: capital_G(M2, np.array([1.0, -1.0])), r"G is defined for r >= 0"),
+    (lambda: entropy_Psi(M2, -1e-3), r"Psi is defined for r >= 0"),
+    (lambda: entropy_Psi(M2, np.array([1.0, -1.0])), r"Psi is defined for r >= 0"),
+], ids=["zeta-below-0", "zeta-above-1", "G-scalar", "G-array", "Psi-scalar",
+        "Psi-array"])
+def test_coefficients_input_guards_raise_with_their_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -495,6 +496,54 @@ def test_step_chain_rejects_a_non_positive_horizon(T):
 def test_solver_config_rejects_a_non_positive_step(h):
     with pytest.raises(ValueError, match="lambda_step must be positive"):
         SolverConfig(lambda_step=h)
+
+
+def test_solver_config_rejects_an_infinite_step():
+    # an infinite step once reached step_chain, whose last step then took
+    # 0 * inf and failed in Newton with lam = nan
+    with pytest.raises(ValueError, match="lambda_step must be positive and finite, got inf"):
+        SolverConfig(lambda_step=math.inf)
+
+
+# lambda_0 = 1/(c + c^(1/2) ||b||) = 0.5 with c = ||b|| = 1
+UNIT_DRIFT = DriftSpec(E=lambda x: np.ones_like(x), b=lambda r: np.ones_like(r),
+                       sup_norm_E=1.0, sup_norm_b=1.0, div_E_minus_sup=0.0,
+                       sup_div_minus_plus_E=1.0, b_is_constant=True)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.6])
+@pytest.mark.parametrize("solve", [
+    lambda f, lam: resolvent_solve(f, lam, SPEC, UNIT_DRIFT),
+    lambda f, lam: step_chain(f, 1.0, SolverConfig(lambda_step=lam), SPEC, UNIT_DRIFT),
+], ids=["resolvent_solve", "step_chain"])
+def test_the_step_restriction_names_lambda_and_lambda_zero(solve, lam):
+    message = (f"step lambda = {lam!r} violates the step restriction "
+               "0 < lambda < lambda_0 = 0.5")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve(gaussian_field(n=64).normalized(), lam)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GridField(1.0, 1.0, np.ones(16)), "need hi > lo"),
+    (lambda: GridField(0.0, 1.0, np.r_[np.ones(15), np.inf]),
+     "field values must be finite"),
+    (lambda: GridField(0.0, 1.0, np.ones(16)).l1_distance(GridField(0.0, 2.0, np.ones(16))),
+     "fields live on different grids"),
+    (lambda: GridField(0.0, 1.0, np.zeros(16)).normalized(),
+     "cannot normalize a zero field"),
+    (lambda: step_chain((), 0.1, SolverConfig(lambda_step=1e-3), SPEC, ZERO_DRIFT),
+     "step_chain needs at least one field"),
+], ids=["hi-not-above-lo", "non-finite", "l1-across-grids", "zero-field", "no-fields"])
+def test_fpe_solver_input_guards_raise_with_their_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0])
+def test_trajectory_before_its_first_step_is_the_initial_field(t):
+    nu = gaussian_field(n=64).normalized()
+    traj = step_chain(nu, 0.01, SolverConfig(lambda_step=5e-3), SPEC, ZERO_DRIFT)
+    assert traj.field_at(t) is traj.initial is nu
 
 
 def test_step_chain_clipped_mass_budget_aborts(monkeypatch):

@@ -96,20 +96,19 @@ def kde_density(ensemble: ParticleEnsemble, bandwidth: float, x):
 
 def test_kde_single_cluster_peak():
     pos = np.zeros(500)
-    ens = ParticleEnsemble(positions=pos, t=0.0, seed=0, step_index=0)
+    ens = ParticleEnsemble(positions=pos, t=0.0)
     # the Epanechnikov peak 0.75/h
     assert kde_density(ens, 0.5, 0.0) == pytest.approx(0.75 / 0.5, abs=1e-12)
 
 
 def test_kde_compact_support_vanishes():
     rng = np.random.default_rng(0)
-    ens = ParticleEnsemble(positions=rng.uniform(-1, 1, 500), t=0.0, seed=0,
-                           step_index=0)
+    ens = ParticleEnsemble(positions=rng.uniform(-1, 1, 500), t=0.0)
     assert kde_density(ens, 0.2, 5.0) == 0.0
 
 
 def test_kde_rejects_a_nan_bandwidth():
-    ens = ParticleEnsemble(positions=np.zeros(500), t=0.0, seed=0, step_index=0)
+    ens = ParticleEnsemble(positions=np.zeros(500), t=0.0)
     with pytest.raises(ValueError, match="bandwidth must be positive, got nan"):
         kde_density(ens, math.nan, 0.0)
 
@@ -157,7 +156,7 @@ def test_frozen_density_lookup_is_np_interp_bit_for_bit(seed, n, scale, center,
                                                         cells):
     rng = np.random.default_rng(seed)
     base = center + scale * rng.standard_normal(n)
-    base_ens = ParticleEnsemble(positions=base, t=0.0, seed=seed, step_index=0)
+    base_ens = ParticleEnsemble(positions=base, t=0.0)
     bw = particle_sim._silverman_bandwidth(base_ens)
     # add particles on every bin edge and node between the extreme particles,
     # and one ulp either side of each edge; the grid depends only on the
@@ -166,7 +165,7 @@ def test_frozen_density_lookup_is_np_interp_bit_for_bit(seed, n, scale, center,
     marks = np.concatenate([edges, np.nextafter(edges, -np.inf),
                             np.nextafter(edges, np.inf), grid0])
     pos = np.concatenate([base, marks[(marks >= base.min()) & (marks <= base.max())]])
-    ens = ParticleEnsemble(positions=pos, t=0.0, seed=seed, step_index=0)
+    ens = ParticleEnsemble(positions=pos, t=0.0)
     grid, _, counts, reference = _interp_reference(ens, bw, cells)
     assert np.array_equal(grid, grid0)
     got_grid, got_counts, evaluate = particle_sim._binned_kde(ens, bw, cells)
@@ -192,7 +191,7 @@ def test_frozen_density_counts_particles_on_the_extreme_nodes():
     # particles: nodes at the integers 1..4097, bin edges at the half-integers
     nodes = np.arange(1.0, 4098.0)
     pos = np.concatenate([nodes, nodes[:-1] + 0.5, [1.0, 4097.0]])
-    ens = ParticleEnsemble(positions=pos, t=0.0, seed=0, step_index=0)
+    ens = ParticleEnsemble(positions=pos, t=0.0)
     grid, _, counts, reference = _interp_reference(ens, 1e-20, 4096)
     assert np.array_equal(grid, nodes)
     assert counts[0] == 2 and counts[-1] == 3
@@ -213,8 +212,7 @@ def test_frozen_density_is_exact_on_coarse_grids(center, ulps):
     # extreme particles 24 steps either side of the centre, so the grid's
     # ends (2h further out) and its nodes are exact multiples of unit
     lo_p, hi_p = center - 24.0 * step, center + 24.0 * step
-    extremes = ParticleEnsemble(positions=np.repeat([lo_p, hi_p], 50), t=0.0,
-                                seed=0, step_index=0)
+    extremes = ParticleEnsemble(positions=np.repeat([lo_p, hi_p], 50), t=0.0)
     grid, edges, _, _ = _interp_reference(extremes, h, 64)
     assert np.array_equal(np.diff(grid), np.full(64, step))
     # particles on every node and edge between the extremes, and one ulp
@@ -223,7 +221,7 @@ def test_frozen_density_is_exact_on_coarse_grids(center, ulps):
     marks = np.concatenate([marks, np.nextafter(marks, -np.inf),
                             np.nextafter(marks, np.inf)])
     pos = np.concatenate([[lo_p, hi_p], marks[(marks >= lo_p) & (marks <= hi_p)]])
-    ens = ParticleEnsemble(positions=pos, t=0.0, seed=0, step_index=0)
+    ens = ParticleEnsemble(positions=pos, t=0.0)
     ref_grid, _, counts, reference = _interp_reference(ens, h, 64)
     assert np.array_equal(ref_grid, grid)
     got_grid, got_counts, evaluate = particle_sim._binned_kde(ens, h, 64)
@@ -239,33 +237,33 @@ def test_frozen_density_is_exact_on_coarse_grids(center, ulps):
 
 
 def test_frozen_density_rejects_a_grid_that_cannot_resolve_the_particles():
-    ens = ParticleEnsemble(positions=np.full(500, 1e4), t=0.0, seed=0, step_index=0)
+    ens = ParticleEnsemble(positions=np.full(500, 1e4), t=0.0)
     with pytest.raises(ValueError, match="does not resolve particles near 10000.0"):
         frozen_density(ens, 1e-12)
 
 
 # -- stepping ---------------------------------------------------------------------
 
-def _noise(ens):
-    """The block em_step takes for the ensemble's next step."""
-    return particle_sim._noise_block(ens.seed, ens.step_index + 1, ens.n)
+def _noise(ens, seed, step=1):
+    """The block that drives step `step` of a run seeded with `seed`."""
+    return particle_sim._noise_block(seed, step, ens.n)
 
 
 def test_em_step_vacuum_is_frozen():
     ens = seed_from_density(BB_INIT, 1000, 5, -5, 5, t0=T0)
     out = em_step(ens, 1e-3, SPEC2, ZERO_DRIFT,
                   density=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                  clamp=CLAMP, noise=_noise(ens))
+                  clamp=CLAMP, noise=_noise(ens, 5))
     assert np.array_equal(out.positions, ens.positions)
 
 
 def test_em_step_increment_scale():
     n = 200_000
     pos = np.zeros(n)
-    ens = ParticleEnsemble(positions=pos, t=0.0, seed=9, step_index=0)
+    ens = ParticleEnsemble(positions=pos, t=0.0)
     out = em_step(ens, 1e-2, SPEC2, ZERO_DRIFT,
                   density=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5),
-                  clamp=CLAMP, noise=_noise(ens))
+                  clamp=CLAMP, noise=_noise(ens, 9))
     # sigma^2 = 2 beta(0.5)/0.5 = 1, so the increment std is sqrt(dt)
     assert np.std(out.positions) == pytest.approx(math.sqrt(1e-2), rel=0.02)
 
@@ -274,9 +272,9 @@ def test_em_step_determinism():
     ens = seed_from_density(BB_INIT, 1000, 6, -5, 5, t0=T0)
     density = frozen_density(ens, particle_sim._silverman_bandwidth(ens))
     a = em_step(ens, 1e-3, SPEC2, ZERO_DRIFT, density=density, clamp=CLAMP,
-                noise=_noise(ens))
+                noise=_noise(ens, 6))
     b = em_step(ens, 1e-3, SPEC2, ZERO_DRIFT, density=density, clamp=CLAMP,
-                noise=_noise(ens))
+                noise=_noise(ens, 6))
     assert np.array_equal(a.positions, b.positions)
 
 
@@ -288,7 +286,7 @@ def test_em_step_non_finite_position_names_the_particle():
     with pytest.raises(SimulationError) as err:
         density = frozen_density(ens, particle_sim._silverman_bandwidth(ens))
         em_step(ens, 1e-3, SPEC2, nan_right, density=density, clamp=CLAMP,
-                noise=_noise(ens))
+                noise=_noise(ens, 7))
     assert err.value.particle_index == int(np.flatnonzero(ens.positions > 0)[0])
 
 
@@ -297,13 +295,13 @@ def test_ensemble_names_the_first_non_finite_particle(bad):
     pos = np.linspace(-1.0, 1.0, 500)
     pos[[137, 300]] = bad
     with pytest.raises(SimulationError, match="non-finite") as err:
-        ParticleEnsemble(positions=pos, t=0.0, seed=0, step_index=0)
+        ParticleEnsemble(positions=pos, t=0.0)
     assert err.value.particle_index == 137
 
 
 def test_ensemble_bounds_are_the_positions_min_and_max():
     pos = np.random.default_rng(3).standard_normal(500)
-    ens = ParticleEnsemble(positions=pos, t=0.0, seed=0, step_index=0)
+    ens = ParticleEnsemble(positions=pos, t=0.0)
     assert ens.bounds == (pos.min(), pos.max())
     moved = replace(ens, positions=pos + 1.0)
     assert moved.bounds == ((pos + 1.0).min(), (pos + 1.0).max())
@@ -358,11 +356,11 @@ def test_each_step_calls_sigma_squared_once_per_ensemble(monkeypatch, twins):
 def _hand_loop(cfg, drift, ensembles):
     """The ensembles after each step, with every noise block drawn here."""
     out = []
-    for _ in range(cfg.n_steps):
+    for s in range(cfg.n_steps):
         density = frozen_density(
             ensembles[0], particle_sim._silverman_bandwidth(ensembles[0]))
         ensembles = tuple(em_step(e, cfg.dt, SPEC2, drift, density, cfg.linf_clamp,
-                                  _noise(e)) for e in ensembles)
+                                  _noise(e, cfg.seed, s + 1)) for e in ensembles)
         out.append(ensembles)
     return out
 
@@ -396,6 +394,34 @@ def test_coupling_equals_a_loop_that_draws_its_own_noise(drift, perturbation):
         expected = (a.t, np.max(np.abs(z)),
                     np.mean(np.log(z * z / particle_sim.COUPLING_DELTA**2 + 1.0)))
         assert _same_bits([r.t, r.sup_distance, r.f_delta_mean], expected)
+
+
+@pytest.mark.parametrize("twins", [False, True], ids=["run", "coupling"])
+def test_each_step_draws_one_block_keyed_by_the_run_seed(monkeypatch, twins):
+    # the seeding uniforms are block 0; step s + 1 is driven by block s + 1,
+    # and a coupled pair's two blocks are one draw
+    keys = []
+    original = particle_sim._noise_block
+
+    def counted(seed, step, n, kind="normal", out=None):
+        keys.append((seed, step))
+        return original(seed, step, n, kind=kind, out=out)
+
+    monkeypatch.setattr(particle_sim, "_noise_block", counted)
+    cfg = small_config(n_particles=500, T=0.11)
+    if twins:
+        coupling_experiment(cfg, SPEC2, ZERO_DRIFT, 1e-3, BB_INIT)
+    else:
+        run(cfg, SPEC2, ZERO_DRIFT, BB_INIT)
+    assert keys == [(cfg.seed, s) for s in range(cfg.n_steps + 1)]
+
+
+def test_the_watchdog_names_the_step_of_the_loop():
+    blowup = DriftSpec.constant_b(E=lambda x: np.full_like(np.asarray(x, dtype=float), 1e7),
+                                  b0=1.0, sup_norm_E=1e7, div_E_minus_sup=0.0)
+    cfg = small_config(n_particles=200, dt=0.05, T=0.3)
+    with pytest.raises(SimulationError, match=r"at step 1 \(t = 0\.15\)"):
+        coupling_experiment(cfg, SPEC2, blowup, 0.0, BB_INIT)
 
 
 def test_the_step_loop_joins_its_one_worker_on_every_exit():
@@ -541,3 +567,24 @@ def test_sim_config_validation():
         small_config(dt=math.nan)
     with pytest.raises(ValueError, match=r"give no step: round\(\(T - t0\)/dt\) = 0"):
         small_config(T=T0 + 0.4 * small_config().dt)
+
+
+_FLAT = ParticleEnsemble(positions=np.linspace(-1.0, 1.0, 500), t=0.0)
+
+
+def _flat_step(dt, noise):
+    return em_step(_FLAT, dt, SPEC2, ZERO_DRIFT, density=lambda x: np.zeros_like(x),
+                   clamp=CLAMP, noise=noise)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ParticleEnsemble(positions=np.zeros(99), t=0.0),
+     "need at least 100 particles"),
+    (lambda: _flat_step(0.0, np.zeros(500)), "dt must be positive"),
+    (lambda: _flat_step(-1e-3, np.zeros(500)), "dt must be positive"),
+    (lambda: _flat_step(1e-3, np.zeros(499)),
+     r"noise block of shape \(499,\) for positions of shape \(500,\)"),
+], ids=["few-particles", "zero-dt", "negative-dt", "noise-shape"])
+def test_particle_sim_input_guards_raise_with_their_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -32,14 +32,33 @@ CONFIGS = {
     "coupling-perturbed": "scenario = coupling\nm = 2.0\nt0 = 0.1\nT = 0.13\n"
                           "n_particles = 1000\ndt = 1e-3\nperturbation = 1e-3\n"
                           "seed = 5\n",
+    # the drift branch of the particle step, alone and in a same-noise pair
+    "particle-run-drift": "scenario = particle-run\nm = 2.0\nt0 = 0.1\nT = 0.13\n"
+                          "n_particles = 2000\ndt = 1e-3\nseed = 4\n"
+                          "drift = tanh_inward\n",
+    "coupling-drift-perturbed": "scenario = coupling\nm = 2.0\nt0 = 0.1\nT = 0.13\n"
+                                "n_particles = 1000\ndt = 1e-3\nperturbation = 1e-3\n"
+                                "seed = 5\ndrift = tanh_inward\n",
+    "hypotheses-check": "scenario = hypotheses-check\nm = 2.0\ndrift = tanh_inward\n",
+    "barenblatt-verify": "scenario = barenblatt-verify\nm = 2.0\n",
 }
 
 PINS = {
+    "barenblatt-verify": {
+        "report.ndjson":
+            "35e9c418d7195a980a58fa1370d9f929b2ae2a84d4a99073a199cb656cb34272",
+    },
     "compare": {
         "report.ndjson":
             "e9c8437ce288fc10d4826d1f851ac1c7d557dd9c833fc208e99b424759425d2e",
         "trajectory.csv":
             "b81e6cb4c2c2989be1c858acd362cbc157befc550a2f5f59e4b7df410f3e558d",
+    },
+    "coupling-drift-perturbed": {
+        "coupling.ndjson":
+            "e669707355b0135df851fbb2cf311ba709c49516cda3e264db29e7e73ed87979",
+        "report.ndjson":
+            "20ade9da33c1eeac6c937d5024470d4971545d4af94bd385d96643607745cb51",
     },
     "coupling-perturbed": {
         "coupling.ndjson":
@@ -64,6 +83,16 @@ PINS = {
             "1cca0efd08c5bd15a8f823b2278ac90a84e8ecb0fa284d2279d563b7d19c004b",
         "trajectory.bin":
             "6c0abc0864fd9938f19b2cb9fe0a29114821c6bb08eb7d90a54bcb820a274cec",
+    },
+    "hypotheses-check": {
+        "report.ndjson":
+            "5bda9eadadaae1f154f2a4d57ec40bb1ed09841b86f0833308cdc720d1ab8a5a",
+    },
+    "particle-run-drift": {
+        "particles.csv":
+            "4b2034436752490612dae336f6dfbf87398799ef077df7ccdfd321495dc33792",
+        "report.ndjson":
+            "51af8795808229bb0d325346ce5180edb4c74e95d467e9434cf9fbd28745d05d",
     },
     "particle-run-dump": {
         "particles.csv":
