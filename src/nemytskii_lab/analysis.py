@@ -222,6 +222,9 @@ def _cdf_of(obj):
     n = samples.size
     if n == 0:
         raise ValueError("empty sample set")
+    # sorted, so -inf comes first and +inf and NaN come last
+    if not (math.isfinite(samples[0]) and math.isfinite(samples[-1])):
+        raise ValueError("samples must be finite")
 
     def evaluate(x):
         return np.searchsorted(samples, x, side="right") / n
@@ -235,7 +238,8 @@ def w1_distance(mu, nu) -> float:
     Both arguments may be a GridField or an array of samples.  The CDF
     difference is piecewise linear between merged breakpoints; each segment
     is integrated exactly (sign changes split analytically), so the triangle
-    inequality holds to roundoff for fields on a common grid.
+    inequality holds to roundoff for fields on a common grid.  Raises
+    ValueError for empty or non-finite samples or masses 1e-6 apart.
     """
     b1, f1, m1 = _cdf_of(mu)
     b2, f2, m2 = _cdf_of(nu)

@@ -38,7 +38,8 @@ only a row still above NEWTON_TOL takes its trial, so each row keeps its own
 line search and its own stop.  Each row equals its standalone chain bit for
 bit, and semigroup_distance runs its pair this way.  The arrays Newton
 writes (fluxes, bands, iterates, residuals) live in a workspace that the
-chain's _Operator allocates once and reuses at every step.
+chain's _Operator allocates at construction, sized for the chain's rows, and
+reuses at every step.
 
 scipy is imported only when a chain first solves: the first
 _tridiagonal_solve loads LAPACK gtsv from scipy.linalg and keeps it.  A
@@ -130,8 +131,10 @@ class GridField:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size < 16:
             raise ValueError("grid needs at least 16 cells")
-        if not self.hi > self.lo:
-            raise ValueError("need hi > lo")
+        # hi - lo is not finite when lo or hi is not, or when it overflows
+        if not 0.0 < self.hi - self.lo < math.inf:
+            raise ValueError(f"need hi > lo with finite lo, hi and hi - lo, got "
+                             f"lo = {self.lo!r} and hi = {self.hi!r}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
         if np.any(vals < 0):
@@ -262,44 +265,45 @@ class _Operator:
     Both fluxes are in conservation form with zero flux through the boundary,
     so telescoping conserves mass: the 3-point diffusive flux, and the
     donor-cell advective flux of E b(u) u.  The advection is built once per
-    chain: the splits of E at the interior faces, the outflow E+ - E- of each
-    cell (the boundary faces carry no flux), b, and b's value b0 when b is
+    chain: the splits E+ and E- of E at the faces, zero at the two boundary
+    faces, the outflow E+ - E- of each cell, b, and b's value b0 when b is
     constant.  When the drift vanishes there is none, and Newton runs on the
     window of the module docstring; otherwise on the whole grid.
 
-    A stack of k rows of width cells lies end to end in one flat array of
-    k*width cells, the layout of gtsv's bands.  The k - 1 faces between two
-    rows (the seams) carry exactly zero flux, as a row's boundary faces do,
-    and the band entries coupling two rows are 0, so each row's operator and
-    bands are those of the row alone.  The workspace holds every array the
-    Newton loop writes: the face fluxes, the bands, the right-hand side,
-    |res|, and the iterate, trial, residual and target buffers.  It is
-    allocated once, for k rows of the whole grid, and a stack uses views of
-    its first k*width cells.  The bands that depend only on the stack's shape
-    and lam (lam * lap_diag / dx**2 and, for a constant b, the advective
-    parts) are built when either changes, so a drifted chain builds them once
-    per distinct lam.
+    The chain's rows (one per field) of width cells each lie end to end in
+    one flat array of rows*width cells, the layout of gtsv's bands.  The
+    rows - 1 faces between two rows (the seams) carry exactly zero flux, as
+    a row's boundary faces do, and the band entries coupling two rows are 0,
+    so each row's operator and bands are those of the row alone.  The
+    workspace holds every array the Newton loop writes: the face fluxes, the
+    bands, the right-hand side, |res|, and the iterate, trial, residual and
+    target buffers.  It is allocated at construction, sized for the chain's
+    rows of the whole grid, and each step uses views of its first
+    rows*width cells.  The bands that depend only on the width and
+    lam (lam * lap_diag / dx**2 and, for a constant b, the advective parts)
+    are built when either changes, so a drifted chain builds them once per
+    distinct lam.
     """
 
-    def __init__(self, grid: GridField, spec: NonlinearitySpec, drift: DriftSpec):
-        self.grid, self.spec, self.dx = grid, spec, grid.cell_width
+    def __init__(self, grid: GridField, spec: NonlinearitySpec, drift: DriftSpec,
+                 rows: int):
+        self.grid, self.spec, self.dx, self.rows = grid, spec, grid.cell_width, rows
         self.drifted = not drift.vanishes
+        size = rows * grid.n_cells
+        # the diffusive and advective face fluxes; face 0 is never written
+        # and stays 0
+        self._faces = np.zeros((2, size + 1))
+        self._space = np.empty((12, size))
         if self.drifted:
             e_face = np.asarray(drift.E(grid.edges), dtype=float)
-            # the splits at the face after each cell of a row: its interior
-            # faces, then the seam to the next row, which carries no flux
-            self.ep = np.maximum(e_face[1:], 0.0)
-            self.em = np.minimum(e_face[1:], 0.0)
-            self.ep[-1] = self.em[-1] = 0.0
-            epf = np.maximum(e_face, 0.0)
-            emf = np.minimum(e_face, 0.0)
-            epf[0] = emf[0] = epf[-1] = emf[-1] = 0.0
-            self.outflow = epf[1:] - emf[:-1]
+            ep, em = np.maximum(e_face, 0.0), np.minimum(e_face, 0.0)
+            ep[0] = em[0] = ep[-1] = em[-1] = 0.0
+            # per cell of a row: the splits at the face after it (the last
+            # cell's is the seam to the next row, with no flux) and its outflow
+            self._splits = np.tile(np.stack((ep[1:], em[1:], ep[1:] - em[:-1])), rows)
             self.b = drift.b
             self.b0 = float(np.asarray(drift.b(0.0))) if drift.b_is_constant else None
-        self._rows = 0       # rows of the whole grid the workspace holds
-        self._shape = None   # (k, width) of the stack its views span
-        self.cells = 0       # k * width
+        self._width = None   # the width the workspace's views span
         self._lam = None     # the lam of the constant bands
 
     def windows(self, fs, starts) -> list[tuple[int, int]]:
@@ -320,43 +324,9 @@ class _Operator:
                          if occupied else (0, n))
         return spans
 
-    def _lay_out(self, k: int, width: int) -> None:
-        """Point the workspace's views at a stack of k rows of width cells,
-        width at most the grid's, allocating the workspace first if it holds
-        fewer than k rows of the grid."""
-        if (k, width) == self._shape:
-            return
-        if k > self._rows:
-            size = k * self.grid.n_cells
-            self._rows = k
-            # the diffusive and advective face fluxes; face 0 is never
-            # written and stays 0
-            self._faces = np.zeros((2, size + 1))
-            self._space = np.empty((12, size))
-            if self.drifted:
-                self._splits = np.tile(np.stack((self.ep, self.em, self.outflow)), k)
-        cells = k * width
-        self._shape, self.cells, self._lam = (k, width), cells, None
-        (self.u, self.trial, self.res, self.trial_res, self.target, self.rhs,
-         self.abs_res, dl, self._d, du, carried, product) = self._space[:, :cells]
-        self.abs_rows = self.abs_res.reshape(k, width)
-        # each flux at the faces inside the rows, after each cell, before
-        # each cell, and at the seams and the last boundary face
-        self._dif, self._adv = ((f[1:cells], f[1:cells + 1], f[:cells],
-                                 f[width:cells + 1:width]) for f in self._faces)
-        self._off, self._off_next = dl, dl[1:]
-        self._dl, self._du = dl[:-1], du[:-1]
-        # a row's last entries of dl and du would couple it to the next row
-        self._band_seams = (self._dl[width - 1::width], self._du[width - 1::width])
-        if self.drifted:
-            ep, em, self._outflow = self._splits[:, :cells]
-            self._ep, self._em = ep[:-1], em[:-1]
-            self._carried = (carried, carried[:-1], carried[1:])
-            self._product = product[:-1]
-
     def apply(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """A(u) on each row of u, into out.  u and out hold the rows of the
-        stack that jacobian laid out last, end to end."""
+        """A(u) on each row of u, into out.  u and out hold the chain's rows
+        of the width that jacobian laid out last, end to end."""
         dx = self.dx
         bt = np.asarray(self.spec.beta(u))
 
@@ -389,25 +359,44 @@ class _Operator:
         out /= dx
         return out
 
-    def jacobian(self, lam: float, width: int, k: int):
-        """Lay out the workspace for a stack of k rows of width cells and
-        return bands(u): the diagonals (dl, d, du) of the Jacobian of
-        u + lam*A(u) at u, the rows of such a stack end to end.
+    def jacobian(self, lam: float, width: int):
+        """Point the workspace's views at the chain's rows of width cells each,
+        width at most the grid's, and return bands(u): the diagonals
+        (dl, d, du) of the Jacobian of u + lam*A(u) at u, the rows end to end.
 
-        The bands are those of the block-diagonal (k*width) system, whose
+        The bands are those of the block-diagonal (rows*width) system, whose
         entries coupling one row to the next are 0.  dl[j] holds J[j+1, j]
         and du[j] holds J[j, j+1].  With beta' >= 0 and (b(r) r)' >= 0 every
         column is diagonally dominant with a diagonal of at least 1, so J is
-        nonsingular.  What stays fixed for this shape and lam is built here,
-        unless the last call built it: lam * lap_diag / dx**2, and the
-        advective terms when b is constant, since (b(u) u)' is then b0.  The
-        bands are views of the workspace, overwritten by the next bands(u).
+        nonsingular.  The views are re-pointed only when the width changes,
+        and what stays fixed for this width and lam is built only when either
+        changes: lam * lap_diag / dx**2, and the advective terms when b is
+        constant, since (b(u) u)' is then b0.  The bands are views of the
+        workspace, overwritten by the next bands(u).
         """
-        self._lay_out(k, width)
+        cells = self.rows * width
+        if width != self._width:
+            self._width, self._lam = width, None
+            (self.u, self.trial, self.res, self.trial_res, self.target, self.rhs,
+             self.abs_res, dl, self._d, du, carried, product) = self._space[:, :cells]
+            self.abs_rows = self.abs_res.reshape(self.rows, width)
+            # each flux at the faces inside the rows, after each cell, before
+            # each cell, and at the seams and the last boundary face
+            self._dif, self._adv = ((f[1:cells], f[1:cells + 1], f[:cells],
+                                     f[width:cells + 1:width]) for f in self._faces)
+            self._off, self._off_next = dl, dl[1:]
+            self._dl, self._du = dl[:-1], du[:-1]
+            # a row's last entries of dl and du would couple it to the next row
+            self._band_seams = (self._dl[width - 1::width], self._du[width - 1::width])
+            if self.drifted:
+                ep, em, self._outflow = self._splits[:, :cells]
+                self._ep, self._em = ep[:-1], em[:-1]
+                self._carried = (carried, carried[:-1], carried[1:])
+                self._product = product[:-1]
         if lam != self._lam:
             self._lam, dx, dx2 = lam, self.dx, self.dx**2
             # lam * lap_diag / dx**2, with lap_diag 2 inside a row and 1 at its ends
-            self._lap = np.full(self.cells, lam * 2.0 / dx2)
+            self._lap = np.full(cells, lam * 2.0 / dx2)
             self._lap[::width] = self._lap[width - 1::width] = lam / dx2
             if self.drifted:
                 # the advective parts of (d, du, dl) are these times (b(u) u)' / dx
@@ -479,16 +468,16 @@ def _newton_stack(op: _Operator, fs, starts, lam: float,
                   outs) -> list[ResolventSolution]:
     """Solve u + lam*A(u) = f for each row f of fs by one damped Newton loop.
 
-    fs, starts and outs hold one array of the grid's size per row: the
-    right-hand side, the Newton start and the output.  The rows share the
-    union of their windows (op.windows) and lie end to end in op's
-    workspace (see _Operator).  Each iteration solves the whole stack as one
-    block-diagonal system and forms every trial for all rows, but only a row
-    still above NEWTON_TOL and still searching takes its trial.  The blocks
-    do not couple and all else works row by row, so every row equals its
-    own solve bit for bit.  The cells of the union outside a row's own
-    window stay 0 in that row, and the row's residual is summed over its own
-    window only, as its own solve sums it.
+    fs, starts and outs hold one array of the grid's size per row of op's
+    chain: the right-hand side, the Newton start and the output.  The rows
+    share the union of their windows (op.windows) and lie end to end in the
+    workspace op allocated for them (see _Operator).  Each iteration solves
+    the whole stack as one block-diagonal system and forms every trial for
+    all rows, but only a row still above NEWTON_TOL and still searching
+    takes its trial.  The blocks do not couple and all else works row by
+    row, so every row equals its own solve bit for bit.  The cells of the
+    union outside a row's own window stay 0 in that row, and each row's
+    residual is summed over its own window only, as its own solve sums it.
 
     Raises SolverError naming the failing row (its index in fs) and stating
     lam, the iteration count and that row's residual.
@@ -498,8 +487,7 @@ def _newton_stack(op: _Operator, fs, starts, lam: float,
     lo, hi = min(a for a, _ in spans), max(b for _, b in spans)
     width = hi - lo
     own = [(a - lo, b - lo) for a, b in spans]
-    uniform = all(span == (0, width) for span in own)
-    bands = op.jacobian(lam, width, k)
+    bands = op.jacobian(lam, width)
     u, trial, res, trial_res = op.u, op.trial, op.res, op.trial_res
     target, rhs, size = op.target, op.rhs, op.abs_rows
     for f, start, f_row, u_row in zip(fs, starts, target.reshape(k, width),
@@ -513,8 +501,6 @@ def _newton_stack(op: _Operator, fs, starts, lam: float,
         out += v
         out -= target
         np.abs(out, out=op.abs_res)
-        if uniform:
-            return (size.sum(axis=1) * dx).tolist()
         return [float(size[r, a:b].sum() * dx) for r, (a, b) in enumerate(own)]
 
     def failure(what, row, iters):
@@ -627,7 +613,7 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
     """
     _check_step(lam, drift)
     begin = f.values if start is None else np.asarray(start, dtype=float)
-    return _newton_stack(_Operator(f, spec, drift), (f.values,), (begin,), lam,
+    return _newton_stack(_Operator(f, spec, drift, 1), (f.values,), (begin,), lam,
                          (np.empty(f.n_cells),))[0]
 
 
@@ -679,9 +665,10 @@ def step_chain(nu, T: float, config: SolverConfig, spec: NonlinearitySpec,
     varies from process to process: a 4000-cell, 900-step chain peaked at
     114 MB RSS in some processes and at 128 MB in others.
 
-    Raises ValueError when T is not positive, the grids differ or h breaks
-    the step restriction, and SolverError, carrying the step and the failing
-    row of the stack, when a solve fails or clipping exceeds its budget.
+    Raises ValueError when T is not positive, T/h is not finite, the grids
+    differ or h breaks the step restriction, and SolverError, carrying the
+    step and the failing row of the stack, when a solve fails or clipping
+    exceeds its budget.
     """
     stacked = isinstance(nu, tuple)
     fields = nu if stacked else (nu,)
@@ -698,12 +685,14 @@ def step_chain(nu, T: float, config: SolverConfig, spec: NonlinearitySpec,
             raise ValueError(f"initial mass must be 1 +- 1e-8, got {f.mass()}")
     _check_step(config.lambda_step, drift)
     h = config.lambda_step
+    if not math.isfinite(T / h):
+        raise ValueError(f"T = {T!r} and h = {h!r} give no finite step count T/h")
     n_steps = max(1, math.ceil(T / h))
     last = T - (n_steps - 1) * h
     if n_steps > 1 and last <= 1e-9 * h:   # only rounding left it
         n_steps -= 1
         last = h
-    op = _Operator(grid, spec, drift)
+    op = _Operator(grid, spec, drift, len(fields))
     values = [_iterate_block(n_steps, grid.n_cells) for _ in fields]
     times = np.empty(n_steps)
     infos = [[] for _ in fields]

@@ -92,6 +92,9 @@ class SimConfig:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if not self.t0 < self.T:
             raise ValueError("need t0 < T")
+        if not math.isfinite((self.T - self.t0) / self.dt):
+            raise ValueError(f"t0 = {self.t0!r}, T = {self.T!r} and dt = {self.dt!r} "
+                             "give no finite step count (T - t0)/dt")
         if self.n_steps < 1:
             raise ValueError(f"t0 = {self.t0!r}, T = {self.T!r} and dt = {self.dt!r} "
                              "give no step: round((T - t0)/dt) = 0")

@@ -55,8 +55,14 @@ _UNIT = SampledFunction(grid=np.linspace(0.0, 1.0, 11), values=np.ones(11))
     (lambda: maximal_function(_UNIT, 0.1, 1.2), "x outside the sampled range"),
     (lambda: maximal_function(_UNIT, 0.1, -0.2), "x outside the sampled range"),
     (lambda: w1_distance(np.array([]), np.array([0.5])), "empty sample set"),
+    (lambda: w1_distance(np.array([0.1, np.nan]), np.array([0.5])),
+     "samples must be finite"),
+    (lambda: w1_distance(np.array([0.5]), np.array([np.inf, 0.1])),
+     "samples must be finite"),
+    (lambda: w1_distance(np.array([0.2, -np.inf, 0.1]), np.array([0.5])),
+     "samples must be finite"),
 ], ids=["values-length", "values-2d", "derivative-length", "R-zero", "R-negative",
-        "x-right", "x-left", "w1-empty"])
+        "x-right", "x-left", "w1-empty", "w1-nan", "w1-inf", "w1-minus-inf"])
 def test_analysis_input_guards_raise_with_their_message(call, message):
     with pytest.raises(ValueError, match=message):
         call()

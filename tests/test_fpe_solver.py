@@ -65,8 +65,8 @@ def saturating_drift(amp):
 
 
 def apply_alone(op, u):
-    """A(u) of op on one row u of the whole grid, laid out as a stack of one."""
-    op.jacobian(1e-3, u.size, 1)
+    """A(u) of op, an operator of one row, on a row u of the whole grid."""
+    op.jacobian(1e-3, u.size)
     return op.apply(u, np.empty(u.size))
 
 
@@ -523,6 +523,10 @@ def test_the_step_restriction_names_lambda_and_lambda_zero(solve, lam):
         solve(gaussian_field(n=64).normalized(), lam)
 
 
+_UNIT_MASS = GridField(0.0, 1.0, np.ones(16))
+_OTHER_UNIT_MASS = GridField(0.0, 1.0, np.r_[np.full(8, 1.5), np.full(8, 0.5)])
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: GridField(1.0, 1.0, np.ones(16)), "need hi > lo"),
     (lambda: GridField(0.0, 1.0, np.r_[np.ones(15), np.inf]),
@@ -533,7 +537,27 @@ def test_the_step_restriction_names_lambda_and_lambda_zero(solve, lam):
      "cannot normalize a zero field"),
     (lambda: step_chain((), 0.1, SolverConfig(lambda_step=1e-3), SPEC, ZERO_DRIFT),
      "step_chain needs at least one field"),
-], ids=["hi-not-above-lo", "non-finite", "l1-across-grids", "zero-field", "no-fields"])
+    (lambda: GridField(-math.inf, 1.0, np.ones(16)),
+     "need hi > lo with finite lo, hi and hi - lo, got lo = -inf and hi = 1.0"),
+    (lambda: GridField(0.0, math.inf, np.ones(16)),
+     "need hi > lo with finite lo, hi and hi - lo, got lo = 0.0 and hi = inf"),
+    (lambda: GridField(-1e308, 1e308, np.ones(16)),
+     "need hi > lo with finite lo, hi and hi - lo, got lo = -1e[+]308 and hi = 1e[+]308"),
+    (lambda: step_chain(_UNIT_MASS, math.inf, SolverConfig(lambda_step=1e-3), SPEC,
+                        ZERO_DRIFT),
+     "T = inf and h = 0.001 give no finite step count T/h"),
+    (lambda: step_chain(_UNIT_MASS, 0.1, SolverConfig(lambda_step=1e-320), SPEC,
+                        ZERO_DRIFT),
+     "T = 0.1 and h = 1e-320 give no finite step count T/h"),
+    (lambda: semigroup_distance(_UNIT_MASS, _OTHER_UNIT_MASS, math.inf,
+                                SolverConfig(lambda_step=1e-3), SPEC, ZERO_DRIFT),
+     "T = inf and h = 0.001 give no finite step count T/h"),
+    (lambda: semigroup_distance(_UNIT_MASS, _OTHER_UNIT_MASS, 0.1,
+                                SolverConfig(lambda_step=1e-320), SPEC, ZERO_DRIFT),
+     "T = 0.1 and h = 1e-320 give no finite step count T/h"),
+], ids=["hi-not-above-lo", "non-finite", "l1-across-grids", "zero-field", "no-fields",
+        "infinite-lo", "infinite-hi", "overflowing-width", "chain-infinite-T",
+        "chain-subnormal-h", "distance-infinite-T", "distance-subnormal-h"])
 def test_fpe_solver_input_guards_raise_with_their_message(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -626,7 +650,7 @@ def test_jacobian_bands_match_finite_differences_with_saturating_b(amp):
     f = random_smooth_field(3, n=64)
     u = f.values * (1.0 + 0.3 * np.random.default_rng(0).uniform(size=64))
     lam = 0.5 * lambda_zero(drift)
-    op = _Operator(f, SPEC, drift)
+    op = _Operator(f, SPEC, drift, 1)
 
     def operator(v):
         return v + lam * apply_alone(op, v)
@@ -636,9 +660,28 @@ def test_jacobian_bands_match_finite_differences_with_saturating_b(amp):
         e = np.zeros(u.size)
         e[j] = 1e-6 * max(1.0, u[j])
         fd[:, j] = (operator(u + e) - operator(u - e)) / (2.0 * e[j])
-    dl, d, du = op.jacobian(lam, u.size, 1)(u)
+    dl, d, du = op.jacobian(lam, u.size)(u)
     bands = np.diag(d) + np.diag(du, 1) + np.diag(dl, -1)
     assert np.max(np.abs(bands - fd)) <= 1e-9 * np.max(np.abs(bands))
+
+
+@pytest.mark.parametrize("n, h, T", [(400, 1e-3, 0.3), (200, 5e-3, 0.05)])
+def test_constant_b_fast_path_equals_the_general_slope_path(n, h, T):
+    # the same b = 1 with and without b_is_constant: the chain's fixed
+    # advective bands (b0) against the bands from slope(u) at every iteration
+    amp = 0.25
+    general = DriftSpec(
+        E=lambda x: -amp * np.tanh(np.asarray(x, dtype=float)),
+        b=lambda r: np.ones_like(np.asarray(r, dtype=float)),
+        sup_norm_E=amp, sup_norm_b=1.0, div_E_minus_sup=amp,
+        sup_div_minus_plus_E=1.25 * amp)
+    nu = gaussian_field(n=n).normalized()
+    config = SolverConfig(lambda_step=h)
+    fast = step_chain(nu, T, config, SPEC, tanh_drift(amp))
+    slow = step_chain(nu, T, config, SPEC, general)
+    assert np.array_equal(fast.values.view(np.int64), slow.values.view(np.int64))
+    assert [(i.newton_iters, i.residual_l1) for i in fast.infos] == \
+        [(i.newton_iters, i.residual_l1) for i in slow.infos]
 
 
 def test_step_chain_drift_linf_bound():
@@ -828,7 +871,7 @@ def test_stack_failure_names_the_step_and_row(monkeypatch):
                         lambda bands, rhs: (rhs, 207))
     with pytest.raises(SolverError, match="gtsv info 207") as err:
         step_chain((nu1, nu2), 0.02, SolverConfig(lambda_step=lam), SPEC, drift)
-    start = nu2.values + lam * apply_alone(_Operator(nu2, SPEC, drift), nu2.values) \
+    start = nu2.values + lam * apply_alone(_Operator(nu2, SPEC, drift, 1), nu2.values) \
         - nu2.values
     assert err.value.residual == float(np.sum(np.abs(start)) * nu2.cell_width)
     assert (err.value.step, err.value.row) == (0, 1)
@@ -882,13 +925,13 @@ def test_flat_stack_operator_and_bands_equal_each_rows(drift):
     grid = box_field(0, 16, n=n)
     alone = []
     for row in rows:
-        op = _Operator(grid, SPEC, drift)
-        bands = op.jacobian(lam, width, 1)
+        op = _Operator(grid, SPEC, drift, 1)
+        bands = op.jacobian(lam, width)
         flux = op.apply(row, np.empty(width))
         alone.append((flux, *(band.copy() for band in bands(row))))
 
-    op = _Operator(grid, SPEC, drift)
-    bands = op.jacobian(lam, width, len(rows))
+    op = _Operator(grid, SPEC, drift, len(rows))
+    bands = op.jacobian(lam, width)
     stack = np.concatenate(rows)
     flux = op.apply(stack, np.empty(stack.size))
     dl, d, du = bands(stack)
@@ -942,7 +985,7 @@ def test_stack_gtsv_failure_in_the_last_block_names_the_last_row(monkeypatch):
     drift, lam = tanh_drift(0.25), 2e-3
     nu1, nu2 = random_smooth_field(7, n=200), random_smooth_field(8, n=200)
     n, dx = nu2.n_cells, nu2.cell_width
-    op = _Operator(nu2, SPEC, drift)
+    op, alone = _Operator(nu2, SPEC, drift, 3), _Operator(nu2, SPEC, drift, 1)
     # the chain of three rows below: its rows' Newton counts at step 0, and
     # row 2's first iterate
     fields = (random_smooth_field(6, n=200), nu1, nu2)
@@ -956,7 +999,7 @@ def test_stack_gtsv_failure_in_the_last_block_names_the_last_row(monkeypatch):
     with pytest.raises(SolverError, match=f"gtsv info {3 * n}") as err:
         fpe_solver._newton_stack(op, fs, fs, lam, [np.empty(n) for _ in fs])
     assert calls == [3 * n]
-    start = nu2.values + lam * apply_alone(op, nu2.values) - nu2.values
+    start = nu2.values + lam * apply_alone(alone, nu2.values) - nu2.values
     assert err.value.residual == float(np.sum(np.abs(start)) * dx)
     assert err.value.row == 2
     message = str(err.value)
@@ -970,7 +1013,7 @@ def test_stack_gtsv_failure_in_the_last_block_names_the_last_row(monkeypatch):
     with pytest.raises(SolverError, match=f"gtsv info {3 * n}") as err:
         step_chain(fields, 0.02, config, SPEC, drift)
     predictor = np.maximum(2.0 * u1 - nu2.values, 0.0)
-    res = predictor + lam * apply_alone(op, predictor) - u1
+    res = predictor + lam * apply_alone(alone, predictor) - u1
     assert (err.value.step, err.value.row) == (1, 2)
     assert err.value.residual == float(np.sum(np.abs(res)) * dx)
 

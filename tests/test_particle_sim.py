@@ -584,7 +584,14 @@ def _flat_step(dt, noise):
     (lambda: _flat_step(-1e-3, np.zeros(500)), "dt must be positive"),
     (lambda: _flat_step(1e-3, np.zeros(499)),
      r"noise block of shape \(499,\) for positions of shape \(500,\)"),
-], ids=["few-particles", "zero-dt", "negative-dt", "noise-shape"])
+    (lambda: small_config(T=math.inf),
+     r"t0 = 0.1, T = inf and dt = 0.001 give no finite step count \(T - t0\)/dt"),
+    (lambda: small_config(t0=-math.inf),
+     r"t0 = -inf, T = 0.2 and dt = 0.001 give no finite step count"),
+    (lambda: small_config(dt=1e-320),
+     r"t0 = 0.1, T = 0.2 and dt = 1e-320 give no finite step count"),
+], ids=["few-particles", "zero-dt", "negative-dt", "noise-shape", "infinite-T",
+        "infinite-t0", "subnormal-dt"])
 def test_particle_sim_input_guards_raise_with_their_message(call, message):
     with pytest.raises(ValueError, match=message):
         call()
