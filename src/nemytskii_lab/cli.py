@@ -21,12 +21,17 @@ import numpy as np
 
 from . import analysis, closed_form, particle_sim
 from .coefficients import DriftSpec, NonlinearitySpec, check_hypotheses, lambda_zero
-from .fpe_solver import (
+# step_chain, entropy_audit and write_trajectory_binary are unused here; the
+# traced benchmark patches them by name until ROADMAP item 1.
+from .fpe_solver import (  # noqa: F401
     NEWTON_TOL,
     GridField,
     SolverConfig,
+    chain_steps,
     entropy_audit,
+    entropy_recorder,
     step_chain,
+    trajectory_binary_writer,
     write_trajectory_binary,
 )
 
@@ -293,45 +298,56 @@ def _run_fpe(params, problem: Problem, out: Path) -> list[Check]:
     grid = _grid(params)
     config = SolverConfig(lambda_step=float(params["h"]))
     nu = problem.field(t0, *grid).normalized()
-    traj = step_chain(nu, T_final - t0, config, problem.spec, problem.drift)
-    times, values = traj.times.tolist(), traj.values   # row i is u at times[i]
+    n_steps, steps = chain_steps((nu,), T_final - t0, config, problem.spec,
+                                 problem.drift)
 
-    checks = []
-    masses = values.sum(axis=1) * nu.cell_width
-    checks.append(_bound_check("mass_drift", float(np.max(np.abs(masses - 1.0))), 1e-8, 0.0))
-    # The iterates are clipped at 0, and step_chain raises once the clipped
+    # each row is reduced, and written, as its step arrives
+    dx = nu.cell_width
+    growth = math.sqrt(problem.drift.growth_constant())
+    nu_linf = nu.linf()
+    audit = entropy_recorder(nu, problem.spec) if problem.drift.vanishes else None
+    mass_drift = linf_cap = audit_max = -math.inf
+    preclip_min = math.inf
+    binary = trajectory_format == "binary"
+    stride = max(1, n_steps // 10)   # of the CSV's steps
+    with _Artifact(out / ("trajectory.bin" if binary else "trajectory.csv")) as fh:
+        if binary:
+            record = trajectory_binary_writer(fh.buffer, nu, n_steps)  # the binary layer
+        else:
+            fh.write("step,t,cell_center,value\n")
+            centers = [repr(x) for x in nu.centers.tolist()]
+        for step in steps:
+            (row,), (info,) = step.rows, step.infos
+            if binary:
+                record(step.t, row)
+            elif step.index % stride == 0:
+                head = f"{step.index + 1},{step.t!r},"
+                fh.write("".join([f"{head}{x},{v!r}\n" for x, v in
+                                  zip(centers, row.tolist())]))
+            mass_drift = max(mass_drift, abs(float(row.sum()) * dx - 1.0))
+            preclip_min = min(preclip_min, info.preclip_min)
+            # the rows are nonnegative, so their maxima are their sup norms
+            linf_cap = max(linf_cap, float(row.max())
+                           / (math.exp(growth * step.t) * nu_linf))
+            if audit is not None:
+                audit_max = max(audit_max, audit(step.t, row).audit_value)
+        # the last step's field: the finished stream writes no buffer again
+        final = info.field
+
+    checks = [_bound_check("mass_drift", mass_drift, 1e-8, 0.0)]
+    # The iterates are clipped at 0, and the chain raises once the clipped
     # mass passes its budget, so nonnegativity is gated before the clip.
     # Measured 0.0 on every CLI fpe config; the margin is the solve's
     # residual tolerance, below which the values are not resolved.
-    undershoot = max(0.0, -min(info.preclip_min for info in traj.infos))
+    undershoot = max(0.0, -preclip_min)
     checks.append(_bound_check("preclip_undershoot", undershoot, NEWTON_TOL, 0.0))
-    c = problem.drift.growth_constant()
-    nu_linf = nu.linf()
-    # the rows are nonnegative, so their maxima are their sup norms
-    linf_cap = max(m / (math.exp(math.sqrt(c) * t) * nu_linf)
-                   for t, m in zip(times, values.max(axis=1).tolist()))
     linf_tol = 1.0 + 1e-6 if problem.drift.vanishes else 1.001
     checks.append(_bound_check("linf_growth_ratio", linf_cap, linf_tol, 1.0))
     if problem.drift.vanishes:
         # only the porous-medium equation has the entropy and closed-form oracles
-        audit = entropy_audit(traj, problem.spec)
-        checks.append(_bound_check("entropy_audit_max",
-                                   max(r.audit_value for r in audit), 1e-6, 0.0))
-        err = traj.final.l1_distance(problem.field(T_final, *grid))
+        checks.append(_bound_check("entropy_audit_max", audit_max, 1e-6, 0.0))
+        err = final.l1_distance(problem.field(T_final, *grid))
         checks.append(_bound_check("l1_error_vs_closed_form", err, L1_TOL, 0.0))
-
-    if trajectory_format == "binary":
-        with _Artifact(out / "trajectory.bin") as fh:
-            write_trajectory_binary(traj, fh.buffer)   # the handle's binary layer
-    else:
-        stride = max(1, len(times) // 10)
-        with _Artifact(out / "trajectory.csv") as fh:
-            fh.write("step,t,cell_center,value\n")
-            centers = [repr(x) for x in nu.centers.tolist()]
-            for i in range(0, len(times), stride):
-                head = f"{i + 1},{times[i]!r},"
-                fh.write("".join([f"{head}{x},{v!r}\n" for x, v in
-                                  zip(centers, values[i].tolist())]))
     return checks
 
 

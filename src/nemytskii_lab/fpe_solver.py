@@ -27,9 +27,13 @@ the window's faces, and gtsv eliminates each block of the block-diagonal
 system on its own.  With drift, advection couples vacuum cells through b(0),
 and the window is the whole grid.
 
-A chain is strictly sequential and runs in the calling thread; its iterates
-are the rows of one writable (N, n_cells) array.  step_chain also takes a
-tuple of fields on one grid and runs their chains as a stack.  The k rows of
+A chain is strictly sequential and runs in the calling thread.  Its one
+step loop is the stream chain_steps returns: each step is yielded as it is
+solved, and the chain keeps three buffers per row (the previous iterate, the
+current one and the output), so a long chain holds a few rows, not its
+trajectory.  step_chain collects the stream into a Trajectory, and the CLI
+and semigroup_distance reduce it step by step.  A chain also takes a tuple
+of fields on one grid and runs their chains as a stack.  The k rows of
 a stack share their windows' union and lie end to end in one flat array,
 the layout of the gtsv bands; the faces between two rows (the seams) carry
 exactly zero flux and the bands couple no two rows.  Each Newton iteration
@@ -51,6 +55,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections.abc import Callable, Iterator
 # ThreadPoolExecutor and the epsilon-regularized coefficients are unused here;
 # the traced benchmark patches them by name until ROADMAP items 1 and 2.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -76,11 +81,15 @@ __all__ = [
     "SolverError",
     "ResolventSolution",
     "Trajectory",
+    "ChainStep",
     "EntropyRecord",
     "resolvent_solve",
+    "chain_steps",
     "step_chain",
     "semigroup_distance",
+    "entropy_recorder",
     "entropy_audit",
+    "trajectory_binary_writer",
     "write_trajectory_binary",
     "read_trajectory_binary",
     "MAX_CLIPPED_MASS",
@@ -234,8 +243,9 @@ class ResolventSolution:
 
 @dataclass
 class Trajectory:
-    """Chain output: the initial datum, and the (N, n_cells) array step_chain
-    filled, whose row i is the iterate at times[i] with infos[i] its report."""
+    """A chain collected by step_chain: the initial datum, and an (N, n_cells)
+    array whose row i is the iterate at times[i], with infos[i] its report
+    (whose field is a view of that row)."""
 
     initial: GridField
     times: np.ndarray
@@ -252,6 +262,24 @@ class Trajectory:
     @property
     def final(self) -> GridField:
         return self.field_at(math.inf)
+
+
+@dataclass(frozen=True)
+class ChainStep:
+    """One step of a chain, as chain_steps yields it.
+
+    index is the step's index i (0 for the first), t the time it reaches and
+    lam its length.  rows[r] is row r's iterate at t, and infos[r] its
+    report, whose field holds that same array.  The rows are buffers the
+    chain reuses: one stays valid until the stream moves on, so a consumer
+    that keeps a row copies it.
+    """
+
+    index: int
+    t: float
+    lam: float
+    rows: tuple[np.ndarray, ...]
+    infos: tuple[ResolventSolution, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +497,8 @@ def _newton_stack(op: _Operator, fs, starts, lam: float,
     """Solve u + lam*A(u) = f for each row f of fs by one damped Newton loop.
 
     fs, starts and outs hold one array of the grid's size per row of op's
-    chain: the right-hand side, the Newton start and the output.  The rows
+    chain: the right-hand side, the Newton start and the output.  An out may
+    be its row's start, which is read before any out is written.  The rows
     share the union of their windows (op.windows) and lie end to end in the
     workspace op allocated for them (see _Operator).  Each iteration solves
     the whole stack as one block-diagonal system and forms every trial for
@@ -617,61 +646,19 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
                          (np.empty(f.n_cells),))[0]
 
 
-def _iterate_block(n_rows: int, n_cols: int) -> np.ndarray:
-    """An empty (n_rows, n_cols) float array for a chain's iterates.
+def chain_steps(fields: tuple[GridField, ...], T: float, config: SolverConfig,
+                spec: NonlinearitySpec,
+                drift: DriftSpec) -> tuple[int, Iterator[ChainStep]]:
+    """The implicit chain u^(i+1) + h A(u^(i+1)) = u^i from each of fields up
+    to time T, as a stream: (N, steps), where steps yields the N ChainSteps
+    in order, each solved as it is drawn.
 
-    A block of 4 MiB or more gets an anonymous mapping of its own, which goes
-    back to the system with the array.  On the heap, the next chain reuses a
-    freed block only while nothing else has taken part of it; otherwise its
-    block lands beyond the old one and the process keeps both.  The
-    fpe-barenblatt benchmark (28.8 MB of iterates per chain) then peaked at
-    118 instead of 91 MB RSS in 7 of 26 processes.  Huge pages are advised
-    as numpy advises its own blocks of this size: the page faults of a
-    28.8 MB block took about 16 ms without them and 4 ms with them.
+    This is the chain's one step loop; step_chain documents the steps and
+    the checks, which run here before the stream is returned.  The fields
+    run as a stack of rows (see _newton_stack).  Each row's three buffers
+    rotate: the step writes its output over the iterate before the previous
+    one, so the rows of a step stay intact until the stream moves on.
     """
-    nbytes = 8 * n_rows * n_cols
-    if nbytes < 1 << 22:
-        return np.empty((n_rows, n_cols))
-    import mmap   # imported by the first chain this large, as scipy by the first solve
-    block = mmap.mmap(-1, nbytes, access=mmap.ACCESS_COPY)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        block.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(block, dtype=float).reshape(n_rows, n_cols)
-
-
-def step_chain(nu, T: float, config: SolverConfig, spec: NonlinearitySpec,
-               drift: DriftSpec):
-    """Run the implicit chain u^(i+1) + h A(u^(i+1)) = u^i from nu up to time T.
-
-    nu is one GridField, or a tuple of GridFields on one grid; the chains
-    then run as a stack, and a tuple of Trajectory is returned, one per
-    field.  All rows of a stack go through one Newton loop per step (see
-    _newton_stack), and each row equals its own chain bit for bit, with the
-    same Newton counts.
-
-    N = ceil(T/h) steps of size h, the last one shortened to land on T.
-    When rounding leaves a last step of at most 1e-9 h (T = 0.14 - 0.1 with
-    h = 1e-3 gives T/h = 40.00000000000001), that step is not taken and the
-    chain ends after N - 1 full steps.  From the second step on, Newton
-    starts at the linear predictor max(2u^i - u^(i-1), 0) rather than at
-    u^i; on a 4000-cell, 900-step Barenblatt chain this took 2365 iterations
-    instead of 2825.  The initial mass must be 1 to within 1e-8 and a chain
-    aborts if its accumulated undershoot clipping exceeds MAX_CLIPPED_MASS.
-    E is evaluated at the faces once per chain.
-
-    The iterates of a chain are the rows of one (N, n_cells) array (see
-    _iterate_block).  As N separate arrays they would sit between the
-    solver's temporaries on the allocator's heap, whose fragmentation then
-    varies from process to process: a 4000-cell, 900-step chain peaked at
-    114 MB RSS in some processes and at 128 MB in others.
-
-    Raises ValueError when T is not positive, T/h is not finite, the grids
-    differ or h breaks the step restriction, and SolverError, carrying the
-    step and the failing row of the stack, when a solve fails or clipping
-    exceeds its budget.
-    """
-    stacked = isinstance(nu, tuple)
-    fields = nu if stacked else (nu,)
     if not fields:
         raise ValueError("step_chain needs at least one field")
     grid = fields[0]
@@ -692,37 +679,93 @@ def step_chain(nu, T: float, config: SolverConfig, spec: NonlinearitySpec,
     if n_steps > 1 and last <= 1e-9 * h:   # only rounding left it
         n_steps -= 1
         last = h
-    op = _Operator(grid, spec, drift, len(fields))
-    values = [_iterate_block(n_steps, grid.n_cells) for _ in fields]
-    times = np.empty(n_steps)
-    infos = [[] for _ in fields]
+    return n_steps, _steps(fields, n_steps, h, last, spec, drift)
 
+
+def _steps(fields, n_steps: int, h: float, last: float, spec: NonlinearitySpec,
+           drift: DriftSpec) -> Iterator[ChainStep]:
+    """The generator behind chain_steps, on arguments it has checked."""
+    k, grid = len(fields), fields[0]
+    op = _Operator(grid, spec, drift, k)
+    buffers = np.empty((3, k, grid.n_cells))   # step i writes buffers[i % 3]
     current = [f.values for f in fields]
     previous = None   # the iterates before current, from the second step on
     t = 0.0
-    clipped = [0.0] * len(fields)   # running totals of the steps' clipped mass
+    clipped = [0.0] * k   # running totals of the steps' clipped mass
     for i in range(n_steps):
         lam = h if i < n_steps - 1 else last
-        starts = current if previous is None else \
-            [np.maximum(2.0 * c - p, 0.0) for c, p in zip(current, previous)]
+        outs = buffers[i % 3]
+        starts = current
+        if previous is not None:
+            # the linear predictor max(2u^i - u^(i-1), 0), formed in the output
+            starts = outs
+            for start, c, p in zip(starts, current, previous):
+                np.multiply(c, 2.0, out=start)
+                start -= p
+                np.maximum(start, 0.0, out=start)
         try:
-            sols = _newton_stack(op, current, starts, lam, [v[i] for v in values])
+            sols = _newton_stack(op, current, starts, lam, outs)
         except SolverError as err:
             err.step = i
             raise
         t += lam
-        times[i] = t
-        previous = current
-        current = [v[i] for v in values]
         for r, sol in enumerate(sols):
-            infos[r].append(sol)
             clipped[r] += sol.clipped_mass
             if clipped[r] > MAX_CLIPPED_MASS:
-                which = f" of chain {r}" if stacked else ""
+                which = f" of chain {r}" if k > 1 else ""
                 raise SolverError(
                     f"clipped mass {clipped[r]:.3e} exceeded budget "
                     f"{MAX_CLIPPED_MASS:.1e} at step {i}{which}",
                     residual=sol.residual_l1, step=i, row=r)
+        yield ChainStep(index=i, t=t, lam=lam,
+                        rows=tuple(sol.field.values for sol in sols), infos=tuple(sols))
+        previous, current = current, outs
+
+
+def step_chain(nu, T: float, config: SolverConfig, spec: NonlinearitySpec,
+               drift: DriftSpec):
+    """Run the implicit chain u^(i+1) + h A(u^(i+1)) = u^i from nu up to time T
+    and collect it into a Trajectory.
+
+    nu is one GridField, or a tuple of GridFields on one grid; the chains
+    then run as a stack, and a tuple of Trajectory is returned, one per
+    field.  All rows of a stack go through one Newton loop per step (see
+    _newton_stack), and each row equals its own chain bit for bit, with the
+    same Newton counts.
+
+    N = ceil(T/h) steps of size h, the last one shortened to land on T.
+    When rounding leaves a last step of at most 1e-9 h (T = 0.14 - 0.1 with
+    h = 1e-3 gives T/h = 40.00000000000001), that step is not taken and the
+    chain ends after N - 1 full steps.  From the second step on, Newton
+    starts at the linear predictor max(2u^i - u^(i-1), 0) rather than at
+    u^i; on a 4000-cell, 900-step Barenblatt chain this took 2365 iterations
+    instead of 2825.  The initial mass must be 1 to within 1e-8 and a chain
+    aborts if its accumulated undershoot clipping exceeds MAX_CLIPPED_MASS.
+    E is evaluated at the faces once per chain.
+
+    The steps are those of the stream chain_steps returns; step_chain copies
+    each row into an (N, n_cells) array.  A caller that reduces the chain
+    step by step reads the stream instead and holds no such array.
+
+    Raises ValueError when T is not positive, T/h is not finite, the grids
+    differ or h breaks the step restriction, and SolverError, carrying the
+    step and the failing row of the stack, when a solve fails or clipping
+    exceeds its budget.
+    """
+    stacked = isinstance(nu, tuple)
+    fields = nu if stacked else (nu,)
+    n_steps, steps = chain_steps(fields, T, config, spec, drift)
+    grid = fields[0]
+    times = np.empty(n_steps)
+    values = [np.empty((n_steps, grid.n_cells)) for _ in fields]
+    infos = [[] for _ in fields]
+    for step in steps:
+        times[step.index] = step.t
+        for v, info, row, sol in zip(values, infos, step.rows, step.infos):
+            kept = v[step.index]
+            kept[...] = row
+            # the kept report's field is the stored row, not the reused buffer
+            info.append(replace(sol, field=GridField._trusted(grid.lo, grid.hi, kept)))
     trajs = tuple(Trajectory(initial=f, times=times.copy(), values=v, infos=info)
                   for f, v, info in zip(fields, values, infos))
     return trajs if stacked else trajs[0]
@@ -733,32 +776,51 @@ def semigroup_distance(nu1: GridField, nu2: GridField, T: float,
                        drift: DriftSpec) -> float:
     """Worst contraction ratio max_t ||S_h(t)nu1 - S_h(t)nu2||_1 / ||nu1 - nu2||_1.
 
-    Returns 0 when the inputs coincide.  The two chains run as one stack of
-    two rows through step_chain, so each step's Newton iterations solve both
-    at once; one reduction over their rows gives every step's ratio.
+    The arguments are checked as step_chain checks them; then 0 is returned
+    when the inputs coincide.  The two chains run as one stack of two rows
+    from chain_steps, so each step's Newton iterations solve both at once,
+    and each step's L1 gap is summed as the step arrives.
     """
+    _, steps = chain_steps((nu1, nu2), T, config, spec, drift)
     denom = nu1.l1_distance(nu2)
     if denom == 0.0:
         return 0.0
-    t1, t2 = step_chain((nu1, nu2), T, config, spec, drift)
-    # t1 is not returned, so its rows can hold |u1 - u2| in place
-    gap = np.subtract(t1.values, t2.values, out=t1.values)
-    np.abs(gap, out=gap)
-    return float(np.max(np.sum(gap, axis=1) * nu1.cell_width / denom))
+    gap = np.empty(nu1.n_cells)
+    worst = 0.0
+    for step in steps:
+        np.subtract(*step.rows, out=gap)
+        np.abs(gap, out=gap)
+        worst = max(worst, float(gap.sum()) * nu1.cell_width / denom)
+    return worst
+
+
+def trajectory_binary_writer(fh, grid: GridField,
+                             n_steps: int) -> Callable[[float, np.ndarray], None]:
+    """Write the header of an n_steps chain on grid's cells into fh, a file
+    open for binary writing, and return write(t, row), which appends one
+    step's record.
+
+    Layout: int64 n_cells, float64 lo, float64 hi, int64 n_steps, then per
+    step one float64 time followed by n_cells float64 cell values, all
+    little-endian.
+    """
+    np.asarray([grid.n_cells], dtype="<i8").tofile(fh)
+    np.asarray([grid.lo, grid.hi], dtype="<f8").tofile(fh)
+    np.asarray([n_steps], dtype="<i8").tofile(fh)
+
+    def write(t: float, row: np.ndarray) -> None:
+        np.asarray([t], dtype="<f8").tofile(fh)
+        row.astype("<f8", copy=False).tofile(fh)
+
+    return write
 
 
 def write_trajectory_binary(traj: Trajectory, fh) -> None:
-    """Compact little-endian dump of a chain into fh, a file open for binary writing.
-
-    Layout: int64 n_cells, float64 lo, float64 hi, int64 n_steps, then per
-    step one float64 time followed by n_cells float64 cell values.
-    """
-    np.asarray([traj.initial.n_cells], dtype="<i8").tofile(fh)
-    np.asarray([traj.initial.lo, traj.initial.hi], dtype="<f8").tofile(fh)
-    np.asarray([traj.times.size], dtype="<i8").tofile(fh)
+    """Compact dump of a collected chain into fh, a file open for binary
+    writing, in the layout of trajectory_binary_writer."""
+    write = trajectory_binary_writer(fh, traj.initial, traj.times.size)
     for t, row in zip(traj.times, traj.values):
-        np.asarray([t], dtype="<f8").tofile(fh)
-        row.astype("<f8", copy=False).tofile(fh)
+        write(t, row)
 
 
 def read_trajectory_binary(path) -> tuple[float, float, np.ndarray, np.ndarray]:
@@ -789,19 +851,22 @@ class EntropyRecord:
     audit_value: float
 
 
-def entropy_audit(traj: Trajectory, spec: NonlinearitySpec) -> list[EntropyRecord]:
-    """Per-step entropy balance of the chain.
+def entropy_recorder(initial: GridField, spec: NonlinearitySpec
+                     ) -> Callable[[float, np.ndarray], EntropyRecord]:
+    """The per-step entropy balance of a chain from initial, one row at a time.
 
-    Records the cell-sum entropy integral of Psi(u), the cumulative forward-
-    difference dissipation sum_s h * sum_cells |D_h beta^(1/2)(u_s)|^2 dx, and
-    the audit value
+    Returns record(t, row), to be called with each step's time and iterate in
+    step order; it returns that step's EntropyRecord: the cell-sum entropy
+    integral of Psi(u), the cumulative forward-difference dissipation
+    sum_s h * sum_cells |D_h beta^(1/2)(u_s)|^2 dx, with h the time since the
+    previous step, and the audit value
 
         [entropy(t) + cumulative dissipation] - entropy(initial),
 
     which stays <= 0 (up to solver tolerance) for drift-free runs.
     """
-    dx = traj.initial.cell_width
-    n = traj.initial.n_cells
+    dx = initial.cell_width
+    n = initial.n_cells
     # Psi and sqrt(beta) are evaluated on each row's nonzero span only; the
     # span is scattered into a zero row and the sum runs over the full row,
     # so the sums are those of full-row evaluations bit for bit, since
@@ -826,16 +891,22 @@ def entropy_audit(traj: Trajectory, spec: NonlinearitySpec) -> list[EntropyRecor
         grad2[a:b - 1] = 0.0
         return entropy, dissipation
 
-    s0 = entropy_and_dissipation(traj.initial.values)[0]
-    records = []
-    cumulative = 0.0
-    prev_t = 0.0
-    for i, (t, row) in enumerate(zip(traj.times.tolist(), traj.values)):
-        h = t - prev_t
-        prev_t = t
+    s0 = entropy_and_dissipation(initial.values)[0]
+    step, prev_t, cumulative = 0, 0.0, 0.0
+
+    def record(t: float, row: np.ndarray) -> EntropyRecord:
+        nonlocal step, prev_t, cumulative
         s, dissipation = entropy_and_dissipation(row)
-        cumulative += h * dissipation
-        records.append(EntropyRecord(step=i + 1, t=t, entropy=s,
-                                     cumulative_dissipation=cumulative,
-                                     audit_value=s + cumulative - s0))
-    return records
+        cumulative += (t - prev_t) * dissipation
+        step, prev_t = step + 1, t
+        return EntropyRecord(step=step, t=t, entropy=s,
+                             cumulative_dissipation=cumulative,
+                             audit_value=s + cumulative - s0)
+
+    return record
+
+
+def entropy_audit(traj: Trajectory, spec: NonlinearitySpec) -> list[EntropyRecord]:
+    """Per-step entropy balance of a collected chain (see entropy_recorder)."""
+    record = entropy_recorder(traj.initial, spec)
+    return [record(t, row) for t, row in zip(traj.times.tolist(), traj.values)]

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nemytskii_lab import analysis, cli, closed_form, particle_sim
+from nemytskii_lab import analysis, cli, closed_form, fpe_solver, particle_sim
 from nemytskii_lab.cli import (
     ConfigError,
     Scenario,
@@ -339,12 +339,19 @@ def test_failing_check_exits_2_with_full_report(tmp_path, monkeypatch):
 def test_preclip_undershoot_row_reads_before_the_clip(tmp_path, monkeypatch):
     # the iterates are clipped at 0; the row must see a negative iterate
     # reported by the solve
-    chain = cli.step_chain
+    chain = cli.chain_steps
 
     def undershooting(*args, **kwargs):
-        traj = chain(*args, **kwargs)
-        traj.infos[3] = replace(traj.infos[3], preclip_min=-1e-9)
-        return traj
+        n_steps, steps = chain(*args, **kwargs)
+
+        def altered():
+            for step in steps:
+                if step.index == 3:
+                    (info,) = step.infos
+                    step = replace(step, infos=(replace(info, preclip_min=-1e-9),))
+                yield step
+
+        return n_steps, altered()
 
     params = {"m": 2.0, "t0": 0.1, "T": 0.2, "n_cells": 200,
               "h": 5e-3, "lo": -4.0, "hi": 4.0}
@@ -355,7 +362,7 @@ def test_preclip_undershoot_row_reads_before_the_clip(tmp_path, monkeypatch):
     assert rows["preclip_undershoot"]["achieved"] == 0.0
     assert rows["preclip_undershoot"]["tolerance"] == 1e-12
 
-    monkeypatch.setattr(cli, "step_chain", undershooting)
+    monkeypatch.setattr(cli, "chain_steps", undershooting)
     s = Scenario(name="fpe-run", params=params, output_dir=tmp_path / "bad")
     assert run_scenario(s) == 2
     records = read_report(tmp_path / "bad" / "report.ndjson")
@@ -401,11 +408,11 @@ def test_fpe_run_with_drift_and_binary_trajectory(tmp_path):
 
 
 def test_interrupted_binary_trajectory_keeps_its_partial_suffix(tmp_path, monkeypatch):
-    def crashing(traj, fh):
+    def crashing(fh, grid, n_steps):
         fh.write(b"\0" * 32)
         raise OSError("interrupted")
 
-    monkeypatch.setattr(cli, "write_trajectory_binary", crashing)
+    monkeypatch.setattr(cli, "trajectory_binary_writer", crashing)
     s = Scenario(name="fpe-run",
                  params={"m": 2.0, "t0": 0.1, "T": 0.11, "n_cells": 64,
                          "h": 1e-3, "trajectory_format": "binary"},
@@ -415,21 +422,53 @@ def test_interrupted_binary_trajectory_keeps_its_partial_suffix(tmp_path, monkey
     assert not (tmp_path / "trajectory.bin").exists()
 
 
-def test_fpe_run_holds_one_copy_of_the_iterates(tmp_path):
-    # 300 steps of 2000 cells: the chain's (300, 2000) array takes 4.8 MB.
-    # The traced peak measured 1.15x that; one more full-size array over the
-    # iterates, such as np.abs of them, takes it above 2x.
+def test_a_failing_step_leaves_the_steps_before_it_in_the_partial_csv(
+        tmp_path, monkeypatch, capsys):
+    # the CSV is written as the chain streams; the fourth solve fails
+    solve, calls = fpe_solver._newton_stack, []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:
+            raise fpe_solver.SolverError("nonlinear solve stalled")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fpe_solver, "_newton_stack", failing)
     s = Scenario(name="fpe-run",
-                 params={"m": 2.0, "t0": 0.1, "T": 0.4, "n_cells": 2000,
-                         "h": 1e-3},
+                 params={"m": 2.0, "t0": 0.1, "T": 0.135, "n_cells": 64,
+                         "h": 5e-3, "lo": -4.0, "hi": 4.0},
                  output_dir=tmp_path)
+    assert run_scenario(s) == 1
+    assert "nonlinear solve stalled" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+    lines = (tmp_path / "trajectory.csv.partial").read_text().splitlines()
+    assert lines[0] == "step,t,cell_center,value"
+    assert [int(line.split(",", 1)[0]) for line in lines[1:]] == \
+        [k for k in (1, 2, 3) for _ in range(64)]
+
+
+@pytest.mark.parametrize("trajectory_format, rows", [("csv", 64), ("binary", 32)])
+def test_fpe_run_holds_a_few_rows_not_its_trajectory(tmp_path, trajectory_format,
+                                                     rows):
+    # 300 steps of 2000 cells: the whole trajectory would take 300 rows of
+    # 16 kB.  The run reduces and writes each step as it arrives.  Its traced
+    # peak, after a first run has loaded scipy, measured 48.5 rows with the
+    # CSV (whose stride rows are formatted as strings) and 22.8 with the
+    # binary dump: the solver's workspace of about 17 rows, its three
+    # buffers and the rows being written.  The bounds leave a margin of 1.3x
+    # and 1.4x, and a stored trajectory, or a tenth of one, breaks them.
+    params = {"m": 2.0, "t0": 0.1, "T": 0.4, "n_cells": 2000, "h": 1e-3,
+              "trajectory_format": trajectory_format}
+    warm = {**params, "T": 0.102}
+    assert run_scenario(Scenario("fpe-run", warm, tmp_path / "warm")) == 0
+    s = Scenario(name="fpe-run", params=params, output_dir=tmp_path / "run")
     tracemalloc.start()
     try:
         assert run_scenario(s) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 300 * 2000 * 8
+    assert peak <= rows * 2000 * 8
 
 
 def test_compare_scenario(tmp_path):
@@ -552,7 +591,7 @@ def test_unknown_trajectory_format_is_rejected(tmp_path, capsys, monkeypatch, na
     def no_chain(*args, **kwargs):
         raise AssertionError("the chain ran")
 
-    monkeypatch.setattr(cli, "step_chain", no_chain)
+    monkeypatch.setattr(cli, "chain_steps", no_chain)
     s = Scenario(name=name,
                  params={"m": 2.0, "t0": 0.1, "T": 0.11, "n_cells": 64, "h": 1e-3,
                          "trajectory_format": "binry", **extra},

@@ -17,11 +17,13 @@ from nemytskii_lab.coefficients import (
     lambda_zero,
 )
 from nemytskii_lab.fpe_solver import (
+    ChainStep,
     GridField,
     SolverConfig,
     SolverError,
     Trajectory,
     _Operator,
+    chain_steps,
     entropy_audit,
     resolvent_solve,
     semigroup_distance,
@@ -555,9 +557,21 @@ _OTHER_UNIT_MASS = GridField(0.0, 1.0, np.r_[np.full(8, 1.5), np.full(8, 0.5)])
     (lambda: semigroup_distance(_UNIT_MASS, _OTHER_UNIT_MASS, 0.1,
                                 SolverConfig(lambda_step=1e-320), SPEC, ZERO_DRIFT),
      "T = 0.1 and h = 1e-320 give no finite step count T/h"),
+    # coinciding fields are checked like any others before they give 0
+    (lambda: semigroup_distance(_UNIT_MASS, _UNIT_MASS, -1.0,
+                                SolverConfig(lambda_step=1e-3), SPEC, ZERO_DRIFT),
+     "chain horizon T must be positive, got T = -1.0"),
+    (lambda: semigroup_distance(_UNIT_MASS, _UNIT_MASS, math.inf,
+                                SolverConfig(lambda_step=1e-3), SPEC, ZERO_DRIFT),
+     "T = inf and h = 0.001 give no finite step count T/h"),
+    (lambda: semigroup_distance(_UNIT_MASS, _UNIT_MASS, 1.0,
+                                SolverConfig(lambda_step=0.6), SPEC, UNIT_DRIFT),
+     "step lambda = 0.6 violates the step restriction"),
 ], ids=["hi-not-above-lo", "non-finite", "l1-across-grids", "zero-field", "no-fields",
         "infinite-lo", "infinite-hi", "overflowing-width", "chain-infinite-T",
-        "chain-subnormal-h", "distance-infinite-T", "distance-subnormal-h"])
+        "chain-subnormal-h", "distance-infinite-T", "distance-subnormal-h",
+        "distance-coinciding-negative-T", "distance-coinciding-infinite-T",
+        "distance-coinciding-step-restriction"])
 def test_fpe_solver_input_guards_raise_with_their_message(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -581,26 +595,6 @@ def test_step_chain_clipped_mass_budget_aborts(monkeypatch):
     with pytest.raises(SolverError, match="budget 1.0e-06") as err:
         step_chain(nu, 0.05, SolverConfig(lambda_step=1e-2), SPEC, ZERO_DRIFT)
     assert err.value.step == 1
-
-
-def test_large_iterate_blocks_get_a_mapping_of_their_own():
-    # a 4 MiB block or more is mapped, so it goes back to the system with the
-    # trajectory and later chains cannot strand it on the heap
-    import mmap
-    def owner(block):
-        while isinstance(block, np.ndarray) and block.base is not None:
-            block = block.base
-        return block.obj if isinstance(block, memoryview) else block
-
-    big = fpe_solver._iterate_block(512, 1024)
-    small = fpe_solver._iterate_block(10, 200)
-    assert isinstance(owner(big), mmap.mmap)
-    assert isinstance(owner(small), np.ndarray)
-    for block, shape in ((big, (512, 1024)), (small, (10, 200))):
-        assert block.shape == shape and block.dtype == np.float64
-        assert block.flags.c_contiguous and block.flags.writeable
-        block[-1, -1] = 1.5
-        assert block[-1, -1] == 1.5
 
 
 def test_barenblatt_chain_newton_telemetry():
@@ -684,6 +678,34 @@ def test_constant_b_fast_path_equals_the_general_slope_path(n, h, T):
         [(i.newton_iters, i.residual_l1) for i in slow.infos]
 
 
+def test_operator_is_the_donor_cell_flux_written_out_at_the_faces():
+    # the flux through the face x = lo + (j + 1) dx after cell j is
+    # -(beta(u_(j+1)) - beta(u_j))/dx + E+ b(u_j) u_j + E- b(u_(j+1)) u_(j+1)
+    # with E+ = max(E(x), 0) and E- = min(E(x), 0), and 0 through the two
+    # boundary faces; A(u) at cell j is the flux after it minus the flux
+    # before it, over dx.  E changes sign inside and b is not constant.
+    n, lo, hi = 40, -2.0, 2.0
+    u = np.random.default_rng(3).uniform(0.1, 1.0, n)
+    grid = GridField(lo, hi, u)
+    dx = grid.cell_width
+    drift = saturating_drift(0.75)
+    got = apply_alone(_Operator(grid, SPEC, drift, 1), u)
+
+    def carried(i):
+        return float(drift.b(u[i])) * u[i]
+
+    def flux(j):
+        if j < 0 or j >= n - 1:
+            return 0.0
+        e = float(drift.E(lo + (j + 1) * dx))
+        return (-(float(SPEC.beta(u[j + 1])) - float(SPEC.beta(u[j]))) / dx
+                + max(e, 0.0) * carried(j) + min(e, 0.0) * carried(j + 1))
+
+    # the terms are of order beta/dx^2 = 1e2, rounded at about 1e-14
+    for j in (0, 1, 9, n // 2 - 1, n // 2, n - 2, n - 1):
+        assert got[j] == pytest.approx((flux(j) - flux(j - 1)) / dx, rel=0, abs=1e-11)
+
+
 def test_step_chain_drift_linf_bound():
     drift = tanh_drift(0.25)
     nu = gaussian_field(n=400)
@@ -741,6 +763,77 @@ def test_chain_support_edge_tracks_the_free_boundary(m):
             assert all(0.0 <= b <= 5.0 for b in beyond), (n, t, beyond)
 
 
+# -- the step stream ----------------------------------------------------------
+
+@pytest.mark.parametrize("fields, T, h, drift", [
+    ((barenblatt_field(0.1, n=200, lo=-4, hi=4),), 0.025, 1e-2, ZERO_DRIFT),
+    ((random_smooth_field(7), random_smooth_field(8)), 0.02, 2e-3, tanh_drift(0.25)),
+], ids=["drift-free", "drifted-stack-of-two"])
+def test_step_chain_collects_the_stream(fields, T, h, drift):
+    config = SolverConfig(lambda_step=h)
+    collected = step_chain(fields if len(fields) > 1 else fields[0], T, config,
+                           SPEC, drift)
+    trajs = collected if len(fields) > 1 else (collected,)
+    n_steps, steps = chain_steps(fields, T, config, SPEC, drift)
+    prev_t, seen = 0.0, 0
+    for step in steps:
+        assert step.index == seen and step.t == prev_t + step.lam
+        for traj, row, info in zip(trajs, step.rows, step.infos, strict=True):
+            assert traj.times[step.index] == step.t
+            assert np.array_equal(traj.values[step.index].view(np.int64),
+                                  row.view(np.int64))
+            kept = traj.infos[step.index]
+            assert [getattr(kept, c) for c in COUNTS] == [getattr(info, c) for c in COUNTS]
+            assert np.array_equal(
+                np.array([getattr(kept, t) for t in TELEMETRY]).view(np.int64),
+                np.array([getattr(info, t) for t in TELEMETRY]).view(np.int64))
+            assert info.field.values is row
+            assert np.shares_memory(kept.field.values, traj.values[step.index])
+        prev_t, seen = step.t, seen + 1
+    assert seen == n_steps == trajs[0].times.size
+    # the last step of the drift-free chain is shortened to land on T
+    assert prev_t == pytest.approx(T, abs=1e-15)
+
+
+@pytest.mark.parametrize("width", [200, 4000])
+def test_streamed_row_reductions_equal_the_block_reductions_bit_for_bit(width):
+    # the CLI sums and maximizes each row as its step arrives, and
+    # semigroup_distance sums each step's gap |u1 - u2| in a reused buffer;
+    # the reductions along axis 1 of an (N, n_cells) block gave the pinned
+    # outputs, so every row must give the same bits
+    rng = np.random.default_rng(width)
+    gap = np.empty(width)
+    for _ in range(2000):
+        k = int(rng.integers(1, 4))
+        scale = 10.0 ** rng.uniform(-20, 4, size=(k, 1))
+        values = rng.random((k, width)) * scale
+        values[:, :int(rng.integers(0, width))] = 0.0   # vacuum on one side
+        other = rng.random((k, width)) * scale
+        block_gaps = np.subtract(values, other)
+        np.abs(block_gaps, out=block_gaps)
+        want = np.stack([values.sum(axis=1), values.max(axis=1),
+                         np.sum(block_gaps, axis=1)])
+        got = np.empty_like(want)
+        for r, (row, second) in enumerate(zip(values, other)):
+            np.subtract(row, second, out=gap)
+            np.abs(gap, out=gap)
+            got[:, r] = row.sum(), row.max(), gap.sum()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_stream_rows_hold_until_the_stream_moves_on():
+    # each row has three buffers: a kept row reads the step of two steps on
+    nu = barenblatt_field(0.1, n=200, lo=-4, hi=4)
+    traj = step_chain(nu, 0.05, SolverConfig(lambda_step=1e-2), SPEC, ZERO_DRIFT)
+    _, steps = chain_steps((nu,), 0.05, SolverConfig(lambda_step=1e-2), SPEC,
+                           ZERO_DRIFT)
+    first = next(steps).rows[0]
+    assert np.array_equal(first, traj.values[0])
+    for _ in range(3):
+        next(steps)
+    assert np.array_equal(first, traj.values[3])
+
+
 # -- semigroup distance -------------------------------------------------------
 
 def test_semigroup_distance_identical_inputs():
@@ -796,12 +889,14 @@ def test_semigroup_distance_reads_every_step(monkeypatch):
         return Trajectory(initial=nu, times=np.arange(1.0, 6.0), values=values,
                           infos=[])
 
-    def fake_chain(nus, T, config, spec, drift):
-        return tuple(fake_one(nu) for nu in nus)
+    def fake_stream(nus, T, config, spec, drift):
+        t1, t2 = (fake_one(nu) for nu in nus)
+        steps = (ChainStep(index=i, t=t, lam=1.0, rows=(a, b), infos=())
+                 for i, (t, a, b) in enumerate(zip(t1.times, t1.values, t2.values)))
+        return t1.times.size, steps
 
-    ratios = _step_ratios(*fake_chain((nu1, nu2), 0, 0, 0, 0),
-                          nu1.l1_distance(nu2))
-    monkeypatch.setattr(fpe_solver, "step_chain", fake_chain)
+    ratios = _step_ratios(fake_one(nu1), fake_one(nu2), nu1.l1_distance(nu2))
+    monkeypatch.setattr(fpe_solver, "chain_steps", fake_stream)
     got = semigroup_distance(nu1, nu2, 1.0, SolverConfig(lambda_step=1e-2),
                              SPEC, ZERO_DRIFT)
     assert got == max(ratios) == ratios[3]

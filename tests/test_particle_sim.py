@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nemytskii_lab import particle_sim
 from nemytskii_lab.analysis import w1_distance
 from nemytskii_lab.closed_form import barenblatt_eval, barenblatt_moment2, make_barenblatt
-from nemytskii_lab.coefficients import DriftSpec, NonlinearitySpec
+from nemytskii_lab.coefficients import DriftSpec, NonlinearitySpec, sigma_squared
 from nemytskii_lab.fpe_solver import GridField, SolverConfig, step_chain
 from nemytskii_lab.particle_sim import (
     ParticleEnsemble,
@@ -266,6 +266,33 @@ def test_em_step_increment_scale():
                   clamp=CLAMP, noise=_noise(ens, 9))
     # sigma^2 = 2 beta(0.5)/0.5 = 1, so the increment std is sqrt(dt)
     assert np.std(out.positions) == pytest.approx(math.sqrt(1e-2), rel=0.02)
+
+
+def test_em_step_moves_each_particle_by_its_drift_and_its_noise():
+    # the step written out from its definition: new - old - sqrt(sigma^2(u)
+    # dt) noise = E(x) b(u) dt, with u the density at the particle, which the
+    # clamp caps in sigma^2 only.  E changes sign at atanh(0.5) and b(r) =
+    # r/(1 + r) is not constant, so a flipped drift, or b replaced by 1,
+    # moves the particles elsewhere.
+    rng = np.random.default_rng(11)
+    pos = np.sort(rng.uniform(-3.0, 3.0, 500))
+    drift = DriftSpec(E=lambda x: 0.5 - np.tanh(np.asarray(x, dtype=float)),
+                      b=lambda r: np.asarray(r, dtype=float) / (1.0 + np.abs(r)),
+                      sup_norm_E=1.5, sup_norm_b=1.0, div_E_minus_sup=1.0)
+
+    def density(x):
+        return 0.8 * np.exp(-np.asarray(x, dtype=float) ** 2)
+
+    noise = rng.standard_normal(pos.size)
+    dt, clamp = 1e-2, 0.5   # the densities near 0 exceed the clamp
+    out = em_step(ParticleEnsemble(positions=pos.copy(), t=0.0), dt, SPEC2, drift,
+                  density=density, clamp=clamp, noise=noise)
+    u = density(pos)
+    assert u.max() > clamp
+    diffusion = np.sqrt(sigma_squared(SPEC2, np.minimum(u, clamp)) * dt) * noise
+    # the positions are at most 4 in size, so the step rounds at about 1e-15
+    np.testing.assert_allclose(out.positions - pos - diffusion,
+                               drift.E(pos) * drift.b(u) * dt, rtol=0, atol=1e-14)
 
 
 def test_em_step_determinism():
