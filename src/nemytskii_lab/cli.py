@@ -317,7 +317,8 @@ def _run_fpe(params, problem: Problem, out: Path) -> list[Check]:
             fh.write("step,t,cell_center,value\n")
             centers = [repr(x) for x in nu.centers.tolist()]
         for step in steps:
-            (row,), (info,) = step.rows, step.infos
+            (info,) = step.infos
+            row = info.values
             if binary:
                 record(step.t, row)
             elif step.index % stride == 0:
@@ -331,8 +332,8 @@ def _run_fpe(params, problem: Problem, out: Path) -> list[Check]:
                            / (math.exp(growth * step.t) * nu_linf))
             if audit is not None:
                 audit_max = max(audit_max, audit(step.t, row).audit_value)
-        # the last step's field: the finished stream writes no buffer again
-        final = info.field
+    # the last step's row: the finished stream writes no buffer again
+    final = GridField(nu.lo, nu.hi, row)
 
     checks = [_bound_check("mass_drift", mass_drift, 1e-8, 0.0)]
     # The iterates are clipped at 0, and the chain raises once the clipped

@@ -31,16 +31,17 @@ A chain is strictly sequential and runs in the calling thread.  Its one
 step loop is the stream chain_steps returns: each step is yielded as it is
 solved, and the chain keeps three buffers per row (the previous iterate, the
 current one and the output), so a long chain holds a few rows, not its
-trajectory.  step_chain collects the stream into a Trajectory, and the CLI
-and semigroup_distance reduce it step by step.  A chain also takes a tuple
-of fields on one grid and runs their chains as a stack.  The k rows of
-a stack share their windows' union and lie end to end in one flat array,
-the layout of the gtsv bands; the faces between two rows (the seams) carry
-exactly zero flux and the bands couple no two rows.  Each Newton iteration
-solves all k rows with one gtsv call for their block-diagonal system, and
-only a row still above NEWTON_TOL takes its trial, so each row keeps its own
-line search and its own stop.  Each row equals its standalone chain bit for
-bit, and semigroup_distance runs its pair this way.  The arrays Newton
+trajectory.  step_chain collects the stream of one field into a Trajectory,
+and the CLI and semigroup_distance reduce it step by step.  chain_steps
+takes a tuple of fields on one grid and runs their chains as a stack, one
+row per field.  The k rows of a stack share their windows' union and lie
+end to end in one flat array, the layout of the gtsv bands; the faces
+between two rows (the seams) carry exactly zero flux and the bands couple no
+two rows.  Each Newton iteration solves all k rows with one gtsv call for
+their block-diagonal system, and only a row still above NEWTON_TOL takes its
+trial, so each row keeps its own line search and its own stop.  Each row
+equals its standalone chain bit for bit, and semigroup_distance runs its
+pair this way.  The arrays Newton
 writes (fluxes, bands, iterates, residuals) live in a workspace that the
 chain's _Operator allocates at construction, sized for the chain's rows, and
 reuses at every step.
@@ -149,16 +150,6 @@ class GridField:
         if np.any(vals < 0):
             raise ValueError("field values must be nonnegative")
 
-    @classmethod
-    def _trusted(cls, lo: float, hi: float, values: np.ndarray) -> "GridField":
-        """A field on values already known to be finite and nonnegative, such
-        as the solver's clipped output, built without scanning them again."""
-        field = object.__new__(cls)
-        object.__setattr__(field, "lo", lo)
-        object.__setattr__(field, "hi", hi)
-        object.__setattr__(field, "values", values)
-        return field
-
     @property
     def n_cells(self) -> int:
         return self.values.size
@@ -226,13 +217,14 @@ def _check_step(lam: float, drift: DriftSpec) -> None:
 class ResolventSolution:
     """Resolvent output plus solve diagnostics (residual, clipping).
 
+    values is the solution's row of cell values on the grid of the solve.
     preclip_min is the smallest cell value before the undershoot clip, so a
     negative value shows how far the Newton iterate left the positive cone.
     halvings counts the line search's step halvings over all iterations and
     fallbacks the iterations that took the damped fixed-point step.
     """
 
-    field: GridField
+    values: np.ndarray
     residual_l1: float
     newton_iters: int
     clipped_mass: float
@@ -245,7 +237,7 @@ class ResolventSolution:
 class Trajectory:
     """A chain collected by step_chain: the initial datum, and an (N, n_cells)
     array whose row i is the iterate at times[i], with infos[i] its report
-    (whose field is a view of that row)."""
+    (whose values are that row)."""
 
     initial: GridField
     times: np.ndarray
@@ -269,16 +261,15 @@ class ChainStep:
     """One step of a chain, as chain_steps yields it.
 
     index is the step's index i (0 for the first), t the time it reaches and
-    lam its length.  rows[r] is row r's iterate at t, and infos[r] its
-    report, whose field holds that same array.  The rows are buffers the
-    chain reuses: one stays valid until the stream moves on, so a consumer
-    that keeps a row copies it.
+    lam its length.  infos[r] is row r's report, and infos[r].values its
+    iterate at t.  Those values are a buffer the chain reuses: it stays
+    valid until the stream moves on, so a consumer that keeps a row copies
+    it.
     """
 
     index: int
     t: float
     lam: float
-    rows: tuple[np.ndarray, ...]
     infos: tuple[ResolventSolution, ...]
 
 
@@ -601,31 +592,28 @@ def _newton_stack(op: _Operator, fs, starts, lam: float,
         out[:lo + a] = 0.0
         out[lo + b:] = 0.0
         np.maximum(row, 0.0, out=out[lo + a:lo + b])
-        # clipped at 0 from a finite residual, so finite and nonnegative
-        field = GridField._trusted(op.grid.lo, op.grid.hi, out)
         solutions.append(ResolventSolution(
-            field=field, residual_l1=l1[r], newton_iters=iters[r],
+            values=out, residual_l1=l1[r], newton_iters=iters[r],
             clipped_mass=clipped, preclip_min=preclip_min,
             halvings=halvings[r], fallbacks=fallbacks[r]))
     return solutions
 
 
 def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
-                    drift: DriftSpec,
-                    start: np.ndarray | None = None) -> ResolventSolution:
+                    drift: DriftSpec) -> ResolventSolution:
     """One implicit step: solve u + lam*A(u) = f on the grid of f.
 
     A(u) = -Lap_h beta(u) + div_h(E b(u) u), with the drift's E at the
-    cell faces and its b as given.  Damped Newton from start (default f's
-    values; step_chain passes its linear predictor) with a tridiagonal
-    Jacobian, solved directly by LAPACK gtsv.  Each residual evaluation
-    applies the operator once.  The line search halves a rejected step up
-    to 12 times; when every trial fails, a damped fixed-point step is tried
-    instead.  The solution reports the halvings and fixed-point fallbacks.
+    cell faces and its b as given.  Damped Newton from f's values with a
+    tridiagonal Jacobian, solved directly by LAPACK gtsv.  Each residual
+    evaluation applies the operator once.  The line search halves a rejected
+    step up to 12 times; when every trial fails, a damped fixed-point step
+    is tried instead.  The solution reports the halvings and fixed-point fallbacks.
     Convergence is measured in discrete L1: Newton stops at NEWTON_TOL.
-    Negative undershoot is clipped at 0 and its mass reported.  This is
-    step_chain's Newton loop on a stack of one row, whose every iteration
-    makes one gtsv call over the row.
+    Negative undershoot is clipped at 0 and its mass reported; the
+    solution's values are a new array.  This is the chain's Newton loop on
+    a stack of one row, whose every iteration makes one gtsv call over the
+    row.
 
     When the drift vanishes (drift.vanishes), Newton runs on the window of
     the module docstring, and the values are those of a full-grid solve bit for
@@ -641,9 +629,8 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
         the iteration count).
     """
     _check_step(lam, drift)
-    begin = f.values if start is None else np.asarray(start, dtype=float)
-    return _newton_stack(_Operator(f, spec, drift, 1), (f.values,), (begin,), lam,
-                         (np.empty(f.n_cells),))[0]
+    return _newton_stack(_Operator(f, spec, drift, 1), (f.values,), (f.values,),
+                         lam, (np.empty(f.n_cells),))[0]
 
 
 def chain_steps(fields: tuple[GridField, ...], T: float, config: SolverConfig,
@@ -653,14 +640,17 @@ def chain_steps(fields: tuple[GridField, ...], T: float, config: SolverConfig,
     to time T, as a stream: (N, steps), where steps yields the N ChainSteps
     in order, each solved as it is drawn.
 
-    This is the chain's one step loop; step_chain documents the steps and
-    the checks, which run here before the stream is returned.  The fields
-    run as a stack of rows (see _newton_stack).  Each row's three buffers
-    rotate: the step writes its output over the iterate before the previous
-    one, so the rows of a step stay intact until the stream moves on.
+    This is the chain's one step loop, and the only way to run a stack:
+    step_chain runs it on one field and documents the steps and the checks,
+    which run here before the stream is returned.  The fields run as a
+    stack of rows (see _newton_stack), one Newton loop per step for all of
+    them, and each row equals its own chain bit for bit, with the same
+    Newton counts.  Each row's three buffers rotate: the step writes its
+    output over the iterate before the previous one, so the rows of a step
+    stay intact until the stream moves on.
     """
     if not fields:
-        raise ValueError("step_chain needs at least one field")
+        raise ValueError("chain_steps needs at least one field")
     grid = fields[0]
     if any((f.lo, f.hi, f.n_cells) != (grid.lo, grid.hi, grid.n_cells)
            for f in fields):
@@ -717,21 +707,14 @@ def _steps(fields, n_steps: int, h: float, last: float, spec: NonlinearitySpec,
                     f"clipped mass {clipped[r]:.3e} exceeded budget "
                     f"{MAX_CLIPPED_MASS:.1e} at step {i}{which}",
                     residual=sol.residual_l1, step=i, row=r)
-        yield ChainStep(index=i, t=t, lam=lam,
-                        rows=tuple(sol.field.values for sol in sols), infos=tuple(sols))
+        yield ChainStep(index=i, t=t, lam=lam, infos=tuple(sols))
         previous, current = current, outs
 
 
-def step_chain(nu, T: float, config: SolverConfig, spec: NonlinearitySpec,
-               drift: DriftSpec):
+def step_chain(nu: GridField, T: float, config: SolverConfig,
+               spec: NonlinearitySpec, drift: DriftSpec) -> Trajectory:
     """Run the implicit chain u^(i+1) + h A(u^(i+1)) = u^i from nu up to time T
     and collect it into a Trajectory.
-
-    nu is one GridField, or a tuple of GridFields on one grid; the chains
-    then run as a stack, and a tuple of Trajectory is returned, one per
-    field.  All rows of a stack go through one Newton loop per step (see
-    _newton_stack), and each row equals its own chain bit for bit, with the
-    same Newton counts.
 
     N = ceil(T/h) steps of size h, the last one shortened to land on T.
     When rounding leaves a last step of at most 1e-9 h (T = 0.14 - 0.1 with
@@ -744,31 +727,30 @@ def step_chain(nu, T: float, config: SolverConfig, spec: NonlinearitySpec,
     E is evaluated at the faces once per chain.
 
     The steps are those of the stream chain_steps returns; step_chain copies
-    each row into an (N, n_cells) array.  A caller that reduces the chain
-    step by step reads the stream instead and holds no such array.
+    each row into an (N, n_cells) array and points each report's values at
+    its stored row.  A caller that reduces the chain step by step, or runs
+    several fields as a stack, reads the stream instead.
 
-    Raises ValueError when T is not positive, T/h is not finite, the grids
-    differ or h breaks the step restriction, and SolverError, carrying the
-    step and the failing row of the stack, when a solve fails or clipping
-    exceeds its budget.
+    Raises TypeError when nu is not one GridField, ValueError when T is not
+    positive, T/h is not finite or h breaks the step restriction, and
+    SolverError, carrying the step, when a solve fails or clipping exceeds
+    its budget.
     """
-    stacked = isinstance(nu, tuple)
-    fields = nu if stacked else (nu,)
-    n_steps, steps = chain_steps(fields, T, config, spec, drift)
-    grid = fields[0]
+    if not isinstance(nu, GridField):
+        raise TypeError(f"step_chain runs one GridField, got {type(nu).__name__}; "
+                        "chain_steps runs a stack of fields")
+    n_steps, steps = chain_steps((nu,), T, config, spec, drift)
     times = np.empty(n_steps)
-    values = [np.empty((n_steps, grid.n_cells)) for _ in fields]
-    infos = [[] for _ in fields]
+    values = np.empty((n_steps, nu.n_cells))
+    infos = []
     for step in steps:
+        (sol,) = step.infos
         times[step.index] = step.t
-        for v, info, row, sol in zip(values, infos, step.rows, step.infos):
-            kept = v[step.index]
-            kept[...] = row
-            # the kept report's field is the stored row, not the reused buffer
-            info.append(replace(sol, field=GridField._trusted(grid.lo, grid.hi, kept)))
-    trajs = tuple(Trajectory(initial=f, times=times.copy(), values=v, infos=info)
-                  for f, v, info in zip(fields, values, infos))
-    return trajs if stacked else trajs[0]
+        kept = values[step.index]
+        kept[...] = sol.values
+        # the kept report's values are the stored row, not the reused buffer
+        infos.append(replace(sol, values=kept))
+    return Trajectory(initial=nu, times=times, values=values, infos=infos)
 
 
 def semigroup_distance(nu1: GridField, nu2: GridField, T: float,
@@ -788,7 +770,8 @@ def semigroup_distance(nu1: GridField, nu2: GridField, T: float,
     gap = np.empty(nu1.n_cells)
     worst = 0.0
     for step in steps:
-        np.subtract(*step.rows, out=gap)
+        first, second = step.infos
+        np.subtract(first.values, second.values, out=gap)
         np.abs(gap, out=gap)
         worst = max(worst, float(gap.sum()) * nu1.cell_width / denom)
     return worst

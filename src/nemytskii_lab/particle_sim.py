@@ -55,10 +55,12 @@ __all__ = [
     "coupling_experiment",
     "DOMAIN_BOUND",
     "COUPLING_DELTA",
+    "KDE_GRID_CELLS",
 ]
 
 DOMAIN_BOUND = 50.0   # half-width of the seeding interval; the watchdog is 10x
 COUPLING_DELTA = 1e-6   # length scale of the twins' Lyapunov statistic
+KDE_GRID_CELLS = 4096   # cells of frozen_density's auxiliary grid
 
 
 class SimulationError(RuntimeError):
@@ -208,18 +210,17 @@ def _kernel_profile(z: np.ndarray) -> np.ndarray:
     return 0.75 * np.maximum(1.0 - z * z, 0.0)
 
 
-def frozen_density(ensemble: ParticleEnsemble, bandwidth: float,
-                   n_grid_cells: int = 4096):
+def frozen_density(ensemble: ParticleEnsemble, bandwidth: float):
     """Binned KDE snapshot: returns an evaluator x -> u_hat(x).
 
     The particle histogram is convolved with the Epanechnikov kernel at the
-    bandwidth h on an auxiliary grid much finer than h and evaluated by
-    linear interpolation; this is the O(N + grid) stand-in for the exact
-    kernel sum inside the step loop, with binning error O((grid/h)^2).
-    Deterministic given positions.  The grid spans the ensemble's bounds
-    widened by 2h and must resolve the positions: a step of at most 64 ulp
-    of the grid's ends, or a last node left of the rightmost particle, is a
-    ValueError.
+    bandwidth h on an auxiliary grid of KDE_GRID_CELLS cells, much finer
+    than h, and evaluated by linear interpolation; this is the O(N + grid)
+    stand-in for the exact kernel sum inside the step loop, with binning
+    error O((grid/h)^2).  Deterministic given positions.  The grid spans
+    the ensemble's bounds widened by 2h and must resolve the positions: a
+    step of at most 64 ulp of the grid's ends, or a last node left of the
+    rightmost particle, is a ValueError.
 
     Cells come from floor arithmetic, with an exact fallback.  The grid is
     uniform, so u = (x - origin) * (2/step), origin = lo - step, puts the
@@ -239,7 +240,7 @@ def frozen_density(ensemble: ParticleEnsemble, bandwidth: float,
     can be ordered wrongly against a node or edge; they take np.interp's
     node comparisons and np.histogram's edge comparison instead, and so do
     points out of range, infinite or NaN, which are clamped onto an integer
-    u first.  At the step loop's 4096 cells that leaves about one point in
+    u first.  At KDE_GRID_CELLS = 4096 cells that leaves about one point in
     1e10 to the fallback, at the coarsest grid allowed about half.  Which
     points fall back depends on the data only, so the result is the same
     bytes every time.
@@ -253,7 +254,7 @@ def frozen_density(ensemble: ParticleEnsemble, bandwidth: float,
     when the evaluator is called on this ensemble's own positions array
     (the same object, not changed in place since), it reuses the cells.
     """
-    return _binned_kde(ensemble, bandwidth, n_grid_cells)[2]
+    return _binned_kde(ensemble, bandwidth, KDE_GRID_CELLS)[2]
 
 
 def _binned_kde(ensemble: ParticleEnsemble, bandwidth: float, n_grid_cells: int):

@@ -151,6 +151,19 @@ def test_lipschitz_constant_function():
     assert rep.violations == 0
 
 
+def test_lipschitz_counts_the_pairs_above_the_bound():
+    # derivative samples of 0 where f varies: M|f'| = 0, so every pair with
+    # f(x) != f(y) has an infinite ratio and violates C_d; the pair on the
+    # flat part of f and the pair x = y are not counted as violations
+    grid = centered_grid(-2, 2, 0.01)
+    f = SampledFunction(grid=grid, values=np.maximum(grid, 0.0),
+                        derivative_values=np.zeros_like(grid))
+    rep = lipschitz_estimate_check(f, [(0.5, 1.0), (0.2, 1.5), (-1.5, -0.5),
+                                       (0.7, 0.7)], math.inf)
+    assert rep.max_ratio == math.inf
+    assert (rep.violations, rep.n_pairs) == (2, 3)
+
+
 def test_lipschitz_requires_derivative_and_radius():
     grid = centered_grid(-1, 1, 0.01)
     f = SampledFunction(grid=grid, values=grid)
@@ -246,6 +259,8 @@ def test_gagliardo_needs_three_samples(n):
 def test_w1_identical_fields():
     g = GridField.from_function(-4, 4, 800, lambda x: barenblatt_eval(P2, 1.0, x)).normalized()
     assert w1_distance(g, g) == 0.0
+    # both laws on the one point 1.5: a single breakpoint and no segment
+    assert w1_distance(np.full(3, 1.5), np.array([1.5])) == 0.0
 
 
 def test_w1_point_masses():

@@ -19,6 +19,7 @@ from nemytskii_lab.coefficients import (
 from nemytskii_lab.fpe_solver import (
     ChainStep,
     GridField,
+    ResolventSolution,
     SolverConfig,
     SolverError,
     Trajectory,
@@ -93,7 +94,7 @@ def test_grid_field_validation():
 def test_resolvent_zero_input():
     f = GridField(-3, 3, np.zeros(64))
     sol = resolvent_solve(f, 1e-3, SPEC, ZERO_DRIFT)
-    assert np.all(sol.field.values == 0.0)
+    assert np.all(sol.values == 0.0)
 
 
 def test_resolvent_mass_conservation():
@@ -101,7 +102,7 @@ def test_resolvent_mass_conservation():
     sol = resolvent_solve(f, 1e-3, SPEC, ZERO_DRIFT)
     # independent summation oracle
     oracle_in = math.fsum(f.values) * f.cell_width
-    oracle_out = math.fsum(sol.field.values) * f.cell_width
+    oracle_out = math.fsum(sol.values) * f.cell_width
     assert abs(oracle_out - oracle_in) <= 1e-10
     assert sol.residual_l1 <= 1e-12
 
@@ -110,16 +111,36 @@ def test_resolvent_l1_contraction_pair():
     a, b = random_smooth_field(1), random_smooth_field(2)
     sa = resolvent_solve(a, 1e-3, SPEC, ZERO_DRIFT)
     sb = resolvent_solve(b, 1e-3, SPEC, ZERO_DRIFT)
-    assert sa.field.l1_distance(sb.field) <= a.l1_distance(b) + 1e-10
+    assert replace(a, values=sa.values).l1_distance(replace(b, values=sb.values)) \
+        <= a.l1_distance(b) + 1e-10
 
 
 def test_resolvent_nonnegativity():
     for seed in range(5):
         f = random_smooth_field(seed)
         sol = resolvent_solve(f, 5e-3, SPEC, ZERO_DRIFT)
-        assert sol.field.values.min() >= 0.0
+        assert sol.values.min() >= 0.0
         assert sol.clipped_mass <= 1e-12
         assert sol.preclip_min >= 0.0
+
+
+def test_newton_clips_a_negative_cell_and_reports_the_clipped_mass():
+    # one negative cell of f in the vacuum stays negative through the solve
+    # (measured preclip_min -0.049); the clip at 0 must remove it and report
+    # its mass.  The solve conserves mass up to its L1 residual, so the mass
+    # before the clip, sum(out) dx - clipped_mass, is f's to that and roundoff.
+    grid = GridField(-3.0, 3.0, np.zeros(64))
+    f = np.maximum(1.0 - grid.centers**2, 0.0)
+    f[56] = -0.05
+    out = np.empty(grid.n_cells)
+    (sol,) = fpe_solver._newton_stack(_Operator(grid, SPEC, ZERO_DRIFT, 1), (f,), (f,),
+                                      1e-3, (out,))
+    assert sol.values is out
+    assert out.min() >= 0.0 and out[56] == 0.0
+    assert sol.preclip_min < -0.04 and sol.clipped_mass > 0.0
+    dx = grid.cell_width
+    assert abs(float(np.sum(out)) * dx - sol.clipped_mass - float(np.sum(f)) * dx) \
+        <= sol.residual_l1 + 16 * np.finfo(float).eps
 
 
 def test_resolvent_step_restriction():
@@ -136,7 +157,7 @@ def test_resolvent_small_lambda_consistency():
     dists = []
     for lam in (1e-2, 1e-3, 1e-4):
         sol = resolvent_solve(f, lam, SPEC, ZERO_DRIFT)
-        dists.append(sol.field.l1_distance(f))
+        dists.append(replace(f, values=sol.values).l1_distance(f))
     assert dists[0] > dists[1] > dists[2]
     # O(lambda): each decade shrinks the distance by roughly 10x
     assert 5.0 < dists[0] / dists[1] < 20.0
@@ -200,6 +221,50 @@ def test_resolvent_fallback_telemetry(monkeypatch):
     sol = resolvent_solve(gaussian_field(n=64), 1e-3, SPEC, ZERO_DRIFT)
     assert sol.fallbacks == sol.newton_iters > 0
     assert sol.halvings == 12 * sol.fallbacks
+
+
+def test_fixed_point_fallback_that_does_not_lower_the_residual_stalls(monkeypatch):
+    # a zero Newton step leaves only the damped fixed-point step
+    # u - res/2, which amplifies the high modes of a box when
+    # lam/dx^2 = 18 >> 1: the residual rises at once, and the solve stalls
+    # at the start, whose residual is lam * |A(f)|_1
+    lam = 1e-2
+    values = np.zeros(256)
+    values[96:160] = 1.0
+    f = GridField(-3.0, 3.0, values).normalized()
+    assert lam / f.cell_width**2 > 18.0
+    alone = _Operator(f, SPEC, ZERO_DRIFT, 1)
+    start = f.values + lam * apply_alone(alone, f.values) - f.values
+    monkeypatch.setattr(fpe_solver, "_tridiagonal_solve",
+                        lambda bands, rhs: (np.zeros_like(rhs), 0))
+    with pytest.raises(SolverError, match="stalled after 0 iterations") as err:
+        resolvent_solve(f, lam, SPEC, ZERO_DRIFT)
+    assert err.value.row == 0
+    assert err.value.residual == float(np.sum(np.abs(start)) * f.cell_width)
+    assert f"residual {err.value.residual:.3e}" in str(err.value)
+
+    # in a chain the first step solves, and the second stalls at its
+    # predictor start
+    monkeypatch.undo()
+    config = SolverConfig(lambda_step=lam)
+    first = step_chain(f, lam, config, SPEC, ZERO_DRIFT)
+    passes = first.infos[0].newton_iters
+    u1 = first.values[0]
+    solve, calls = fpe_solver._tridiagonal_solve, []
+
+    def zero_after_the_first_step(bands, rhs):
+        calls.append(rhs.size)
+        if len(calls) <= passes:
+            return solve(bands, rhs)
+        return np.zeros_like(rhs), 0
+
+    monkeypatch.setattr(fpe_solver, "_tridiagonal_solve", zero_after_the_first_step)
+    with pytest.raises(SolverError, match="stalled after 0 iterations") as err:
+        step_chain(f, 0.05, config, SPEC, ZERO_DRIFT)
+    predictor = np.maximum(2.0 * u1 - f.values, 0.0)
+    res = predictor + lam * apply_alone(alone, predictor) - u1
+    assert (err.value.step, err.value.row) == (1, 0)
+    assert err.value.residual == float(np.sum(np.abs(res)) * f.cell_width)
 
 
 def test_resolvent_failed_tridiagonal_solve_raises(monkeypatch):
@@ -279,12 +344,12 @@ def test_drift_free_window_covers_the_start():
     # the margin, so the window must span both
     f = source_field(2.0, 0.1, 1000)
     start = source_field(2.0, 3.0, 1000).values
-    window, full = (resolvent_solve(f, 1e-2, SPEC, drift, start=start)
+    window, full = (fpe_solver._newton_stack(_Operator(f, SPEC, drift, 1), (f.values,),
+                                             (start,), 1e-2, (np.empty(f.n_cells),))[0]
                     for drift in (ZERO_DRIFT, NULL_DRIFT))
     assert window.newton_iters == full.newton_iters > 0
     assert window.halvings == full.halvings
-    assert np.array_equal(window.field.values.view(np.int64),
-                          full.field.values.view(np.int64))
+    assert np.array_equal(window.values.view(np.int64), full.values.view(np.int64))
     assert (window.clipped_mass, window.preclip_min) == \
         (full.clipped_mass, full.preclip_min)
 
@@ -345,7 +410,7 @@ def _property_case(m, amp, lam_frac, seed):
     above = GridField(a.lo, a.hi, a.values + bump)
 
     def solve(f):
-        return resolvent_solve(f, lam, spec, drift).field
+        return replace(f, values=resolvent_solve(f, lam, spec, drift).values)
 
     return a, b, above, solve
 
@@ -395,9 +460,9 @@ def test_resolvent_is_monotone_at_cell_peclet_above_one(n, lam_frac):
     assert peclet.max() > 1.5
     u, w = (resolvent_solve(g, lam, SPEC, drift) for g in (f, above))
     assert min(u.preclip_min, w.preclip_min) >= -PROPERTY_TOL / f.cell_width
-    assert np.max(u.field.values - w.field.values) <= 2 * PROPERTY_TOL / f.cell_width
+    assert np.max(u.values - w.values) <= 2 * PROPERTY_TOL / f.cell_width
     for sol, g in ((u, f), (w, above)):
-        assert abs(sol.field.mass() - g.mass()) <= PROPERTY_TOL
+        assert abs(replace(g, values=sol.values).mass() - g.mass()) <= PROPERTY_TOL
 
 
 # -- chain --------------------------------------------------------------------
@@ -473,7 +538,7 @@ def test_step_chain_keeps_only_the_filled_rows():
     assert traj.values.shape == (7, 200)
     assert traj.times.shape == (7,) and len(traj.infos) == 7
     assert traj.times[-1] == pytest.approx(0.035, abs=1e-14)
-    assert np.array_equal(traj.final.values, traj.infos[-1].field.values)
+    assert np.array_equal(traj.final.values, traj.infos[-1].values)
 
 
 def test_step_chain_skips_a_last_step_left_by_rounding():
@@ -537,8 +602,8 @@ _OTHER_UNIT_MASS = GridField(0.0, 1.0, np.r_[np.full(8, 1.5), np.full(8, 0.5)])
      "fields live on different grids"),
     (lambda: GridField(0.0, 1.0, np.zeros(16)).normalized(),
      "cannot normalize a zero field"),
-    (lambda: step_chain((), 0.1, SolverConfig(lambda_step=1e-3), SPEC, ZERO_DRIFT),
-     "step_chain needs at least one field"),
+    (lambda: chain_steps((), 0.1, SolverConfig(lambda_step=1e-3), SPEC, ZERO_DRIFT),
+     "chain_steps needs at least one field"),
     (lambda: GridField(-math.inf, 1.0, np.ones(16)),
      "need hi > lo with finite lo, hi and hi - lo, got lo = -inf and hi = 1.0"),
     (lambda: GridField(0.0, math.inf, np.ones(16)),
@@ -765,32 +830,28 @@ def test_chain_support_edge_tracks_the_free_boundary(m):
 
 # -- the step stream ----------------------------------------------------------
 
-@pytest.mark.parametrize("fields, T, h, drift", [
-    ((barenblatt_field(0.1, n=200, lo=-4, hi=4),), 0.025, 1e-2, ZERO_DRIFT),
-    ((random_smooth_field(7), random_smooth_field(8)), 0.02, 2e-3, tanh_drift(0.25)),
-], ids=["drift-free", "drifted-stack-of-two"])
-def test_step_chain_collects_the_stream(fields, T, h, drift):
+@pytest.mark.parametrize("nu, T, h, drift", [
+    (barenblatt_field(0.1, n=200, lo=-4, hi=4), 0.025, 1e-2, ZERO_DRIFT),
+    (random_smooth_field(7), 0.02, 2e-3, tanh_drift(0.25)),
+], ids=["drift-free", "drifted"])
+def test_step_chain_collects_the_stream(nu, T, h, drift):
     config = SolverConfig(lambda_step=h)
-    collected = step_chain(fields if len(fields) > 1 else fields[0], T, config,
-                           SPEC, drift)
-    trajs = collected if len(fields) > 1 else (collected,)
-    n_steps, steps = chain_steps(fields, T, config, SPEC, drift)
+    traj = step_chain(nu, T, config, SPEC, drift)
+    n_steps, steps = chain_steps((nu,), T, config, SPEC, drift)
     prev_t, seen = 0.0, 0
     for step in steps:
         assert step.index == seen and step.t == prev_t + step.lam
-        for traj, row, info in zip(trajs, step.rows, step.infos, strict=True):
-            assert traj.times[step.index] == step.t
-            assert np.array_equal(traj.values[step.index].view(np.int64),
-                                  row.view(np.int64))
-            kept = traj.infos[step.index]
-            assert [getattr(kept, c) for c in COUNTS] == [getattr(info, c) for c in COUNTS]
-            assert np.array_equal(
-                np.array([getattr(kept, t) for t in TELEMETRY]).view(np.int64),
-                np.array([getattr(info, t) for t in TELEMETRY]).view(np.int64))
-            assert info.field.values is row
-            assert np.shares_memory(kept.field.values, traj.values[step.index])
+        (info,) = step.infos
+        assert traj.times[step.index] == step.t
+        assert np.array_equal(traj.values[step.index].view(np.int64),
+                              info.values.view(np.int64))
+        kept = traj.infos[step.index]
+        assert_same_report(kept, info)
+        # the kept report reads the stored row, not the stream's buffer
+        assert kept.values is not info.values
+        assert np.shares_memory(kept.values, traj.values[step.index])
         prev_t, seen = step.t, seen + 1
-    assert seen == n_steps == trajs[0].times.size
+    assert seen == n_steps == traj.times.size
     # the last step of the drift-free chain is shortened to land on T
     assert prev_t == pytest.approx(T, abs=1e-15)
 
@@ -827,7 +888,7 @@ def test_stream_rows_hold_until_the_stream_moves_on():
     traj = step_chain(nu, 0.05, SolverConfig(lambda_step=1e-2), SPEC, ZERO_DRIFT)
     _, steps = chain_steps((nu,), 0.05, SolverConfig(lambda_step=1e-2), SPEC,
                            ZERO_DRIFT)
-    first = next(steps).rows[0]
+    first = next(steps).infos[0].values
     assert np.array_equal(first, traj.values[0])
     for _ in range(3):
         next(steps)
@@ -889,9 +950,14 @@ def test_semigroup_distance_reads_every_step(monkeypatch):
         return Trajectory(initial=nu, times=np.arange(1.0, 6.0), values=values,
                           infos=[])
 
+    def report(row):
+        return ResolventSolution(values=row, residual_l1=0.0, newton_iters=1,
+                                 clipped_mass=0.0, preclip_min=0.0, halvings=0,
+                                 fallbacks=0)
+
     def fake_stream(nus, T, config, spec, drift):
         t1, t2 = (fake_one(nu) for nu in nus)
-        steps = (ChainStep(index=i, t=t, lam=1.0, rows=(a, b), infos=())
+        steps = (ChainStep(index=i, t=t, lam=1.0, infos=(report(a), report(b)))
                  for i, (t, a, b) in enumerate(zip(t1.times, t1.values, t2.values)))
         return t1.times.size, steps
 
@@ -908,23 +974,36 @@ TELEMETRY = ("residual_l1", "clipped_mass", "preclip_min")
 COUNTS = ("newton_iters", "halvings", "fallbacks")
 
 
+def assert_same_report(got, want):
+    """Two solve reports with the same counts and telemetry bit for bit."""
+    assert [getattr(got, c) for c in COUNTS] == [getattr(want, c) for c in COUNTS]
+    assert np.array_equal(
+        np.array([getattr(got, t) for t in TELEMETRY]).view(np.int64),
+        np.array([getattr(want, t) for t in TELEMETRY]).view(np.int64))
+
+
+def run_stack(fields, T, config, drift):
+    """Every step of the chain_steps stack of fields, drained; each step's
+    values are reused buffers, so only the reports' numbers stay valid."""
+    return list(chain_steps(tuple(fields), T, config, SPEC, drift)[1])
+
+
 def assert_stack_matches_standalone(fields, T, config, drift):
-    """Every step of every row of a stack equals its standalone chain bit for bit."""
-    stacked = step_chain(tuple(fields), T, config, SPEC, drift)
-    assert isinstance(stacked, tuple) and len(stacked) == len(fields)
-    for nu, row in zip(fields, stacked):
-        alone = step_chain(nu, T, config, SPEC, drift)
-        assert row.initial is nu
-        assert np.array_equal(row.times, alone.times)
-        assert np.array_equal(row.values.view(np.int64), alone.values.view(np.int64))
-        assert len(row.infos) == len(alone.infos) == len(row.times)
-        for got, want in zip(row.infos, alone.infos):
-            assert [getattr(got, c) for c in COUNTS] == [getattr(want, c) for c in COUNTS]
-            assert np.array_equal(
-                np.array([getattr(got, t) for t in TELEMETRY]).view(np.int64),
-                np.array([getattr(want, t) for t in TELEMETRY]).view(np.int64))
-            assert got.field.values is not want.field.values
-    return stacked
+    """Every step of every row of a chain_steps stack equals the standalone
+    step_chain of its field bit for bit; returns those Trajectories."""
+    alone = [step_chain(nu, T, config, SPEC, drift) for nu in fields]
+    n_steps, steps = chain_steps(tuple(fields), T, config, SPEC, drift)
+    seen = 0
+    for step in steps:
+        assert len(step.infos) == len(fields)
+        for traj, got in zip(alone, step.infos):
+            assert step.t == traj.times[step.index]
+            assert np.array_equal(got.values.view(np.int64),
+                                  traj.values[step.index].view(np.int64))
+            assert_same_report(got, traj.infos[step.index])
+        seen += 1
+    assert seen == n_steps == alone[0].times.size
+    return alone
 
 
 def newton_counts(traj):
@@ -965,7 +1044,7 @@ def test_stack_failure_names_the_step_and_row(monkeypatch):
     monkeypatch.setattr(fpe_solver, "_tridiagonal_solve",
                         lambda bands, rhs: (rhs, 207))
     with pytest.raises(SolverError, match="gtsv info 207") as err:
-        step_chain((nu1, nu2), 0.02, SolverConfig(lambda_step=lam), SPEC, drift)
+        run_stack((nu1, nu2), 0.02, SolverConfig(lambda_step=lam), drift)
     start = nu2.values + lam * apply_alone(_Operator(nu2, SPEC, drift, 1), nu2.values) \
         - nu2.values
     assert err.value.residual == float(np.sum(np.abs(start)) * nu2.cell_width)
@@ -1052,10 +1131,11 @@ def test_every_newton_iteration_solves_the_whole_stack(monkeypatch):
 
     monkeypatch.setattr(fpe_solver, "_tridiagonal_solve", recorded)
     nu1, nu2 = random_smooth_field(7), random_smooth_field(8)
-    t1, t2 = step_chain((nu1, nu2), 0.02, SolverConfig(lambda_step=2e-3), SPEC,
-                        tanh_drift(0.25))
-    assert newton_counts(t1) != newton_counts(t2)
-    assert len(sizes) == sum(map(max, newton_counts(t1), newton_counts(t2)))
+    steps = run_stack((nu1, nu2), 0.02, SolverConfig(lambda_step=2e-3),
+                      tanh_drift(0.25))
+    counts = [[step.infos[r].newton_iters for step in steps] for r in (0, 1)]
+    assert counts[0] != counts[1]
+    assert len(sizes) == sum(map(max, *counts))
     assert set(sizes) == {2 * nu1.n_cells}
 
 
@@ -1106,7 +1186,7 @@ def test_stack_gtsv_failure_in_the_last_block_names_the_last_row(monkeypatch):
     monkeypatch.undo()   # the first steps solve with gtsv itself
     _fail_in_last_block(monkeypatch, 3, n, passes=max(first))
     with pytest.raises(SolverError, match=f"gtsv info {3 * n}") as err:
-        step_chain(fields, 0.02, config, SPEC, drift)
+        run_stack(fields, 0.02, config, drift)
     predictor = np.maximum(2.0 * u1 - nu2.values, 0.0)
     res = predictor + lam * apply_alone(alone, predictor) - u1
     assert (err.value.step, err.value.row) == (1, 2)
@@ -1115,13 +1195,22 @@ def test_stack_gtsv_failure_in_the_last_block_names_the_last_row(monkeypatch):
 
 def test_stack_rejects_fields_on_different_grids():
     with pytest.raises(ValueError, match="different grids"):
-        step_chain((random_smooth_field(1), random_smooth_field(2, n=128)), 0.01,
-                   SolverConfig(lambda_step=1e-3), SPEC, ZERO_DRIFT)
+        chain_steps((random_smooth_field(1), random_smooth_field(2, n=128)), 0.01,
+                    SolverConfig(lambda_step=1e-3), SPEC, ZERO_DRIFT)
+
+
+@pytest.mark.parametrize("nu", [(random_smooth_field(1),),
+                                (random_smooth_field(1), random_smooth_field(2))],
+                         ids=["one", "two"])
+def test_step_chain_takes_one_field_and_names_the_stack_api(nu):
+    with pytest.raises(TypeError, match="got tuple; chain_steps runs a stack"):
+        step_chain(nu, 0.01, SolverConfig(lambda_step=1e-3), SPEC, ZERO_DRIFT)
 
 
 def test_step_chain_does_not_revalidate_its_iterates(monkeypatch):
-    # the solver's fields are clipped from a finite residual; scanning them
-    # again for finiteness and sign costs a full-grid pass per step
+    # the solver's rows are clipped from a finite residual, and neither the
+    # stream nor step_chain builds a field of them: scanning each again for
+    # finiteness and sign would cost a full-grid pass per step
     nu = barenblatt_field(0.1, n=200, lo=-4, hi=4)
 
     def forbidden(self):
@@ -1130,7 +1219,7 @@ def test_step_chain_does_not_revalidate_its_iterates(monkeypatch):
     monkeypatch.setattr(GridField, "__post_init__", forbidden)
     traj = step_chain(nu, 0.02, SolverConfig(lambda_step=1e-3), SPEC,
                       tanh_drift(0.25))
-    assert np.shares_memory(traj.infos[-1].field.values, traj.values[-1])
+    assert np.shares_memory(traj.infos[-1].values, traj.values[-1])
 
 
 # -- entropy audit -------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -120,6 +121,39 @@ def test_kde_consistency_at_center():
     assert val == pytest.approx(P2.C_norm, rel=0.05)
 
 
+def _silverman_reference(positions):
+    """max(1.06 sigma n^(-1/5), 2 spread/(n - 1), 1e-12), sigma and spread
+    summed out in Python floats."""
+    xs = [float(x) for x in positions]
+    n = len(xs)
+    mean = math.fsum(xs) / n
+    sigma = math.sqrt(math.fsum((x - mean) ** 2 for x in xs) / n)
+    return max(1.06 * sigma * n ** (-0.2), 2.0 * (max(xs) - min(xs)) / (n - 1), 1e-12)
+
+
+@pytest.mark.parametrize("positions", [
+    np.random.default_rng(5).standard_normal(1000),
+    np.random.default_rng(6).uniform(-40.0, 3.0, 20_000),
+    np.r_[np.zeros(9998), -1.0, 1.0],        # sigma far below the spread
+    np.full(100, 2.5),                       # no spread: the 1e-12 floor
+], ids=["normal", "uniform", "two-outliers", "coincident"])
+def test_silverman_bandwidth_is_the_rule_of_thumb(positions):
+    ens = ParticleEnsemble(positions=positions, t=0.0)
+    assert particle_sim._silverman_bandwidth(ens) == pytest.approx(
+        _silverman_reference(positions), rel=1e-12)
+
+
+def test_silverman_bandwidth_spread_floor():
+    # the floor 2 spread/(n - 1) binds only below 100 particles, which no
+    # ParticleEnsemble holds: even with all but the two extremes at the
+    # mean, sigma = spread/sqrt(2n) and the rule exceeds the floor by
+    # 0.375 n^0.3 (n - 1)/n >= 1.47.  A stand-in of 3 particles reaches it.
+    positions = np.array([0.0, 0.0, 4.0])
+    small = SimpleNamespace(n=3, positions=positions, bounds=(0.0, 4.0))
+    assert _silverman_reference(positions) == 4.0
+    assert particle_sim._silverman_bandwidth(small) == 4.0
+
+
 def test_binned_density_tracks_exact_kernel_sum():
     ens = seed_from_density(BB_INIT, 20_000, 4, -5, 5, t0=T0)
     bw = particle_sim._silverman_bandwidth(ens)
@@ -183,7 +217,8 @@ def test_frozen_density_lookup_is_np_interp_bit_for_bit(seed, n, scale, center,
         np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
         rng.uniform(grid[0] - 0.1 * span, grid[-1] + 0.1 * span, n),
     ])
-    assert _same_bits(frozen_density(ens, bw, cells)(queries), reference(queries))
+    assert _same_bits(particle_sim._binned_kde(ens, bw, cells)[2](queries),
+                      reference(queries))
 
 
 def test_frozen_density_counts_particles_on_the_extreme_nodes():
