@@ -13,20 +13,17 @@ A run and a coupled pair step through the same loop.
 
 A step's noise depends on nothing the step computes, so the loop starts one
 worker thread per run, which draws step s + 1's block while the calling
-thread runs step s.  The worker fills one of two buffers per ensemble, and
-the calling thread reads a buffer only after the worker has returned it and
-never while the worker is filling it.  Everything else is a fixed sequence
-of whole-array numpy operations and reductions in the calling thread, so
-the same config and seed give the same bytes however the two threads are
-scheduled.  The worker is joined when the run ends, fails or is
-closed early.
+thread runs step s.  The worker fills one of two buffers, which every
+ensemble of the run reads, and the calling thread reads a buffer only after
+the worker has returned it and never while the worker is filling it.
+Everything else is a fixed sequence of whole-array numpy operations and
+reductions in the calling thread, so the same config and seed give the same
+bytes however the two threads are scheduled.  The worker is joined when the
+run ends, fails or is closed early.
 
-The density snapshot finds each particle's cell by floor arithmetic and
-sends only the particles that lie within a rounding margin of a node or bin
-edge through exact comparisons (see frozen_density).  Which particles take
-that fallback depends on the positions alone, and both paths give the same
-cell, so the step stays deterministic and bit-identical to np.histogram and
-np.interp.
+The density snapshot finds each particle's cell by floor arithmetic alone
+(see frozen_density): a fixed sequence of IEEE operations on the positions,
+so the step stays deterministic.
 """
 
 from __future__ import annotations
@@ -115,7 +112,7 @@ class ParticleEnsemble:
 
     The noise that moves them belongs to the run (see _steps), not to the
     ensemble.  bounds is the positions' (min, max), found once here and read
-    by the watchdog, Silverman's spread and the KDE grid.
+    by the watchdog and the KDE grid.
     """
 
     positions: np.ndarray
@@ -154,13 +151,9 @@ def _noise_block(seed: int, step: int, n: int, kind: str = "normal",
 
 
 def _silverman_bandwidth(ensemble: ParticleEnsemble) -> float:
-    n = ensemble.n
     sigma = float(np.std(ensemble.positions))
-    h = 1.06 * sigma * n ** (-0.2)
-    lo, hi = ensemble.bounds
-    spread = hi - lo
-    floor = 2.0 * spread / max(n - 1, 1)
-    return max(h, floor, 1e-12)
+    h = 1.06 * sigma * ensemble.n ** (-0.2)
+    return max(h, 1e-12)
 
 
 def seed_from_density(density, n: int, seed: int, lo: float, hi: float,
@@ -217,43 +210,33 @@ def frozen_density(ensemble: ParticleEnsemble, bandwidth: float):
     bandwidth h on an auxiliary grid of KDE_GRID_CELLS cells, much finer
     than h, and evaluated by linear interpolation; this is the O(N + grid)
     stand-in for the exact kernel sum inside the step loop, with binning
-    error O((grid/h)^2).  Deterministic given positions.  The grid spans
-    the ensemble's bounds widened by 2h and must resolve the positions: a
-    step of at most 64 ulp of the grid's ends, or a last node left of the
-    rightmost particle, is a ValueError.
+    error O((grid/h)^2).  Deterministic given positions.  h must be positive
+    and finite.  The grid spans the ensemble's bounds widened by 2h and must
+    resolve the positions: a step of at most 64 ulp of the grid's ends, or a
+    last node left of the rightmost particle, is a ValueError.
 
-    Cells come from floor arithmetic, with an exact fallback.  The grid is
-    uniform, so u = (x - origin) * (2/step), origin = lo - step, puts the
-    left node of row k (cell k - 1) at u = 2k and the histogram's bin edge
-    inside that cell at u = 2k + 1: j = floor(u) gives the row j >> 1 and
-    the bin (j - 1) >> 1 at once.  Rounding moves the computed u, each node
-    lo + i*step and each edge of np.histogram's linspace from where exact
-    arithmetic puts them.  With M = max(|lo|, |hi|), a rounding of a number
-    below (n + 2) * step is worth at most eps * (n + 2) / 2 steps, and one
-    of a number below M + 2 * step at most spacing(M)/step + eps steps.
-    Counting the roundings (origin, the difference, 1/step and the product
-    for u; two per node; start, stop, width and product for an edge, whose
-    width also carries hi - lo's rounding into step) bounds the sum of u's
-    error and an edge's by 5 spacing(M)/step + 6.5 eps (n + 2) steps,
-    and u's and a node's by less.  So only points whose u lies within
-    2 * margin of an integer, margin = 8 eps (n + 2) + 8 spacing(M)/step,
-    can be ordered wrongly against a node or edge; they take np.interp's
-    node comparisons and np.histogram's edge comparison instead, and so do
-    points out of range, infinite or NaN, which are clamped onto an integer
-    u first.  At KDE_GRID_CELLS = 4096 cells that leaves about one point in
-    1e10 to the fallback, at the coarsest grid allowed about half.  Which
-    points fall back depends on the data only, so the result is the same
-    bytes every time.
+    Cells come from floor arithmetic alone.  The grid is uniform, so
+    u = (x - origin) * (2/step), origin = lo - step, puts the left node of
+    row k (cell k - 1) at u = 2k and the histogram's bin edge inside that
+    cell at u = 2k + 1: j = floor(u) gives the row j >> 1 and the bin
+    (j - 1) >> 1 at once.  u is clamped to [0, 2n + 4], so a finite query
+    off the grid lands in row 0 or row n + 2, which read 0.  The 2h padding
+    leaves the density 0 at both end nodes unless h is under about a quarter
+    step, so the lookup is also 0 in row n + 1 past the last node.
 
-    Cell choice, slopes and the final slope*(x - node) + value match
-    numpy's interp loop operation for operation, so the evaluator is
-    bit-identical to np.interp(x, grid, dens, left=0, right=0) at every x
-    (at -inf and inf the outer rows are read at a finite stand-in, which
-    gives their 0), and np.bincount of the bins gives np.histogram's counts
-    exactly.  Each particle's cell is found once and serves twice:
-    when the evaluator is called on this ensemble's own positions array
-    (the same object, not changed in place since), it reuses the cells.
+    Rounding can put a point within a few ulp of a node or bin edge in the
+    neighbouring row or bin, a binning error of the kind the estimator
+    already makes; at a node it moves the lookup by at most the slope jump
+    there times the rounding distance.  Elsewhere np.bincount of the bins
+    gives np.histogram's counts, and the lookup is
+    np.interp(x, grid, dens, left=0, right=0) bit for bit.  Each particle's
+    cell is found once and serves twice: when the evaluator is called on
+    this ensemble's own positions array (the same object, not changed in
+    place since), it reuses the cells, which a copy of the array would find
+    again.
     """
+    if not (bandwidth > 0 and math.isfinite(bandwidth)):
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth!r}")
     return _binned_kde(ensemble, bandwidth, KDE_GRID_CELLS)[2]
 
 
@@ -280,37 +263,20 @@ def _binned_kde(ensemble: ParticleEnsemble, bandwidth: float, n_grid_cells: int)
     row_node = np.concatenate([grid[:1], grid, grid[-1:]])
     origin = lo - step   # (x - origin)/step is row k + fraction
     inv_step = 1.0 / step
-    # np.histogram's edges sit half a step either side of the nodes
-    edges = np.linspace(lo - 0.5 * step, hi + 0.5 * step, n + 2)
-    near_node = 0.5 - 2.0 * (8.0 * np.finfo(float).eps * (n + 2) + 8.0 * ulp / step)
-
-    def exact_rows(x):
-        # the nodes at or left of x; NaN sorts last, to row n + 1, whose
-        # arithmetic returns NaN
-        return np.searchsorted(grid, x, side="right") + (x > last)
 
     def cells(x):
-        """Rows of the 1-d x, its floor(u), and the points placed exactly."""
+        """floor(u) of the 1-d x, with u clamped to [0, 2n + 4] (NaN to 0)."""
         u = x - origin
         u *= 2.0 * inv_step
-        # out of range, infinite and NaN (fmax takes it to 2) land on an integer
-        np.fmax(u, 2.0, out=u)
-        np.fmin(u, 2.0 * n + 2.0, out=u)
-        j = u.astype(np.intp)
-        u -= j
-        u -= 0.5
-        np.abs(u, out=u)   # |frac(u) - 1/2|, 1/2 on a node or an edge
-        near = np.flatnonzero(u > near_node)
-        k = j >> 1
-        k[near] = exact_rows(x[near])
-        return k, j, near
+        np.fmax(u, 0.0, out=u)
+        np.fmin(u, 2.0 * n + 4.0, out=u)
+        return u.astype(np.intp)
 
     # the particles lie in rows 1 to n + 1
-    own, bins, near = cells(pos)
+    bins = cells(pos)
+    own = bins >> 1
     bins -= 1
     bins >>= 1
-    k_near = own[near]
-    bins[near] = k_near - 1 + (pos[near] >= edges[k_near])
     counts = np.bincount(bins, minlength=n + 1)
     reach = int(math.ceil(h / step))
     offsets = np.arange(-reach, reach + 1) * step
@@ -329,13 +295,7 @@ def _binned_kde(ensemble: ParticleEnsemble, bandwidth: float, n_grid_cells: int)
             x = np.asarray(x, dtype=float).reshape(-1)
             # u overflows far out of range, where the clamps catch it
             with np.errstate(over="ignore"):
-                k, _, near = cells(x)
-            infinite = near[np.isinf(x[near])]
-            if infinite.size:
-                # rows 0 and n + 2 read 0 at any finite x, as np.interp
-                # does at -inf and inf
-                x = x.copy()
-                x[infinite] = origin
+                k = cells(x) >> 1
         return (row_slope[k] * (x - row_node[k]) + row_value[k]).reshape(shape)
 
     return grid, counts, evaluate
@@ -357,7 +317,8 @@ def em_step(ensemble: ParticleEnsemble, dt: float, spec: NonlinearitySpec,
     it clipped at 0, the diffusion coefficient capped at clamp as well.
     Vacuum regions (u_hat = 0) produce exactly zero diffusion, preserving the
     degeneracy.  noise is the step's block of standard normals, one per
-    particle, which the step loop draws ahead on its worker thread.
+    particle, which the step loop draws ahead on its worker thread; em_step
+    only reads it, so coupled twins share one block.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -412,22 +373,20 @@ def _steps(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
 
     Step s (from 0) is driven by block (config.seed, s + 1); seeding drew
     block 0.  While step s runs here, one worker thread draws step s + 1's
-    block into the first ensemble's buffer and copies it into the others',
-    the other of two buffers per ensemble.  A buffer is read only after the
-    worker's future for it has returned, and refilled only once the step
+    block into the other of two buffers, and every ensemble's em_step reads
+    that one block, which it does not write.  A buffer is read only after
+    the worker's future for it has returned, and refilled only once the step
     that read it is done, so the bytes are those of drawing the block here.
     The worker is joined when the loop ends, raises or is closed early.
     """
     bound = 10.0 * DOMAIN_BOUND
     n_steps = config.n_steps
-    buffers = [[np.empty(e.n) for e in ensembles] for _ in range(2)]
+    buffers = [np.empty(ensembles[0].n) for _ in range(2)]
 
     def draw(s: int):
         """Step s's block into buffers[s % 2]."""
-        first, *rest = buffers[s % 2]
-        _noise_block(config.seed, s + 1, first.size, out=first)
-        for out in rest:
-            np.copyto(out, first)
+        out = buffers[s % 2]
+        _noise_block(config.seed, s + 1, out.size, out=out)
 
     with ThreadPoolExecutor(max_workers=1,
                             thread_name_prefix="particle-noise") as worker:
@@ -439,8 +398,8 @@ def _steps(config: SimConfig, spec: NonlinearitySpec, drift: DriftSpec,
             density = frozen_density(ensembles[0],
                                      _silverman_bandwidth(ensembles[0]))
             ensembles = tuple(em_step(e, config.dt, spec, drift, density,
-                                      config.linf_clamp, noise)
-                              for e, noise in zip(ensembles, buffers[s % 2]))
+                                      config.linf_clamp, buffers[s % 2])
+                              for e in ensembles)
             for e in ensembles:
                 if max(e.bounds[1], -e.bounds[0]) > bound:
                     raise SimulationError(

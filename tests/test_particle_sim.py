@@ -2,7 +2,6 @@ import math
 import sys
 import threading
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,13 +121,12 @@ def test_kde_consistency_at_center():
 
 
 def _silverman_reference(positions):
-    """max(1.06 sigma n^(-1/5), 2 spread/(n - 1), 1e-12), sigma and spread
-    summed out in Python floats."""
+    """max(1.06 sigma n^(-1/5), 1e-12), sigma summed out in Python floats."""
     xs = [float(x) for x in positions]
     n = len(xs)
     mean = math.fsum(xs) / n
     sigma = math.sqrt(math.fsum((x - mean) ** 2 for x in xs) / n)
-    return max(1.06 * sigma * n ** (-0.2), 2.0 * (max(xs) - min(xs)) / (n - 1), 1e-12)
+    return max(1.06 * sigma * n ** (-0.2), 1e-12)
 
 
 @pytest.mark.parametrize("positions", [
@@ -143,17 +141,6 @@ def test_silverman_bandwidth_is_the_rule_of_thumb(positions):
         _silverman_reference(positions), rel=1e-12)
 
 
-def test_silverman_bandwidth_spread_floor():
-    # the floor 2 spread/(n - 1) binds only below 100 particles, which no
-    # ParticleEnsemble holds: even with all but the two extremes at the
-    # mean, sigma = spread/sqrt(2n) and the rule exceeds the floor by
-    # 0.375 n^0.3 (n - 1)/n >= 1.47.  A stand-in of 3 particles reaches it.
-    positions = np.array([0.0, 0.0, 4.0])
-    small = SimpleNamespace(n=3, positions=positions, bounds=(0.0, 4.0))
-    assert _silverman_reference(positions) == 4.0
-    assert particle_sim._silverman_bandwidth(small) == 4.0
-
-
 def test_binned_density_tracks_exact_kernel_sum():
     ens = seed_from_density(BB_INIT, 20_000, 4, -5, 5, t0=T0)
     bw = particle_sim._silverman_bandwidth(ens)
@@ -163,23 +150,102 @@ def test_binned_density_tracks_exact_kernel_sum():
     assert np.max(np.abs(approx(xs) - exact)) <= 2e-3 * max(1.0, exact.max())
 
 
-def _interp_reference(ens, h, n_grid_cells):
-    """frozen_density's grid, np.histogram's counts and np.interp's lookup."""
+def _histogram(x, ens, h, n_grid_cells):
+    """np.histogram of x on the bins of frozen_density's grid for ens."""
+    lo = float(ens.positions.min()) - 2.0 * h
+    hi = float(ens.positions.max()) + 2.0 * h
+    step = (hi - lo) / n_grid_cells
+    return np.histogram(x, bins=n_grid_cells + 1,
+                        range=(lo - 0.5 * step, hi + 0.5 * step))
+
+
+def _interp_reference(ens, h, n_grid_cells, counts=None):
+    """frozen_density's grid, np.histogram's edges and counts, and np.interp's
+    lookup of the kernel density of counts (np.histogram's when None)."""
     pos = ens.positions
     lo = float(pos.min()) - 2.0 * h
     hi = float(pos.max()) + 2.0 * h
     step = (hi - lo) / n_grid_cells
     grid = lo + np.arange(n_grid_cells + 1) * step
-    counts, edges = np.histogram(pos, bins=n_grid_cells + 1,
-                                 range=(lo - 0.5 * step, hi + 0.5 * step))
+    hist, edges = _histogram(pos, ens, h, n_grid_cells)
     reach = int(math.ceil(h / step))
     kern = particle_sim._kernel_profile(np.arange(-reach, reach + 1) * step / h) / h
-    dens = np.convolve(counts, kern, mode="same") / pos.size
-    return grid, edges, counts, lambda x: np.interp(x, grid, dens, left=0.0, right=0.0)
+    dens = np.convolve(hist if counts is None else counts, kern, mode="same") / pos.size
+    return grid, edges, hist, lambda x: np.interp(x, grid, dens, left=0.0, right=0.0)
 
 
 def _same_bits(a, b):
     return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def _rounding_reach(grid):
+    """How far from a node or bin edge rounding can move a point's cell.
+
+    The cell of x is floor(u), u = fl(fl(x - origin) * fl(2/step)) with
+    origin = fl(lo - step); np.interp compares x with the node
+    fl(lo + fl(i step)), np.histogram with the edge start + k width of its
+    linspace.  With M = max(|lo|, |hi|) + step above every number in play,
+    origin rounds by at most spacing(M)/2 and a node by 1.5 spacing(M).  An
+    edge rounds by at most 5 spacing(M) + eps (n + 2) step: its width
+    carries the roundings of hi - lo, start and stop, times up to n + 1.
+    The difference, 2/step and the product add a relative eps/2 each of a
+    number below (n + 2) step.  So x and a node or edge can be ordered
+    wrongly only within 6 spacing(M) + 3.5 eps (n + 2) step of each other;
+    the reach returned rounds both factors up to 8.
+    """
+    n = grid.size - 1
+    step = (grid[-1] - grid[0]) / n
+    big = max(abs(grid[0]), abs(grid[-1])) + step
+    return 8.0 * float(np.spacing(big)) + 8.0 * np.finfo(float).eps * (n + 2) * step
+
+
+def _distance_to_nearest(x, marks):
+    """|x - m| for the element m of the sorted marks nearest to each x."""
+    i = np.clip(np.searchsorted(marks, x), 1, marks.size - 1)
+    return np.minimum(np.abs(x - marks[i - 1]), np.abs(x - marks[i]))
+
+
+def _assert_counts_are_np_histograms(counts, ens, h, grid):
+    """Every particle is counted once, each in np.histogram's bin unless it
+    lies within rounding reach of an edge, and then in that bin or one
+    beside it."""
+    pos = ens.positions
+    n_grid_cells = grid.size - 1
+    assert counts.sum() == pos.size
+    edges = _histogram(pos, ens, h, n_grid_cells)[1]
+    on_edge = _distance_to_nearest(pos, edges) <= _rounding_reach(grid)
+    fixed = _histogram(pos[~on_edge], ens, h, n_grid_cells)[0]
+    moved = np.cumsum(_histogram(pos[on_edge], ens, h, n_grid_cells)[0])
+    placed = counts - fixed   # where the particles on an edge went
+    assert (placed >= 0).all()
+    # a move of at most one bin leaves at or left of bin k at least the
+    # particles that were at or left of bin k - 1 and at most those at or
+    # left of bin k + 1
+    placed = np.cumsum(placed)
+    assert (placed[1:] >= moved[:-1]).all()
+    assert (placed[:-1] <= moved[1:]).all()
+
+
+def _assert_lookup_is_np_interp(evaluate, reference, grid, queries):
+    """evaluate is np.interp bit for bit at every query beyond rounding reach
+    of a node.  Within it, evaluate may read the neighbouring row: its line
+    and np.interp's meet at the node, to the few ulp of the density that
+    rounding the slope and the two evaluations leave, and part by the slope
+    jump there times the distance, at most the reach."""
+    got, want = evaluate(queries), reference(queries)
+    reach = _rounding_reach(grid)
+    near = _distance_to_nearest(queries, grid) <= reach
+    assert _same_bits(got[~near], want[~near])
+    dens = reference(grid)
+    # the padding leaves the density 0 at both end nodes, where the outer
+    # rows' 0 meets it
+    assert dens[0] == dens[-1] == 0.0
+    slopes = np.concatenate([[0.0], np.diff(dens) / np.diff(grid), [0.0]])
+    node = np.clip(np.rint((queries[near] - grid[0]) / (grid[1] - grid[0])),
+                   0, grid.size - 1).astype(int)
+    bound = (np.abs(slopes[node + 1] - slopes[node]) * reach
+             + 4.0 * np.finfo(float).eps * dens.max())
+    assert (np.abs(got[near] - want[near]) <= bound).all()
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(100, 3000),
@@ -188,6 +254,8 @@ def _same_bits(a, b):
 @settings(max_examples=40, deadline=None)
 def test_frozen_density_lookup_is_np_interp_bit_for_bit(seed, n, scale, center,
                                                         cells):
+    # bit for bit beyond rounding reach of a node or edge; within it, the
+    # cell may be the neighbour (_rounding_reach)
     rng = np.random.default_rng(seed)
     base = center + scale * rng.standard_normal(n)
     base_ens = ParticleEnsemble(positions=base, t=0.0)
@@ -200,25 +268,23 @@ def test_frozen_density_lookup_is_np_interp_bit_for_bit(seed, n, scale, center,
                             np.nextafter(edges, np.inf), grid0])
     pos = np.concatenate([base, marks[(marks >= base.min()) & (marks <= base.max())]])
     ens = ParticleEnsemble(positions=pos, t=0.0)
-    grid, _, counts, reference = _interp_reference(ens, bw, cells)
-    assert np.array_equal(grid, grid0)
     got_grid, got_counts, evaluate = particle_sim._binned_kde(ens, bw, cells)
-    assert np.array_equal(got_grid, grid)
-    assert np.array_equal(got_counts, counts)
+    assert np.array_equal(got_grid, grid0)
+    _assert_counts_are_np_histograms(got_counts, ens, bw, grid0)
 
-    # the ensemble's own array reuses the particles' cells; a copy does not
-    assert _same_bits(evaluate(ens.positions), reference(pos))
-    assert _same_bits(evaluate(pos.copy()), reference(pos))
-    span = grid[-1] - grid[0]
+    reference = _interp_reference(ens, bw, cells, got_counts)[3]
+    span = grid0[-1] - grid0[0]
     queries = np.concatenate([
         pos,                                       # in range
         pos - span, pos + span,                    # outside on each side
-        grid, 0.5 * (grid[1:] + grid[:-1]),        # every node and midpoint
-        np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
-        rng.uniform(grid[0] - 0.1 * span, grid[-1] + 0.1 * span, n),
+        grid0, 0.5 * (grid0[1:] + grid0[:-1]),     # every node and midpoint
+        np.nextafter(grid0, -np.inf), np.nextafter(grid0, np.inf),
+        rng.uniform(grid0[0] - 0.1 * span, grid0[-1] + 0.1 * span, n),
     ])
-    assert _same_bits(particle_sim._binned_kde(ens, bw, cells)[2](queries),
-                      reference(queries))
+    _assert_lookup_is_np_interp(evaluate, reference, grid0, queries)
+    # the ensemble's own array reuses the particles' cells, and a copy finds
+    # the same ones: what exact same-noise twins rely on
+    assert _same_bits(evaluate(ens.positions), evaluate(pos.copy()))
 
 
 def test_frozen_density_counts_particles_on_the_extreme_nodes():
@@ -241,6 +307,8 @@ def test_frozen_density_is_exact_on_coarse_grids(center, ulps):
     # 64 cells of ulps * unit, unit the spacing of the grid's ends: the floor
     # arithmetic's rounding is then a large part of a step.  Around 0 the
     # ends are 32 steps out, so unit = 1 and the steps are 1e14 ulp or more.
+    # Exact here: every particle counted once, and np.histogram's bins and
+    # np.interp's lookup beyond rounding reach of the marks.
     unit = float(np.spacing(abs(center))) if center else 1.0
     step = ulps * unit
     h = 4.0 * step
@@ -257,24 +325,30 @@ def test_frozen_density_is_exact_on_coarse_grids(center, ulps):
                             np.nextafter(marks, np.inf)])
     pos = np.concatenate([[lo_p, hi_p], marks[(marks >= lo_p) & (marks <= hi_p)]])
     ens = ParticleEnsemble(positions=pos, t=0.0)
-    ref_grid, _, counts, reference = _interp_reference(ens, h, 64)
-    assert np.array_equal(ref_grid, grid)
     got_grid, got_counts, evaluate = particle_sim._binned_kde(ens, h, 64)
     assert np.array_equal(got_grid, grid)
-    assert np.array_equal(got_counts, counts)
+    _assert_counts_are_np_histograms(got_counts, ens, h, grid)
 
-    assert _same_bits(evaluate(ens.positions), reference(pos))
-    assert _same_bits(evaluate(pos.copy()), reference(pos))
+    reference = _interp_reference(ens, h, 64, got_counts)[3]
     span = grid[-1] - grid[0]
-    queries = np.concatenate([marks, grid - span, grid + span,
-                              [-np.inf, np.inf, np.nan, -1e300, 1e300]])
-    assert _same_bits(evaluate(queries), reference(queries))
+    queries = np.concatenate([pos, marks, grid - span, grid + span,
+                              [np.nan, -1e300, 1e300]])
+    _assert_lookup_is_np_interp(evaluate, reference, grid, queries)
+    assert _same_bits(evaluate(ens.positions), evaluate(pos.copy()))
 
 
 def test_frozen_density_rejects_a_grid_that_cannot_resolve_the_particles():
     ens = ParticleEnsemble(positions=np.full(500, 1e4), t=0.0)
     with pytest.raises(ValueError, match="does not resolve particles near 10000.0"):
         frozen_density(ens, 1e-12)
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, -0.1, math.nan, math.inf])
+def test_frozen_density_rejects_a_bandwidth_that_is_not_positive_and_finite(bandwidth):
+    ens = ParticleEnsemble(positions=np.linspace(-1.0, 1.0, 500), t=0.0)
+    with pytest.raises(ValueError, match=rf"bandwidth must be positive and finite, "
+                                         rf"got {bandwidth!r}"):
+        frozen_density(ens, bandwidth)
 
 
 # -- stepping ---------------------------------------------------------------------
@@ -328,6 +402,21 @@ def test_em_step_moves_each_particle_by_its_drift_and_its_noise():
     # the positions are at most 4 in size, so the step rounds at about 1e-15
     np.testing.assert_allclose(out.positions - pos - diffusion,
                                drift.E(pos) * drift.b(u) * dt, rtol=0, atol=1e-14)
+
+
+def test_em_step_only_reads_its_noise_block():
+    # the step loop hands every ensemble of a step the same block
+    ens = seed_from_density(BB_INIT, 1000, 8, -5, 5, t0=T0)
+    density = frozen_density(ens, particle_sim._silverman_bandwidth(ens))
+    noise = _noise(ens, 8)
+    shared = noise.copy()
+    shared.setflags(write=False)
+    out = em_step(ens, 1e-3, SPEC2, TANH_DRIFT, density=density, clamp=CLAMP,
+                  noise=shared)
+    assert _same_bits(shared, noise)
+    assert _same_bits(out.positions, em_step(ens, 1e-3, SPEC2, TANH_DRIFT,
+                                             density=density, clamp=CLAMP,
+                                             noise=noise).positions)
 
 
 def test_em_step_determinism():

@@ -78,13 +78,18 @@ MUTANTS = (
            "sig2 = 0.8 * np.asarray(sigma_squared(spec, dens))",
            ("tests/test_acceptance.py::test_criterion_7_particle_marginals",)),
     Mutant("particle-bandwidth-tripled", PARTICLES,
-           "return max(h, floor, 1e-12)",
-           "return 3.0 * max(h, floor, 1e-12)",
+           "return max(h, 1e-12)",
+           "return 3.0 * max(h, 1e-12)",
            ("tests/test_particle_sim.py::test_silverman_bandwidth_is_the_rule_of_thumb",)),
     Mutant("particle-b-replaced-by-one", PARTICLES,
            "* np.asarray(drift.b(dens), dtype=float) * dt",
            "* 1.0 * dt",
            ("tests/test_particle_sim.py::test_em_step_moves_each_particle_by_its_drift_and_its_noise",)),
+    Mutant("particle-kde-bins-shifted-right", PARTICLES,
+           "    bins -= 1\n",
+           "",
+           ("tests/test_particle_sim.py::test_frozen_density_is_exact_on_coarse_grids",
+            "tests/test_particle_sim.py::test_frozen_density_lookup_is_np_interp_bit_for_bit")),
 )
 
 
