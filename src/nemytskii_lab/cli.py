@@ -183,15 +183,31 @@ class Check:
     achieved: float
     tolerance: float
     passed: bool
+    error: dict | None = None   # what an execution row knows of its failure
 
     def as_json(self) -> str:
-        return json.dumps({
+        row = {
             "check_id": self.check_id,
             "target": float(self.target),
             "achieved": float(self.achieved),
             "tolerance": float(self.tolerance),
             "pass": bool(self.passed),
-        }, sort_keys=True)
+        }
+        if self.error is not None:
+            row["error"] = self.error
+        return json.dumps(row, sort_keys=True)
+
+
+def _error_context(err: Exception) -> dict:
+    """The error's type and message, and the step, row, residual, lam and
+    particle index it carries, each when present (a NaN residual is absent)."""
+    context = {"type": type(err).__name__, "message": str(err)}
+    for name, kind in (("step", int), ("row", int), ("residual", float),
+                       ("lam", float), ("particle_index", int)):
+        value = getattr(err, name, None)
+        if value is not None and not (kind is float and math.isnan(value)):
+            context[name] = kind(value)
+    return context
 
 
 def _flag_check(check_id: str, ok: bool, gated: bool = True) -> Check:
@@ -475,7 +491,8 @@ def run_scenario(scenario: Scenario) -> int:
         checks = runner(scenario.params, _build_problem(scenario.params), out)
     except Exception as err:  # noqa: BLE001 - execution error maps to exit 1
         _write_report(out / "report.ndjson", scenario,
-                      [Check("execution", 0.0, 1.0, 0.0, False)], started)
+                      [Check("execution", 0.0, 1.0, 0.0, False, _error_context(err))],
+                      started)
         print(f"error: {err}", file=sys.stderr)
         return 1
     _write_report(out / "report.ndjson", scenario, checks, started)

@@ -117,15 +117,18 @@ def __getattr__(name):
 
 
 class SolverError(RuntimeError):
-    """Nonlinear solve failure; carries the last residual, the step index and
-    the failing row of a stack of chains (0 for a single one)."""
+    """Nonlinear solve failure; carries the last residual, the step index,
+    the failing row of a stack of chains (0 for a single one) and the step
+    length lam of the failing solve."""
 
     def __init__(self, message: str, residual: float = math.nan,
-                 step: int | None = None, row: int | None = None):
+                 step: int | None = None, row: int | None = None,
+                 lam: float | None = None):
         super().__init__(message)
         self.residual = residual
         self.step = step
         self.row = row
+        self.lam = lam
 
 
 @dataclass(frozen=True)
@@ -289,30 +292,37 @@ class _Operator:
     constant.  When the drift vanishes there is none, and Newton runs on the
     window of the module docstring; otherwise on the whole grid.
 
+    beta(u) = |u|^(m-1) u and beta'(u) = m |u|^(m-1) share one power:
+    apply forms |u|^(m-1) once per iterate, with ** as NonlinearitySpec.beta
+    and beta_prime take it (numpy's shortcuts for exponents 2 and 0.5
+    included; the exponent 1 only copies and is skipped), keeps it in a
+    buffer beside the iterate, and bands forms beta' from it with one
+    multiply.  Both give the bits of the spec's beta and beta_prime.
+
     The chain's rows (one per field) of width cells each lie end to end in
     one flat array of rows*width cells, the layout of gtsv's bands.  The
     rows - 1 faces between two rows (the seams) carry exactly zero flux, as
     a row's boundary faces do, and the band entries coupling two rows are 0,
     so each row's operator and bands are those of the row alone.  The
     workspace holds every array the Newton loop writes: the face fluxes, the
-    bands, the right-hand side, |res|, and the iterate, trial, residual and
-    target buffers.  It is allocated at construction, sized for the chain's
-    rows of the whole grid, and each step uses views of its first
-    rows*width cells.  The bands that depend only on the width and
-    lam (lam * lap_diag / dx**2 and, for a constant b, the advective parts)
-    are built when either changes, so a drifted chain builds them once per
-    distinct lam.
+    bands, |res|, and the iterate, trial, residual, power and target
+    buffers.  It is allocated at construction, sized for the chain's rows of
+    the whole grid, and each step uses views of its first rows*width cells.
+    The bands that depend only on the width and lam (lam * lap_diag / dx**2
+    and, for a constant b, the advective parts) are built when either
+    changes, so a drifted chain builds them once per distinct lam.
     """
 
     def __init__(self, grid: GridField, spec: NonlinearitySpec, drift: DriftSpec,
                  rows: int):
         self.grid, self.spec, self.dx, self.rows = grid, spec, grid.cell_width, rows
+        self.m, self._exponent = spec.m, spec.m - 1.0
         self.drifted = not drift.vanishes
         size = rows * grid.n_cells
         # the diffusive and advective face fluxes; face 0 is never written
         # and stays 0
         self._faces = np.zeros((2, size + 1))
-        self._space = np.empty((12, size))
+        self._space = np.empty((13, size))
         if self.drifted:
             e_face = np.asarray(drift.E(grid.edges), dtype=float)
             ep, em = np.maximum(e_face, 0.0), np.minimum(e_face, 0.0)
@@ -343,45 +353,62 @@ class _Operator:
                          if occupied else (0, n))
         return spans
 
-    def apply(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """A(u) on each row of u, into out.  u and out hold the chain's rows
-        of the width that jacobian laid out last, end to end."""
+    def apply(self, u: np.ndarray, out: np.ndarray, power: np.ndarray) -> np.ndarray:
+        """A(u) on each row of u into out, and |u|^(m-1) into power, for
+        bands.  u, out and power hold the chain's rows of the width that
+        jacobian laid out last, end to end."""
         dx = self.dx
-        bt = np.asarray(self.spec.beta(u))
+        np.abs(u, out=power)
+        if self._exponent != 1.0:
+            power **= self._exponent
+        # beta(u), held in out until the fluxes are formed
+        np.multiply(power, u, out=out)
 
         # diffusive flux -D(beta)/dx at the faces inside the rows
-        inner, after, before, seams = self._dif
-        np.subtract(bt[1:], bt[:-1], out=inner)
-        np.negative(inner, out=inner)
+        inner, after, before = self._dif
+        np.subtract(out[:-1], out[1:], out=inner)
         inner /= dx
-        seams[...] = 0.0
 
+        if self.drifted:
+            # donor-cell advective flux of E * b(u) * u; b = 1 carries u itself
+            carried = u
+            if self.b0 != 1.0:
+                carried = np.multiply(self.b0 if self.b0 is not None
+                                      else np.asarray(self.b(u)), u, out=self._carried)
+            adv_inner, adv_after, adv_before = self._adv
+            np.multiply(self._ep, carried[:-1], out=adv_inner)
+            adv_inner += np.multiply(self._em, carried[1:], out=self._product)
+        if self.rows > 1:
+            self._faces.put(self._face_seams, 0.0)
         if not self.drifted:
-            # the zero advective flux, added as 0.0 to give the bits of the
-            # sum below with a zero array
-            np.add(after, 0.0, out=out)
+            np.subtract(after, before, out=out)
+        else:
+            np.add(after, adv_after, out=out)
             out -= before
-            out /= dx
-            return out
-
-        # donor-cell advective flux of E * b(u) * u
-        carried, carried_lo, carried_hi = self._carried
-        np.multiply(self.b0 if self.b0 is not None else np.asarray(self.b(u)), u,
-                    out=carried)
-        adv_inner, adv_after, adv_before, adv_seams = self._adv
-        np.multiply(self._ep, carried_lo, out=adv_inner)
-        adv_inner += np.multiply(self._em, carried_hi, out=self._product)
-        adv_seams[...] = 0.0
-        np.add(after, adv_after, out=out)
-        out -= before
-        out -= adv_before
+            out -= adv_before
         out /= dx
         return out
 
-    def jacobian(self, lam: float, width: int):
+    def residual(self, v: np.ndarray, out: np.ndarray, power: np.ndarray) -> list[float]:
+        """The residual v + lam*A(v) - target of each row into out, and
+        |v|^(m-1) into power (see apply); returns each row's L1 norm, summed
+        over the row's own window."""
+        self.apply(v, out, power)
+        out *= self._lam
+        out += v
+        out -= self.target
+        np.abs(out, out=self.abs_res)
+        if self._own is None:
+            return (np.add.reduce(self._abs_rows, axis=1) * self.dx).tolist()
+        return [float(np.add.reduce(cells)) * self.dx for cells in self._own]
+
+    def jacobian(self, lam: float, width: int, own=None):
         """Point the workspace's views at the chain's rows of width cells each,
-        width at most the grid's, and return bands(u): the diagonals
-        (dl, d, du) of the Jacobian of u + lam*A(u) at u, the rows end to end.
+        width at most the grid's, and return bands(u, power): the diagonals
+        (dl, d, du) of the Jacobian of u + lam*A(u) at u, the rows end to end,
+        where power is the |u|^(m-1) that apply gave for u.  own lists each
+        row's window (first, one past the last) within width, over which
+        residual sums the row; None when every row spans all of width.
 
         The bands are those of the block-diagonal (rows*width) system, whose
         entries coupling one row to the next are 0.  dl[j] holds J[j+1, j]
@@ -391,27 +418,35 @@ class _Operator:
         and what stays fixed for this width and lam is built only when either
         changes: lam * lap_diag / dx**2, and the advective terms when b is
         constant, since (b(u) u)' is then b0.  The bands are views of the
-        workspace, overwritten by the next bands(u).
+        workspace, overwritten by the next bands(u, power).
         """
         cells = self.rows * width
         if width != self._width:
             self._width, self._lam = width, None
-            (self.u, self.trial, self.res, self.trial_res, self.target, self.rhs,
-             self.abs_res, dl, self._d, du, carried, product) = self._space[:, :cells]
-            self.abs_rows = self.abs_res.reshape(self.rows, width)
-            # each flux at the faces inside the rows, after each cell, before
-            # each cell, and at the seams and the last boundary face
-            self._dif, self._adv = ((f[1:cells], f[1:cells + 1], f[:cells],
-                                     f[width:cells + 1:width]) for f in self._faces)
-            self._off, self._off_next = dl, dl[1:]
-            self._dl, self._du = dl[:-1], du[:-1]
-            # a row's last entries of dl and du would couple it to the next row
-            self._band_seams = (self._dl[width - 1::width], self._du[width - 1::width])
+            (off, du, self.u, self.trial, self.res, self.trial_res, self.power,
+             self.trial_power, self.target, self.abs_res, self._d, carried,
+             product) = self._space[:, :cells]
+            self.u_rows, self.target_rows, self._abs_rows = (
+                a.reshape(self.rows, width) for a in (self.u, self.target, self.abs_res))
+            # each flux at the faces inside the rows, after each cell and
+            # before each cell; the last face is the boundary's, with no flux
+            self._dif, self._adv = ((f[1:cells], f[1:cells + 1], f[:cells])
+                                    for f in self._faces)
+            self._faces[:, cells] = 0.0
+            self._off, self._off_next = off, off[1:]
+            self._dl, self._du = off[:-1], du[:-1]
+            # the seams' faces in both fluxes, and the entries of dl and du
+            # (rows 0 and 1 of the workspace) that would couple a row to the
+            # next, as flat indices
+            seams = np.arange(width, cells, width)
+            self._face_seams = np.concatenate((seams, seams + self._faces.shape[1]))
+            self._band_seams = np.concatenate((seams - 1, seams - 1 + self._space.shape[1]))
             if self.drifted:
                 ep, em, self._outflow = self._splits[:, :cells]
                 self._ep, self._em = ep[:-1], em[:-1]
-                self._carried = (carried, carried[:-1], carried[1:])
-                self._product = product[:-1]
+                self._carried, self._product = carried, product[:-1]
+        self._own = None if own is None else [
+            row[a:b] for row, (a, b) in zip(self._abs_rows, own)]
         if lam != self._lam:
             self._lam, dx, dx2 = lam, self.dx, self.dx**2
             # lam * lap_diag / dx**2, with lap_diag 2 inside a row and 1 at its ends
@@ -424,16 +459,16 @@ class _Operator:
                     part * self.b0 / dx for part in self._advective)
         return self._bands
 
-    def _bands(self, u: np.ndarray):
+    def _bands(self, u: np.ndarray, power: np.ndarray):
         lam, dx = self._lam, self.dx
-        btp = np.asarray(self.spec.beta_prime(u))
-        d = np.multiply(self._lap, btp, out=self._d)
+        # beta'(u) = m |u|^(m-1), which gives both off-diagonals,
+        # -lam*beta'/dx^2
+        off = np.multiply(self.m, power, out=self._off)
+        d = np.multiply(self._lap, off, out=self._d)
         d += 1.0
-        # -lam*beta'/dx^2 gives both off-diagonals
-        off = np.multiply(-lam, btp, out=self._off)
+        off *= -lam
         off /= dx**2
         dl, du = self._dl, self._du
-        du[...] = self._off_next
         if self.drifted:
             if self._fixed is not None:
                 add_d, add_du, add_dl = self._fixed
@@ -443,10 +478,12 @@ class _Operator:
                 add_d, add_du, add_dl = (diag * gp / dx, upper * gp[1:] / dx,
                                          lower * gp[:-1] / dx)
             d += add_d
-            du += add_du
+            np.add(self._off_next, add_du, out=du)
             dl += add_dl
-        for seams in self._band_seams:
-            seams[...] = 0.0
+        else:
+            du[...] = self._off_next
+        if self.rows > 1:
+            self._space.put(self._band_seams, 0.0)
         return dl, d, du
 
     def slope(self, u: np.ndarray) -> np.ndarray:
@@ -474,30 +511,44 @@ def _tridiagonal_solve(bands, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     """Solve the system with diagonals bands = (dl, d, du) by LAPACK gtsv.
 
     solve_banded((1, 1), ...) runs the same routine, so x is bit-identical;
-    this skips its validation and copies.  bands and rhs are overwritten.
-    Returns x and gtsv's info, which is > 0 at an exactly zero pivot.
+    this skips its validation and copies.  bands are overwritten, rhs is
+    not: x is a new array.  Returns x and gtsv's info, which is > 0 at an
+    exactly zero pivot.
     """
     dl, d, du = bands
     *_, x, info = _gtsv()(dl, d, du, rhs, overwrite_dl=True, overwrite_d=True,
-                          overwrite_du=True, overwrite_b=True)
+                          overwrite_du=True)
     return x, info
 
 
-def _newton_stack(op: _Operator, fs, starts, lam: float,
-                  outs) -> list[ResolventSolution]:
+def _failure(what: str, row: int, iters: int, l1, lam: float, k: int) -> SolverError:
+    which = f" of row {row}" if k > 1 else ""
+    return SolverError(f"nonlinear solve{which} at lam={lam!r} {what} after "
+                       f"{iters} iterations (residual {l1[row]:.3e})",
+                       residual=l1[row], row=row, lam=lam)
+
+
+def _newton_stack(op: _Operator, fs: np.ndarray, starts: np.ndarray, lam: float,
+                  outs: np.ndarray) -> list[ResolventSolution]:
     """Solve u + lam*A(u) = f for each row f of fs by one damped Newton loop.
 
-    fs, starts and outs hold one array of the grid's size per row of op's
-    chain: the right-hand side, the Newton start and the output.  An out may
-    be its row's start, which is read before any out is written.  The rows
-    share the union of their windows (op.windows) and lie end to end in the
-    workspace op allocated for them (see _Operator).  Each iteration solves
-    the whole stack as one block-diagonal system and forms every trial for
-    all rows, but only a row still above NEWTON_TOL and still searching
-    takes its trial.  The blocks do not couple and all else works row by
-    row, so every row equals its own solve bit for bit.  The cells of the
-    union outside a row's own window stay 0 in that row, and each row's
+    fs, starts and outs are (k, n) arrays, one row of the grid's n cells per
+    row of op's chain: the right-hand sides, the Newton starts and the
+    outputs.  outs may be starts, which is read before outs is written.  The
+    rows share the union of their windows (op.windows) and lie end to end in
+    the workspace op allocated for them (see _Operator).  Each iteration
+    solves the whole stack as one block-diagonal system and forms every
+    trial for all rows, but only a row still above NEWTON_TOL and still
+    searching takes its trial.  The blocks do not couple and all else works
+    row by row, so every row equals its own solve bit for bit.  The cells of
+    the union outside a row's own window stay 0 in that row, and each row's
     residual is summed over its own window only, as its own solve sums it.
+
+    The usual iteration takes the full Newton step u - x, with x the
+    solution of J x = res, in every row still above NEWTON_TOL; then the
+    trial's buffers (iterate, residual and power) swap with u's.  Otherwise
+    the rows that took their step are copied over, and the others halve
+    theirs.
 
     Raises SolverError naming the failing row (its index in fs) and stating
     lam, the iteration count and that row's residual.
@@ -507,96 +558,95 @@ def _newton_stack(op: _Operator, fs, starts, lam: float,
     lo, hi = min(a for a, _ in spans), max(b for _, b in spans)
     width = hi - lo
     own = [(a - lo, b - lo) for a, b in spans]
-    bands = op.jacobian(lam, width)
+    bands = op.jacobian(lam, width, None if spans.count((lo, hi)) == k else own)
+    op.target_rows[...] = fs[:, lo:hi]
+    op.u_rows[...] = starts[:, lo:hi]
     u, trial, res, trial_res = op.u, op.trial, op.res, op.trial_res
-    target, rhs, size = op.target, op.rhs, op.abs_rows
-    for f, start, f_row, u_row in zip(fs, starts, target.reshape(k, width),
-                                      u.reshape(k, width)):
-        f_row[...], u_row[...] = f[lo:hi], start[lo:hi]
+    power, trial_power = op.power, op.trial_power
 
-    def residual(v, out):
-        """The residual at v into out, and its L1 norm per row as a list."""
-        op.apply(v, out)
-        out *= lam
-        out += v
-        out -= target
-        np.abs(out, out=op.abs_res)
-        return [float(size[r, a:b].sum() * dx) for r, (a, b) in enumerate(own)]
-
-    def failure(what, row, iters):
-        which = f" of row {row}" if k > 1 else ""
-        return SolverError(f"nonlinear solve{which} at lam={lam!r} {what} after "
-                           f"{iters} iterations (residual {l1[row]:.3e})",
-                           residual=l1[row], row=row)
-
-    def accept(rows, trial_l1):
-        """Take the rows (a list of row indices) of the trial."""
-        nonlocal u, trial, res, trial_res, l1
-        if len(rows) == k:
-            u, trial, res, trial_res, l1 = trial, u, trial_res, res, trial_l1
-            return
-        u.reshape(k, width)[rows] = trial.reshape(k, width)[rows]
-        res.reshape(k, width)[rows] = trial_res.reshape(k, width)[rows]
-        for r in rows:
-            l1[r] = trial_l1[r]
-
-    l1 = residual(u, res)
+    l1 = op.residual(u, res, power)
     for r in range(k):
         if not math.isfinite(l1[r]):
-            raise failure("has a non-finite residual", r, 0)
+            raise _failure("has a non-finite residual", r, 0, l1, lam, k)
     iters, halvings, fallbacks = [0] * k, [0] * k, [0] * k
-    for it in range(NEWTON_MAX_ITER):
-        pending = [r for r in range(k) if l1[r] > NEWTON_TOL]
-        if not pending:
-            break
-        for r in pending:
-            iters[r] += 1
-        delta, info = _tridiagonal_solve(bands(u), np.negative(res, out=rhs))
+    pending = [r for r in range(k) if l1[r] > NEWTON_TOL]
+    it = 0
+    while pending:
+        if it == NEWTON_MAX_ITER:
+            raise _failure(f"did not reach tol {NEWTON_TOL:.1e}", pending[0], it,
+                           l1, lam, k)
+        x, info = _tridiagonal_solve(bands(u, power), res)
         if info != 0:
-            raise failure(f"failed in the tridiagonal solve (gtsv info {info})",
-                          (info - 1) // width, it)
-        # each pending row halves its step until its residual falls; the rows
-        # still searching share the step, since they started together
-        step = 1.0
-        for _ in range(12):
-            np.add(u, np.multiply(step, delta, out=trial), out=trial)
-            trial_l1 = residual(trial, trial_res)
-            fell = [r for r in pending if trial_l1[r] < l1[r]]
-            accept(fell, trial_l1)
-            if len(fell) == len(pending):
-                break
-            pending = [r for r in pending if r not in fell]
-            step *= 0.5
-            for r in pending:
-                halvings[r] += 1
+            raise _failure(f"failed in the tridiagonal solve (gtsv info {info})",
+                           (info - 1) // width, it, l1, lam, k)
+        np.subtract(u, x, out=trial)
+        trial_l1 = op.residual(trial, trial_res, trial_power)
+        if len(pending) == k and all(t < v for t, v in zip(trial_l1, l1)):
+            u, trial, res, trial_res = trial, u, trial_res, res
+            power, trial_power, l1 = trial_power, power, trial_l1
         else:
-            # damped fixed-point fallback
-            np.subtract(u, np.multiply(0.5, res, out=trial), out=trial)
-            trial_l1 = residual(trial, trial_res)
+            # each pending row halves its step until its residual falls; the
+            # rows still searching share the step, since they started together
+            searching, step = pending, 1.0
+            for halving in range(12):
+                if halving:
+                    np.subtract(u, np.multiply(x, step, out=trial), out=trial)
+                    trial_l1 = op.residual(trial, trial_res, trial_power)
+                fell = [r for r in searching if trial_l1[r] < l1[r]]
+                _take_rows(fell, (u, res, power), (trial, trial_res, trial_power),
+                           l1, trial_l1, width)
+                searching = [r for r in searching if r not in fell]
+                if not searching:
+                    break
+                step *= 0.5
+                for r in searching:
+                    halvings[r] += 1
+            else:
+                # damped fixed-point fallback
+                np.subtract(u, np.multiply(0.5, res, out=trial), out=trial)
+                trial_l1 = op.residual(trial, trial_res, trial_power)
+                for r in searching:
+                    if not trial_l1[r] < l1[r]:
+                        raise _failure("stalled", r, it, l1, lam, k)
+                    fallbacks[r] += 1
+                _take_rows(searching, (u, res, power), (trial, trial_res, trial_power),
+                           l1, trial_l1, width)
+        it += 1
+        if min(l1[r] for r in pending) <= NEWTON_TOL:
             for r in pending:
-                if not trial_l1[r] < l1[r]:
-                    raise failure("stalled", r, it)
-                fallbacks[r] += 1
-            accept(pending, trial_l1)
-    for r in range(k):
-        if l1[r] > NEWTON_TOL:
-            raise failure(f"did not reach tol {NEWTON_TOL:.1e}", r, NEWTON_MAX_ITER)
+                iters[r] = it
+            pending = [r for r in pending if l1[r] > NEWTON_TOL]
 
     rows = u.reshape(k, width)
+    # a row's cells outside its own window are exactly 0, and its window
+    # keeps at least two of them whenever it is narrower than the union, so
+    # the minimum over the union's cells is the window's
+    preclip_min = np.minimum.reduce(rows, axis=1).tolist()
+    if lo:
+        outs[:, :lo] = 0.0
+    if hi < outs.shape[1]:
+        outs[:, hi:] = 0.0
+    np.maximum(rows, 0.0, out=outs[:, lo:hi])
     solutions = []
-    for r, ((a, b), out) in enumerate(zip(own, outs)):
-        # the cells outside the row's window are exactly 0
-        row = rows[r, a:b]
-        clipped = float(np.maximum(-row, 0.0).sum() * dx)
-        preclip_min = float(row.min())
-        out[:lo + a] = 0.0
-        out[lo + b:] = 0.0
-        np.maximum(row, 0.0, out=out[lo + a:lo + b])
+    for r, (a, b) in enumerate(own):
+        clipped = 0.0
+        if preclip_min[r] < 0.0:
+            clipped = float(np.add.reduce(np.maximum(-rows[r, a:b], 0.0))) * dx
         solutions.append(ResolventSolution(
-            values=out, residual_l1=l1[r], newton_iters=iters[r],
-            clipped_mass=clipped, preclip_min=preclip_min,
+            values=outs[r], residual_l1=l1[r], newton_iters=iters[r],
+            clipped_mass=clipped, preclip_min=preclip_min[r],
             halvings=halvings[r], fallbacks=fallbacks[r]))
     return solutions
+
+
+def _take_rows(rows, buffers, trials, l1, trial_l1, width: int) -> None:
+    """Copy the rows (a list of row indices) of each trial buffer over the
+    same rows of its buffer, and their L1 norms over l1's."""
+    for r in rows:
+        cells = slice(r * width, (r + 1) * width)
+        for buffer, trial in zip(buffers, trials):
+            buffer[cells] = trial[cells]
+        l1[r] = trial_l1[r]
 
 
 def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
@@ -629,8 +679,8 @@ def resolvent_solve(f: GridField, lam: float, spec: NonlinearitySpec,
         the iteration count).
     """
     _check_step(lam, drift)
-    return _newton_stack(_Operator(f, spec, drift, 1), (f.values,), (f.values,),
-                         lam, (np.empty(f.n_cells),))[0]
+    return _newton_stack(_Operator(f, spec, drift, 1), f.values[None], f.values[None],
+                         lam, np.empty((1, f.n_cells)))[0]
 
 
 def chain_steps(fields: tuple[GridField, ...], T: float, config: SolverConfig,
@@ -677,22 +727,23 @@ def _steps(fields, n_steps: int, h: float, last: float, spec: NonlinearitySpec,
     """The generator behind chain_steps, on arguments it has checked."""
     k, grid = len(fields), fields[0]
     op = _Operator(grid, spec, drift, k)
-    buffers = np.empty((3, k, grid.n_cells))   # step i writes buffers[i % 3]
-    current = [f.values for f in fields]
-    previous = None   # the iterates before current, from the second step on
+    # step i writes u^(i+1) into buffers[i % 3]; u^0, the fields, starts in
+    # buffers[2], which step 2 is the first to overwrite
+    buffers = np.empty((3, k, grid.n_cells))
+    for row, f in zip(buffers[2], fields):
+        row[...] = f.values
     t = 0.0
     clipped = [0.0] * k   # running totals of the steps' clipped mass
     for i in range(n_steps):
         lam = h if i < n_steps - 1 else last
-        outs = buffers[i % 3]
+        current, outs = buffers[(i - 1) % 3], buffers[i % 3]
         starts = current
-        if previous is not None:
+        if i:
             # the linear predictor max(2u^i - u^(i-1), 0), formed in the output
             starts = outs
-            for start, c, p in zip(starts, current, previous):
-                np.multiply(c, 2.0, out=start)
-                start -= p
-                np.maximum(start, 0.0, out=start)
+            np.multiply(current, 2.0, out=outs)
+            outs -= buffers[(i - 2) % 3]
+            np.maximum(outs, 0.0, out=outs)
         try:
             sols = _newton_stack(op, current, starts, lam, outs)
         except SolverError as err:
@@ -706,9 +757,8 @@ def _steps(fields, n_steps: int, h: float, last: float, spec: NonlinearitySpec,
                 raise SolverError(
                     f"clipped mass {clipped[r]:.3e} exceeded budget "
                     f"{MAX_CLIPPED_MASS:.1e} at step {i}{which}",
-                    residual=sol.residual_l1, step=i, row=r)
+                    residual=sol.residual_l1, step=i, row=r, lam=lam)
         yield ChainStep(index=i, t=t, lam=lam, infos=tuple(sols))
-        previous, current = current, outs
 
 
 def step_chain(nu: GridField, T: float, config: SolverConfig,
@@ -773,7 +823,7 @@ def semigroup_distance(nu1: GridField, nu2: GridField, T: float,
         first, second = step.infos
         np.subtract(first.values, second.values, out=gap)
         np.abs(gap, out=gap)
-        worst = max(worst, float(gap.sum()) * nu1.cell_width / denom)
+        worst = max(worst, float(np.add.reduce(gap)) * nu1.cell_width / denom)
     return worst
 
 

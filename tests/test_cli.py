@@ -447,6 +447,50 @@ def test_a_failing_step_leaves_the_steps_before_it_in_the_partial_csv(
         [k for k in (1, 2, 3) for _ in range(64)]
 
 
+def test_a_failed_chain_reports_its_step_row_residual_and_lam(tmp_path, monkeypatch):
+    # one Newton iteration is too few for the first step, so the run fails
+    # there; its execution row carries what the SolverError knows
+    monkeypatch.setattr(fpe_solver, "NEWTON_MAX_ITER", 1)
+    s = Scenario(name="fpe-run",
+                 params={"m": 2.0, "t0": 0.1, "T": 0.11, "n_cells": 64,
+                         "h": 5e-3, "lo": -4.0, "hi": 4.0},
+                 output_dir=tmp_path)
+    assert run_scenario(s) == 1
+    rows = [r for r in read_report(tmp_path / "report.ndjson") if "check_id" in r]
+    assert [r["check_id"] for r in rows] == ["execution"]
+    error = rows[0]["error"]
+    assert error["type"] == "SolverError"
+    assert "did not reach tol" in error["message"] and "lam=0.005" in error["message"]
+    assert (error["step"], error["row"], error["lam"]) == (0, 0, 5e-3)
+    assert error["residual"] > fpe_solver.NEWTON_TOL
+    assert f"residual {error['residual']:.3e}" in error["message"]
+    assert "particle_index" not in error
+
+
+def test_an_error_without_context_reports_its_type_and_message(tmp_path, monkeypatch):
+    # a SolverError raised with no residual, step or lam carries only its
+    # type and message; the chain adds the step
+    def failing(*args, **kwargs):
+        raise fpe_solver.SolverError("nonlinear solve stalled")
+
+    monkeypatch.setattr(fpe_solver, "_newton_stack", failing)
+    s = Scenario(name="fpe-run",
+                 params={"m": 2.0, "t0": 0.1, "T": 0.11, "n_cells": 64, "h": 5e-3},
+                 output_dir=tmp_path)
+    assert run_scenario(s) == 1
+    (row,) = [r for r in read_report(tmp_path / "report.ndjson") if "check_id" in r]
+    assert row["error"] == {"type": "SolverError", "message": "nonlinear solve stalled",
+                            "step": 0}
+
+
+def test_a_particle_error_reports_its_particle_index():
+    err = particle_sim.SimulationError("non-finite particle position",
+                                       particle_index=np.int64(7))
+    assert cli._error_context(err) == {"type": "SimulationError",
+                                       "message": "non-finite particle position",
+                                       "particle_index": 7}
+
+
 @pytest.mark.parametrize("trajectory_format, rows", [("csv", 64), ("binary", 32)])
 def test_fpe_run_holds_a_few_rows_not_its_trajectory(tmp_path, trajectory_format,
                                                      rows):

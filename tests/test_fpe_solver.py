@@ -70,7 +70,16 @@ def saturating_drift(amp):
 def apply_alone(op, u):
     """A(u) of op, an operator of one row, on a row u of the whole grid."""
     op.jacobian(1e-3, u.size)
-    return op.apply(u, np.empty(u.size))
+    return op.apply(u, np.empty(u.size), np.empty(u.size))
+
+
+def bands_at(op, lam, width, u):
+    """The bands (dl, d, du) of op's rows of width cells at u, the rows end
+    to end, from the power that apply forms for them."""
+    bands = op.jacobian(lam, width)
+    power = np.empty(u.size)
+    op.apply(u, np.empty(u.size), power)
+    return bands(u, power)
 
 
 def barenblatt_field(t, n=500, lo=-6.0, hi=6.0):
@@ -132,10 +141,11 @@ def test_newton_clips_a_negative_cell_and_reports_the_clipped_mass():
     grid = GridField(-3.0, 3.0, np.zeros(64))
     f = np.maximum(1.0 - grid.centers**2, 0.0)
     f[56] = -0.05
-    out = np.empty(grid.n_cells)
-    (sol,) = fpe_solver._newton_stack(_Operator(grid, SPEC, ZERO_DRIFT, 1), (f,), (f,),
-                                      1e-3, (out,))
-    assert sol.values is out
+    out = np.empty((1, grid.n_cells))
+    (sol,) = fpe_solver._newton_stack(_Operator(grid, SPEC, ZERO_DRIFT, 1), f[None],
+                                      f[None], 1e-3, out)
+    assert np.shares_memory(sol.values, out)
+    out = out[0]
     assert out.min() >= 0.0 and out[56] == 0.0
     assert sol.preclip_min < -0.04 and sol.clipped_mass > 0.0
     dx = grid.cell_width
@@ -344,8 +354,9 @@ def test_drift_free_window_covers_the_start():
     # the margin, so the window must span both
     f = source_field(2.0, 0.1, 1000)
     start = source_field(2.0, 3.0, 1000).values
-    window, full = (fpe_solver._newton_stack(_Operator(f, SPEC, drift, 1), (f.values,),
-                                             (start,), 1e-2, (np.empty(f.n_cells),))[0]
+    window, full = (fpe_solver._newton_stack(_Operator(f, SPEC, drift, 1), f.values[None],
+                                             start[None], 1e-2,
+                                             np.empty((1, f.n_cells)))[0]
                     for drift in (ZERO_DRIFT, NULL_DRIFT))
     assert window.newton_iters == full.newton_iters > 0
     assert window.halvings == full.halvings
@@ -719,7 +730,7 @@ def test_jacobian_bands_match_finite_differences_with_saturating_b(amp):
         e = np.zeros(u.size)
         e[j] = 1e-6 * max(1.0, u[j])
         fd[:, j] = (operator(u + e) - operator(u - e)) / (2.0 * e[j])
-    dl, d, du = op.jacobian(lam, u.size)(u)
+    dl, d, du = bands_at(op, lam, u.size, u)
     bands = np.diag(d) + np.diag(du, 1) + np.diag(dl, -1)
     assert np.max(np.abs(bands - fd)) <= 1e-9 * np.max(np.abs(bands))
 
@@ -769,6 +780,88 @@ def test_operator_is_the_donor_cell_flux_written_out_at_the_faces():
     # the terms are of order beta/dx^2 = 1e2, rounded at about 1e-14
     for j in (0, 1, 9, n // 2 - 1, n // 2, n - 2, n - 1):
         assert got[j] == pytest.approx((flux(j) - flux(j - 1)) / dx, rel=0, abs=1e-11)
+
+
+def reference_operator(grid, spec, drift, rows, u, lam):
+    """A(u) and the bands (dl, d, du) of a stack of rows of the whole grid,
+    end to end, written out face by face from spec.beta and
+    spec.beta_prime: the flux through the face after cell j is
+    (beta(u_j) - beta(u_(j+1)))/dx + E+ c_j + E- c_(j+1) with c = b(u) u,
+    and 0 through the boundary faces and the seams between rows."""
+    n, dx = grid.n_cells, grid.cell_width
+    cells = rows * n
+    beta, beta_p = np.asarray(spec.beta(u)), np.asarray(spec.beta_prime(u))
+    dif = np.zeros(cells + 1)
+    dif[1:-1] = (beta[:-1] - beta[1:]) / dx
+    dif[n:cells:n] = 0.0
+    lap = np.full(cells, lam * 2.0 / dx**2)
+    lap[::n] = lap[n - 1::n] = lam / dx**2
+    d = lap * beta_p + 1.0
+    off = -lam * beta_p / dx**2
+    dl, du = off[:-1].copy(), off[1:].copy()
+    if drift.vanishes:
+        flux = (dif[1:] - dif[:-1]) / dx
+    else:
+        e = np.asarray(drift.E(grid.edges), dtype=float)
+        ep, em = np.maximum(e, 0.0), np.minimum(e, 0.0)
+        ep[0] = em[0] = ep[-1] = em[-1] = 0.0
+        # per cell: the splits at the face after it, and at the face before it
+        ep_after, em_after = np.tile(ep[1:], rows), np.tile(em[1:], rows)
+        em_before = np.tile(em[:-1], rows)
+        c = np.asarray(drift.b(u)) * u
+        adv = np.zeros(cells + 1)
+        adv[1:-1] = ep_after[:-1] * c[:-1] + em_after[:-1] * c[1:]
+        adv[n:cells:n] = 0.0
+        flux = ((dif[1:] + adv[1:]) - dif[:-1] - adv[:-1]) / dx
+        # (b(u) u)': b0 for a constant b, else the operator's own difference
+        op = _Operator(grid, spec, drift, rows)
+        slope = np.full(cells, op.b0) if op.b0 is not None else op.slope(u)
+        d += lam * (ep_after - em_before) * slope / dx
+        du += lam * em_after[:-1] * slope[1:] / dx
+        dl += -lam * ep_after[:-1] * slope[:-1] / dx
+    dl[n - 1::n] = du[n - 1::n] = 0.0
+    return flux, dl, d, du
+
+
+def awkward_row(rng, n=40):
+    """A row with zeros of both signs, subnormals, negative undershoot
+    (one so small that beta underflows to -0.0) and runs of equal
+    neighbours among smooth values."""
+    u = rng.uniform(0.0, 2.0, n)
+    u[2:6] = 0.0
+    u[6], u[7] = -0.0, 5e-324
+    u[8:10] = 1e-310
+    u[11], u[12] = -1e-3, -1e-200
+    u[14:18] = 0.75
+    u[20:22] = -0.0
+    u[-3:] = 0.0
+    return u
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("drift", ["zero", "tanh_inward", "b_half", "saturating_b"])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_shared_power_operator_and_bands_equal_the_spec_beta_ones(m, drift, rows):
+    # apply forms |u|^(m-1) once and gives beta(u) and, through bands,
+    # beta'(u) from it; both must be the bits of spec.beta and
+    # spec.beta_prime, on rows built to catch a sign or a rounding, and
+    # across the seam of a 2-row stack
+    spec = NonlinearitySpec.power_law(m)
+    drift = {"b_half": DriftSpec.constant_b(
+        E=lambda x: -0.25 * np.tanh(np.asarray(x, dtype=float)), b0=0.5,
+        sup_norm_E=0.25, div_E_minus_sup=0.25), **STACK_DRIFTS}[drift]
+    rng = np.random.default_rng(int(m * 10) + rows)
+    u = np.concatenate([awkward_row(rng) for _ in range(rows)])
+    grid = GridField(-2.0, 2.0, np.zeros(40))
+    lam = 1e-3
+    op = _Operator(grid, spec, drift, rows)
+    want = reference_operator(grid, spec, drift, rows, u, lam)
+    bands = op.jacobian(lam, grid.n_cells)
+    power = np.empty(u.size)
+    flux = op.apply(u, np.empty(u.size), power).copy()
+    got = (flux, *(band.copy() for band in bands(u, power)))
+    for name, a, b in zip(("A(u)", "dl", "d", "du"), got, want):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
 
 
 def test_step_chain_drift_linf_bound():
@@ -1100,15 +1193,13 @@ def test_flat_stack_operator_and_bands_equal_each_rows(drift):
     alone = []
     for row in rows:
         op = _Operator(grid, SPEC, drift, 1)
-        bands = op.jacobian(lam, width)
-        flux = op.apply(row, np.empty(width))
-        alone.append((flux, *(band.copy() for band in bands(row))))
+        flux = apply_alone(op, row)
+        alone.append((flux, *(band.copy() for band in bands_at(op, lam, width, row))))
 
     op = _Operator(grid, SPEC, drift, len(rows))
-    bands = op.jacobian(lam, width)
     stack = np.concatenate(rows)
-    flux = op.apply(stack, np.empty(stack.size))
-    dl, d, du = bands(stack)
+    dl, d, du = bands_at(op, lam, width, stack)
+    flux = op.apply(stack, np.empty(stack.size), np.empty(stack.size))
     for r, (row_flux, row_dl, row_d, row_du) in enumerate(alone):
         cells = slice(r * width, (r + 1) * width)
         assert np.array_equal(flux[cells].view(np.int64), row_flux.view(np.int64))
@@ -1169,10 +1260,10 @@ def test_stack_gtsv_failure_in_the_last_block_names_the_last_row(monkeypatch):
              for nu in fields]
     u1 = step_chain(nu2, lam, config, SPEC, drift).values[0]
 
-    fs = (np.zeros(n), nu1.values, nu2.values)
+    fs = np.stack((np.zeros(n), nu1.values, nu2.values))
     calls = _fail_in_last_block(monkeypatch, 3, n)
     with pytest.raises(SolverError, match=f"gtsv info {3 * n}") as err:
-        fpe_solver._newton_stack(op, fs, fs, lam, [np.empty(n) for _ in fs])
+        fpe_solver._newton_stack(op, fs, fs, lam, np.empty_like(fs))
     assert calls == [3 * n]
     start = nu2.values + lam * apply_alone(alone, nu2.values) - nu2.values
     assert err.value.residual == float(np.sum(np.abs(start)) * dx)

@@ -62,9 +62,14 @@ MUTANTS = (
            "e_face = np.asarray(drift.E(grid.edges + 0.5 * grid.cell_width), dtype=float)",
            ("tests/test_fpe_solver.py::test_operator_is_the_donor_cell_flux_written_out_at_the_faces",)),
     Mutant("chain-does-not-clip-at-zero", FPE,
-           "np.maximum(row, 0.0, out=out[lo + a:lo + b])",
-           "np.copyto(out[lo + a:lo + b], row)",
+           "np.maximum(rows, 0.0, out=outs[:, lo:hi])",
+           "np.copyto(outs[:, lo:hi], rows)",
            ("tests/test_fpe_solver.py::test_newton_clips_a_negative_cell_and_reports_the_clipped_mass",)),
+    Mutant("chain-beta-prime-scaled", FPE,
+           "off = np.multiply(self.m, power, out=self._off)",
+           "off = np.multiply(self.m - 1.0, power, out=self._off)",
+           ("tests/test_fpe_solver.py::test_shared_power_operator_and_bands_equal_the_spec_beta_ones",
+            "tests/test_fpe_solver.py::test_jacobian_bands_match_finite_differences_with_saturating_b")),
     Mutant("entropy-audit-halves-the-dissipation", FPE,
            "cumulative += (t - prev_t) * dissipation",
            "cumulative += 0.5 * (t - prev_t) * dissipation",
