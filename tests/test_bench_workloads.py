@@ -22,8 +22,8 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # workload: (digest prefix, Newton iterations of its chains; None without one)
 PINS = {
-    "fpe-barenblatt": ("580fa6593a127d2e", 2365),
-    "fpe-contraction": ("e0aaf3f0b42c5252", 2956),
+    "fpe-barenblatt": ("35e9400b9c5f008c", 2061),
+    "fpe-contraction": ("e0aaf3f0b42c5252", 2661),
     "particles": ("22bc83efb8e6ab34", None),
     "coupling": ("a963699a3d559480", None),
 }

@@ -16,5 +16,5 @@ def test_every_mutant_old_text_occurs_exactly_once():
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
     counts = {m.name: (ROOT / m.path).read_text().count(m.old) for m in mutants.MUTANTS}
-    assert len(counts) == len(mutants.MUTANTS) == 11
+    assert len(counts) == len(mutants.MUTANTS) == 12
     assert counts == dict.fromkeys(counts, 1)

@@ -50,9 +50,9 @@ PINS = {
     },
     "compare": {
         "report.ndjson":
-            "e9c8437ce288fc10d4826d1f851ac1c7d557dd9c833fc208e99b424759425d2e",
+            "2eda7940f208926a69a697d959119fe9dff6bf11220e0362c0a0cf2b8204aac6",
         "trajectory.csv":
-            "b81e6cb4c2c2989be1c858acd362cbc157befc550a2f5f59e4b7df410f3e558d",
+            "fb62d2e7a423fe273346099a726f994fe95ad7a87f35d9f706b6ab2a1b77f60a",
     },
     "coupling-drift-perturbed": {
         "coupling.ndjson":
@@ -68,21 +68,21 @@ PINS = {
     },
     "fpe-run": {
         "report.ndjson":
-            "bdacd358c893b58cc0e2d4f3337265d4fc62abf0f9630b89b734d7dfae0150da",
+            "517c00a4ddaaf8eeeaa86483981b0ee24c5fede990c403bf979501a11517195b",
         "trajectory.csv":
-            "b81e6cb4c2c2989be1c858acd362cbc157befc550a2f5f59e4b7df410f3e558d",
+            "fb62d2e7a423fe273346099a726f994fe95ad7a87f35d9f706b6ab2a1b77f60a",
     },
     "fpe-run-b-zero": {
         "report.ndjson":
-            "0ca012baf80573d1217b8dcfdbb6d93e26e561d95a017ceb48df93f940b4320e",
+            "b55d39914e7ff4063a69ffedfc0b34b5448b9b66a6eeb0f9727a230e0380314e",
         "trajectory.csv":
-            "b81e6cb4c2c2989be1c858acd362cbc157befc550a2f5f59e4b7df410f3e558d",
+            "fb62d2e7a423fe273346099a726f994fe95ad7a87f35d9f706b6ab2a1b77f60a",
     },
     "fpe-run-drift-binary": {
         "report.ndjson":
-            "1cca0efd08c5bd15a8f823b2278ac90a84e8ecb0fa284d2279d563b7d19c004b",
+            "ec6135ce216ce541f52cf9eb69698d2f9e9d970a672ff7f5c9e881fc43fa52ac",
         "trajectory.bin":
-            "6c0abc0864fd9938f19b2cb9fe0a29114821c6bb08eb7d90a54bcb820a274cec",
+            "e246c5b009e2017ed1b20ecc725f7674ddde905bb377c75f53d21910be6eeefa",
     },
     "hypotheses-check": {
         "report.ndjson":

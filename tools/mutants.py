@@ -70,6 +70,11 @@ MUTANTS = (
            "off = np.multiply(self.m - 1.0, power, out=self._off)",
            ("tests/test_fpe_solver.py::test_shared_power_operator_and_bands_equal_the_spec_beta_ones",
             "tests/test_fpe_solver.py::test_jacobian_bands_match_finite_differences_with_saturating_b")),
+    Mutant("chain-predictor-linear", FPE,
+           "                outs *= 3.0\n                outs += buffers[(i - 3) % 4]\n",
+           "                outs += current\n",
+           ("tests/test_fpe_solver.py::test_newton_starts_at_u_then_the_linear_then_the_quadratic_predictor",
+            "tests/test_fpe_solver.py::test_barenblatt_chain_newton_telemetry")),
     Mutant("entropy-audit-halves-the-dissipation", FPE,
            "cumulative += (t - prev_t) * dissipation",
            "cumulative += 0.5 * (t - prev_t) * dissipation",
