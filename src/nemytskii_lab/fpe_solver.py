@@ -322,7 +322,7 @@ class _Operator:
 
     def __init__(self, grid: GridField, spec: NonlinearitySpec, drift: DriftSpec,
                  rows: int):
-        self.grid, self.spec, self.dx, self.rows = grid, spec, grid.cell_width, rows
+        self.grid, self.dx, self.rows = grid, grid.cell_width, rows
         self.m, self._exponent = spec.m, spec.m - 1.0
         self.drifted = not drift.vanishes
         size = rows * grid.n_cells
@@ -552,10 +552,10 @@ def _newton_stack(op: _Operator, fs: np.ndarray, starts: np.ndarray, lam: float,
     residual is summed over its own window only, as its own solve sums it.
 
     The usual iteration takes the full Newton step u - x, with x the
-    solution of J x = res, in every row still above NEWTON_TOL; then the
-    trial's buffers (iterate, residual and power) swap with u's.  Otherwise
-    the rows that took their step are copied over, and the others halve
-    theirs.
+    solution of J x = res, in every row still above NEWTON_TOL: when all
+    rows are, the trial's buffers (iterate, residual and power) swap with
+    u's, else those rows are copied over.  Otherwise the rows whose
+    residual fell take their step and the others halve theirs.
 
     Raises SolverError naming the failing row (its index in fs) and stating
     lam, the iteration count and that row's residual.
@@ -588,9 +588,13 @@ def _newton_stack(op: _Operator, fs: np.ndarray, starts: np.ndarray, lam: float,
                            (info - 1) // width, it, l1, lam, k)
         np.subtract(u, x, out=trial)
         trial_l1 = op.residual(trial, trial_res, trial_power)
-        if len(pending) == k and all(t < v for t, v in zip(trial_l1, l1)):
-            u, trial, res, trial_res = trial, u, trial_res, res
-            power, trial_power, l1 = trial_power, power, trial_l1
+        if all(trial_l1[r] < l1[r] for r in pending):
+            if len(pending) == k:
+                u, trial, res, trial_res = trial, u, trial_res, res
+                power, trial_power, l1 = trial_power, power, trial_l1
+            else:
+                _take_rows(pending, (u, res, power), (trial, trial_res, trial_power),
+                           l1, trial_l1, width)
         else:
             # each pending row halves its step until its residual falls; the
             # rows still searching share the step, since they started together
