@@ -10,10 +10,10 @@ the piecewise-constant-in-time mild approximation whose limit defines the
 semigroup.  beta, E and b enter as given: none is regularized.  The chain
 starts Newton at u^0 in its first step, at the linear predictor
 max(2u^i - u^(i-1), 0) in its second and at the quadratic predictor
-max(3(u^i - u^(i-1)) + u^(i-2), 0) from its third on.  Each solve reports its Newton iterations,
-line-search halvings and fixed-point fallbacks.  Fluxes are written in
-conservation form (3-point diffusive flux, donor-cell upwind advection), so
-the zero-flux boundary conserves mass to roundoff.
+max(3(u^i - u^(i-1)) + u^(i-2), 0) from its third on.  Each solve reports
+its Newton iterations, line-search halvings and fixed-point fallbacks.
+Fluxes are written in conservation form (3-point diffusive flux, donor-cell
+upwind advection), so the zero-flux boundary conserves mass to roundoff.
 
 One _Operator per chain decides how the drift enters: it holds the flux,
 the Jacobian bands and the cells Newton solves on.  When the drift vanishes
