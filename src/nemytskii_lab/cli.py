@@ -200,12 +200,13 @@ class Check:
 
 def _error_context(err: Exception) -> dict:
     """The error's type and message, and the step, row, residual, lam and
-    particle index it carries, each when present (a NaN residual is absent)."""
+    particle index it carries, each when present (a residual or lam that is
+    not finite is absent: strict JSON has no NaN or Infinity)."""
     context = {"type": type(err).__name__, "message": str(err)}
     for name, kind in (("step", int), ("row", int), ("residual", float),
                        ("lam", float), ("particle_index", int)):
         value = getattr(err, name, None)
-        if value is not None and not (kind is float and math.isnan(value)):
+        if value is not None and not (kind is float and not math.isfinite(value)):
             context[name] = kind(value)
     return context
 

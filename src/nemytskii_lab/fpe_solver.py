@@ -396,26 +396,26 @@ class _Operator:
         out /= dx
         return out
 
-    def residual(self, v: np.ndarray, out: np.ndarray, power: np.ndarray) -> list[float]:
+    def residual(self, v: np.ndarray, out: np.ndarray, power: np.ndarray,
+                 windows=None) -> list[float]:
         """The residual v + lam*A(v) - target of each row into out, and
-        |v|^(m-1) into power (see apply); returns each row's L1 norm, summed
-        over the row's own window."""
+        |v|^(m-1) into power (see apply); returns each row's L1 norm.
+        windows holds, per row, the view of abs_rows over which the row is
+        summed, or is None when every row is summed over all of it."""
         self.apply(v, out, power)
         out *= self._lam
         out += v
         out -= self.target
         np.abs(out, out=self.abs_res)
-        if self._own is None:
-            return (np.add.reduce(self._abs_rows, axis=1) * self.dx).tolist()
-        return [float(np.add.reduce(cells)) * self.dx for cells in self._own]
+        if windows is None:
+            return (np.add.reduce(self.abs_rows, axis=1) * self.dx).tolist()
+        return [float(np.add.reduce(cells)) * self.dx for cells in windows]
 
-    def jacobian(self, lam: float, width: int, own=None):
+    def jacobian(self, lam: float, width: int):
         """Point the workspace's views at the chain's rows of width cells each,
         width at most the grid's, and return bands(u, power): the diagonals
         (dl, d, du) of the Jacobian of u + lam*A(u) at u, the rows end to end,
-        where power is the |u|^(m-1) that apply gave for u.  own lists each
-        row's window (first, one past the last) within width, over which
-        residual sums the row; None when every row spans all of width.
+        where power is the |u|^(m-1) that apply gave for u.
 
         The bands are those of the block-diagonal (rows*width) system, whose
         entries coupling one row to the next are 0.  dl[j] holds J[j+1, j]
@@ -433,7 +433,7 @@ class _Operator:
             (off, du, self.u, self.trial, self.res, self.trial_res, self.power,
              self.trial_power, self.target, self.abs_res, self._d, carried,
              product) = self._space[:, :cells]
-            self.u_rows, self.target_rows, self._abs_rows = (
+            self.u_rows, self.target_rows, self.abs_rows = (
                 a.reshape(self.rows, width) for a in (self.u, self.target, self.abs_res))
             # each flux at the faces inside the rows, after each cell and
             # before each cell; the last face is the boundary's, with no flux
@@ -452,8 +452,6 @@ class _Operator:
                 ep, em, self._outflow = self._splits[:, :cells]
                 self._ep, self._em = ep[:-1], em[:-1]
                 self._carried, self._product = carried, product[:-1]
-        self._own = None if own is None else [
-            row[a:b] for row, (a, b) in zip(self._abs_rows, own)]
         if lam != self._lam:
             self._lam, dx, dx2 = lam, self.dx, self.dx**2
             # lam * lap_diag / dx**2, with lap_diag 2 inside a row and 1 at its ends
@@ -551,11 +549,11 @@ def _newton_stack(op: _Operator, fs: np.ndarray, starts: np.ndarray, lam: float,
     the union outside a row's own window stay 0 in that row, and each row's
     residual is summed over its own window only, as its own solve sums it.
 
-    The usual iteration takes the full Newton step u - x, with x the
-    solution of J x = res, in every row still above NEWTON_TOL: when all
-    rows are, the trial's buffers (iterate, residual and power) swap with
-    u's, else those rows are copied over.  Otherwise the rows whose
-    residual fell take their step and the others halve theirs.
+    Each iteration tries the full Newton step u - x, with x the solution of
+    J x = res.  The pending rows whose residual fell take their step and the
+    others halve theirs: when every row of the stack takes it, the trial's
+    buffers (iterate, residual and power) swap with u's, else those rows are
+    copied over.
 
     Raises SolverError naming the failing row (its index in fs) and stating
     lam, the iteration count and that row's residual.
@@ -565,13 +563,16 @@ def _newton_stack(op: _Operator, fs: np.ndarray, starts: np.ndarray, lam: float,
     lo, hi = min(a for a, _ in spans), max(b for _, b in spans)
     width = hi - lo
     own = [(a - lo, b - lo) for a, b in spans]
-    bands = op.jacobian(lam, width, None if spans.count((lo, hi)) == k else own)
+    bands = op.jacobian(lam, width)
+    # each row's residual is summed over its own window
+    windows = None if spans.count((lo, hi)) == k else [
+        row[a:b] for row, (a, b) in zip(op.abs_rows, own)]
     op.target_rows[...] = fs[:, lo:hi]
     op.u_rows[...] = starts[:, lo:hi]
     u, trial, res, trial_res = op.u, op.trial, op.res, op.trial_res
     power, trial_power = op.power, op.trial_power
 
-    l1 = op.residual(u, res, power)
+    l1 = op.residual(u, res, power, windows)
     for r in range(k):
         if not math.isfinite(l1[r]):
             raise _failure("has a non-finite residual", r, 0, l1, lam, k)
@@ -587,41 +588,36 @@ def _newton_stack(op: _Operator, fs: np.ndarray, starts: np.ndarray, lam: float,
             raise _failure(f"failed in the tridiagonal solve (gtsv info {info})",
                            (info - 1) // width, it, l1, lam, k)
         np.subtract(u, x, out=trial)
-        trial_l1 = op.residual(trial, trial_res, trial_power)
-        if all(trial_l1[r] < l1[r] for r in pending):
-            if len(pending) == k:
+        # each pending row halves its step until its residual falls; the rows
+        # still searching share the step, since they started together
+        searching, step = pending, 1.0
+        for halving in range(12):
+            if halving:
+                np.subtract(u, np.multiply(x, step, out=trial), out=trial)
+            trial_l1 = op.residual(trial, trial_res, trial_power, windows)
+            fell = [r for r in searching if trial_l1[r] < l1[r]]
+            if len(fell) == k:
                 u, trial, res, trial_res = trial, u, trial_res, res
                 power, trial_power, l1 = trial_power, power, trial_l1
             else:
-                _take_rows(pending, (u, res, power), (trial, trial_res, trial_power),
-                           l1, trial_l1, width)
-        else:
-            # each pending row halves its step until its residual falls; the
-            # rows still searching share the step, since they started together
-            searching, step = pending, 1.0
-            for halving in range(12):
-                if halving:
-                    np.subtract(u, np.multiply(x, step, out=trial), out=trial)
-                    trial_l1 = op.residual(trial, trial_res, trial_power)
-                fell = [r for r in searching if trial_l1[r] < l1[r]]
                 _take_rows(fell, (u, res, power), (trial, trial_res, trial_power),
                            l1, trial_l1, width)
-                searching = [r for r in searching if r not in fell]
-                if not searching:
-                    break
-                step *= 0.5
-                for r in searching:
-                    halvings[r] += 1
-            else:
-                # damped fixed-point fallback
-                np.subtract(u, np.multiply(0.5, res, out=trial), out=trial)
-                trial_l1 = op.residual(trial, trial_res, trial_power)
-                for r in searching:
-                    if not trial_l1[r] < l1[r]:
-                        raise _failure("stalled", r, it, l1, lam, k)
-                    fallbacks[r] += 1
-                _take_rows(searching, (u, res, power), (trial, trial_res, trial_power),
-                           l1, trial_l1, width)
+            if len(fell) == len(searching):
+                break
+            searching = [r for r in searching if r not in fell]
+            step *= 0.5
+            for r in searching:
+                halvings[r] += 1
+        else:
+            # damped fixed-point fallback
+            np.subtract(u, np.multiply(0.5, res, out=trial), out=trial)
+            trial_l1 = op.residual(trial, trial_res, trial_power, windows)
+            for r in searching:
+                if not trial_l1[r] < l1[r]:
+                    raise _failure("stalled", r, it, l1, lam, k)
+                fallbacks[r] += 1
+            _take_rows(searching, (u, res, power), (trial, trial_res, trial_power),
+                       l1, trial_l1, width)
         it += 1
         if min(l1[r] for r in pending) <= NEWTON_TOL:
             for r in pending:

@@ -483,6 +483,32 @@ def test_an_error_without_context_reports_its_type_and_message(tmp_path, monkeyp
                             "step": 0}
 
 
+def test_an_infinite_residual_is_left_out_of_the_strict_json_report(tmp_path,
+                                                                   monkeypatch):
+    # one huge cell makes the first residual infinite with no NaN; the
+    # execution row keeps the message and drops the residual, and every
+    # line of the report parses as strict JSON
+    def failing(*args, **kwargs):
+        raise fpe_solver.SolverError("nonlinear solve has a non-finite residual",
+                                     residual=math.inf, row=0, lam=5e-3)
+
+    monkeypatch.setattr(fpe_solver, "_newton_stack", failing)
+    s = Scenario(name="fpe-run",
+                 params={"m": 2.0, "t0": 0.1, "T": 0.11, "n_cells": 64, "h": 5e-3},
+                 output_dir=tmp_path)
+    assert run_scenario(s) == 1
+
+    def strict(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    lines = (tmp_path / "report.ndjson").read_text().splitlines()
+    records = [json.loads(line, parse_constant=strict) for line in lines]
+    (row,) = [r for r in records if "check_id" in r]
+    assert row["error"] == {"type": "SolverError",
+                            "message": "nonlinear solve has a non-finite residual",
+                            "step": 0, "row": 0, "lam": 5e-3}
+
+
 def test_a_particle_error_reports_its_particle_index():
     err = particle_sim.SimulationError("non-finite particle position",
                                        particle_index=np.int64(7))

@@ -6,8 +6,7 @@ Run from the repository root:
     python3 tools/bench_pairs.py PARENT_REV --pairs 5 -- --workload all --seed 99
 
 The parent side is a ``git archive`` of PARENT_REV; the change side is a
-``git archive`` of --change (a revision), or by default a copy of the
-working tree's src/, bench/, BENCHMARK.json and pyproject.toml.  Each pair
+copy of the working tree's src/, bench/, BENCHMARK.json and pyproject.toml.  Each pair
 runs ``python3 bench/run.py`` with the arguments after ``--`` once in each
 tree, the parent first in odd pairs (1, 3, ...) and the change first in
 even ones, so a drift of the host's speed weighs on both sides alike.  Each
@@ -134,8 +133,6 @@ def _run(tree: Path, run_args: list[str], log: Path | None, label: str) -> dict:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", help="the parent revision")
-    parser.add_argument("--change", default=None,
-                        help="the change's revision (default: the working tree)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--log", type=Path, default=None,
                         help="a directory for each run's output and every "
@@ -152,10 +149,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         _archive(args.parent, trees["parent"])
-        if args.change is None:
-            _copy_working_tree(trees["change"])
-        else:
-            _archive(args.change, trees["change"])
+        _copy_working_tree(trees["change"])
         manifest = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in manifest["end_to_end"]}
         for pair in range(1, args.pairs + 1):
