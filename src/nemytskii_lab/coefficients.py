@@ -358,17 +358,23 @@ def capital_G(spec: NonlinearitySpec, r):
     return _scalar_or_array(arr ** (1.0 - expo) / (1.0 - expo))
 
 
-def entropy_Psi(spec: NonlinearitySpec, r):
+def entropy_Psi(spec: NonlinearitySpec, r, *, out=None):
     """Psi(r) = integral_0^r ln(beta(s)) ds = m*r*(ln r - 1), with Psi(0) = 0.
 
-    Accepts scalars or arrays (the entropy audit sums it over a field).
+    Accepts scalars or arrays (the entropy audit sums it over a field).  An
+    array's values are written into out when it is given, an array of r's
+    shape, and out is returned.
     """
     arr = np.asarray(r, dtype=float)
     if (arr < 0).any():
         raise ValueError("Psi is defined for r >= 0")
     pos = arr > 0
-    # (m r)(ln r - 1) where r > 0; +0.0 elsewhere, from zeros_like
-    out = np.log(arr, out=np.zeros_like(arr), where=pos)
+    # (m r)(ln r - 1) where r > 0; +0.0 elsewhere, from the zeroed output
+    if out is None:
+        out = np.zeros_like(arr)
+    else:
+        out.fill(0.0)
+    np.log(arr, out=out, where=pos)
     np.subtract(out, 1.0, out=out, where=pos)
     np.multiply(out, spec.m * arr, out=out, where=pos)
     return _scalar_or_array(out)

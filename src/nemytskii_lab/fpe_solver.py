@@ -223,7 +223,7 @@ def _check_step(lam: float, drift: DriftSpec) -> None:
                          f"0 < lambda < lambda_0 = {lam0!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ResolventSolution:
     """Resolvent output plus solve diagnostics (residual, clipping).
 
@@ -266,7 +266,7 @@ class Trajectory:
         return self.field_at(math.inf)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ChainStep:
     """One step of a chain, as chain_steps yields it.
 
@@ -815,8 +815,10 @@ def step_chain(nu: GridField, T: float, config: SolverConfig,
         times[step.index] = step.t
         kept = values[step.index]
         kept[...] = sol.values
-        # the kept report's values are the stored row, not the reused buffer
-        infos.append(replace(sol, values=kept))
+        # the report is the step's own; its values become the stored row,
+        # not the reused buffer
+        sol.values = kept
+        infos.append(sol)
     return Trajectory(initial=nu, times=times, values=values, infos=infos)
 
 
@@ -917,27 +919,32 @@ def entropy_recorder(initial: GridField, spec: NonlinearitySpec
     """
     dx = initial.cell_width
     n = initial.n_cells
-    # Psi and sqrt(beta) are evaluated on each row's nonzero span only; the
-    # span is scattered into a zero row and the sum runs over the full row,
-    # so the sums are those of full-row evaluations bit for bit, since
-    # Psi(0) = 0 and sqrt(beta(0)) = 0.
+    # Psi and sqrt(beta) are evaluated on each row's nonzero span only, into
+    # the kept rows psi and grad2, which are zero off the span; the sums run
+    # over the full rows, so they are those of full-row evaluations bit for
+    # bit, since Psi(0) = 0 and sqrt(beta(0)) = 0.  occupied and diff are
+    # kept scratch rows as well.
     psi = np.zeros(n)
     grad2 = np.zeros(n - 1)   # |D_h beta^(1/2)|^2 at the interior faces
+    occupied = np.empty(n, dtype=bool)
+    diff = np.empty(n - 1)
 
     def entropy_and_dissipation(vals):
-        occupied = _span(vals != 0.0)
-        if not occupied:
+        span = _span(np.not_equal(vals, 0.0, out=occupied))
+        if not span:
             return 0.0, 0.0
-        a, b = occupied
-        psi[a:b] = entropy_Psi(spec, vals[a:b])
-        entropy = float(np.sum(psi) * dx)
+        a, b = span
+        entropy_Psi(spec, vals[a:b], out=psi[a:b])
+        entropy = float(np.add.reduce(psi) * dx)
         psi[a:b] = 0.0
         # the faces with a nonzero difference lie between cells a - 1 and b
         a, b = max(a - 1, 0), min(b + 1, n)
-        root = np.sqrt(np.asarray(spec.beta(vals[a:b])))
-        grad = (root[1:] - root[:-1]) / dx
-        grad2[a:b - 1] = grad * grad
-        dissipation = float(np.sum(grad2) * dx)
+        root = spec.beta(vals[a:b])
+        np.sqrt(root, out=root)
+        grad = np.subtract(root[1:], root[:-1], out=diff[:b - a - 1])
+        grad /= dx
+        np.multiply(grad, grad, out=grad2[a:b - 1])
+        dissipation = float(np.add.reduce(grad2) * dx)
         grad2[a:b - 1] = 0.0
         return entropy, dissipation
 

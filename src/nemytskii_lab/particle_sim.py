@@ -58,6 +58,7 @@ __all__ = [
 DOMAIN_BOUND = 50.0   # half-width of the seeding interval; the watchdog is 10x
 COUPLING_DELTA = 1e-6   # length scale of the twins' Lyapunov statistic
 KDE_GRID_CELLS = 4096   # cells of frozen_density's auxiliary grid
+SEED_CHUNK = 16384   # grid cells whose density seed_from_density evaluates at once
 
 
 class SimulationError(RuntimeError):
@@ -163,6 +164,14 @@ def seed_from_density(density, n: int, seed: int, lo: float, hi: float,
     The CDF is built on a fine quadrature grid (trapezoid) concentrated on
     the region where the density is nonzero; the input mass must be 1 to
     within 1e-6.
+
+    Seeding sets a particle run's peak memory, so only the grid x and its
+    CDF are held whole.  The density is evaluated on SEED_CHUNK + 1 nodes
+    at a time, and each chunk's trapezoids 0.5 * (dens[i] + dens[i+1]) *
+    width are written into their slots of cdf[1:], where the running sum is
+    then taken in place.  Consecutive chunks share one node, so the
+    trapezoid across each seam sees both of its ends; every trapezoid, and
+    so every particle, is the same as with whole arrays.
     """
     probe = np.linspace(lo, hi, 16385)
     pv = np.maximum(np.asarray(density(probe), dtype=float), 0.0)
@@ -172,19 +181,16 @@ def seed_from_density(density, n: int, seed: int, lo: float, hi: float,
         lo = max(lo, float(probe[live[0]]) - pad)
         hi = min(hi, float(probe[live[-1]]) + pad)
     x = np.linspace(lo, hi, 200001)
-    dens = np.maximum(np.asarray(density(x), dtype=float), 0.0)
-    # cdf[i] integrates up to x[i]; the cell widths, then the running sum of
-    # the trapezoids 0.5 * (dens[i] + dens[i+1]) * width, go into cdf[1:].
-    # Each array is freed once used: seeding sets a particle run's peak memory.
+    # cdf[i] integrates up to x[i]
     cdf = np.empty_like(x)
     cdf[0] = 0.0
-    widths = np.subtract(x[1:], x[:-1], out=cdf[1:])
-    trapezoids = dens[1:] + dens[:-1]
-    del dens
-    trapezoids *= 0.5
-    trapezoids *= widths
-    np.cumsum(trapezoids, out=cdf[1:])
-    del trapezoids
+    for a in range(0, x.size - 1, SEED_CHUNK):
+        nodes = x[a:a + SEED_CHUNK + 1]
+        dens = np.maximum(np.asarray(density(nodes), dtype=float), 0.0)
+        trapezoids = np.add(dens[1:], dens[:-1], out=cdf[a + 1:a + nodes.size])
+        trapezoids *= 0.5
+        trapezoids *= nodes[1:] - nodes[:-1]
+    np.cumsum(cdf[1:], out=cdf[1:])
     mass = float(cdf[-1])
     if abs(mass - 1.0) > 1e-6:
         raise ValueError(f"density mass {mass} deviates from 1 by more than 1e-6")

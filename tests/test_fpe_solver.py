@@ -1376,24 +1376,30 @@ def test_entropy_audit_driftless_descends():
     assert all(r.cumulative_dissipation >= 0.0 for r in records)
 
 
-@pytest.mark.parametrize("nu", [
-    barenblatt_field(0.1, n=1000),
-    source_field(2.0, 0.1, 400, lo=-0.5, hi=3.0),   # support at the wall
-    GridField(-3.0, 3.0, np.r_[np.zeros(40), np.ones(30), np.zeros(60),
-                               np.ones(20), np.zeros(50)]).normalized(),
-], ids=["barenblatt", "wall", "two_blocks"])
-def test_entropy_audit_is_the_full_row_sum_bit_for_bit(nu):
-    # the audit evaluates Psi and sqrt(beta) on the support only; its sums
-    # must be those over every cell
-    traj = step_chain(nu, 0.02, SolverConfig(lambda_step=2e-3), SPEC, ZERO_DRIFT)
+AUDIT_FIELDS = {
+    "barenblatt": barenblatt_field(0.1, n=1000),
+    "wall": source_field(2.0, 0.1, 400, lo=-0.5, hi=3.0),   # support at the wall
+    "two_blocks": GridField(-3.0, 3.0, np.r_[np.zeros(40), np.ones(30), np.zeros(60),
+                                             np.ones(20), np.zeros(50)]).normalized(),
+}
+
+
+@pytest.mark.parametrize("nu, m", [
+    pytest.param(nu, m, id=name if m == 2.0 else f"{name}-m{m:g}")
+    for m in (2.0, 1.5, 3.0) for name, nu in AUDIT_FIELDS.items()])
+def test_entropy_audit_is_the_full_row_sum_bit_for_bit(nu, m):
+    # the audit evaluates Psi and sqrt(beta) on the support only, into kept
+    # rows; its sums must be those of fresh full-row evaluations
+    spec = NonlinearitySpec.power_law(m)
+    traj = step_chain(nu, 0.02, SolverConfig(lambda_step=2e-3), spec, ZERO_DRIFT)
     dx = nu.cell_width
 
     def entropy(vals):
-        return float(np.sum(entropy_Psi(SPEC, vals)) * dx)
+        return float(np.sum(entropy_Psi(spec, vals)) * dx)
 
     cumulative, prev_t = 0.0, 0.0
-    for rec, t, row in zip(entropy_audit(traj, SPEC), traj.times.tolist(), traj.values):
-        root = np.sqrt(SPEC.beta(row))
+    for rec, t, row in zip(entropy_audit(traj, spec), traj.times.tolist(), traj.values):
+        root = np.sqrt(spec.beta(row))
         grad = (root[1:] - root[:-1]) / dx
         cumulative += (t - prev_t) * float(np.sum(grad * grad) * dx)
         prev_t = t

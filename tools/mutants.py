@@ -95,6 +95,10 @@ MUTANTS = (
            "* np.asarray(drift.b(dens), dtype=float) * dt",
            "* 1.0 * dt",
            ("tests/test_particle_sim.py::test_em_step_moves_each_particle_by_its_drift_and_its_noise",)),
+    Mutant("seeding-chunk-drops-the-seam-node", PARTICLES,
+           "nodes = x[a:a + SEED_CHUNK + 1]",
+           "nodes = x[a:a + SEED_CHUNK]",
+           ("tests/test_particle_sim.py::test_seed_equals_the_whole_array_cdf_bit_for_bit",)),
     Mutant("particle-kde-bins-shifted-right", PARTICLES,
            "    bins -= 1\n",
            "",
